@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"testing"
 
+	"prio"
 	"prio/internal/circuit"
+	"prio/internal/core"
 	"prio/internal/field"
 	"prio/internal/poly"
 	"prio/internal/prg"
 	"prio/internal/share"
 	"prio/internal/snip"
+	"prio/internal/transport"
 )
 
 // Microbenchmarks of the substrates underneath every experiment: field
@@ -160,6 +163,82 @@ func BenchmarkShareExpand(b *testing.B) {
 				_ = share.Expand(f, seed, l)
 			}
 		})
+	}
+}
+
+// recordPeer keeps a copy of the last Round1 and Finish requests the leader
+// sent through it, for BenchmarkServerRound1 to replay.
+type recordPeer struct {
+	transport.Peer
+	round1, finish []byte
+}
+
+func (p *recordPeer) Call(msgType byte, payload []byte) ([]byte, error) {
+	switch msgType {
+	case core.MsgRound1:
+		p.round1 = append([]byte(nil), payload...)
+	case core.MsgFinish:
+		p.finish = append([]byte(nil), payload...)
+	}
+	return p.Peer.Call(msgType, payload)
+}
+
+// BenchmarkServerRound1 is share materialisation end to end: what the three
+// servers of the Figure 4/5 deployment do with one Round1 request of 16
+// sealed 1,024-bit submissions — unseal, expand the seed or decode the
+// explicit share, unflatten, batch SNIP pass — plus the finish that recycles
+// the batch's slabs. One op is the whole batch on all three servers;
+// scripts/alloc-gate.sh pins its allocs/op.
+func BenchmarkServerRound1(b *testing.B) {
+	const servers, batch, l = 3, 16, 1024
+	scheme := prio.NewBitVector(l)
+	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: servers, Mode: prio.ModePrio, Reps: 2, Seal: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srvs := make([]*prio.Server, servers)
+	recs := make([]*recordPeer, servers)
+	peers := make([]transport.Peer, servers)
+	keys := make([]*prio.ServerPublicKey, servers)
+	for i := range srvs {
+		if srvs[i], err = prio.NewServer(pro, i); err != nil {
+			b.Fatal(err)
+		}
+		recs[i] = &recordPeer{Peer: transport.NewMemPeer(srvs[i].Handle)}
+		peers[i], keys[i] = recs[i], srvs[i].PublicKey()
+	}
+	leader, err := core.NewLeader(srvs[0], peers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := prio.NewClient(pro, keys, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := bitEncoding(b, scheme, l)
+	subs := make([]*prio.Submission, batch)
+	for i := range subs {
+		if subs[i], err = client.BuildSubmission(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One real batch leaves each peer holding the Round1 and Finish requests
+	// to replay; the challenge they name stays installed on the servers.
+	if _, err := leader.ProcessBatch(subs); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(recs[0].round1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, srv := range srvs {
+			if _, err := srv.Handle(core.MsgRound1, recs[j].round1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := srv.Handle(core.MsgFinish, recs[j].finish); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"prio/internal/sealbox"
 	"prio/internal/share"
 	"prio/internal/telemetry"
+	"prio/internal/transport"
 )
 
 // Submission is one client's upload: a bundle per server, delivered to the
@@ -170,36 +171,60 @@ func (c *Client[Fd, E]) BuildSubmission(encoding []E) (*Submission, error) {
 	return sub, nil
 }
 
-// decodeBundle recovers a server's flat share vector from its bundle.
-func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey) ([]E, error) {
+// decodeBundle recovers a server's flat share vector from its bundle into
+// dst, which must hold p.flatLen elements; on success every one of them has
+// been overwritten, on error dst's contents are unspecified.
+func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, dst []E) error {
 	if p.Cfg.Seal {
-		pt, err := sealbox.Open(priv, bundle)
+		// An explicit share's plaintext is as large as its box (41 kB at
+		// bits1024) and dead once its elements are decoded: open it into a
+		// pooled buffer instead of a fresh slice per submission.
+		buf := transport.GetBuf(len(bundle))
+		defer buf.Free()
+		pt, err := sealbox.OpenTo(priv, buf.B, bundle)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bundle = pt
 	}
 	if len(bundle) < 1 {
-		return nil, errTruncated
+		return errTruncated
 	}
 	f := p.Cfg.Field
 	switch bundle[0] {
 	case bundleSeed:
 		if len(bundle) != 1+prg.SeedSize {
-			return nil, errTruncated
+			return errTruncated
 		}
 		var seed prg.Seed
 		copy(seed[:], bundle[1:])
-		return share.Expand(f, seed, p.flatLen), nil
+		share.ExpandInto(f, seed, dst)
+		return nil
 	case bundleExplicit:
-		r := &rbuf{b: bundle[1:]}
-		flat := rvec(r, f, p.flatLen)
-		if !r.done() {
-			return nil, errTruncated
+		if len(bundle)-1 != len(dst)*f.ElemSize() {
+			return errTruncated
 		}
-		return flat, nil
+		_, err := field.ReadInto(f, bundle[1:], dst)
+		return err
 	default:
-		return nil, errTruncated
+		return errTruncated
+	}
+}
+
+// getFlat returns a vector of p.flatLen elements with unspecified contents
+// for one submission's share: over F64 a pooled slab (putFlat recycles it),
+// otherwise a plain allocation.
+func (p *Protocol[Fd, E]) getFlat() []E {
+	if _, ok := any(p.Cfg.Field).(field.F64); ok {
+		return any(field.GetSlabUninit(p.flatLen)).([]E)
+	}
+	return make([]E, p.flatLen)
+}
+
+// putFlat gives a getFlat vector back. Nothing may reference it afterwards.
+func putFlat[E any](flat []E) {
+	if slab, ok := any(flat).([]uint64); ok {
+		field.PutSlab(slab)
 	}
 }
 

@@ -34,6 +34,57 @@ func newSumDeployment(t *testing.T, mode Mode, servers int, seal bool) (*Protoco
 	return pro, cl, client, scheme
 }
 
+// honestSubs builds one honest submission per value.
+func honestSubs(t *testing.T, client *Client[field.F64, uint64], scheme *afe.Sum[field.F64, uint64], values ...uint64) []*Submission {
+	t.Helper()
+	subs := make([]*Submission, len(values))
+	for i, v := range values {
+		enc, err := scheme.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if subs[i], err = client.BuildSubmission(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return subs
+}
+
+// expectVerdicts runs subs as one batch and checks the per-submission
+// decisions, that every server released the batch's state, and that the
+// aggregate is wantSum over exactly the accepted submissions.
+func expectVerdicts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submission, want []bool, wantSum uint64) {
+	t.Helper()
+	accepts, err := cl.Leader.ProcessBatch(subs)
+	if err != nil {
+		t.Fatalf("batch failed as a whole: %v", err)
+	}
+	accepted := uint64(0)
+	for i := range want {
+		if accepts[i] != want[i] {
+			t.Errorf("submission %d: accept=%v want %v", i, accepts[i], want[i])
+		}
+		if want[i] {
+			accepted++
+		}
+	}
+	for i, srv := range cl.Servers {
+		srv.mu.Lock()
+		n := len(srv.batches)
+		srv.mu.Unlock()
+		if n != 0 {
+			t.Errorf("server %d holds %d batch states after the batch", i, n)
+		}
+	}
+	agg, n, err := cl.Leader.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != accepted || agg[0] != wantSum {
+		t.Errorf("aggregate = %d over %d submissions, want %d over %d", agg[0], n, wantSum, accepted)
+	}
+}
+
 func TestEndToEndAllModes(t *testing.T) {
 	for _, mode := range []Mode{ModeNoRobust, ModeSNIP, ModeMPC} {
 		for _, servers := range []int{1, 2, 5} {
@@ -283,16 +334,12 @@ func TestSubmissionMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSealedBundleTamperRejected(t *testing.T) {
+	// A tampered box fails to open on its server, which costs that one
+	// submission and nothing else in the batch.
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
-	enc, _ := scheme.Encode(5)
-	sub, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.Bundles[1][10] ^= 0xFF
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub}); err == nil {
-		t.Error("tampered sealed bundle did not error")
-	}
+	subs := honestSubs(t, client, scheme, 5, 5, 5)
+	subs[1].Bundles[1][10] ^= 0xFF
+	expectVerdicts(t, cl, subs, []bool{true, false, true}, 10)
 }
 
 func TestBitVectorEndToEnd(t *testing.T) {

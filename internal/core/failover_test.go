@@ -51,6 +51,15 @@ func leaderOn(t *testing.T, cl *Cluster[field.F64, uint64], idx int, wrap func(j
 	return ld
 }
 
+// hookPeers builds a leader on server 0 whose every peer calls hook(j,
+// msgType) before forwarding a call; a non-nil error fails the call instead.
+func hookPeers(t *testing.T, cl *Cluster[field.F64, uint64], hook func(j int, msgType byte) error) *Leader[field.F64, uint64] {
+	t.Helper()
+	return leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
+		return &faultPeer{Peer: p, fail: func(msgType byte) error { return hook(j, msgType) }}
+	})
+}
+
 // mixedBatch builds a batch of honest and invalid submissions plus the
 // expected accept set and honest sum.
 func mixedBatch(t *testing.T, client *Client[field.F64, uint64], scheme *afe.Sum[field.F64, uint64], n int) (subs []*Submission, want []bool, sum uint64) {

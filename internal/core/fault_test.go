@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"sync/atomic"
 	"testing"
 
 	"prio/internal/afe"
@@ -33,6 +34,16 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 			w.u32(1)
 			w.u64(1)
 			w.u32(1 << 30)
+			return w.b
+		}()},
+		{"round1 count beyond payload", MsgRound1, func() []byte {
+			// Three 4-byte blob headers cannot hold the 1000 bundles the
+			// count claims: refused before anything is sized by it.
+			w := &wbuf{}
+			w.u32(1)
+			w.u64(1)
+			w.u32(1000)
+			w.raw(make([]byte, 12))
 			return w.b
 		}()},
 		{"round2 unknown batch", MsgRound2, func() []byte {
@@ -79,41 +90,37 @@ func TestRound1RequiresChallenge(t *testing.T) {
 	}
 }
 
-func TestWrongLengthBundleRejected(t *testing.T) {
-	pro, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, false)
-	enc, _ := scheme.Encode(3)
-	sub, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replace server 1's bundle with an explicit vector of the wrong length.
+func TestMalformedBundleRejectedAlone(t *testing.T) {
+	// A bundle its server cannot decode costs that submission only: the
+	// honest submissions batched around it are accepted and aggregated.
+	pro, _, _, _ := newSumDeployment(t, ModeSNIP, 3, false)
 	f := pro.Cfg.Field
-	w := &wbuf{}
-	w.u8(bundleExplicit)
-	wvec(w, f, make([]uint64, pro.FlatLen()-1))
-	sub.Bundles[1] = w.b
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub}); err == nil {
-		t.Error("short explicit bundle did not error")
+	short := &wbuf{}
+	short.u8(bundleExplicit)
+	wvec(short, f, make([]uint64, pro.FlatLen()-1))
+	nonCanonical := &wbuf{}
+	nonCanonical.u8(bundleExplicit)
+	wvec(nonCanonical, f, make([]uint64, pro.FlatLen()-1))
+	nonCanonical.u64(field.ModulusF64)
+	cases := []struct {
+		name   string
+		server int
+		bundle []byte
+	}{
+		{"short explicit vector", 0, short.b},
+		{"non-canonical element", 0, nonCanonical.b},
+		{"explicit vector on a seed server", 1, short.b},
+		{"truncated seed", 1, append([]byte{bundleSeed}, make([]byte, prg.SeedSize-1)...)},
+		{"unknown flag", 2, []byte{0x7F, 1, 2, 3}},
+		{"empty", 2, nil},
 	}
-
-	// A seed bundle with a truncated seed.
-	sub2, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub2.Bundles[1] = append([]byte{bundleSeed}, make([]byte, prg.SeedSize-1)...)
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub2}); err == nil {
-		t.Error("truncated seed bundle did not error")
-	}
-
-	// Unknown bundle flag.
-	sub3, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub3.Bundles[1] = []byte{0x7F, 1, 2, 3}
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub3}); err == nil {
-		t.Error("unknown bundle flag did not error")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, false)
+			subs := honestSubs(t, client, scheme, 3, 4, 5)
+			subs[1].Bundles[c.server] = c.bundle
+			expectVerdicts(t, cl, subs, []bool{true, false, true}, 8)
+		})
 	}
 }
 
@@ -137,15 +144,27 @@ func TestGarbledSeedYieldsRejectionNotPanic(t *testing.T) {
 }
 
 func TestBundleCountMismatch(t *testing.T) {
+	// The leader rejects a submission with the wrong number of bundles by
+	// itself, before Round1; a batch of nothing else runs no round at all.
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, false)
-	enc, _ := scheme.Encode(3)
-	sub, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
+	subs := honestSubs(t, client, scheme, 3, 4, 5)
+	subs[0].Bundles = subs[0].Bundles[:2]
+	subs[2].Bundles = append(subs[2].Bundles, []byte{bundleSeed})
+	expectVerdicts(t, cl, subs, []bool{false, true, false}, 4)
+
+	var round1s atomic.Int32
+	lead := hookPeers(t, cl, func(j int, msgType byte) error {
+		if msgType == MsgRound1 {
+			round1s.Add(1)
+		}
+		return nil
+	})
+	accepts, err := lead.ProcessBatch(subs[:1])
+	if err != nil || len(accepts) != 1 || accepts[0] {
+		t.Errorf("lone malformed submission: accepts=%v err=%v, want [false]", accepts, err)
 	}
-	sub.Bundles = sub.Bundles[:2]
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub}); err == nil {
-		t.Error("submission with missing bundle did not error")
+	if n := round1s.Load(); n != 0 {
+		t.Errorf("lone malformed submission cost %d Round1 calls", n)
 	}
 }
 

@@ -227,17 +227,42 @@ func (l *Leader[Fd, E]) prefetchNext() {
 // challenge rotation and batch-ID allocation, after which each batch runs
 // its verification rounds independently. Servers key their per-batch state
 // by the allocated batch ID, so overlapping batches never interfere.
+//
+// A submission that is malformed on its own — the wrong number of bundles
+// here, a bundle some server cannot decode in Round1 — is rejected
+// individually; it never fails the submissions batched with it.
 func (l *Leader[Fd, E]) ProcessBatch(subs []*Submission) ([]bool, error) {
+	servers := l.pro.Cfg.Servers
+	good := make([]*Submission, 0, len(subs))
+	for _, sub := range subs {
+		if len(sub.Bundles) == servers {
+			good = append(good, sub)
+		}
+	}
+	if len(good) == len(subs) {
+		return l.verifyBatch(subs)
+	}
+	verdicts, err := l.verifyBatch(good)
+	if err != nil {
+		return nil, err
+	}
+	accepts := make([]bool, len(subs))
+	for i, sub := range subs {
+		if len(sub.Bundles) == servers {
+			accepts[i], verdicts = verdicts[0], verdicts[1:]
+		}
+	}
+	return accepts, nil
+}
+
+// verifyBatch runs the verification rounds over submissions that each carry
+// one bundle per server.
+func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	p := l.pro
 	f := p.Cfg.Field
 	count := len(subs)
 	if count == 0 {
 		return nil, nil
-	}
-	for _, sub := range subs {
-		if len(sub.Bundles) != p.Cfg.Servers {
-			return nil, errors.New("core: submission bundle count mismatch")
-		}
 	}
 
 	// Critical section: rotate the challenge if the window is exhausted and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,11 +242,16 @@ func TestFailedBatchReleasesServerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt server 2's bundle: servers 0 and 1 complete Round1 and store
-	// batch state; server 2 errors, failing the whole batch.
-	sub.Bundles[2] = []byte{0x7F, 9, 9}
-	if _, err := cl.Leader.ProcessBatch([]*Submission{sub}); err == nil {
-		t.Fatal("corrupt bundle did not fail the batch")
+	// Server 2 is unreachable for Round1: servers 0 and 1 complete it and
+	// store batch state, and the batch fails as a whole.
+	lead := hookPeers(t, cl, func(j int, msgType byte) error {
+		if j == 2 && msgType == MsgRound1 {
+			return errors.New("injected: round1 lost")
+		}
+		return nil
+	})
+	if _, err := lead.ProcessBatch([]*Submission{sub}); err == nil {
+		t.Fatal("lost Round1 did not fail the batch")
 	}
 	for i, srv := range cl.Servers {
 		srv.mu.Lock()

@@ -51,13 +51,37 @@ type challState[Fd field.Field[E], E any] struct {
 // batchState holds per-batch verification sessions between rounds. Exactly
 // one of snipSt (per-submission path) and snipBatch (batch path) is populated
 // in the robust modes, according to Config.DisableBatchVerify.
+//
+// Slab ownership: flats are the submissions' decoded share vectors — pooled
+// slabs over F64 (Protocol.getFlat) — and everything else here (xShares, the
+// proofs inside snipBatch, the MPC sessions' inputs) is a view into them.
+// The batch owns them from Round1 until release, which runs exactly once:
+// at MsgFinish, at ReleaseLeader, or when Round1 itself fails. mu orders
+// release after any round handler still reading the views (a call whose
+// leader already gave up on it), so a slab never re-enters the pool under a
+// reader.
 type batchState[Fd field.Field[E], E any] struct {
+	mu       sync.Mutex
+	released bool
+
 	count     int
-	xShares   [][]E
+	flats     [][]E
+	xShares   [][]E // per submission: the kPrime prefix the accumulator adds
 	snipSt    []*snip.State[E]
 	snipBatch *snip.BatchState[E]
 	mpcSess   []*mpc.Session[Fd, E]
 	validTaus []E // MPC: shares of the Valid assertion combination
+}
+
+// release returns the batch's slabs to the pool and drops every view of
+// them. The caller holds bs.mu, or is the only one who can reach bs.
+func (bs *batchState[Fd, E]) release() {
+	for _, flat := range bs.flats {
+		putFlat(flat)
+	}
+	bs.flats, bs.xShares = nil, nil
+	bs.snipSt, bs.snipBatch, bs.mpcSess = nil, nil, nil
+	bs.released = true
 }
 
 // NewServer constructs server idx of the deployment. A fresh sealbox key
@@ -99,10 +123,10 @@ func (s *Server[Fd, E]) Index() int { return s.idx }
 // requests in a pooled arena and frees them right after the broadcast, which
 // an in-process peer (MemPeer, LoopbackPeer) delivers to Handle directly.
 // Every handler below therefore copies whatever it keeps past the return
-// (decodeBundle, rvec, and unmarshalChallenge all produce fresh memory);
-// new handlers must do the same. The returned response is handed off to the
-// transport with Handle keeping no reference, so it must be freshly
-// allocated, never pooled or cached.
+// (decodeBundle decodes into the batch's own slabs; rvec and
+// unmarshalChallenge produce fresh memory); new handlers must do the same.
+// The returned response is handed off to the transport with Handle keeping
+// no reference, so it must be freshly allocated, never pooled or cached.
 func (s *Server[Fd, E]) Handle(msgType byte, payload []byte) ([]byte, error) {
 	switch msgType {
 	case MsgSetChallenge:
@@ -146,12 +170,12 @@ func (s *Server[Fd, E]) Handler() transport.Handler { return s.Handle }
 //
 // It returns how many batches and challenges were released, for logging.
 func (s *Server[Fd, E]) ReleaseLeader(leader int) (batches, challenges int) {
+	var dropped []*batchState[Fd, E]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id := range s.batches {
+	for id, bs := range s.batches {
 		if int(id>>48) == leader {
 			delete(s.batches, id)
-			batches++
+			dropped = append(dropped, bs)
 		}
 	}
 	for id := range s.challenges {
@@ -165,7 +189,32 @@ func (s *Server[Fd, E]) ReleaseLeader(leader int) (batches, challenges int) {
 			delete(s.lastChall, ns)
 		}
 	}
-	return batches, challenges
+	s.mu.Unlock()
+	// Outside s.mu: a round the dead leader started may still be running on
+	// one of these batches, and release waits for it.
+	for _, bs := range dropped {
+		bs.mu.Lock()
+		bs.release()
+		bs.mu.Unlock()
+	}
+	return len(dropped), challenges
+}
+
+// acquireBatch looks up the challenge and batch a round handler names and
+// locks the batch against release; the caller unlocks bs.mu when done.
+func (s *Server[Fd, E]) acquireBatch(challID uint32, batchID uint64) (*challState[Fd, E], *batchState[Fd, E], error) {
+	s.mu.Lock()
+	chSt := s.challenges[challID]
+	bs := s.batches[batchID]
+	s.mu.Unlock()
+	if chSt != nil && bs != nil {
+		bs.mu.Lock()
+		if !bs.released {
+			return chSt, bs, nil
+		}
+		bs.mu.Unlock()
+	}
+	return nil, nil, fmt.Errorf("core: server %d: unknown batch %d", s.idx, batchID)
 }
 
 func (s *Server[Fd, E]) resetLocked() {
@@ -176,6 +225,8 @@ func (s *Server[Fd, E]) resetLocked() {
 	}
 	s.acc = acc
 	s.accCount = 0
+	// In-flight batches are dropped, not released: their slabs go to the GC
+	// instead of the pool, which needs no wait for handlers still on them.
 	s.batches = make(map[uint64]*batchState[Fd, E])
 	s.windows = make(map[uint64]*windowAcc[E])
 	s.spilled = 0
@@ -222,6 +273,13 @@ func (s *Server[Fd, E]) handleSetChallenge(payload []byte) ([]byte, error) {
 // handleRound1 ingests a batch of bundles. In SNIP/MPC modes it returns the
 // servers' Round1 shares (and, for MPC, the first openings); in no-robust
 // mode it accumulates immediately and returns nothing.
+//
+// A bundle this server cannot decode (bad box, unknown flag, wrong length,
+// non-canonical element) costs only its own submission: the server verifies
+// the all-zero share in its place, so the servers' shares no longer sum to a
+// valid proof and the leader's combined check (or its bisection) rejects
+// exactly that submission. A request that is itself malformed still fails
+// as a whole — that is the leader's or the transport's fault, not a client's.
 func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
@@ -229,7 +287,9 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	challID := r.u32()
 	batchID := r.u64()
 	count := int(r.u32())
-	if r.err != nil || count < 0 || count > 1<<20 {
+	// Every bundle carries a 4-byte length, so the payload bounds the count
+	// before anything is sized by it.
+	if r.err != nil || count < 0 || count > (len(payload)-r.off)/4 {
 		return nil, errTruncated
 	}
 
@@ -241,10 +301,17 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	}
 
 	bs := &batchState[Fd, E]{count: count}
+	stored := false
+	defer func() {
+		if !stored {
+			bs.release() // failed, or no-robust: nobody else has seen bs
+		}
+	}()
 	constServer := s.idx == 0
 
-	// Decode phase: unpack every bundle, splitting out the SNIP inputs and
-	// proof shares (and, in MPC mode, starting the cooperative sessions).
+	// Decode phase: materialize every bundle into a slab and hand the
+	// verifiers views of it — the SNIP inputs and proof shares (and, in MPC
+	// mode, the cooperative sessions' inputs) are never copied.
 	snipInputs := make([][]E, 0, count)
 	snipProofs := make([]*snip.Proof[E], 0, count)
 	mpcOpens := make([]*mpc.Open[E], 0, count)
@@ -253,15 +320,19 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 		if r.err != nil {
 			return nil, errTruncated
 		}
-		flat, err := p.decodeBundle(bundle, s.priv)
-		if err != nil {
-			return nil, fmt.Errorf("core: server %d: bundle %d: %w", s.idx, j, err)
+		flat := p.getFlat()
+		bs.flats = append(bs.flats, flat)
+		if err := p.decodeBundle(bundle, s.priv, flat); err != nil {
+			zero := f.Zero()
+			for i := range flat {
+				flat[i] = zero
+			}
 		}
 		x, triples, proofFlat, err := p.splitFlat(flat)
 		if err != nil {
 			return nil, err
 		}
-		bs.xShares = append(bs.xShares, x)
+		bs.xShares = append(bs.xShares, x[:p.kPrime:p.kPrime])
 
 		switch p.Cfg.Mode {
 		case ModeNoRobust:
@@ -340,12 +411,13 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	s.mu.Lock()
 	if p.Cfg.Mode == ModeNoRobust {
 		for _, x := range bs.xShares {
-			field.AddVec(f, s.acc, x[:p.kPrime])
-			s.windowAddLocked(wid, x[:p.kPrime])
+			field.AddVec(f, s.acc, x)
+			s.windowAddLocked(wid, x)
 		}
 		s.accCount += uint64(count)
 	} else {
 		s.batches[batchID] = bs
+		stored = true
 	}
 	s.mu.Unlock()
 	return w.b, nil
@@ -362,13 +434,11 @@ func (s *Server[Fd, E]) handleRound2(payload []byte) ([]byte, error) {
 	r := &rbuf{b: payload}
 	challID := r.u32()
 	batchID := r.u64()
-	s.mu.Lock()
-	chSt := s.challenges[challID]
-	bs := s.batches[batchID]
-	s.mu.Unlock()
-	if chSt == nil || bs == nil {
-		return nil, fmt.Errorf("core: server %d: unknown batch %d", s.idx, batchID)
+	chSt, bs, err := s.acquireBatch(challID, batchID)
+	if err != nil {
+		return nil, err
 	}
+	defer bs.mu.Unlock()
 	reps := sys.Reps
 	if sys.M == 0 {
 		reps = 0
@@ -421,13 +491,11 @@ func (s *Server[Fd, E]) handleRound2Batch(payload []byte) ([]byte, error) {
 	challID := r.u32()
 	batchID := r.u64()
 	hasOpened := r.u8()
-	s.mu.Lock()
-	chSt := s.challenges[challID]
-	bs := s.batches[batchID]
-	s.mu.Unlock()
-	if chSt == nil || bs == nil {
-		return nil, fmt.Errorf("core: server %d: unknown batch %d", s.idx, batchID)
+	chSt, bs, err := s.acquireBatch(challID, batchID)
+	if err != nil {
+		return nil, err
 	}
+	defer bs.mu.Unlock()
 	if bs.snipBatch == nil {
 		return nil, errors.New("core: Round2Batch on a batch verified per-submission")
 	}
@@ -482,13 +550,11 @@ func (s *Server[Fd, E]) handleMPCRound(payload []byte) ([]byte, error) {
 	r := &rbuf{b: payload}
 	challID := r.u32()
 	batchID := r.u64()
-	s.mu.Lock()
-	chSt := s.challenges[challID]
-	bs := s.batches[batchID]
-	s.mu.Unlock()
-	if chSt == nil || bs == nil {
-		return nil, fmt.Errorf("core: server %d: unknown batch %d", s.idx, batchID)
+	chSt, bs, err := s.acquireBatch(challID, batchID)
+	if err != nil {
+		return nil, err
 	}
+	defer bs.mu.Unlock()
 	if bs.validTaus == nil {
 		bs.validTaus = make([]E, bs.count)
 	}
@@ -549,22 +615,29 @@ func (s *Server[Fd, E]) handleFinish(payload []byte) ([]byte, error) {
 		return nil, errTruncated
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	bs := s.batches[batchID]
+	delete(s.batches, batchID)
+	s.mu.Unlock()
 	if bs == nil {
 		return nil, fmt.Errorf("core: server %d: finish for unknown batch %d", s.idx, batchID)
 	}
-	delete(s.batches, batchID)
+	// The batch is out of the table; wait out any round still reading its
+	// slabs, apply the decisions, and retire the slabs whatever happens.
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	defer bs.release()
 	if len(bitmap) != (bs.count+7)/8 {
 		return nil, errTruncated
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for j := 0; j < bs.count; j++ {
 		if bitmap[j/8]&(1<<uint(j%8)) == 0 {
 			continue
 		}
-		field.AddVec(f, s.acc, bs.xShares[j][:p.kPrime])
+		field.AddVec(f, s.acc, bs.xShares[j])
 		s.accCount++
-		s.windowAddLocked(wid, bs.xShares[j][:p.kPrime])
+		s.windowAddLocked(wid, bs.xShares[j])
 	}
 	return nil, nil
 }

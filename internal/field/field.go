@@ -1,6 +1,7 @@
 package field
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/big"
@@ -165,15 +166,13 @@ func EqualVec[Fd Field[E], E any](f Fd, a, b []E) bool {
 	return true
 }
 
-// SampleVec fills a fresh slice of n uniformly random elements from r.
+// SampleVec fills a fresh slice of n uniformly random elements from r. It
+// reads r in bulk but consumes exactly what n SampleElem calls would (see
+// SampleInto).
 func SampleVec[Fd Field[E], E any](f Fd, r io.Reader, n int) ([]E, error) {
 	out := make([]E, n)
-	for i := range out {
-		e, err := f.SampleElem(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
+	if err := SampleInto(f, r, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -189,17 +188,46 @@ func AppendVec[Fd Field[E], E any](f Fd, dst []byte, a []E) []byte {
 // ReadVec decodes n elements from the front of src, returning the elements
 // and the number of bytes consumed.
 func ReadVec[Fd Field[E], E any](f Fd, src []byte, n int) ([]E, int, error) {
-	sz := f.ElemSize()
-	if len(src) < n*sz {
+	if len(src) < n*f.ElemSize() {
 		return nil, 0, ErrShortBuffer
 	}
 	out := make([]E, n)
-	for i := 0; i < n; i++ {
+	used, err := ReadInto(f, src, out)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, used, nil
+}
+
+// ReadInto decodes len(dst) elements from the front of src into dst,
+// returning the number of bytes consumed. On error dst's contents are
+// unspecified. Over F64 the decode and its canonical-range check run as one
+// monomorphic loop — this is how servers materialize an explicit share.
+func ReadInto[Fd Field[E], E any](f Fd, src []byte, dst []E) (int, error) {
+	sz := f.ElemSize()
+	if len(src) < len(dst)*sz {
+		return 0, ErrShortBuffer
+	}
+	if _, ok := any(f).(F64); ok {
+		d := any(dst).([]uint64)
+		src = src[:8*len(d)]
+		var over bool
+		for i := range d {
+			v := binary.LittleEndian.Uint64(src[8*i:])
+			over = over || v >= ModulusF64
+			d[i] = v
+		}
+		if over {
+			return 0, ErrNonCanonical
+		}
+		return len(src), nil
+	}
+	for i := range dst {
 		e, err := f.ReadElem(src[i*sz:])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		out[i] = e
+		dst[i] = e
 	}
-	return out, n * sz, nil
+	return len(dst) * sz, nil
 }

@@ -181,48 +181,57 @@ func reduce192(hi2, hi, lo uint64) uint64 {
 	return f.Add(m, reduce128(h, l))
 }
 
-// slabPool recycles []uint64 scratch buffers across batch verifications. One
-// pool serves all sizes; GetSlab reallocates when a pooled buffer is too
-// small, and buffers converge to the deployment's working sizes (N, 2N,
-// batch) after a few rounds.
-var slabPool sync.Pool // of *[]uint64
+// slabPools recycles []uint64 buffers — batch-verification scratch and the
+// servers' per-submission flat share vectors — by power-of-two capacity
+// class: slabPools[c] holds buffers with capacity ≥ 1<<c, so lane scratch of
+// a few dozen elements and multi-thousand-element share vectors never evict
+// one another and a Get either hits its class or allocates a buffer the
+// class can keep.
+var slabPools [maxSlabClass + 1]sync.Pool // of *[]uint64
 
-// GetSlab returns a zeroed []uint64 of length n, reusing pooled scratch when
-// possible. The slab is private to the caller until PutSlab returns it;
-// callers must not retain references past PutSlab — results computed into a
-// slab are copied out before the slab goes back, or the slab is simply never
-// returned.
-func GetSlab(n int) []uint64 {
-	if v := slabPool.Get(); v != nil {
-		if s := *(v.(*[]uint64)); cap(s) >= n {
-			s = s[:n]
-			clear(s)
-			return s
-		}
-		// Too small for this caller: drop it and let the pool refill with
-		// buffers of the working size.
-	}
-	return make([]uint64, n)
-}
+// maxSlabClass bounds the pooled sizes at 1<<24 elements (128 MiB); larger
+// requests are plain allocations left to the GC.
+const maxSlabClass = 24
 
 // GetSlabUninit returns a []uint64 of length n with UNSPECIFIED contents,
-// reusing pooled scratch without the clearing pass. Use it only for buffers
+// reusing pooled scratch without a clearing pass. Use it only for buffers
 // every element of which is written before it is read; accumulator slabs
-// must use GetSlab.
+// must use GetSlab. The slab is private to the caller until PutSlab returns
+// it; callers must not retain references past PutSlab — results computed
+// into a slab are copied out before the slab goes back, or the slab is
+// simply never returned.
 func GetSlabUninit(n int) []uint64 {
-	if v := slabPool.Get(); v != nil {
-		if s := *(v.(*[]uint64)); cap(s) >= n {
-			return s[:n]
-		}
+	c := 0
+	if n > 1 {
+		c = bits.Len(uint(n - 1))
 	}
-	return make([]uint64, n)
+	if c > maxSlabClass {
+		return make([]uint64, n)
+	}
+	if v := slabPools[c].Get(); v != nil {
+		return (*(v.(*[]uint64)))[:n]
+	}
+	return make([]uint64, n, 1<<uint(c))
 }
 
-// PutSlab returns a slab obtained from GetSlab to the pool.
+// GetSlab is GetSlabUninit with the slab zeroed.
+func GetSlab(n int) []uint64 {
+	s := GetSlabUninit(n)
+	clear(s)
+	return s
+}
+
+// PutSlab returns a slab obtained from GetSlab or GetSlabUninit to the pool.
 func PutSlab(s []uint64) {
 	if cap(s) == 0 {
 		return
 	}
+	// File by the floor class so every pooled entry meets its class's
+	// capacity guarantee whatever capacity the slab came with.
+	c := bits.Len(uint(cap(s))) - 1
+	if c > maxSlabClass {
+		return
+	}
 	s = s[:0]
-	slabPool.Put(&s)
+	slabPools[c].Put(&s)
 }

@@ -31,6 +31,9 @@ type PRG struct {
 	stream cipher.Stream
 }
 
+// zeroIV is the fixed counter-mode IV: a seed keys exactly one stream.
+var zeroIV [aes.BlockSize]byte
+
 // New constructs a PRG from seed.
 func New(seed Seed) *PRG {
 	block, err := aes.NewCipher(seed[:])
@@ -38,8 +41,7 @@ func New(seed Seed) *PRG {
 		// aes.NewCipher only fails on invalid key sizes; SeedSize is valid.
 		panic("prg: " + err.Error())
 	}
-	var iv [aes.BlockSize]byte
-	return &PRG{stream: cipher.NewCTR(block, iv[:])}
+	return &PRG{stream: cipher.NewCTR(block, zeroIV[:])}
 }
 
 // Read fills p with pseudo-random bytes. It always returns len(p), nil.

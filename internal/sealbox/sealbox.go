@@ -134,8 +134,18 @@ func Seal(recipient *PublicKey, plaintext []byte) ([]byte, error) {
 	return aead.Seal(out, nonce, plaintext, epk), nil
 }
 
-// Open decrypts a box produced by Seal for this private key.
+// Open decrypts a box produced by Seal for this private key into a fresh
+// plaintext slice.
 func Open(priv *PrivateKey, box []byte) ([]byte, error) {
+	return OpenTo(priv, nil, box)
+}
+
+// OpenTo is Open appending the plaintext to dst, which it returns extended;
+// a dst with len(box)-Overhead spare capacity makes the open copy-free,
+// which is how servers unseal a 41 kB explicit share into a pooled buffer.
+// dst must not overlap box. On failure the result is nil and dst's spare
+// capacity holds nothing of the plaintext.
+func OpenTo(priv *PrivateKey, dst, box []byte) ([]byte, error) {
 	if len(box) < Overhead {
 		return nil, ErrDecrypt
 	}
@@ -162,7 +172,7 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	pt, err := aead.Open(nil, nonce, ct, epkBytes)
+	pt, err := aead.Open(dst, nonce, ct, epkBytes)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -57,19 +57,33 @@ func Reconstruct[Fd field.Field[E], E any](f Fd, shares ...[]E) []E {
 
 // Expand deterministically derives an n-element share vector from a PRG seed.
 // It is how servers holding a seeded share materialize their field elements.
+//
+// The stream is a compatibility contract between clients and servers of any
+// version: AES-128-CTR keyed by the seed under a zero IV, cut into
+// consecutive ElemSize-byte draws (little-endian words for F64), a draw
+// outside [0, p) skipped.
 func Expand[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
-	g := prg.New(seed)
 	out := make([]E, n)
-	for i := range out {
-		e, err := f.SampleElem(g)
-		if err != nil {
-			// The PRG never fails.
-			panic("share: " + err.Error())
-		}
-		out[i] = e
-	}
+	ExpandInto(f, seed, out)
 	return out
 }
+
+// ExpandInto is Expand into a caller-provided vector (a pooled slab on the
+// servers' Round1 path): it overwrites every element of dst.
+func ExpandInto[Fd field.Field[E], E any](f Fd, seed prg.Seed, dst []E) {
+	mustSample(f, prg.New(seed), dst)
+}
+
+// mustSample fills dst from a PRG, which never fails.
+func mustSample[Fd field.Field[E], E any](f Fd, g *prg.PRG, dst []E) {
+	if err := field.SampleInto(f, g, dst); err != nil {
+		panic("share: " + err.Error())
+	}
+}
+
+// splitChunk is how many elements of a seed's expansion SplitSeeded holds at
+// a time while subtracting it from the explicit share.
+const splitChunk = 512
 
 // SplitSeeded divides x into s shares where the first s-1 are PRG seeds
 // (Appendix I, optimization 1). Server i < s-1 expands its seed with Expand;
@@ -80,13 +94,22 @@ func SplitSeeded[Fd field.Field[E], E any](f Fd, x []E, s int) ([]prg.Seed, []E,
 	}
 	seeds := make([]prg.Seed, s-1)
 	last := append([]E(nil), x...)
+	// Each expansion is subtracted as it streams out of the PRG; consecutive
+	// SampleInto calls on one PRG continue the same element stream.
+	chunk := make([]E, min(len(x), splitChunk))
 	for i := range seeds {
 		seed, err := prg.NewSeed()
 		if err != nil {
 			return nil, nil, err
 		}
 		seeds[i] = seed
-		field.SubVec(f, last, Expand(f, seed, len(x)))
+		g := prg.New(seed)
+		for rest := last; len(rest) > 0; {
+			c := chunk[:min(len(rest), len(chunk))]
+			mustSample(f, g, c)
+			field.SubVec(f, rest[:len(c)], c)
+			rest = rest[len(c):]
+		}
 	}
 	return seeds, last, nil
 }

@@ -499,16 +499,17 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 func RLCCoeffs[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
 	g := prg.New(seed)
 	out := make([]E, n)
-	for i := range out {
-		for {
-			e, err := f.SampleElem(g)
-			if err != nil {
-				// prg.PRG.Read never fails.
-				panic("snip: PRG sampling failed: " + err.Error())
-			}
+	// Draw the missing tail in bulk, squeeze out the zeros, repeat: the
+	// result is the first n nonzero elements of the seed's stream.
+	for filled := 0; filled < n; {
+		if err := field.SampleInto(f, g, out[filled:]); err != nil {
+			// prg.PRG.Read never fails.
+			panic("snip: PRG sampling failed: " + err.Error())
+		}
+		for _, e := range out[filled:] {
 			if !f.IsZero(e) {
-				out[i] = e
-				break
+				out[filled] = e
+				filled++
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package snip
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 
 	"prio/internal/circuit"
@@ -401,6 +402,34 @@ func TestRLCCoeffs(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("RLCCoeffs ignores the seed")
+	}
+}
+
+// TestRLCCoeffsStream pins the coefficient stream to the seed's share
+// expansion with the zeros squeezed out — the per-element definition every
+// deployed server derives λ from. Over F64 a zero never turns up, so the
+// small field carries the squeeze: a fifth of its in-range draws are zero.
+func TestRLCCoeffsStream(t *testing.T) {
+	var seed prg.Seed
+	seed[3] = 7
+	f64 := field.NewF64()
+	if !field.EqualVec(f64, RLCCoeffs(f64, seed, 600), share.Expand(f64, seed, 600)) {
+		t.Error("F64 coefficients differ from the seed's expansion")
+	}
+	f5 := field.NewFP("F5", big.NewInt(5))
+	stream := share.Expand(f5, seed, 4000)
+	var want []*big.Int
+	for _, e := range stream {
+		if !f5.IsZero(e) {
+			want = append(want, e)
+		}
+	}
+	const n = 1500 // past one sampler chunk, so the squeeze refills mid-vector
+	if len(want) < n || len(want) == len(stream) {
+		t.Fatalf("stream of %d holds %d nonzero elements: no zero to squeeze", len(stream), len(want))
+	}
+	if !field.EqualVec(f5, RLCCoeffs(f5, seed, n), want[:n]) {
+		t.Error("F5 coefficients are not the nonzero elements of the stream, in order")
 	}
 }
 

@@ -228,7 +228,11 @@ func (sys *System[Fd, E]) Split(pf *Proof[E], s int, rnd io.Reader) ([]*Proof[E]
 // them into PRG-compressed bundles.
 func (sys *System[Fd, E]) FlattenProof(pf *Proof[E]) []E { return sys.flatten(pf) }
 
-// UnflattenProof is the inverse of FlattenProof.
+// UnflattenProof is the inverse of FlattenProof. The returned proof's FPad,
+// GPad and H are views of flat, not copies — the servers unflatten straight
+// out of the pooled slab a share was expanded into — so flat must stay
+// untouched for as long as the proof (or verifier state built on it) is in
+// use.
 func (sys *System[Fd, E]) UnflattenProof(flat []E) (*Proof[E], error) {
 	if len(flat) != sys.ProofLen() {
 		return nil, ErrDimensions
@@ -252,7 +256,7 @@ func (sys *System[Fd, E]) flatten(pf *Proof[E]) []E {
 	return flat
 }
 
-// unflatten is the inverse of flatten.
+// unflatten is the inverse of flatten; the vector fields alias flat.
 func (sys *System[Fd, E]) unflatten(flat []E) *Proof[E] {
 	pf := &Proof[E]{}
 	if sys.M == 0 {
@@ -260,11 +264,11 @@ func (sys *System[Fd, E]) unflatten(flat []E) *Proof[E] {
 	}
 	pf.F0, pf.G0 = flat[0], flat[1]
 	idx := 2
-	pf.FPad = append([]E(nil), flat[idx:idx+sys.Reps-1]...)
+	pf.FPad = flat[idx : idx+sys.Reps-1 : idx+sys.Reps-1]
 	idx += sys.Reps - 1
-	pf.GPad = append([]E(nil), flat[idx:idx+sys.Reps-1]...)
+	pf.GPad = flat[idx : idx+sys.Reps-1 : idx+sys.Reps-1]
 	idx += sys.Reps - 1
-	pf.H = append([]E(nil), flat[idx:idx+2*sys.N]...)
+	pf.H = flat[idx : idx+2*sys.N : idx+2*sys.N]
 	idx += 2 * sys.N
 	pf.Triples = make([]Triple[E], sys.Reps)
 	for j := range pf.Triples {
