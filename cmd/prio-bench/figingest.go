@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 	"time"
 
 	"prio/internal/afe"
@@ -13,52 +14,55 @@ import (
 	"prio/internal/transport"
 )
 
-// figIngest measures the streaming ingestion subsystem against the
-// request/response submit path it replaces, over real TCP.
+// figIngest measures the streaming ingestion subsystem over real TCP as a
+// grid of concurrent client streams × per-stream credit window.
 //
 // Two workloads separate the two bottlenecks:
 //
 //   - Front door (no-robust, unsealed): verification is negligible, so the
-//     table isolates what the ingest path itself sustains. The round-trip
-//     path pays a connection round-trip per submission; the streamed path
-//     pipelines a credit window of framed submissions per flush. This is
-//     where the ≥5× acceptance bar for the subsystem lives (see
-//     BenchmarkStreamIngest).
-//   - Full verification (SNIP, sealed) across shard counts: on a host with
-//     cores to spare, streamed ingest keeps the shards fed and throughput
-//     tracks the pipeline; on a small host both paths converge to the
-//     verification rate — the front door is no longer the bottleneck, which
-//     is the point.
+//     grid isolates what the ingest path itself sustains. A credit window of
+//     one is a round-trip per submission; wider windows pipeline a window of
+//     framed submissions per flush, and more streams overlap their windows.
+//   - Full verification (SNIP, sealed): once the window covers a batch the
+//     rate converges to the pipeline's verification rate whatever the
+//     stream count — the front door is no longer the bottleneck, which is
+//     the point.
 func figIngest() {
-	fmt.Println("== Ingest: streamed vs round-trip submissions over TCP (sum8, s = 3) ==")
-
-	fmt.Println("\n-- front door (no-robust, unsealed): ingest is the bottleneck --")
-	d := newTCPDeployment(core.ModeNoRobust, false, 2, 64)
-	subs := d.buildSumSubs(64) // recycled: client cost is not under test
-	rt := d.roundTripRate(subs, 3000)
-	st := d.streamRate(subs, 20000)
-	fmt.Printf("%-14s | %-14s %-10s\n", "rt subs/s", "stream subs/s", "speedup")
-	fmt.Printf("%-14.1f | %-14.1f %-10s\n", rt, st, fmt.Sprintf("%.1fx", st/rt))
-	d.close()
-
-	fmt.Println("\n-- full verification (prio, sealed): pipeline vs shards --")
-	shardCounts := []int{1, 2, 4}
+	fmt.Println("== Ingest: streamed submissions over TCP (sum8, s = 3), subs/s by streams x credits ==")
+	streamCounts := []int{1, 2, 4}
+	creditWindows := []int{1, 16, 128, 512}
 	if *full {
-		shardCounts = []int{1, 2, 4, 8}
+		streamCounts = []int{1, 2, 4, 8}
+		creditWindows = []int{1, 4, 16, 64, 128, 512}
 	}
-	fmt.Printf("%-8s | %-14s %-14s %-10s\n", "shards", "rt subs/s", "stream subs/s", "speedup")
-	for _, shards := range shardCounts {
-		d := newTCPDeployment(core.ModeSNIP, true, shards, 16)
-		subs := d.buildSumSubs(64)
-		rt := d.roundTripRate(subs, 400)
-		st := d.streamRate(subs, 2000)
-		fmt.Printf("%-8d | %-14.1f %-14.1f %-10s\n", shards, rt, st, fmt.Sprintf("%.1fx", st/rt))
-		d.close()
+	grid := func(mode core.Mode, seal bool, maxBatch, perCell int) {
+		fmt.Printf("%-8s", "credits")
+		for _, streams := range streamCounts {
+			fmt.Printf(" | %-14s", fmt.Sprintf("%d stream(s)", streams))
+		}
+		fmt.Println()
+		for _, credits := range creditWindows {
+			fmt.Printf("%-8d", credits)
+			for _, streams := range streamCounts {
+				d := newTCPDeployment(mode, seal, 2, maxBatch, credits)
+				n := perCell
+				if credits == 1 {
+					n = perCell / 8 // a round-trip each: keep the cell short
+				}
+				fmt.Printf(" | %-14.1f", d.streamRate(d.buildSumSubs(64), n, streams))
+				d.close()
+			}
+			fmt.Println()
+		}
 	}
-	fmt.Println("\nshape check: the front-door speedup is the streamed path's win (one")
-	fmt.Println("round-trip amortized over a credit window); under full verification the")
-	fmt.Println("streamed path tracks the pipeline rate as shards grow, instead of")
-	fmt.Println("capping it at the connection's request rate.")
+	fmt.Println("\n-- front door (no-robust, unsealed): ingest is the bottleneck --")
+	grid(core.ModeNoRobust, false, 64, 16000)
+	fmt.Println("\n-- full verification (prio, sealed, 2 shards): the pipeline is --")
+	grid(core.ModeSNIP, true, 16, 2000)
+	fmt.Println("\nshape check: at the front door the rate climbs with the credit window (one")
+	fmt.Println("round-trip amortized over a window) and with streams until the intake")
+	fmt.Println("saturates; under full verification every cell past a batch-sized window")
+	fmt.Println("sits at the pipeline rate.")
 }
 
 // tcpDeployment is a three-server deployment over real localhost TCP with a
@@ -67,12 +71,11 @@ type tcpDeployment struct {
 	pro    *core.Protocol[field.F64, uint64]
 	client *core.Client[field.F64, uint64]
 	pl     *core.Pipeline[field.F64, uint64]
-	ing    *ingest.Server
 	addr   string
 	closer []func()
 }
 
-func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch int) *tcpDeployment {
+func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch, credits int) *tcpDeployment {
 	const servers = 3
 	pro, err := core.NewProtocol(core.Config[field.F64, uint64]{
 		Field:    f64,
@@ -102,11 +105,7 @@ func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch int) *tcpDeplo
 			log.Fatalf("prio-bench: %v", err)
 		}
 		d.closer = append(d.closer, func() { ln.Close() })
-		p, err := transport.Dial(ln.Addr().String(), nil)
-		if err != nil {
-			log.Fatalf("prio-bench: %v", err)
-		}
-		peers[i] = transport.NewCoalescer(p)
+		peers[i] = transport.NewStreamPeer(ln.Addr().String(), nil)
 	}
 	leader, err := core.NewLeader(srvs[0], peers)
 	if err != nil {
@@ -119,21 +118,10 @@ func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch int) *tcpDeplo
 	d.pl = pl
 	d.closer = append(d.closer, func() { pl.Close() })
 
-	// The leader's public listener: MsgSubmit feeds the pipeline (the
-	// request/response path), stream opens go to the ingest handler.
-	ing := ingest.NewServer(pl, ingest.Config{Credits: 512, QueueDepth: 4096})
-	d.ing = ing
+	// The leader's public listener: stream opens go to the ingest handler.
+	ing := ingest.NewServer(pl, ingest.Config{Credits: credits, QueueDepth: 4096})
 	d.closer = append(d.closer, ing.Close)
-	ln, err := transport.Listen("127.0.0.1:0", nil, func(msgType byte, payload []byte) ([]byte, error) {
-		if msgType != core.MsgSubmit {
-			return srvs[0].Handle(msgType, payload)
-		}
-		sub, err := core.UnmarshalSubmission(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, pl.SubmitFunc(sub, nil)
-	})
+	ln, err := transport.Listen("127.0.0.1:0", nil, srvs[0].Handle)
 	if err != nil {
 		log.Fatalf("prio-bench: %v", err)
 	}
@@ -171,49 +159,37 @@ func (d *tcpDeployment) buildSumSubs(count int) []*core.Submission {
 	return subs
 }
 
-// roundTripRate submits serially over one connection, one Call round-trip
-// per submission — the path cmd/prio-server served before the ingest
-// subsystem — and returns decided submissions/second.
-func (d *tcpDeployment) roundTripRate(subs []*core.Submission, n int) float64 {
-	peer, err := transport.Dial(d.addr, nil)
-	if err != nil {
-		log.Fatalf("prio-bench: %v", err)
-	}
-	defer peer.Close()
+// streamRate pushes n recycled submissions through the given number of
+// concurrent ingest streams and returns acked submissions/second.
+func (d *tcpDeployment) streamRate(subs []*core.Submission, n, streams int) float64 {
+	per := n / streams
+	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := peer.Call(core.MsgSubmit, subs[i%len(subs)].Marshal()); err != nil {
-			log.Fatalf("prio-bench: %v", err)
-		}
+	for k := 0; k < streams; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := ingest.Dial(d.addr, ingest.SubmitterConfig{})
+			if err != nil {
+				log.Fatalf("prio-bench: %v", err)
+			}
+			defer s.Close()
+			for i := 0; i < per; i++ {
+				if _, err := s.Submit(subs[i%len(subs)]); err != nil {
+					log.Fatalf("prio-bench: %v", err)
+				}
+			}
+			if err := s.Wait(); err != nil {
+				log.Fatalf("prio-bench: %v", err)
+			}
+			if st := s.Stats(); st.Accepted != uint64(per) {
+				log.Fatalf("prio-bench: %d of %d streamed submissions accepted (%d shed)",
+					st.Accepted, per, st.Shed)
+			}
+		}()
 	}
-	d.pl.Drain()
-	return float64(n) / time.Since(start).Seconds()
-}
-
-// streamRate pushes n recycled submissions through one ingest stream and
-// returns acked submissions/second.
-func (d *tcpDeployment) streamRate(subs []*core.Submission, n int) float64 {
-	s, err := ingest.Dial(d.addr, ingest.SubmitterConfig{})
-	if err != nil {
-		log.Fatalf("prio-bench: %v", err)
-	}
-	defer s.Close()
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := s.Submit(subs[i%len(subs)]); err != nil {
-			log.Fatalf("prio-bench: %v", err)
-		}
-	}
-	if err := s.Wait(); err != nil {
-		log.Fatalf("prio-bench: %v", err)
-	}
-	elapsed := time.Since(start).Seconds()
-	st := s.Stats()
-	if st.Accepted != uint64(n) {
-		log.Fatalf("prio-bench: %d of %d streamed submissions accepted (%d shed)",
-			st.Accepted, n, st.Shed)
-	}
-	return float64(n) / elapsed
+	wg.Wait()
+	return float64(per*streams) / time.Since(start).Seconds()
 }
 
 func (d *tcpDeployment) close() {

@@ -11,8 +11,8 @@
 //	prio-bench fig8     — client time vs regression dimension
 //	prio-bench table9   — server throughput for d-dim regression
 //	prio-bench pipeline — throughput vs concurrent verification shards
-//	prio-bench ingest   — streamed vs round-trip submission throughput
-//	prio-bench batchverify — batched vs per-submission SNIP verification
+//	prio-bench ingest   — streamed submission throughput vs streams × credit window
+//	prio-bench batchverify — batched vs per-submission (reference) SNIP verification
 //	prio-bench window   — checkpoint write/recovery latency vs accumulator size
 //	prio-bench all      — everything above, in order
 //

@@ -12,7 +12,6 @@ import (
 	"prio/internal/cluster"
 	"prio/internal/core"
 	"prio/internal/field"
-	"prio/internal/ingest"
 	"prio/internal/sealbox"
 	"prio/internal/telemetry"
 	"prio/internal/transport"
@@ -105,63 +104,12 @@ func runCluster(scheme prio.Scheme, mode prio.Mode, serverTLS, clientTLS *tls.Co
 		cli.Fatal("building cluster node", "err", err)
 	}
 
-	// Every member terminates client traffic: MsgSubmit and ingest streams
-	// feed the pipeline while this member leads; followers refuse at the
-	// gate, naming the leader so clients re-resolve.
-	ld := &leaderLoop{scheme: scheme}
-	gate := node.LeaderGate()
-	base := srv.Handler()
-	ln, err := transport.Listen(*listen, serverTLS, func(msgType byte, payload []byte) ([]byte, error) {
-		switch msgType {
-		case cluster.MsgClusterInfo:
-			return node.HandleInfo(payload)
-		case core.MsgSubmit:
-			if err := gate(); err != nil {
-				return nil, err
-			}
-			sub, err := core.UnmarshalSubmission(payload)
-			if err != nil {
-				return nil, err
-			}
-			return nil, ld.SubmitFunc(sub, nil)
-		}
-		return base(msgType, payload)
-	})
-	if err != nil {
-		cli.Fatal("listening", "err", err)
-	}
-	defer ln.Close()
-	ing := ingest.NewServer(ld, ingest.Config{
-		Credits:        *ingestCredits,
-		QueueDepth:     *ingestQueue,
-		DynamicCredits: *ingestDynamic,
-		Registry:       telemetry.Default,
-		Tracer:         tracer,
-		Gate:           gate,
-	})
-	defer ing.Close()
-	ln.OnStream(ing.Handler())
-	ld.ingest = ing
-
 	// The verification stack every member keeps warm: peers on lazily
 	// dialed, re-dialing streamed connections (boot order does not matter,
 	// and a restarted member is picked back up on the next call), a leader
 	// namespace of our own index, and a pipeline with in-place batch retry
-	// for rounds interrupted by a peer restart. -legacy-rpc falls back to
-	// coalesced request/response connections.
-	peers := make([]transport.Peer, ros.N())
-	for j, addr := range ros.Addrs {
-		if j == self {
-			peers[j] = &transport.LoopbackPeer{Handler: srv.Handler()}
-			continue
-		}
-		if *legacyRPC {
-			peers[j] = transport.NewCoalescer(transport.NewRedialPeer(addr, clientTLS))
-		} else {
-			peers[j] = transport.NewStreamPeer(addr, clientTLS)
-		}
-	}
-	leader, err := core.NewLeader(srv, peers)
+	// for rounds interrupted by a peer restart.
+	leader, err := prio.ConnectLeaderTLS(srv, ros.Addrs, clientTLS)
 	if err != nil {
 		cli.Fatal("building leader", "err", err)
 	}
@@ -184,7 +132,24 @@ func runCluster(scheme prio.Scheme, mode prio.Mode, serverTLS, clientTLS *tls.Co
 	if svc := startWindowService(srv, leader, pl.Quiesce, node.IsLeader); svc != nil {
 		defer svc.Close()
 	}
-	ld.start(pl)
+
+	// Every member terminates client traffic: ingest streams feed the
+	// pipeline while this member leads; followers refuse at the gate, naming
+	// the leader so clients re-resolve.
+	base := srv.Handler()
+	ln, err := transport.Listen(*listen, serverTLS, func(msgType byte, payload []byte) ([]byte, error) {
+		if msgType == cluster.MsgClusterInfo {
+			return node.HandleInfo(payload)
+		}
+		return base(msgType, payload)
+	})
+	if err != nil {
+		cli.Fatal("listening", "err", err)
+	}
+	defer ln.Close()
+	ing := prio.ServeIngest(ln, pl, ingestConfig(tracer, node.LeaderGate()))
+	defer ing.Close()
+	ld := &leaderLoop{scheme: scheme, pipeline: pl, ingest: ing}
 
 	node.Start()
 	defer node.Stop()

@@ -2,8 +2,7 @@
 //
 // Every server in a deployment starts with the same statistic configuration
 // and its own index. The server with index 0 additionally acts as leader: it
-// accepts client submissions (streamed by default — see internal/ingest —
-// with the legacy one-shot MsgSubmit path still served), relays sealed
+// accepts client submission streams (see internal/ingest), relays sealed
 // shares, drives verification in batches across concurrent shards, and
 // prints the decoded aggregate on an interval. Example three-server
 // deployment of a 434-question survey:
@@ -33,12 +32,10 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"prio"
 	"prio/internal/cli"
-	"prio/internal/core"
 	"prio/internal/ingest"
 	"prio/internal/telemetry"
 	"prio/internal/transport"
@@ -57,7 +54,6 @@ var (
 	ingestCredits = flag.Int("ingest-credits", ingest.DefaultCredits, "per-stream credit window for streamed submissions (leader)")
 	ingestQueue   = flag.Int("ingest-queue", ingest.DefaultQueueDepth, "intake queue capacity buffering streamed submissions for the pipeline (leader)")
 	ingestDynamic = flag.Bool("ingest-dynamic", true, "retune per-stream credit windows from intake-queue occupancy (leader)")
-	legacyRPC     = flag.Bool("legacy-rpc", false, "drive verification rounds over request/response connections instead of the streamed rounds subprotocol")
 	publishEvery  = flag.Duration("publish-every", 30*time.Second, "aggregate publication interval (leader)")
 	once          = flag.Bool("once", false, "leader: publish once after the first interval and exit (for scripting)")
 	useTLS        = flag.Bool("tls", true, "serve and dial TLS (self-signed unless -tls-cert/-tls-key)")
@@ -150,48 +146,16 @@ func main() {
 		select {} // serve until killed
 	}
 
-	// Leader path: serve the protocol handler with MsgSubmit feeding the
-	// verification pipeline and the streaming ingest handler terminating
-	// pipelined submission streams (the default client path).
+	// Leader path. The peers dial lazily, so the verification stack is built
+	// first and the listener opens onto a pipeline that already exists: the
+	// protocol handler for the other servers' rounds and key fetches, and
+	// the streaming ingest handler for client submissions.
 	if len(peers) != n {
 		cli.Fatal("leader needs -peers with one entry per server", "want", n)
 	}
-	ld := &leaderLoop{scheme: scheme}
-	base := srv.Handler()
-	ln, err := transport.Listen(*listen, serverTLS, func(msgType byte, payload []byte) ([]byte, error) {
-		if msgType != core.MsgSubmit {
-			return base(msgType, payload)
-		}
-		sub, err := core.UnmarshalSubmission(payload)
-		if err != nil {
-			return nil, err
-		}
-		return nil, ld.SubmitFunc(sub, nil)
-	})
+	leader, err := prio.ConnectLeaderTLS(srv, peers, clientTLS)
 	if err != nil {
-		cli.Fatal("listening", "err", err)
-	}
-	defer ln.Close()
-	ing := ingest.NewServer(ld, ingest.Config{
-		Credits:        *ingestCredits,
-		QueueDepth:     *ingestQueue,
-		DynamicCredits: *ingestDynamic,
-		Registry:       telemetry.Default,
-		Tracer:         tracer,
-	})
-	defer ing.Close()
-	ln.OnStream(ing.Handler())
-	ld.ingest = ing
-
-	connect := prio.ConnectLeaderTLS
-	if *legacyRPC {
-		// The streamed peers dial lazily, so the sleep only matters here.
-		time.Sleep(500 * time.Millisecond) // let peers come up
-		connect = prio.ConnectLeaderLegacyTLS
-	}
-	leader, err := connect(srv, peers, clientTLS)
-	if err != nil {
-		cli.Fatal("connecting to peers", "err", err)
+		cli.Fatal("building leader", "err", err)
 	}
 	registerPeerStats(leader, n)
 	pl, err := prio.NewPipeline(leader, prio.PipelineConfig{
@@ -210,7 +174,14 @@ func main() {
 	if svc := startWindowService(srv, leader, pl.Quiesce, nil); svc != nil {
 		defer svc.Close()
 	}
-	ld.start(pl)
+	ln, err := prio.ListenAndServeTLS(*listen, srv, serverTLS)
+	if err != nil {
+		cli.Fatal("listening", "err", err)
+	}
+	defer ln.Close()
+	ing := prio.ServeIngest(ln, pl, ingestConfig(tracer, nil))
+	defer ing.Close()
+	ld := &leaderLoop{scheme: scheme, pipeline: pl, ingest: ing}
 	slog.Info("leader listening", "scheme", scheme.Name(), "mode", mode.String(),
 		"tls", *useTLS, "addr", ln.Addr().String(), "servers", n,
 		"shards", pl.Shards(), "stream_credits", *ingestCredits)
@@ -226,8 +197,9 @@ func main() {
 }
 
 // registerPeerStats exports the leader's per-peer RPC traffic counters:
-// one labeled series per server connection, read live at scrape time. The
-// leader's own slot is a loopback, so its series stay near zero.
+// one labeled series per server, read live at scrape time. The leader's own
+// slot is a loopback: its series count the bytes a network would have
+// carried, none of which crossed one.
 func registerPeerStats(leader *prio.Leader, n int) {
 	for i := 0; i < n; i++ {
 		i := i
@@ -247,67 +219,28 @@ func registerPeerStats(leader *prio.Leader, n int) {
 	}
 }
 
-// pendingSub is a submission received before the pipeline connected.
-type pendingSub struct {
-	sub *prio.Submission
-	fn  func(prio.SubmitResult)
+// ingestConfig is the ingest server configuration the flags describe; gate
+// is the cluster's leadership check (nil: always admit).
+func ingestConfig(tracer *telemetry.Tracer, gate func() error) prio.IngestConfig {
+	return prio.IngestConfig{
+		Credits:        *ingestCredits,
+		QueueDepth:     *ingestQueue,
+		DynamicCredits: *ingestDynamic,
+		Registry:       telemetry.Default,
+		Tracer:         tracer,
+		Gate:           gate,
+	}
 }
 
-// leaderLoop feeds client submissions into the verification pipeline,
-// buffering the few that arrive before the pipeline is connected. It
-// implements ingest.Sink, so the streaming ingest handler and the legacy
-// MsgSubmit path share one intake.
+// leaderLoop publishes a leader's aggregate and interval counters. publish
+// runs on the one ticker goroutine, so the last-interval marks need no lock.
 type leaderLoop struct {
-	scheme prio.Scheme
-	ingest *prio.IngestServer
+	scheme   prio.Scheme
+	pipeline *prio.Pipeline
+	ingest   *prio.IngestServer
 
-	mu         sync.Mutex
-	pipeline   *prio.Pipeline
-	pending    []pendingSub // submissions received before start
 	lastStat   prio.ShardStats
 	lastIngest prio.IngestStats
-}
-
-// start installs the connected pipeline and flushes the pre-connect buffer.
-func (ld *leaderLoop) start(pl *prio.Pipeline) {
-	ld.mu.Lock()
-	ld.pipeline = pl
-	pending := ld.pending
-	ld.pending = nil
-	ld.mu.Unlock()
-	for _, p := range pending {
-		if err := pl.SubmitFunc(p.sub, p.fn); err != nil {
-			slog.Warn("submit error", "err", err)
-		}
-	}
-}
-
-// SubmitFunc implements ingest.Sink: route one submission into the pipeline
-// (or the pre-connect buffer), blocking under backpressure.
-func (ld *leaderLoop) SubmitFunc(sub *prio.Submission, fn func(prio.SubmitResult)) error {
-	ld.mu.Lock()
-	pl := ld.pipeline
-	if pl == nil {
-		ld.pending = append(ld.pending, pendingSub{sub: sub, fn: fn})
-		ld.mu.Unlock()
-		return nil
-	}
-	ld.mu.Unlock()
-	return pl.SubmitFunc(sub, fn)
-}
-
-// TrySubmitFunc implements ingest.Sink: the non-blocking enqueue behind the
-// streamed path's fast lane.
-func (ld *leaderLoop) TrySubmitFunc(sub *prio.Submission, fn func(prio.SubmitResult)) (bool, error) {
-	ld.mu.Lock()
-	pl := ld.pipeline
-	if pl == nil {
-		ld.pending = append(ld.pending, pendingSub{sub: sub, fn: fn})
-		ld.mu.Unlock()
-		return true, nil
-	}
-	ld.mu.Unlock()
-	return pl.TrySubmitFunc(sub, fn)
 }
 
 // publish quiesces the pipeline and prints the decoded aggregate plus the
@@ -315,20 +248,9 @@ func (ld *leaderLoop) TrySubmitFunc(sub *prio.Submission, fn func(prio.SubmitRes
 // intake for the duration, so the published aggregate is a consistent
 // snapshot even under sustained submission traffic.
 func (ld *leaderLoop) publish() {
-	ld.mu.Lock()
-	pl := ld.pipeline
-	ing := ld.ingest
-	ld.mu.Unlock()
-	if pl == nil {
-		return
-	}
-	agg, n, err := pl.Aggregate()
-	st := pl.Stats()
-	var ist prio.IngestStats
-	if ing != nil {
-		ist = ing.Stats()
-	}
-	ld.mu.Lock()
+	agg, n, err := ld.pipeline.Aggregate()
+	st := ld.pipeline.Stats()
+	ist := ld.ingest.Stats()
 	delta := st
 	delta.Batches -= ld.lastStat.Batches
 	delta.Processed -= ld.lastStat.Processed
@@ -342,7 +264,6 @@ func (ld *leaderLoop) publish() {
 	shed := ist.Shed - ld.lastIngest.Shed
 	ld.lastStat = st
 	ld.lastIngest = ist
-	ld.mu.Unlock()
 	if delta.Processed+delta.Failed+shed > 0 {
 		slog.Info("interval",
 			"accepted", delta.Accepted, "rejected", delta.Rejected,

@@ -13,7 +13,7 @@ func TestNoPrivEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := transport.NewMemPeer(srv.Handler())
+	peer := &transport.LoopbackPeer{Handler: srv.Handler()}
 	want := []uint64{0, 0, 0, 0}
 	for c := 0; c < 10; c++ {
 		vec := []uint64{uint64(c), 1, 0, uint64(c * c)}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,9 +252,20 @@ func TestResolveOverTCP(t *testing.T) {
 		t.Fatalf("resolved epoch %d addr %s, want epoch 3 addr %s", info.Epoch, addr, a1)
 	}
 
-	// All members dead: resolution must fail, not hang.
-	dead := &Roster{Addrs: []string{"127.0.0.1:1"}}
+	// All members dead — one refusing connections, one accepting them and
+	// never answering (a black hole as far as the protocol can tell):
+	// resolution must fail within the per-member bound, not hang.
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hole.Close()
+	dead := &Roster{Addrs: []string{"127.0.0.1:1", hole.Addr().String()}}
+	t0 := time.Now()
 	if _, _, err := Resolve(dead, ResolveConfig{Timeout: 200 * time.Millisecond}); err == nil {
 		t.Error("resolve against dead roster succeeded")
+	}
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Errorf("resolve against dead roster took %v", took)
 	}
 }

@@ -48,8 +48,9 @@ type Config struct {
 	OnPeerDown func(peer int)
 	OnPeerUp   func(peer int)
 	// Probe overrides the network probe (tests). The default sends
-	// MsgClusterInfo to the peer over a re-dialing connection and returns
-	// its Info payload, so every health probe doubles as epoch gossip.
+	// MsgClusterInfo to the peer with StreamPeer.CallTimeout — a connection
+	// of its own, re-dialed after any failure or overrun — and returns its
+	// Info payload, so every health probe doubles as epoch gossip.
 	Probe func(peer int, timeout time.Duration) ([]byte, error)
 }
 
@@ -81,7 +82,7 @@ type Node struct {
 	cfg     Config
 	n, self int
 	checker *transport.HealthChecker
-	peers   []*transport.RedialPeer
+	peers   []*transport.StreamPeer
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	stop    sync.Once
@@ -132,7 +133,7 @@ func New(cfg Config) (*Node, error) {
 		i := i
 		call := cfg.Probe
 		if call == nil {
-			p := transport.NewRedialPeer(cfg.Roster.Addrs[i], cfg.TLS)
+			p := transport.NewStreamPeer(cfg.Roster.Addrs[i], cfg.TLS)
 			nd.peers = append(nd.peers, p)
 			call = func(_ int, timeout time.Duration) ([]byte, error) {
 				return p.CallTimeout(MsgClusterInfo, nil, timeout)

@@ -32,7 +32,7 @@ func Resolve(r *Roster, cfg ResolveConfig) (Info, string, error) {
 	found := false
 	var lastErr error
 	for _, addr := range r.Addrs {
-		p := transport.NewRedialPeer(addr, cfg.TLS)
+		p := transport.NewStreamPeer(addr, cfg.TLS)
 		resp, err := p.CallTimeout(MsgClusterInfo, nil, timeout)
 		p.Close()
 		if err != nil {

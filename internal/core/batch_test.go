@@ -7,6 +7,8 @@ import (
 
 	"prio/internal/afe"
 	"prio/internal/field"
+	"prio/internal/mpc"
+	"prio/internal/snip"
 )
 
 // diffScheme is one AFE entry of the differential matrix: a scheme plus an
@@ -44,17 +46,16 @@ func diffSchemes(f field.F64) []diffScheme {
 	}
 }
 
-// newDiffCluster builds an unsealed local cluster for one side of the A/B.
-func newDiffCluster(t *testing.T, scheme afe.Scheme[uint64], mode Mode, disableBatch bool) (*Cluster[field.F64, uint64], *Client[field.F64, uint64]) {
+// newDiffCluster builds an unsealed local cluster.
+func newDiffCluster(t *testing.T, scheme afe.Scheme[uint64], mode Mode) (*Cluster[field.F64, uint64], *Client[field.F64, uint64]) {
 	t.Helper()
 	f := field.NewF64()
 	pro, err := NewProtocol(Config[field.F64, uint64]{
-		Field:              f,
-		Scheme:             scheme,
-		Servers:            3,
-		Mode:               mode,
-		SnipReps:           1,
-		DisableBatchVerify: disableBatch,
+		Field:    f,
+		Scheme:   scheme,
+		Servers:  3,
+		Mode:     mode,
+		SnipReps: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +71,88 @@ func newDiffCluster(t *testing.T, scheme afe.Scheme[uint64], mode Mode, disableB
 	return cl, client
 }
 
+// oracleAccepts is the per-submission reference verifier the deployment is
+// compared against. It decodes every server's share of a submission the way
+// handleRound1 does, then decides that one submission with the reference
+// snip.Evaluator (Round1, SumRound1, Round2, Decide — one exchange per
+// submission, under a challenge of its own) and, in MPC mode, a cooperative
+// evaluation of Valid over the same shares. It touches none of the batch
+// path: no BatchVerifier, no RLC probe, no bisection, no wire format.
+func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submission) []bool {
+	t.Helper()
+	p := cl.Leader.pro
+	f := p.Cfg.Field
+	s := p.Cfg.Servers
+	ch, err := p.newChallenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := p.snipSys()
+	ev := sys.NewEvaluator(ch.sn)
+	out := make([]bool, len(subs))
+	for j, sub := range subs {
+		xs := make([][]uint64, s)
+		triples := make([][]uint64, s)
+		proofs := make([]*snip.Proof[uint64], s)
+		for i := 0; i < s; i++ {
+			flat := make([]uint64, p.flatLen)
+			if err := p.decodeBundle(sub.Bundles[i], cl.Servers[i].priv, flat); err != nil {
+				t.Fatalf("submission %d, server %d: %v", j, i, err)
+			}
+			var proofFlat []uint64
+			if xs[i], triples[i], proofFlat, err = p.splitFlat(flat); err != nil {
+				t.Fatal(err)
+			}
+			if proofs[i], err = sys.UnflattenProof(proofFlat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proved := xs // SNIP mode proves Valid(x); MPC mode proves the triples
+		if p.Cfg.Mode == ModeMPC {
+			proved = triples
+		}
+		ok, err := ev.VerifyDistributed(proved, proofs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && p.Cfg.Mode == ModeMPC {
+			sess := make([]*mpc.Session[field.F64, uint64], s)
+			opens := make([]*mpc.Open[uint64], s)
+			done := false
+			for i := range sess {
+				if sess[i], err = mpc.NewSession(f, p.Cfg.Scheme.Circuit(), s, xs[i], triples[i], i == 0); err != nil {
+					t.Fatal(err)
+				}
+				opens[i], done = sess[i].Start()
+			}
+			for !done {
+				opened := mpc.SumOpen(f, opens)
+				for i := range sess {
+					if opens[i], done, err = sess[i].Step(opened); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			tau := f.Zero()
+			for i := range sess {
+				share, err := sess[i].TauShare(ch.validRho)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tau = f.Add(tau, share)
+			}
+			ok = f.IsZero(tau)
+		}
+		out[j] = ok
+	}
+	return out
+}
+
 // TestBatchVerifyDifferential is the core-level equivalence suite for the
-// batched verification path: the same submission batch — with 0, 1, and N
-// malicious submissions planted at deterministic random positions — is
-// processed by a default (batched, bisecting) deployment and by a
-// DisableBatchVerify (per-submission) deployment. Both must accept exactly
+// verification path: the same submission batch — with 0, 1, and N malicious
+// submissions planted at deterministic random positions — is processed by
+// the deployment (batched probes, bisecting) and decided one submission at a
+// time by oracleAccepts over the very same shares. Both must accept exactly
 // the honest submissions, which also pins down that the bisect fallback
 // rejects only the planted positions.
 func TestBatchVerifyDifferential(t *testing.T) {
@@ -96,8 +174,7 @@ func TestBatchVerifyDifferential(t *testing.T) {
 					bad[p] = true
 				}
 				t.Run(name, func(t *testing.T) {
-					clBatch, client := newDiffCluster(t, ds.scheme, mode, false)
-					clLegacy, _ := newDiffCluster(t, ds.scheme, mode, true)
+					cl, client := newDiffCluster(t, ds.scheme, mode)
 					subs := make([]*Submission, b)
 					for i := 0; i < b; i++ {
 						enc, err := ds.encode(i)
@@ -114,32 +191,25 @@ func TestBatchVerifyDifferential(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					gotBatch, err := clBatch.Leader.ProcessBatch(subs)
+					got, err := cl.Leader.ProcessBatch(subs)
 					if err != nil {
-						t.Fatalf("batch ProcessBatch: %v", err)
+						t.Fatalf("ProcessBatch: %v", err)
 					}
-					gotLegacy, err := clLegacy.Leader.ProcessBatch(subs)
-					if err != nil {
-						t.Fatalf("legacy ProcessBatch: %v", err)
-					}
+					want := oracleAccepts(t, cl, subs)
 					for i := 0; i < b; i++ {
-						if gotBatch[i] != !bad[i] {
-							t.Errorf("submission %d: batch path accept=%v, want %v", i, gotBatch[i], !bad[i])
+						if got[i] != !bad[i] {
+							t.Errorf("submission %d: deployment accept=%v, honest=%v", i, got[i], !bad[i])
 						}
-						if gotBatch[i] != gotLegacy[i] {
-							t.Errorf("submission %d: batch accept=%v, legacy accept=%v", i, gotBatch[i], gotLegacy[i])
+						if got[i] != want[i] {
+							t.Errorf("submission %d: deployment accept=%v, per-submission oracle accept=%v", i, got[i], want[i])
 						}
 					}
-					_, nA, err := clBatch.Leader.Aggregate()
+					_, n, err := cl.Leader.Aggregate()
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, nB, err := clLegacy.Leader.Aggregate()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if nA != nB || nA != uint64(b-nBad) {
-						t.Errorf("accepted counts: batch=%d legacy=%d want=%d", nA, nB, b-nBad)
+					if n != uint64(b-nBad) {
+						t.Errorf("accepted count = %d, want %d", n, b-nBad)
 					}
 				})
 			}
@@ -153,7 +223,7 @@ func TestBatchVerifyDifferential(t *testing.T) {
 func TestBatchVerifyAllMalicious(t *testing.T) {
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 4)
-	cl, client := newDiffCluster(t, scheme, ModeSNIP, false)
+	cl, client := newDiffCluster(t, scheme, ModeSNIP)
 	const b = 6
 	subs := make([]*Submission, b)
 	for i := 0; i < b; i++ {

@@ -57,11 +57,6 @@ type Config[Fd field.Field[E], E any] struct {
 	// ChallengeEvery re-samples the shared verification challenge after
 	// this many submissions (the Q of Appendix I; default 1024).
 	ChallengeEvery int
-	// DisableBatchVerify forces the per-submission MsgRound2 flow instead of
-	// the batched random-linear-combination check (MsgRound2Batch). The two
-	// paths accept identical submission sets; this knob exists for A/B
-	// benchmarking and as an escape hatch.
-	DisableBatchVerify bool
 }
 
 // Protocol holds the precomputed, immutable derivations of a Config: the

@@ -8,7 +8,8 @@
 //	            the current leader.
 //	Validate  — the leader relays shares and drives the two verification
 //	            rounds; servers exchange constant-size messages per
-//	            submission (Section 4.2).
+//	            submission in Round1 and one combined share per batch probe
+//	            in Round2 (Section 4.2, docs/VERIFY.md).
 //	Aggregate — servers add the truncated encodings of accepted submissions
 //	            into local accumulators.
 //	Publish   — accumulators are summed and decoded with the AFE.

@@ -33,12 +33,7 @@ func leaderOn(t *testing.T, cl *Cluster[field.F64, uint64], idx int, wrap func(j
 	t.Helper()
 	peers := make([]transport.Peer, len(cl.Servers))
 	for j, srv := range cl.Servers {
-		var p transport.Peer
-		if j == idx {
-			p = &transport.LoopbackPeer{Handler: srv.Handle}
-		} else {
-			p = transport.NewMemPeer(srv.Handle)
-		}
+		var p transport.Peer = &transport.LoopbackPeer{Handler: srv.Handle}
 		if wrap != nil {
 			p = wrap(j, p)
 		}
@@ -112,7 +107,7 @@ func TestBatchRerunIdempotenceAcrossLeaders(t *testing.T) {
 			return p
 		}
 		return &faultPeer{Peer: p, fail: func(msgType byte) error {
-			if failing.Load() && (msgType == MsgRound2Batch || msgType == MsgRound2) {
+			if failing.Load() && msgType == MsgRound2Batch {
 				return errors.New("injected: peer lost mid-round")
 			}
 			return nil

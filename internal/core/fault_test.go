@@ -46,12 +46,22 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 			w.raw(make([]byte, 12))
 			return w.b
 		}()},
-		{"round2 unknown batch", MsgRound2, func() []byte {
+		{"round2 probe for an unknown batch", MsgRound2Batch, func() []byte {
+			w := &wbuf{}
+			w.u32(1)
+			w.u64(999)
+			w.u8(0)
+			return w.b
+		}()},
+		// 3 and 9 are retired numbers (the per-submission Round2 exchange,
+		// the one-shot client submit): no handler answers them.
+		{"retired round2", MsgRound2, func() []byte {
 			w := &wbuf{}
 			w.u32(1)
 			w.u64(999)
 			return w.b
 		}()},
+		{"retired one-shot submit", 9, nil},
 		{"finish unknown batch", MsgFinish, func() []byte {
 			w := &wbuf{}
 			w.u64(12345)

@@ -310,8 +310,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	// arena buffers sized exactly up front, so the steady state allocates
 	// nothing; broadcast waits for every peer before returning (even on
 	// error), which is what makes freeing the arenas afterwards safe.
-	// Responses are never pooled — a Coalescer hands out subslices of one
-	// envelope, so their lifetimes are not ours to manage.
+	// Responses are never pooled: they are the peer's memory.
 	reqs := make([][]byte, p.Cfg.Servers)
 	arenas := make([]*transport.Buf, p.Cfg.Servers)
 	var w wbuf
@@ -402,53 +401,12 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 		return nil, errors.New("core: leader lost its own challenge state")
 	}
 
-	// Round 2: establish per-submission accept verdicts for the SNIP check,
-	// either through the amortized batch probes (default) or the legacy
-	// per-submission exchange.
-	var snipOK []bool
+	// Round 2: per-submission accept verdicts for the SNIP check, from the
+	// amortized batch probes.
 	t0 = l.m.start()
-	if p.Cfg.DisableBatchVerify {
-		var w wbuf
-		w.grab(4 + 8 + count*(reps+1)*16)
-		w.u32(challID)
-		w.u64(batchID)
-		for j := 0; j < count; j++ {
-			wvec(&w, f, opened[j].D)
-			wvec(&w, f, opened[j].E)
-		}
-		req, arena := w.seal()
-		r2resps, err := l.broadcast(MsgRound2, l.same(req))
-		arena.Free()
-		if err != nil {
-			return nil, err
-		}
-		r2 := make([][]*snip.Round2[E], count) // [submission][server]
-		for j := range r2 {
-			r2[j] = make([]*snip.Round2[E], p.Cfg.Servers)
-		}
-		for i, resp := range r2resps {
-			r := &rbuf{b: resp}
-			for j := 0; j < count; j++ {
-				sig := rvec(r, f, reps)
-				tau := rvec(r, f, 1)
-				if r.err != nil {
-					return nil, fmt.Errorf("core: bad Round2 response from server %d", i)
-				}
-				r2[j][i] = &snip.Round2[E]{Sigma: sig, Tau: tau[0]}
-			}
-			if !r.done() {
-				return nil, fmt.Errorf("core: trailing bytes in Round2 response from server %d", i)
-			}
-		}
-		snipOK = make([]bool, count)
-		for j := 0; j < count; j++ {
-			snipOK[j] = chSt.ev.Decide(r2[j])
-		}
-	} else {
-		var err error
-		if snipOK, err = l.batchVerify(chSt, challID, batchID, count, reps, opened); err != nil {
-			return nil, err
-		}
+	snipOK, err := l.batchVerify(chSt, challID, batchID, count, reps, opened)
+	if err != nil {
+		return nil, err
 	}
 	l.m.observeRound2(t0)
 
@@ -546,10 +504,10 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 // the full batch (shipping the opened masks along), then — only if the
 // combined check fails — a bisection over subranges, each probe under a
 // fresh crypto/rand-derived λ seed. Singleton probes are exactly the
-// per-submission test, so the returned verdicts match the legacy path's;
-// interior probes err on the side of accepting a range only when its
-// combined share sums to zero, which a range containing an invalid
-// submission survives with probability ≈ 2/|F| per probe.
+// per-submission test (snip.Evaluator.Round2 scaled by a nonzero λ), so the
+// verdicts match the reference verifier's; interior probes accept a range
+// only when its combined share sums to zero, which a range containing an
+// invalid submission survives with probability ≈ 2/|F| per probe.
 //
 // The worst case (every submission invalid) costs 2·count−1 probes; the
 // common all-honest case costs exactly one.
@@ -668,7 +626,7 @@ func (l *Leader[Fd, E]) Reset() error {
 func (l *Leader[Fd, E]) PeerStats(i int) transport.Stats { return l.peers[i].Stats().Snapshot() }
 
 // Cluster is an in-process deployment: s servers wired to a leader over
-// byte-counting in-memory transports. It is the configuration used by the
+// byte-counting in-memory peers. It is the configuration used by the
 // examples, the integration tests, and the throughput benchmarks.
 type Cluster[Fd field.Field[E], E any] struct {
 	Leader  *Leader[Fd, E]
@@ -686,11 +644,7 @@ func NewLocalCluster[Fd field.Field[E], E any](pro *Protocol[Fd, E]) (*Cluster[F
 			return nil, err
 		}
 		servers[i] = srv
-		if i == 0 {
-			peers[i] = &transport.LoopbackPeer{Handler: srv.Handle}
-		} else {
-			peers[i] = transport.NewMemPeer(srv.Handle)
-		}
+		peers[i] = &transport.LoopbackPeer{Handler: srv.Handle}
 	}
 	leader, err := NewLeader(servers[0], peers)
 	if err != nil {

@@ -15,7 +15,7 @@ type pipeMetrics struct {
 	queueWait *telemetry.DurationHistogram // submit → shard pickup
 	batchDur  *telemetry.DurationHistogram // whole ProcessBatch
 	round1    *telemetry.DurationHistogram // MsgRound1 broadcast round-trip
-	round2    *telemetry.DurationHistogram // SNIP round 2 (batch probes or legacy), all probes
+	round2    *telemetry.DurationHistogram // SNIP round 2: the combined probe plus any bisect probes
 	finish    *telemetry.DurationHistogram // MsgFinish commit broadcast
 	batchSize *telemetry.Histogram
 
@@ -42,7 +42,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 		round1: reg.Duration("prio_verify_round1_seconds",
 			"MsgRound1 broadcast round-trip (bundle relay + local circuit pass)"),
 		round2: reg.Duration("prio_verify_round2_seconds",
-			"SNIP round-2 phase: combined probe plus any bisect probes (or the legacy exchange)"),
+			"SNIP round-2 phase: combined probe plus any bisect probes"),
 		finish: reg.Duration("prio_verify_finish_seconds",
 			"MsgFinish commit broadcast (accept bitmap to accumulators)"),
 		batchSize: reg.Histogram("prio_pipeline_batch_size",

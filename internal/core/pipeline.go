@@ -29,8 +29,8 @@ import (
 // (collect up to MaxBatch, ProcessBatch, record). Workers batch
 // adaptively — under light load a submission rides alone for low latency;
 // under heavy load batches fill to MaxBatch, amortizing the per-round
-// broadcasts. Over TCP, wrap peers in transport.Coalescer so concurrent
-// shards' round payloads merge onto each server connection.
+// broadcasts. Over TCP, transport.StreamPeer keeps every shard's rounds in
+// flight on each server connection at once.
 type Pipeline[Fd field.Field[E], E any] struct {
 	cfg      PipelineConfig
 	sessions []*Leader[Fd, E]
@@ -179,8 +179,7 @@ type SubmitResult struct {
 // NewPipeline builds a pipeline in front of leader's server set and starts
 // its shard workers. It opens cfg.Shards leader sessions that share
 // leader's peers, so the peers must tolerate concurrent Calls (every
-// transport.Peer does; wrap TCP peers in transport.Coalescer to also merge
-// the concurrent rounds into batched frames).
+// transport.Peer does).
 //
 // Sessions are numbered from 1 so the caller's own leader (session 0)
 // keeps its ID namespace to itself.

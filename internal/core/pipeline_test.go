@@ -329,9 +329,9 @@ func TestPipelineSubmitWait(t *testing.T) {
 	}
 }
 
-// TestPipelineOverCoalescedTCP runs the pipeline against real TCP servers
-// with coalescing peers — the deployment shape of cmd/prio-server.
-func TestPipelineOverCoalescedTCP(t *testing.T) {
+// TestPipelineOverTCP runs the pipeline against real TCP servers with
+// streamed peers — the deployment shape of cmd/prio-server.
+func TestPipelineOverTCP(t *testing.T) {
 	const nServers = 3
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 8)
@@ -369,13 +369,9 @@ func TestPipelineOverCoalescedTCP(t *testing.T) {
 			peers[i] = &transport.LoopbackPeer{Handler: servers[0].Handle}
 			continue
 		}
-		tp, err := transport.Dial(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := transport.NewCoalescer(tp)
-		defer c.Close()
-		peers[i] = c
+		p := transport.NewStreamPeer(addr, nil)
+		defer p.Close()
+		peers[i] = p
 	}
 	leader, err := NewLeader(servers[0], peers)
 	if err != nil {
@@ -449,7 +445,7 @@ func TestTrySubmitRefused(t *testing.T) {
 	}
 	peers := []transport.Peer{
 		&transport.LoopbackPeer{Handler: gated(cl.Servers[0].Handle)},
-		transport.NewMemPeer(gated(cl.Servers[1].Handle)),
+		&transport.LoopbackPeer{Handler: gated(cl.Servers[1].Handle)},
 	}
 	ld, err := NewLeader(cl.Servers[0], peers)
 	if err != nil {

@@ -36,11 +36,7 @@ func TestRotatingLeadership(t *testing.T) {
 	for i := 1; i < len(cl.Servers); i++ {
 		peers := make([]transport.Peer, len(cl.Servers))
 		for j, srv := range cl.Servers {
-			if i == j {
-				peers[j] = &transport.LoopbackPeer{Handler: srv.Handle}
-			} else {
-				peers[j] = transport.NewMemPeer(srv.Handle)
-			}
+			peers[j] = &transport.LoopbackPeer{Handler: srv.Handle}
 		}
 		ld, err := NewLeader(cl.Servers[i], peers)
 		if err != nil {
@@ -117,7 +113,7 @@ func TestConcurrentLeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := []transport.Peer{
-		transport.NewMemPeer(cl.Servers[0].Handle),
+		&transport.LoopbackPeer{Handler: cl.Servers[0].Handle},
 		&transport.LoopbackPeer{Handler: cl.Servers[1].Handle},
 	}
 	second, err := NewLeader(cl.Servers[1], peers)

@@ -48,9 +48,7 @@ type challState[Fd field.Field[E], E any] struct {
 	ev *snip.Evaluator[Fd, E]
 }
 
-// batchState holds per-batch verification sessions between rounds. Exactly
-// one of snipSt (per-submission path) and snipBatch (batch path) is populated
-// in the robust modes, according to Config.DisableBatchVerify.
+// batchState holds per-batch verification sessions between rounds.
 //
 // Slab ownership: flats are the submissions' decoded share vectors — pooled
 // slabs over F64 (Protocol.getFlat) — and everything else here (xShares, the
@@ -67,7 +65,6 @@ type batchState[Fd field.Field[E], E any] struct {
 	count     int
 	flats     [][]E
 	xShares   [][]E // per submission: the kPrime prefix the accumulator adds
-	snipSt    []*snip.State[E]
 	snipBatch *snip.BatchState[E]
 	mpcSess   []*mpc.Session[Fd, E]
 	validTaus []E // MPC: shares of the Valid assertion combination
@@ -80,7 +77,7 @@ func (bs *batchState[Fd, E]) release() {
 		putFlat(flat)
 	}
 	bs.flats, bs.xShares = nil, nil
-	bs.snipSt, bs.snipBatch, bs.mpcSess = nil, nil, nil
+	bs.snipBatch, bs.mpcSess = nil, nil
 	bs.released = true
 }
 
@@ -121,7 +118,7 @@ func (s *Server[Fd, E]) Index() int { return s.idx }
 // Contract: payload may live in a caller-owned scratch buffer that is
 // recycled the moment Handle returns — the leader builds verification-round
 // requests in a pooled arena and frees them right after the broadcast, which
-// an in-process peer (MemPeer, LoopbackPeer) delivers to Handle directly.
+// an in-process peer (LoopbackPeer) delivers to Handle directly.
 // Every handler below therefore copies whatever it keeps past the return
 // (decodeBundle decodes into the batch's own slabs; rvec and
 // unmarshalChallenge produce fresh memory); new handlers must do the same.
@@ -133,10 +130,8 @@ func (s *Server[Fd, E]) Handle(msgType byte, payload []byte) ([]byte, error) {
 		return s.handleSetChallenge(payload)
 	case MsgRound1:
 		return s.handleRound1(payload)
-	case MsgRound2:
-		return s.handleRound2(payload)
 	case MsgRound2Batch:
-		return s.handleRound2Batch(payload)
+		return s.handleBatchProbe(payload)
 	case MsgMPCRound:
 		return s.handleMPCRound(payload)
 	case MsgFinish:
@@ -374,29 +369,15 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 		return nil, errTruncated
 	}
 
-	// Verify phase: one batch pass over all submissions (or the legacy
-	// per-submission loop when DisableBatchVerify is set). The wire format is
-	// identical either way — Beaver openings are inherently per-submission.
+	// Verify phase: one batch pass over all submissions. Beaver openings
+	// are inherently per-submission, so the reply carries one pair each.
 	w := &wbuf{}
 	if p.Cfg.Mode != ModeNoRobust {
-		var r1s []*snip.Round1[E]
-		if p.Cfg.DisableBatchVerify {
-			for j := range snipInputs {
-				st, r1, err := chSt.ev.Round1(snipInputs[j], snipProofs[j], constServer)
-				if err != nil {
-					return nil, err
-				}
-				bs.snipSt = append(bs.snipSt, st)
-				r1s = append(r1s, r1)
-			}
-		} else {
-			st, msgs, err := chSt.ev.Batch().Round1(snipInputs, snipProofs, constServer)
-			if err != nil {
-				return nil, err
-			}
-			bs.snipBatch = st
-			r1s = msgs
+		st, r1s, err := chSt.ev.Batch().Round1(snipInputs, snipProofs, constServer)
+		if err != nil {
+			return nil, err
 		}
+		bs.snipBatch = st
 		for j := 0; j < count; j++ {
 			wvec(w, f, r1s[j].D)
 			wvec(w, f, r1s[j].E)
@@ -423,64 +404,11 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	return w.b, nil
 }
 
-// handleRound2 consumes the opened SNIP masks and returns Round2 shares.
-func (s *Server[Fd, E]) handleRound2(payload []byte) ([]byte, error) {
-	p := s.pro
-	f := p.Cfg.Field
-	sys := p.snipSys()
-	if sys == nil {
-		return nil, errors.New("core: Round2 in no-robust mode")
-	}
-	r := &rbuf{b: payload}
-	challID := r.u32()
-	batchID := r.u64()
-	chSt, bs, err := s.acquireBatch(challID, batchID)
-	if err != nil {
-		return nil, err
-	}
-	defer bs.mu.Unlock()
-	reps := sys.Reps
-	if sys.M == 0 {
-		reps = 0
-	}
-	opened := make([]*snip.Round1[E], bs.count)
-	for j := range opened {
-		opened[j] = &snip.Round1[E]{D: rvec(r, f, reps), E: rvec(r, f, reps)}
-	}
-	if r.err != nil || !r.done() {
-		return nil, errTruncated
-	}
-	w := &wbuf{}
-	if bs.snipBatch != nil {
-		// Batch-verified state still answers the per-submission round with
-		// bit-identical values (Single reproduces the legacy Round2).
-		bv := chSt.ev.Batch()
-		if err := bv.SetOpened(bs.snipBatch, opened, p.Cfg.Servers); err != nil {
-			return nil, err
-		}
-		for j := 0; j < bs.count; j++ {
-			r2, err := bv.Single(bs.snipBatch, j)
-			if err != nil {
-				return nil, err
-			}
-			wvec(w, f, r2.Sigma)
-			wvec(w, f, []E{r2.Tau})
-		}
-		return w.b, nil
-	}
-	for j := 0; j < bs.count; j++ {
-		r2 := chSt.ev.Round2(bs.snipSt[j], opened[j], p.Cfg.Servers)
-		wvec(w, f, r2.Sigma)
-		wvec(w, f, []E{r2.Tau})
-	}
-	return w.b, nil
-}
-
-// handleRound2Batch consumes the opened SNIP masks (on the first probe of a
+// handleBatchProbe consumes the opened SNIP masks (on the first probe of a
 // batch) and answers random-linear-combination probes over submission
 // ranges. The leader probes [0, count) once for the common all-honest case
 // and bisects with fresh λ seeds only when a range fails.
-func (s *Server[Fd, E]) handleRound2Batch(payload []byte) ([]byte, error) {
+func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
 	sys := p.snipSys()
@@ -496,9 +424,6 @@ func (s *Server[Fd, E]) handleRound2Batch(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer bs.mu.Unlock()
-	if bs.snipBatch == nil {
-		return nil, errors.New("core: Round2Batch on a batch verified per-submission")
-	}
 	bv := chSt.ev.Batch()
 	if hasOpened == 1 {
 		reps := sys.Reps

@@ -175,7 +175,7 @@ func TestBatchStateReleasesSlabs(t *testing.T) {
 		}
 		for _, bs := range seen {
 			bs.mu.Lock()
-			if !bs.released || bs.flats != nil || bs.xShares != nil || bs.snipBatch != nil || bs.snipSt != nil || bs.mpcSess != nil {
+			if !bs.released || bs.flats != nil || bs.xShares != nil || bs.snipBatch != nil || bs.mpcSess != nil {
 				t.Errorf("batch state still references its slabs: released=%v flats=%d xShares=%d", bs.released, len(bs.flats), len(bs.xShares))
 			}
 			bs.mu.Unlock()

@@ -10,21 +10,22 @@ import (
 	"prio/internal/transport"
 )
 
-// Message types of the server-to-server (and client-to-leader) protocol.
+// Message types of the server-to-server protocol. Two numbers are retired
+// and must not be reused: 3 (MsgRound2, kept as a name so tooling that
+// labels old traces still compiles; no handler answers it) and 9 (the
+// one-shot client submit that streaming ingest replaced).
 const (
 	MsgSetChallenge byte = 1 // leader -> servers: new verification challenge
 	MsgRound1       byte = 2 // leader -> servers: batch of bundles; reply: Round1 shares
-	MsgRound2       byte = 3 // leader -> servers: opened masks; reply: Round2 shares
+	MsgRound2       byte = 3 // retired: the per-submission Round2 exchange
 	MsgMPCRound     byte = 4 // leader -> servers: opened MPC masks; reply: next masks or tau
 	MsgFinish       byte = 5 // leader -> servers: accept bitmap; servers accumulate
 	MsgAggregate    byte = 6 // anyone -> server: fetch accumulator
 	MsgReset        byte = 7 // leader -> servers: clear accumulator and sessions
 	MsgPublicKey    byte = 8 // anyone -> server: fetch sealbox public key
-	MsgSubmit       byte = 9 // client -> leader: enqueue one submission
-	// MsgRound2Batch replaces MsgRound2 on the batch-verification path: the
-	// leader ships the opened masks once, then probes ranges of the batch
-	// with fresh RLC seeds; each reply is a single combined σ/τ share for
-	// the probed range instead of one pair per submission.
+	// MsgRound2Batch is the SNIP decision round: the leader ships the opened
+	// masks once, then probes ranges of the batch with fresh RLC seeds; each
+	// reply is a single combined σ/τ share for the probed range.
 	MsgRound2Batch byte = 10 // leader -> servers: opened masks + RLC probe; reply: combined share
 	// MsgWindowPublish seals one tumbling collection window on every server
 	// and fetches its share: the server applies its own DP noise exactly

@@ -2,13 +2,14 @@
 // the transport and the verification pipeline that lets one client
 // connection carry many submissions in flight at once.
 //
-// The request/response path (core.MsgSubmit) costs a full round-trip per
-// submission, which caps a client's upload rate at 1/RTT regardless of how
-// fast the servers verify — after the sharded pipeline parallelized
-// verification, that round-trip became the system's front-door bottleneck.
-// The paper's deployment model (§6.2) is millions of clients holding
-// long-lived TLS connections, which only makes sense if those connections
-// are pipelined.
+// It is the only way a submission enters a deployment. A request/response
+// upload costs a full round-trip per submission, which caps a client's rate
+// at 1/RTT regardless of how fast the servers verify — once the sharded
+// pipeline parallelized verification, that round-trip was the system's
+// front-door bottleneck, and the one-shot path that had it is gone. The
+// paper's deployment model (§6.2) is millions of clients holding long-lived
+// TLS connections, which only makes sense if those connections are
+// pipelined.
 //
 // # Protocol
 //

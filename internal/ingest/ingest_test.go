@@ -337,12 +337,12 @@ func TestTeardownMidFlight(t *testing.T) {
 	}
 }
 
-// TestStreamedPipelineOverCoalescedTCP is the full-stack integration test:
-// real servers behind TCP listeners, a leader whose peers ride coalesced TCP
+// TestStreamedPipelineOverTCP is the full-stack integration test:
+// real servers behind TCP listeners, a leader whose peers ride streamed TCP
 // connections, a sharded verification pipeline, the ingest stream handler on
 // the leader's own listener, and a StreamSubmitter pushing pipelined
 // submissions — then the aggregate must be exact and every ack accounted.
-func TestStreamedPipelineOverCoalescedTCP(t *testing.T) {
+func TestStreamedPipelineOverTCP(t *testing.T) {
 	skipIfNoTelemetry(t)
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 8)
@@ -370,11 +370,7 @@ func TestStreamedPipelineOverCoalescedTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		p, err := transport.Dial(ln.Addr().String(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = transport.NewCoalescer(p)
+		peers[i] = transport.NewStreamPeer(ln.Addr().String(), nil)
 	}
 	leader, err := core.NewLeader(servers[0], peers)
 	if err != nil {

@@ -461,10 +461,11 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 	return out, nil
 }
 
-// Single reproduces the legacy per-submission Round2 message for submission
-// i — the same values Evaluator.Round2 computes — from the batch state. It
-// is what the bisect fallback emits at singleton leaves and what keeps the
-// wire-compatible per-submission round working off batch state.
+// Single reproduces the per-submission Round2 message for submission i —
+// the same values Evaluator.Round2 computes — from the batch state. It is
+// the bisect fallback's singleton leaf without the λ scaling: Combined over
+// [i, i+1) is Single(i) times a nonzero coefficient, which is how the
+// differential tests tie the batch state to the reference verifier.
 func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], error) {
 	ev := bv.ev
 	sys := ev.sys

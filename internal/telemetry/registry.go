@@ -198,20 +198,24 @@ func (r *Registry) Duration(name, help string, labels ...Label) *DurationHistogr
 	return &DurationHistogram{H: s.h}
 }
 
-// snapshotFamilies copies the family list under the lock so serialization
-// runs without holding it (scrape-time funcs may take other locks).
+// snapshotFamilies copies the families and their series under the lock so
+// serialization runs without holding it (scrape-time funcs may take other
+// locks). The copies are by value: a get-or-create racing the scrape fills
+// in the registry's own series, never the ones being read.
 func (r *Registry) snapshotFamilies() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		c := &family{name: f.name, help: f.help, kind: f.kind, series: make([]*series, len(f.series))}
+		for i, s := range f.series {
+			sc := *s
+			c.series[i] = &sc
+		}
+		sort.Slice(c.series, func(i, j int) bool { return c.series[i].labels < c.series[j].labels })
+		fams = append(fams, c)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	for _, f := range fams {
-		f.series = append([]*series(nil), f.series...)
-		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
-	}
 	return fams
 }
 

@@ -31,7 +31,8 @@ func callBytes(corr uint64, inner byte, body []byte) []byte {
 // (readFrame's geometric growth means memory tracks bytes actually present),
 // and any payload the decoders accept re-marshals to the identical bytes.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(frameBytes(MsgPing, nil))
+	f.Add(frameBytes(MsgStreamOpen, []byte(RoundsProto)))
+	f.Add(frameBytes(MsgError, []byte("transport: expected a stream open frame")))
 	f.Add(frameBytes(0x30, callBytes(1, 2, []byte("body"))))
 	f.Add(frameBytes(0x31, append(callBytes(7, 1, nil), "reply"...)))
 	f.Add(append(frameBytes(1, []byte("a")), frameBytes(2, []byte("b"))...))

@@ -9,8 +9,8 @@ import (
 
 // ProbeFunc checks one target's liveness, returning nil when the target
 // answered within timeout. Implementations must honor the timeout themselves
-// (RedialPeer.CallTimeout with MsgPing does); the checker additionally
-// abandons probes that overrun it.
+// (StreamPeer.CallTimeout does); the checker additionally abandons probes
+// that overrun it.
 type ProbeFunc func(timeout time.Duration) error
 
 // HealthConfig tunes a HealthChecker.

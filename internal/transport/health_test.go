@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,44 +111,4 @@ func TestHealthSlowPeerVsDeadPeer(t *testing.T) {
 	if h.Up(1) {
 		t.Error("dead peer resurrected")
 	}
-}
-
-// TestPingEchoAndRedial: MsgPing is echoed by the TCP server's read loop, a
-// RedialPeer survives its server restarting, and its CallTimeout fails
-// promptly against a dead address instead of hanging.
-func TestPingEchoAndRedial(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", nil, func(byte, []byte) ([]byte, error) {
-		return nil, errors.New("handler must not see pings")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr().String()
-	p := NewRedialPeer(addr, nil)
-	defer p.Close()
-
-	resp, err := p.CallTimeout(MsgPing, []byte("nonce"), time.Second)
-	if err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if !bytes.Equal(resp, []byte("nonce")) {
-		t.Fatalf("ping echoed %q", resp)
-	}
-
-	// Kill the server; the held connection is now dead. The first call
-	// reports the break, the next one re-dials the restarted server.
-	srv.Close()
-	if _, err := p.CallTimeout(MsgPing, nil, time.Second); err == nil {
-		t.Fatal("call against closed server succeeded")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	srv2 := Serve(ln, func(byte, []byte) ([]byte, error) { return nil, nil })
-	defer srv2.Close()
-	waitCond(t, 2*time.Second, func() bool {
-		_, err := p.CallTimeout(MsgPing, nil, time.Second)
-		return err == nil
-	}, "redial against restarted server never succeeded")
 }

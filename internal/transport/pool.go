@@ -76,17 +76,3 @@ func (b *Buf) Free() {
 	b.B = b.B[:0]
 	bufPools[c].Put(b)
 }
-
-// PutBytes recycles a raw slice into the arena. Unlike (*Buf).Free this
-// boxes a fresh *Buf (one small allocation), so it is for cold-path
-// opportunistic recycling only; hot paths should hold the *Buf.
-func PutBytes(p []byte) {
-	if cap(p) < 1<<minBufClass {
-		return
-	}
-	c := bits.Len(uint(cap(p))) - 1 - minBufClass
-	if c < 0 || c > maxBufClass-minBufClass {
-		return
-	}
-	bufPools[c].Put(&Buf{B: p[:0]})
-}

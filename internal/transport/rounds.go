@@ -13,14 +13,13 @@ import (
 	"prio/internal/telemetry"
 )
 
-// The rounds subprotocol moves leader↔server verification traffic (Round1,
-// Round2, MPC rounds, Finish, window publishes) off request/response Peer
-// connections and onto one persistent FrameConn per peer, the same machinery
-// the ingest path uses. Each logical call carries a correlation ID, so many
-// calls are in flight concurrently: shard A's Round2 no longer queues
-// head-to-tail behind shard B's Round1 the way it does on a mutex-serialized
-// TCPPeer, and no coalescing timer sits in the latency path. Replies arrive
-// in whatever order the server finishes them and are matched back to their
+// The rounds subprotocol carries every Peer call between processes —
+// verification rounds (Round1, Round2, MPC rounds, Finish, window publishes),
+// key fetches and cluster probes — on one persistent FrameConn per peer, the
+// same machinery the ingest path uses. Each logical call carries a
+// correlation ID, so many calls are in flight concurrently: shard A's Round2
+// does not queue head-to-tail behind shard B's Round1. Replies arrive in
+// whatever order the server finishes them and are matched back to their
 // waiting callers by ID.
 //
 // Wire format, inside the stream opened with a MsgStreamOpen frame whose
@@ -30,9 +29,9 @@ import (
 //	reply frame (type 0x31): u64 corr ‖ u8 status        ‖ body
 //
 // status 1 means body is the handler's response; status 0 means body is the
-// handler's error string (the stream stays usable — handler errors are a
-// healthy exchange, exactly as MsgError responses are on a RedialPeer). A
-// MsgError frame at the stream level is fatal and kills every pending call.
+// handler's error string (the stream stays usable — a handler error is a
+// healthy exchange). A MsgError frame at the stream level is fatal and kills
+// every pending call.
 
 // RoundsProto names the verification-round subprotocol in the MsgStreamOpen
 // payload.
@@ -78,7 +77,7 @@ type CallFrame struct {
 // ReplyFrame is the decoded payload of a msgRoundsReply frame.
 type ReplyFrame struct {
 	Corr uint64
-	OK   bool   // true: Body is the response; false: Body is the error text
+	OK   bool // true: Body is the response; false: Body is the error text
 	Body []byte
 }
 
@@ -166,24 +165,20 @@ type roundsConn struct {
 	waiters map[uint64]*roundsCall // guarded by the owning peer's mu
 }
 
-// StreamPeer is a Peer whose calls ride the rounds subprotocol on one
-// persistent, pipelined stream connection. Concurrent Calls are all in
-// flight at once (no per-connection serialization, no coalescing delay);
-// writes gather in the connection's buffer and a dedicated flusher pushes
-// them to the wire, so a burst of shard rounds costs one syscall, not one
-// per round.
+// StreamPeer is the networked Peer: its calls ride the rounds subprotocol on
+// one persistent, pipelined stream connection. Concurrent Calls are all in
+// flight at once (no per-connection serialization); writes gather in the
+// connection's buffer and a dedicated flusher pushes them to the wire, so a
+// burst of shard rounds costs one syscall, not one per round.
 //
-// Like RedialPeer, the connection is dialed lazily and dropped on any
-// transport failure; the next Call re-dials. Pending calls on a failed
-// connection all return the transport error, which is what lets
-// Pipeline.Retries re-run an interrupted batch — the failover behavior the
-// request/response path had is preserved here.
+// The connection is dialed lazily and dropped on any transport failure; the
+// next Call re-dials, so a restarted server is picked back up without
+// anyone rebuilding the peer set. Pending calls on a failed connection all
+// return the transport error, which is what lets Pipeline.Retries re-run an
+// interrupted batch.
 type StreamPeer struct {
 	addr   string
 	tlsCfg *tls.Config
-
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 
 	stats Stats
 
@@ -197,13 +192,13 @@ type StreamPeer struct {
 // made until the first Call, so boot order across a deployment's servers
 // does not matter.
 func NewStreamPeer(addr string, tlsCfg *tls.Config) *StreamPeer {
-	return &StreamPeer{addr: addr, tlsCfg: tlsCfg, DialTimeout: 2 * time.Second}
+	return &StreamPeer{addr: addr, tlsCfg: tlsCfg}
 }
 
-// dialLocked opens a connection, announces the subprotocol, and starts the
-// reader and flusher. Called with p.mu held.
-func (p *StreamPeer) dialLocked() (*roundsConn, error) {
-	conn, err := dialConn(p.addr, p.tlsCfg, p.DialTimeout)
+// dialLocked opens a connection within timeout, announces the subprotocol,
+// and starts the reader and flusher. Called with p.mu held.
+func (p *StreamPeer) dialLocked(timeout time.Duration) (*roundsConn, error) {
+	conn, err := dialConn(p.addr, p.tlsCfg, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -234,6 +229,29 @@ func (p *StreamPeer) dialLocked() (*roundsConn, error) {
 // live for the whole call (the reply cannot arrive before the frame is
 // written), so pooled request arenas are safe to free once Call returns.
 func (p *StreamPeer) Call(msgType byte, payload []byte) ([]byte, error) {
+	return p.CallTimeout(msgType, payload, 0)
+}
+
+// CallTimeout is Call with a bound (none when timeout is zero) covering the
+// dial, if one is needed, the write and the wait for the reply. Health
+// probes and one-shot fetches use it so a hung or black-holed peer turns
+// into a timely error. A peer slower than the bound is treated as dead:
+// expiry drops the connection — failing whatever else was pending on it — so
+// the next call re-dials, and the late reply, addressed to a connection that
+// no longer exists, can never resolve a later call. Unlike Call, an expired
+// CallTimeout may return while the writer still holds payload, so payload
+// must not live in a pooled buffer.
+func (p *StreamPeer) CallTimeout(msgType byte, payload []byte, timeout time.Duration) ([]byte, error) {
+	var expired <-chan time.Time
+	dialTO := dialTimeout
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+		if timeout < dialTO {
+			dialTO = timeout
+		}
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -241,7 +259,7 @@ func (p *StreamPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	}
 	rc := p.conn
 	if rc == nil {
-		nc, err := p.dialLocked()
+		nc, err := p.dialLocked(dialTO)
 		if err != nil {
 			p.mu.Unlock()
 			return nil, err
@@ -261,15 +279,23 @@ func (p *StreamPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	f.body = payload
 	streamCalls.Inc()
 	atomic.AddInt64(&streamInflight, 1)
-	select {
-	case rc.writeq <- f:
-		p.stats.add(true, 5+9+len(payload))
-	case <-rc.dead:
-		// fail() resolves every registered waiter, this call included.
+	defer atomic.AddInt64(&streamInflight, -1)
+	// fail resolves every waiter registered on rc, this call included, so
+	// done is the one exit: with the reply, a transport error, or the
+	// timeout. A reply that beats the timer simply wins.
+	sendq := rc.writeq
+	for {
+		select {
+		case sendq <- f:
+			p.stats.add(true, 5+9+len(payload))
+			sendq = nil
+		case <-call.done:
+			return call.resp, call.err
+		case <-expired:
+			p.fail(rc, fmt.Errorf("transport: call to %s timed out after %v", p.addr, timeout))
+			expired = nil
+		}
 	}
-	<-call.done
-	atomic.AddInt64(&streamInflight, -1)
-	return call.resp, call.err
 }
 
 // readLoop owns the connection's read side, resolving waiters as replies
@@ -314,33 +340,33 @@ func (p *StreamPeer) readLoop(rc *roundsConn) {
 	}
 }
 
-// writeLoop owns the connection's write side: it drains queued call frames
-// into the buffered writer and flushes only when the queue momentarily
-// empties, so a burst of concurrent shard rounds costs one syscall rather
-// than one per call.
+// writeBurst writes first and then whatever else is already queued on q,
+// and flushes once when the queue momentarily empties (or is closed): a
+// burst of concurrent rounds costs one syscall rather than one per frame.
+// Both ends of a rounds stream write through it.
+func writeBurst(fc *FrameConn, msgType byte, first outFrame, q <-chan outFrame) error {
+	for f, ok := first, true; ok; {
+		if err := fc.WriteFrameParts(msgType, f.hdr[:], f.body); err != nil {
+			return err
+		}
+		select {
+		case f, ok = <-q:
+		default:
+			ok = false
+		}
+	}
+	return fc.Flush()
+}
+
+// writeLoop owns the connection's write side, draining queued call frames
+// burst by burst.
 func (p *StreamPeer) writeLoop(rc *roundsConn) {
 	for {
 		select {
 		case <-rc.dead:
 			return
 		case f := <-rc.writeq:
-			if err := rc.fc.WriteFrameParts(msgRoundsCall, f.hdr[:], f.body); err != nil {
-				p.fail(rc, err)
-				return
-			}
-		drain:
-			for {
-				select {
-				case f := <-rc.writeq:
-					if err := rc.fc.WriteFrameParts(msgRoundsCall, f.hdr[:], f.body); err != nil {
-						p.fail(rc, err)
-						return
-					}
-				default:
-					break drain
-				}
-			}
-			if err := rc.fc.Flush(); err != nil {
+			if err := writeBurst(rc.fc, msgRoundsCall, f, rc.writeq); err != nil {
 				p.fail(rc, err)
 				return
 			}
@@ -398,36 +424,9 @@ func roundsDispatcher(h Handler) StreamHandler {
 		wdone := make(chan struct{}) // closed when the writer exits
 		go func() {
 			defer close(wdone)
-			for {
-				f, ok := <-writeq
-				if !ok {
-					fc.Flush()
-					return
-				}
-				if fc.WriteFrameParts(msgRoundsReply, f.hdr[:], f.body) != nil {
+			for f := range writeq {
+				if writeBurst(fc, msgRoundsReply, f, writeq) != nil {
 					fc.Close() // unblock the read loop
-					close(werr)
-					return
-				}
-			drain:
-				for {
-					select {
-					case f, ok := <-writeq:
-						if !ok {
-							fc.Flush()
-							return
-						}
-						if fc.WriteFrameParts(msgRoundsReply, f.hdr[:], f.body) != nil {
-							fc.Close()
-							close(werr)
-							return
-						}
-					default:
-						break drain
-					}
-				}
-				if fc.Flush() != nil {
-					fc.Close()
 					close(werr)
 					return
 				}

@@ -8,12 +8,12 @@ import (
 	"sync"
 )
 
-// MsgStreamOpen is the reserved frame type that switches a served connection
-// out of request/response dispatch and into streaming mode: the frame's
-// payload names the subprotocol, and the registered StreamHandler takes
-// ownership of the connection for its remaining lifetime. Streaming is what
-// lets one client pipeline many submissions per connection with asynchronous
-// acks, instead of paying a round-trip per message (see internal/ingest).
+// MsgStreamOpen is the reserved frame type every served connection opens
+// with: the frame's payload names the subprotocol, and the registered
+// StreamHandler takes ownership of the connection for its remaining
+// lifetime. Streaming is what lets one client pipeline many submissions (or
+// one leader many verification rounds) per connection with asynchronous
+// replies, instead of paying a round-trip per message.
 const MsgStreamOpen byte = 0xFD
 
 // StreamHandler owns a connection after a MsgStreamOpen frame. open is the
@@ -54,13 +54,7 @@ func NewFrameConn(conn net.Conn) *FrameConn {
 // tlsCfg is non-nil the connection is upgraded to TLS. The caller speaks its
 // subprotocol by first writing a MsgStreamOpen frame.
 func DialStream(addr string, tlsCfg *tls.Config) (*FrameConn, error) {
-	var conn net.Conn
-	var err error
-	if tlsCfg != nil {
-		conn, err = tls.Dial("tcp", addr, tlsCfg)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
+	conn, err := dialConn(addr, tlsCfg, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -15,88 +15,38 @@ import (
 	"time"
 )
 
-// TCPPeer is a Peer over a (possibly TLS) stream connection. Calls are
-// serialized on the connection: one frame round-trip at a time. A serial
-// leader matches this naturally (lock-step rounds); concurrent leader
-// sessions should wrap the peer in a Coalescer so their in-flight rounds
-// merge into batched frames instead of queuing head-to-tail.
-type TCPPeer struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	stats Stats
-}
+// dialTimeout bounds every connection attempt the package makes, TLS
+// handshake included: a black-holed address turns into an error, not a hang.
+const dialTimeout = 2 * time.Second
 
-// Dial connects to a server at addr. If tlsCfg is non-nil the connection is
-// upgraded to TLS (the paper's servers communicate over TLS).
-func Dial(addr string, tlsCfg *tls.Config) (*TCPPeer, error) {
-	var conn net.Conn
-	var err error
+// dialConn opens one (possibly TLS) connection with a bounded dial.
+func dialConn(addr string, tlsCfg *tls.Config, timeout time.Duration) (net.Conn, error) {
+	d := &net.Dialer{Timeout: timeout}
 	if tlsCfg != nil {
-		conn, err = tls.Dial("tcp", addr, tlsCfg)
-	} else {
-		conn, err = net.Dial("tcp", addr)
+		return tls.DialWithDialer(d, "tcp", addr, tlsCfg)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &TCPPeer{conn: conn}, nil
+	return d.Dial("tcp", addr)
 }
 
-// Call implements Peer.
-func (p *TCPPeer) Call(msgType byte, payload []byte) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return nil, ErrClosed
-	}
-	if err := writeFrame(p.conn, msgType, payload); err != nil {
-		return nil, err
-	}
-	p.stats.add(true, frameLen(payload))
-	respType, resp, err := readFrame(p.conn)
-	if err != nil {
-		return nil, err
-	}
-	p.stats.add(false, frameLen(resp))
-	return decodeCallResult(msgType, respType, resp)
-}
-
-// Stats implements Peer.
-func (p *TCPPeer) Stats() *Stats { return &p.stats }
-
-// Close implements Peer.
-func (p *TCPPeer) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return nil
-	}
-	err := p.conn.Close()
-	p.conn = nil
-	return err
-}
-
-// Server accepts connections and dispatches frames to a Handler.
+// Server accepts connections and hands each one to the stream handler its
+// opening frame names. Every connection is a stream: the rounds subprotocol
+// (StreamPeer clients, which is how the Handler is reached) or the OnStream
+// handler.
 type Server struct {
 	ln     net.Listener
-	h      Handler
+	rounds StreamHandler // the rounds subprotocol over the served Handler
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	stream StreamHandler
-	protos map[string]StreamHandler
 	conns  map[net.Conn]struct{}
 	closed bool
 }
 
 // Serve starts accepting on ln; it returns immediately and handles
-// connections on background goroutines. The handler is wrapped with
-// BatchHandler, so every served endpoint understands MsgBatched envelopes
-// from Coalescer-wrapped peers, and the rounds subprotocol is registered
-// over the same handler, so every served endpoint also speaks streamed
-// verification rounds (StreamPeer clients).
+// connections on background goroutines. The rounds subprotocol is registered
+// over h, so every served endpoint answers StreamPeer calls.
 func Serve(ln net.Listener, h Handler) *Server {
-	s := &Server{ln: ln, h: BatchHandler(h), conns: make(map[net.Conn]struct{})}
-	s.protos = map[string]StreamHandler{RoundsProto: roundsDispatcher(s.h)}
+	s := &Server{ln: ln, rounds: roundsDispatcher(h), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -118,23 +68,13 @@ func Listen(addr string, tlsCfg *tls.Config, h Handler) (*Server, error) {
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// OnStream registers the handler for MsgStreamOpen frames. A connection that
-// sends one leaves request/response dispatch for good: the handler owns its
-// frames until it returns, after which the connection is closed. Without a
-// registered handler, stream opens are answered with a MsgError frame and
-// the connection is dropped.
+// OnStream registers the handler for every stream other than the rounds
+// subprotocol: it owns the connection's frames until it returns, after which
+// the connection is closed. Without one, such opens are answered with a
+// MsgError frame and the connection is dropped.
 func (s *Server) OnStream(h StreamHandler) {
 	s.mu.Lock()
 	s.stream = h
-	s.mu.Unlock()
-}
-
-// OnStreamProto registers a handler for one named subprotocol: a stream
-// whose MsgStreamOpen payload equals proto goes to h instead of the default
-// OnStream handler. Serve pre-registers RoundsProto this way.
-func (s *Server) OnStreamProto(proto string, h StreamHandler) {
-	s.mu.Lock()
-	s.protos[proto] = h
 	s.mu.Unlock()
 }
 
@@ -188,39 +128,34 @@ func (s *Server) acceptLoop() {
 				s.mu.Unlock()
 				conn.Close()
 			}()
-			for {
-				msgType, payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				if msgType == MsgPing {
-					if err := writeFrame(conn, MsgPing, payload); err != nil {
-						return
-					}
-					continue
-				}
-				if msgType == MsgStreamOpen {
-					s.mu.Lock()
-					sh, ok := s.protos[string(payload)]
-					if !ok {
-						sh = s.stream
-					}
-					s.mu.Unlock()
-					if sh == nil {
-						_ = writeFrame(conn, MsgError, []byte("transport: no stream handler"))
-						return
-					}
-					sh(payload, NewFrameConn(conn))
-					return
-				}
-				resp, herr := s.h(msgType, payload)
-				respType, body := encodeHandlerResult(msgType, resp, herr)
-				if err := writeFrame(conn, respType, body); err != nil {
-					return
-				}
-			}
+			s.serveConn(conn)
 		}()
 	}
+}
+
+// serveConn reads a connection's opening frame and runs the stream handler
+// it names. A first frame that is not MsgStreamOpen has no handler to go to:
+// it is answered with MsgError and the connection is closed.
+func (s *Server) serveConn(conn net.Conn) {
+	msgType, payload, err := readFrame(conn)
+	if err != nil {
+		return
+	}
+	if msgType != MsgStreamOpen {
+		_ = writeFrame(conn, MsgError, []byte("transport: expected a stream open frame")) // closing anyway
+		return
+	}
+	sh := s.rounds
+	if string(payload) != RoundsProto {
+		s.mu.Lock()
+		sh = s.stream
+		s.mu.Unlock()
+	}
+	if sh == nil {
+		_ = writeFrame(conn, MsgError, []byte("transport: no stream handler")) // closing anyway
+		return
+	}
+	sh(payload, NewFrameConn(conn))
 }
 
 // SelfSignedTLS generates an in-memory certificate for host and returns the

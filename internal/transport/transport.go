@@ -3,9 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 )
 
@@ -15,9 +13,8 @@ const MaxFrame = 1 << 28
 
 // Errors returned by transports.
 var (
-	ErrClosed       = errors.New("transport: connection closed")
-	ErrFrameSize    = errors.New("transport: frame exceeds maximum size")
-	ErrTypeMismatch = errors.New("transport: response type does not match request")
+	ErrClosed    = errors.New("transport: connection closed")
+	ErrFrameSize = errors.New("transport: frame exceeds maximum size")
 )
 
 // Handler processes one request message and returns the response payload.
@@ -123,28 +120,20 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 }
 
-// MemPeer is an in-process Peer that invokes a Handler directly while
-// accounting the bytes a real network would carry.
-type MemPeer struct {
-	mu      sync.Mutex
-	handler Handler
+// LoopbackPeer is the in-process Peer: it invokes a Handler directly while
+// accounting the bytes a network would carry (request and response, each
+// with its 5-byte frame header), which is how single-process clusters
+// measure per-server transfer (Figure 6). Leaders also use it for their own
+// co-located server. The zero value with Handler set is ready to use.
+type LoopbackPeer struct {
+	Handler Handler
 	stats   Stats
-	closed  bool
 }
 
-// NewMemPeer wires a Peer directly to a server handler.
-func NewMemPeer(h Handler) *MemPeer { return &MemPeer{handler: h} }
-
-// Call implements Peer.
-func (p *MemPeer) Call(msgType byte, payload []byte) ([]byte, error) {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
+// Call implements Peer. A handler error counts no response bytes.
+func (p *LoopbackPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	p.stats.add(true, frameLen(payload))
-	resp, err := p.handler(msgType, payload)
+	resp, err := p.Handler(msgType, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -153,60 +142,11 @@ func (p *MemPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 }
 
 // Stats implements Peer.
-func (p *MemPeer) Stats() *Stats { return &p.stats }
-
-// Close implements Peer.
-func (p *MemPeer) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	return nil
-}
-
-// LoopbackPeer calls a handler directly without accounting; leaders use it
-// for their own co-located server so that self-traffic does not pollute the
-// network measurements.
-type LoopbackPeer struct {
-	Handler Handler
-	stats   Stats
-}
-
-// Call implements Peer.
-func (p *LoopbackPeer) Call(msgType byte, payload []byte) ([]byte, error) {
-	return p.Handler(msgType, payload)
-}
-
-// Stats implements Peer.
 func (p *LoopbackPeer) Stats() *Stats { return &p.stats }
 
 // Close implements Peer.
 func (p *LoopbackPeer) Close() error { return nil }
 
-// MsgError is the reserved frame type wrapping handler failures for
-// transmission: its payload is the error string. Streaming subprotocols use
-// it too, to report a fatal stream error before closing.
+// MsgError is the reserved frame type reporting a fatal connection or
+// stream error before the sender closes: its payload is the error string.
 const MsgError byte = 0xFF
-
-// MsgPing is the reserved liveness probe: TCP servers echo the frame back
-// (payload included) from the read loop itself, before any handler dispatch,
-// so a ping measures transport liveness even when the application handler is
-// busy. Cluster health checks (internal/cluster) ride on it.
-const MsgPing byte = 0xFC
-
-func encodeHandlerResult(msgType byte, resp []byte, err error) (byte, []byte) {
-	if err != nil {
-		return MsgError, []byte(err.Error())
-	}
-	return msgType, resp
-}
-
-func decodeCallResult(reqType, respType byte, payload []byte) ([]byte, error) {
-	switch respType {
-	case reqType:
-		return payload, nil
-	case MsgError:
-		return nil, fmt.Errorf("transport: remote error: %s", payload)
-	default:
-		return nil, ErrTypeMismatch
-	}
-}

@@ -40,19 +40,28 @@ func checkPeer(t *testing.T, p Peer) {
 	}
 }
 
-func TestMemPeer(t *testing.T) {
-	p := NewMemPeer(echoHandler)
+// TestLoopbackPeerByteAccounting pins the in-memory peer's counters to what
+// a network would carry — 5 framing bytes plus the payload each way, and no
+// response bytes for a handler error — the accounting Figure 6 and
+// prio-bench table2 read.
+func TestLoopbackPeerByteAccounting(t *testing.T) {
+	p := &LoopbackPeer{Handler: echoHandler}
 	checkPeer(t, p)
 	st := p.Stats().Snapshot()
-	want := uint64(1 + 4 + 5)
-	if st.BytesSent != want+uint64(1+4+1) { // "hello" + "x"
-		t.Errorf("BytesSent = %d", st.BytesSent)
+	want := Stats{
+		BytesSent: (1 + 4 + 5) + (1 + 4 + 1), // "hello" + "x"
+		MsgsSent:  2,
+		BytesRecv: 1 + 4 + 5, // "olleh"; the failed call returns nothing
+		MsgsRecv:  1,
 	}
-	if err := p.Close(); err != nil {
+	if st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	if _, err := p.Call(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Call(1, nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("Call after close: %v", err)
+	if st := p.Stats().Snapshot(); st.BytesSent != want.BytesSent+5 || st.BytesRecv != want.BytesRecv+5 {
+		t.Errorf("empty call not counted as two bare frames: %+v", st)
 	}
 }
 
@@ -62,10 +71,7 @@ func TestTCPPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p, err := Dial(srv.Addr().String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewStreamPeer(srv.Addr().String(), nil)
 	defer p.Close()
 	checkPeer(t, p)
 }
@@ -80,10 +86,7 @@ func TestTCPTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p, err := Dial(srv.Addr().String(), clientCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewStreamPeer(srv.Addr().String(), clientCfg)
 	defer p.Close()
 	checkPeer(t, p)
 }
@@ -94,10 +97,7 @@ func TestTCPLargePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p, err := Dial(srv.Addr().String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewStreamPeer(srv.Addr().String(), nil)
 	defer p.Close()
 	big := bytes.Repeat([]byte{7}, 1<<20)
 	resp, err := p.Call(2, big)
@@ -120,11 +120,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := Dial(srv.Addr().String(), nil)
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
+			p := NewStreamPeer(srv.Addr().String(), nil)
 			defer p.Close()
 			for j := 0; j < 20; j++ {
 				msg := []byte(fmt.Sprintf("c%d-%d", i, j))
@@ -141,16 +137,6 @@ func TestTCPConcurrentClients(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestLoopbackPeerNotCounted(t *testing.T) {
-	p := &LoopbackPeer{Handler: echoHandler}
-	if _, err := p.Call(1, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats().Snapshot(); st.BytesSent != 0 || st.MsgsSent != 0 {
-		t.Error("loopback peer counted traffic")
-	}
 }
 
 func TestFrameSizeLimit(t *testing.T) {

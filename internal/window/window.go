@@ -122,10 +122,10 @@ type Service[Fd field.Field[E], E any] struct {
 	m    *metricsSet
 	view *telemetry.WindowView
 
-	mu      sync.Mutex
-	lastPub uint64
-	history []Record
-	recov   LoadInfo
+	mu        sync.Mutex
+	lastPub   uint64
+	history   []Record
+	recov     LoadInfo
 	recovered bool
 
 	stop     chan struct{}
@@ -311,11 +311,10 @@ func (s *Service[Fd, E]) loop() {
 	defer close(s.done)
 	ckpt := time.NewTicker(s.cfg.CheckpointEvery)
 	defer ckpt.Stop()
+	armed := s.nextBoundary()
 	for {
-		now := s.cfg.Clock()
 		// Wake just past the boundary so ID(now) has moved on.
-		boundary := EndOf(ID(now, s.cfg.Width), s.cfg.Width)
-		timer := time.NewTimer(boundary.Sub(now) + 5*time.Millisecond)
+		timer := time.NewTimer(armed.Sub(s.cfg.Clock()) + 5*time.Millisecond)
 		select {
 		case <-s.stop:
 			timer.Stop()
@@ -323,11 +322,31 @@ func (s *Service[Fd, E]) loop() {
 			return
 		case <-ckpt.C:
 			timer.Stop()
-			s.Checkpoint()
 		case <-timer.C:
-			s.CloseBoundary()
 		}
+		armed = s.wake(armed)
 	}
+}
+
+// nextBoundary returns the instant the window open right now closes.
+func (s *Service[Fd, E]) nextBoundary() time.Time {
+	return EndOf(ID(s.cfg.Clock(), s.cfg.Width), s.cfg.Width)
+}
+
+// wake serves one wake-up of the loop, whichever channel caused it, and
+// returns the boundary to arm next. An armed boundary that has passed is
+// closed on any wake-up (CloseBoundary also checkpoints). Re-deriving the
+// boundary from the clock instead would let a checkpoint tick landing just
+// past a boundary arm the following one, leaving the closed window
+// unpublished for a whole width — at every boundary, when CheckpointEvery
+// divides Width.
+func (s *Service[Fd, E]) wake(armed time.Time) time.Time {
+	if s.cfg.Clock().Before(armed) {
+		s.Checkpoint()
+		return armed
+	}
+	s.CloseBoundary()
+	return s.nextBoundary()
 }
 
 // CloseBoundary runs one window-close pass: when this member is the

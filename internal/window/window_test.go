@@ -21,8 +21,8 @@ import (
 // fakeClock is a settable clock shared by every service in a test.
 type fakeClock struct{ ns atomic.Int64 }
 
-func (c *fakeClock) Now() time.Time     { return time.Unix(0, c.ns.Load()) }
-func (c *fakeClock) Set(t time.Time)    { c.ns.Store(t.UnixNano()) }
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Set(t time.Time)         { c.ns.Store(t.UnixNano()) }
 func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // newDeployment builds a local SNIP-mode cluster summing 8-bit integers.
@@ -604,4 +604,74 @@ func TestServiceLoopRealTime(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("window never published; records: %+v", rec.all())
+}
+
+// TestLoopServesBoundaryOnCheckpointWake is the regression test for the
+// loop's wake logic. The clock is the test's and the window is an hour wide,
+// so the boundary timer the loop arms — a real timer for an hour of the
+// test's time — never fires: the loop's only wake-ups are checkpoint ticks,
+// every few real milliseconds. Moving the clock to 1 ms past the boundary
+// therefore reproduces, deterministically, a checkpoint tick landing between
+// a boundary and its +5 ms timer. The loop must close the window on that
+// wake-up. It used to checkpoint, re-derive the following boundary from the
+// clock, and leave the closed window unpublished for a whole width — at
+// every boundary, when CheckpointEvery divides Width.
+func TestLoopServesBoundaryOnCheckpointWake(t *testing.T) {
+	cl, client, scheme := newDeployment(t, 2)
+	clk := &fakeClock{}
+	width := time.Hour
+	clk.Set(time.Unix(7200, 0).Add(10 * time.Minute))
+	rec := &recorder{}
+	svc, err := New(Config[field.F64, uint64]{
+		Field:           field.NewF64(),
+		Width:           width,
+		Server:          cl.Servers[0],
+		Leader:          cl.Leader,
+		CheckpointEvery: 5 * time.Millisecond,
+		Clock:           clk.Now,
+		OnPublish:       rec.add,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := svc.Current()
+	submit(t, cl, client, scheme, 1, 2, 3)
+	svc.Start()
+	defer svc.Close()
+
+	// A few checkpoint wake-ups inside the window: nothing to publish yet.
+	time.Sleep(30 * time.Millisecond)
+	if recs := rec.all(); len(recs) != 0 {
+		t.Fatalf("published before the boundary: %+v", recs)
+	}
+
+	clk.Set(EndOf(w, width).Add(time.Millisecond))
+	deadline := time.Now().Add(3 * time.Second)
+	for len(rec.all()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("window %d not published by the checkpoint wake-ups after its boundary", w)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if r := rec.all()[0]; r.ID != w || r.Count != 3 {
+		t.Fatalf("published %+v, want window %d with 3 submissions", r, w)
+	}
+
+	// The loop re-armed on the following boundary: the next window is
+	// published once the clock passes that one, and not before.
+	time.Sleep(30 * time.Millisecond)
+	if n := len(rec.all()); n != 1 {
+		t.Fatalf("%d windows published before the second boundary, want 1", n)
+	}
+	clk.Set(EndOf(w+1, width).Add(time.Millisecond))
+	deadline = time.Now().Add(3 * time.Second)
+	for len(rec.all()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("window %d not published after its boundary", w+1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if r := rec.all()[1]; r.ID != w+1 || r.Count != 0 {
+		t.Fatalf("second record %+v, want empty window %d", r, w+1)
+	}
 }

@@ -42,6 +42,7 @@ package prio
 import (
 	"crypto/tls"
 	"io"
+	"time"
 
 	"prio/internal/afe"
 	"prio/internal/core"
@@ -95,11 +96,6 @@ type Config struct {
 	// ChallengeEvery bounds how many submissions share one verification
 	// challenge (Appendix I; 0 means 1024).
 	ChallengeEvery int
-	// DisableBatchVerify forces the per-submission verification exchange
-	// instead of the default batched random-linear-combination check (see
-	// docs/VERIFY.md). Both paths accept identical submission sets; the knob
-	// exists for A/B measurement and as an operational escape hatch.
-	DisableBatchVerify bool
 }
 
 // Core pipeline types, aliased from the generic engine.
@@ -168,14 +164,13 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 		reps = 2
 	}
 	return core.NewProtocol(core.Config[field.F64, uint64]{
-		Field:              field.NewF64(),
-		Scheme:             cfg.Scheme,
-		Servers:            cfg.Servers,
-		Mode:               cfg.Mode,
-		SnipReps:           reps,
-		Seal:               cfg.Seal,
-		ChallengeEvery:     cfg.ChallengeEvery,
-		DisableBatchVerify: cfg.DisableBatchVerify,
+		Field:          field.NewF64(),
+		Scheme:         cfg.Scheme,
+		Servers:        cfg.Servers,
+		Mode:           cfg.Mode,
+		SnipReps:       reps,
+		Seal:           cfg.Seal,
+		ChallengeEvery: cfg.ChallengeEvery,
 	})
 }
 
@@ -231,7 +226,7 @@ func ConnectLeader(srv *Server, addrs []string) (*Leader, error) {
 // overlap their verification rounds on the wire instead of queueing behind
 // one another. Connections are dialed lazily on first use and re-dialed
 // after transport failures, so boot order across the deployment's servers
-// does not matter. ConnectLeaderLegacyTLS keeps the request/response path.
+// does not matter.
 func ConnectLeaderTLS(srv *Server, addrs []string, tlsCfg *tls.Config) (*Leader, error) {
 	peers := make([]transport.Peer, len(addrs))
 	for i, addr := range addrs {
@@ -240,28 +235,6 @@ func ConnectLeaderTLS(srv *Server, addrs []string, tlsCfg *tls.Config) (*Leader,
 			continue
 		}
 		peers[i] = transport.NewStreamPeer(addr, tlsCfg)
-	}
-	return core.NewLeader(srv, peers)
-}
-
-// ConnectLeaderLegacyTLS is ConnectLeaderTLS on the pre-streaming transport:
-// eagerly dialed request/response connections wrapped in request coalescers,
-// so concurrent leader sessions merge their in-flight rounds into batched
-// frames. It exists as the -legacy-rpc escape hatch (and as the comparison
-// baseline for BenchmarkStreamedRounds); both paths produce identical accept
-// sets.
-func ConnectLeaderLegacyTLS(srv *Server, addrs []string, tlsCfg *tls.Config) (*Leader, error) {
-	peers := make([]transport.Peer, len(addrs))
-	for i, addr := range addrs {
-		if i == srv.Index() {
-			peers[i] = &transport.LoopbackPeer{Handler: srv.Handler()}
-			continue
-		}
-		p, err := transport.Dial(addr, tlsCfg)
-		if err != nil {
-			return nil, err
-		}
-		peers[i] = transport.NewCoalescer(p)
 	}
 	return core.NewLeader(srv, peers)
 }
@@ -298,15 +271,17 @@ func FetchPublicKey(addr string) (*ServerPublicKey, error) {
 	return FetchPublicKeyTLS(addr, nil)
 }
 
+// keyFetchTimeout bounds one FetchPublicKey exchange, dial included (the
+// dial alone gives up after the transport's 2 s).
+const keyFetchTimeout = 5 * time.Second
+
 // FetchPublicKeyTLS retrieves a remote server's sealbox key, with TLS when
-// tlsCfg is non-nil.
+// tlsCfg is non-nil. An address that does not answer is an error within a
+// few seconds, not a hang.
 func FetchPublicKeyTLS(addr string, tlsCfg *tls.Config) (*ServerPublicKey, error) {
-	p, err := transport.Dial(addr, tlsCfg)
-	if err != nil {
-		return nil, err
-	}
+	p := transport.NewStreamPeer(addr, tlsCfg)
 	defer p.Close()
-	raw, err := p.Call(core.MsgPublicKey, nil)
+	raw, err := p.CallTimeout(core.MsgPublicKey, nil, keyFetchTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package prio_test
 
 import (
 	"fmt"
+	"net"
 	"testing"
+	"time"
 
 	"prio"
 )
@@ -184,4 +186,29 @@ func ExampleSum() {
 	total, _ := scheme.Decode(agg, int(n))
 	fmt.Println(total)
 	// Output: 60
+}
+
+// TestFetchPublicKeyDoesNotHang: an address nobody answers on — refusing
+// connections, or accepting them and never speaking, which is all a
+// black-holed server looks like from here — is an error within the fetch
+// bound, so prio-client and prio-load fail instead of hanging.
+func TestFetchPublicKeyDoesNotHang(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the key-fetch timeout")
+	}
+	t.Parallel()
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hole.Close()
+	for _, addr := range []string{"127.0.0.1:1", hole.Addr().String()} {
+		t0 := time.Now()
+		if _, err := prio.FetchPublicKey(addr); err == nil {
+			t.Errorf("fetching a key from %s succeeded", addr)
+		}
+		if took := time.Since(t0); took > 8*time.Second {
+			t.Errorf("fetching a key from %s took %v", addr, took)
+		}
+	}
 }

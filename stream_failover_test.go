@@ -10,9 +10,9 @@ import (
 	"prio/internal/transport"
 )
 
-// newDiffProtocol builds the deployment both differential runs share: three
-// servers, full SNIP validation, no sealing (so both runs can reuse a
-// keyless client).
+// newDiffProtocol builds the deployment the networked differential test and
+// BenchmarkStreamedRounds share: three servers, full SNIP validation, no
+// sealing (so a keyless client serves).
 func newDiffProtocol(t testing.TB, scheme prio.Scheme) *prio.Protocol {
 	t.Helper()
 	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: 3, Mode: prio.ModePrio})
@@ -64,7 +64,9 @@ func buildMixedSubs(t testing.TB, pro *prio.Protocol, scheme prio.Scheme, n int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := scheme.(interface{ Encode(uint64) ([]uint64, error) }).Encode(1)
+	enc, err := scheme.(interface {
+		Encode(uint64) ([]uint64, error)
+	}).Encode(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,32 +129,20 @@ func runPipeline(t *testing.T, leader *prio.Leader, subs []*prio.Submission) ([]
 }
 
 // TestStreamedRoundsFailoverDifferential proves the streamed verification
-// path survives a connection loss mid-round with the same accept set the
-// legacy request/response path produces. A fault hook on server 1 drops
-// every live connection the first time a MsgRound2Batch arrives — killing
-// the in-flight round of every shard sharing the stream — and the pipeline's
-// batch retry must re-run the affected batches under fresh IDs over a
-// re-dialed stream, landing on decisions identical to an undisturbed legacy
-// run over the same submission set.
+// path survives a connection loss mid-round with the accept set intact. A
+// fault hook on server 1 drops every live connection the first time a
+// MsgRound2Batch arrives — killing the in-flight round of every shard
+// sharing the stream — and the pipeline's batch retry must re-run the
+// affected batches under fresh IDs over a re-dialed stream, landing on
+// exactly the ground truth: every honest submission accepted, every planted
+// one rejected, none lost.
 func TestStreamedRoundsFailoverDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("networked differential test")
 	}
 	const n = 48
 	scheme := prio.NewSum(2)
-
-	// Baseline: legacy coalesced request/response transport, no faults.
-	proL := newDiffProtocol(t, scheme)
-	serversL, addrsL, _ := deployServers(t, proL, nil)
-	leaderL, err := prio.ConnectLeaderLegacyTLS(serversL[0], addrsL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subsL, want := buildMixedSubs(t, proL, scheme, n)
-	legacy, _ := runPipeline(t, leaderL, subsL)
-
-	// Streamed run: identical submission mix, with the mid-Round2 drop.
-	proS := newDiffProtocol(t, scheme)
+	pro := newDiffProtocol(t, scheme)
 	var ln1 atomic.Pointer[transport.Server]
 	var dropped atomic.Bool
 	wrap := func(i int, h transport.Handler) transport.Handler {
@@ -166,14 +156,14 @@ func TestStreamedRoundsFailoverDifferential(t *testing.T) {
 			return h(msgType, payload)
 		}
 	}
-	serversS, addrsS, lnsS := deployServers(t, proS, wrap)
-	ln1.Store(lnsS[1])
-	leaderS, err := prio.ConnectLeaderTLS(serversS[0], addrsS, nil)
+	servers, addrs, lns := deployServers(t, pro, wrap)
+	ln1.Store(lns[1])
+	leader, err := prio.ConnectLeader(servers[0], addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subsS, _ := buildMixedSubs(t, proS, scheme, n)
-	streamed, st := runPipeline(t, leaderS, subsS)
+	subs, want := buildMixedSubs(t, pro, scheme, n)
+	streamed, st := runPipeline(t, leader, subs)
 
 	if !dropped.Load() {
 		t.Fatal("fault hook never fired: no MsgRound2Batch reached server 1")
@@ -181,10 +171,7 @@ func TestStreamedRoundsFailoverDifferential(t *testing.T) {
 	if st.FailedOver == 0 {
 		t.Error("no batch re-run recorded after the connection drop")
 	}
-	for i := range legacy {
-		if streamed[i] != legacy[i] {
-			t.Errorf("submission %d: streamed=%v legacy=%v — accept sets diverge", i, streamed[i], legacy[i])
-		}
+	for i := range want {
 		if streamed[i] != want[i] {
 			t.Errorf("submission %d: accepted=%v, want %v", i, streamed[i], want[i])
 		}
