@@ -4,7 +4,11 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"prio/internal/field"
 	"prio/internal/mpc"
@@ -26,12 +30,12 @@ import (
 // rounds themselves run lock-free, so independent batches overlap on the
 // wire and on the servers' cores. One caveat bounds the concurrency: the
 // servers keep a bounded window of live challenges per session (three, one
-// of which the prefetcher occupies), so a session must not have more than
-// ChallengeEvery submissions in flight at once (two rotations would evict an
-// in-flight batch's challenge and fail it).
-// Pipeline stays far below this bound by construction — each shard drives
-// its own session serially; callers wanting more overlap should open more
-// sessions (NewLeaderSession) rather than hammer one.
+// of which the prefetcher occupies), so a batch survives one rotation but
+// not two, and a session must not have more than ChallengeEvery submissions
+// in flight at once. Pipeline enforces this per shard: it dispatches a
+// shard's next batch while others are in flight only if the session's
+// in-flight submissions plus that batch stay within ChallengeEvery, and only
+// up to the depth overlapDepth measures.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
@@ -43,6 +47,8 @@ type Leader[Fd field.Field[E], E any] struct {
 	batchSeq  uint64
 	sinceCh   int
 	next      *challPrefetch // pre-generated, pre-broadcast next challenge
+
+	overlap atomic.Uint64 // running average of completed batches' roundClock.load, as math.Float64bits
 
 	// m carries the pipeline's stage metrics; nil (a Leader built outside a
 	// Pipeline) disables them.
@@ -114,21 +120,83 @@ func (p *Protocol[Fd, E]) newChallenge() (*challenge[E], error) {
 	return ch, nil
 }
 
+// maxOverlap is the fixed ceiling on overlapDepth: no shard keeps more than
+// this many batches in flight on its session. It is a memory bound: every
+// batch in flight holds its submissions' shares on every server, and on the
+// 5 ms WAN benchmark a ceiling of 8 raised peak RSS 27 % over the serial loop
+// where 4 raises it about 14 %, for 5× and 3× the throughput.
+const maxOverlap = 4
+
+// roundClock times one batch. wall and self sum its broadcasts' wall time
+// and the part of it the leader's own loopback call took: wall/self is how
+// many such batches fit in the rounds before the leader's own work, rather
+// than waiting on the other servers, fills them. start and cpu0 bracket the
+// batch's whole life against the process's CPU clock, because a wait on
+// another server is only worth overlapping if some CPU is idle to overlap
+// it with: when the servers share the leader's cores, waiting on them is
+// waiting on those cores.
+type roundClock struct {
+	wall, self time.Duration
+	start      time.Time
+	cpu0       time.Duration // processCPU at start
+}
+
+// load is wall/self scaled by the share of the host's CPU that sat idle
+// over the batch's life, capped at maxOverlap: about 50 × 0.5 on a 5 ms link
+// with the CPUs half idle, 4 × 0.05 when the servers saturate the leader's
+// cores.
+func (c *roundClock) load() float64 {
+	if c.self <= 0 {
+		return maxOverlap
+	}
+	life := time.Since(c.start)
+	busy := float64(processCPU()-c.cpu0) / (float64(life) * float64(runtime.GOMAXPROCS(0)))
+	return min(float64(c.wall)/float64(c.self)*(1-min(busy, 1)), maxOverlap)
+}
+
+// noteOverlap folds a completed batch's clock into the session's running
+// average (weight 1/8: one batch's CPU reading is noisy over a few
+// milliseconds). Concurrent batches may race the read-modify-write; a lost
+// update only slows the average down.
+func (l *Leader[Fd, E]) noteOverlap(c *roundClock) {
+	avg := math.Float64frombits(l.overlap.Load())
+	l.overlap.Store(math.Float64bits(avg + (c.load()-avg)/8))
+}
+
+// overlapDepth is how many batches this session can usefully keep in
+// flight: the running average of roundClock.load, rounded up and clamped to
+// [1, maxOverlap]. It is 1 before any batch completes and while the host's
+// CPUs are saturated, and maxOverlap on a high-latency link.
+func (l *Leader[Fd, E]) overlapDepth() int {
+	return int(min(max(math.Ceil(math.Float64frombits(l.overlap.Load())), 1), maxOverlap))
+}
+
 // broadcast issues the same call to every server in parallel and collects
-// the responses in server order.
-func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte) ([][]byte, error) {
+// the responses in server order. A non-nil rt adds the broadcast's wall time
+// and the leader's own call time to it.
+func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundClock) ([][]byte, error) {
 	s := len(l.peers)
 	resps := make([][]byte, s)
 	errs := make([]error, s)
+	var self time.Duration
+	t0 := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < s; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			c0 := time.Now()
 			resps[i], errs[i] = l.peers[i].Call(msgType, payloads[i])
+			if i == l.idx {
+				self = time.Since(c0)
+			}
 		}(i)
 	}
 	wg.Wait()
+	if rt != nil {
+		rt.wall += time.Since(t0)
+		rt.self += self
+	}
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: server %d: %w", i, err)
@@ -200,7 +268,7 @@ func (l *Leader[Fd, E]) installChallenge(id uint32) error {
 	w := &wbuf{}
 	w.u32(id)
 	w.raw(l.pro.marshalChallenge(ch))
-	_, err = l.broadcast(MsgSetChallenge, l.same(w.b))
+	_, err = l.broadcast(MsgSetChallenge, l.same(w.b), nil)
 	return err
 }
 
@@ -264,6 +332,8 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	if count == 0 {
 		return nil, nil
 	}
+	// rt times the batch; if it completes, it feeds the session's overlapDepth.
+	rt := roundClock{start: time.Now(), cpu0: processCPU()}
 
 	// Critical section: rotate the challenge if the window is exhausted and
 	// allocate this batch's identifiers. The three network rounds below run
@@ -303,7 +373,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 		fw := &wbuf{}
 		fw.u64(batchID)
 		fw.blob(make([]byte, (count+7)/8))
-		_, _ = l.broadcast(MsgFinish, l.same(fw.b)) // best effort
+		_, _ = l.broadcast(MsgFinish, l.same(fw.b), nil) // best effort
 	}()
 
 	// Round 1: relay each server its bundles. Requests are built in pooled
@@ -330,7 +400,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 		reqs[i], arenas[i] = w.seal()
 	}
 	t0 := l.m.start()
-	r1resps, err := l.broadcast(MsgRound1, reqs)
+	r1resps, err := l.broadcast(MsgRound1, reqs, &rt)
 	for _, a := range arenas {
 		a.Free()
 	}
@@ -344,6 +414,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 		for i := range accepts {
 			accepts[i] = true
 		}
+		l.noteOverlap(&rt)
 		return accepts, nil
 	}
 
@@ -404,7 +475,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	// Round 2: per-submission accept verdicts for the SNIP check, from the
 	// amortized batch probes.
 	t0 = l.m.start()
-	snipOK, err := l.batchVerify(chSt, challID, batchID, count, reps, opened)
+	snipOK, err := l.batchVerify(chSt, challID, batchID, count, reps, opened, &rt)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +501,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 				wvec(&w, f, mpcOpened[j].E)
 			}
 			req, arena := w.seal()
-			resps, err := l.broadcast(MsgMPCRound, l.same(req))
+			resps, err := l.broadcast(MsgMPCRound, l.same(req), &rt)
 			arena.Free()
 			if err != nil {
 				return nil, err
@@ -491,12 +562,13 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	req, arena := fw.seal()
 	finished = true
 	t0 = l.m.start()
-	_, err = l.broadcast(MsgFinish, l.same(req))
+	_, err = l.broadcast(MsgFinish, l.same(req), &rt)
 	arena.Free()
 	if err != nil {
 		return nil, err
 	}
 	l.m.observeFinish(t0)
+	l.noteOverlap(&rt)
 	return accepts, nil
 }
 
@@ -511,7 +583,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 //
 // The worst case (every submission invalid) costs 2·count−1 probes; the
 // common all-honest case costs exactly one.
-func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, batchID uint64, count, reps int, opened []*snip.Round1[E]) ([]bool, error) {
+func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, batchID uint64, count, reps int, opened []*snip.Round1[E], rt *roundClock) ([]bool, error) {
 	p := l.pro
 	f := p.Cfg.Field
 	ok := make([]bool, count)
@@ -548,7 +620,7 @@ func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, bat
 		w.u32(uint32(sp.lo))
 		w.u32(uint32(sp.hi))
 		req, arena := w.seal()
-		resps, err := l.broadcast(MsgRound2Batch, l.same(req))
+		resps, err := l.broadcast(MsgRound2Batch, l.same(req), rt)
 		arena.Free()
 		if err != nil {
 			return nil, err
@@ -588,7 +660,7 @@ func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, bat
 func (l *Leader[Fd, E]) Aggregate() ([]E, uint64, error) {
 	p := l.pro
 	f := p.Cfg.Field
-	resps, err := l.broadcast(MsgAggregate, l.same(nil))
+	resps, err := l.broadcast(MsgAggregate, l.same(nil), nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -618,7 +690,7 @@ func (l *Leader[Fd, E]) Aggregate() ([]E, uint64, error) {
 // Concurrent in-flight batches will fail their next round after a reset;
 // quiesce first.
 func (l *Leader[Fd, E]) Reset() error {
-	_, err := l.broadcast(MsgReset, l.same(nil))
+	_, err := l.broadcast(MsgReset, l.same(nil), nil)
 	return err
 }
 

@@ -25,22 +25,27 @@ import (
 // collide in the servers' state tables. See docs/PIPELINE.md for the design
 // write-up.
 //
-// Shape: Submit → bounded queue → K shard workers, each looping
-// (collect up to MaxBatch, ProcessBatch, record). Workers batch
-// adaptively — under light load a submission rides alone for low latency;
-// under heavy load batches fill to MaxBatch, amortizing the per-round
-// broadcasts. Over TCP, transport.StreamPeer keeps every shard's rounds in
-// flight on each server connection at once.
+// Shape: Submit → bounded queue → K shard schedulers, each forming batches
+// of up to MaxBatch and verifying them on background goroutines. Workers
+// batch adaptively — under light load a submission rides alone for low
+// latency; under heavy load batches fill to MaxBatch, amortizing the
+// per-round broadcasts — and a shard keeps several full batches in flight
+// when the rounds, not the CPUs, are the bottleneck (see shardLoop). Over
+// TCP, transport.StreamPeer carries every in-flight batch's rounds on each
+// server connection at once.
 type Pipeline[Fd field.Field[E], E any] struct {
 	cfg      PipelineConfig
 	sessions []*Leader[Fd, E]
 	queue    chan pipeJob
+	backlog  chan struct{} // a token when a submit leaves ≥ MaxBatch queued; wakes a shard with room
 	stopping chan struct{} // closed by Close: retry backoffs abort immediately
+	maxDepth int           // ceiling on a shard's batches in flight: maxOverlap (tests lower it to 1)
 
-	wg      sync.WaitGroup
-	shards  []ShardStats
-	refused uint64 // submissions refused unqueued by TrySubmitFunc (queue full)
-	m       *pipeMetrics
+	wg       sync.WaitGroup
+	shards   []ShardStats
+	refused  uint64       // submissions refused unqueued by TrySubmitFunc (queue full)
+	inflight atomic.Int64 // batches in their rounds, all shards
+	m        *pipeMetrics
 
 	// closeMu makes Submit's send atomic with respect to Close: senders
 	// hold the read side across the channel send (many may block there at
@@ -80,10 +85,11 @@ type PipelineConfig struct {
 	// Retries is how many times a shard re-runs a failed batch before
 	// counting its submissions Failed (default 0: fail fast, the
 	// single-process behavior). Each re-run goes through ProcessBatch
-	// afresh, so it allocates a new batch ID — the old attempt's
-	// server-side state was already released by the abort path — and under
-	// a cluster roster the re-run lands on whatever peers answer now, which
-	// is how an interrupted round survives a leader failover.
+	// afresh, on the batch's own goroutine, so it allocates a new batch ID —
+	// the old attempt's server-side state was already released by the abort
+	// path — and under a cluster roster the re-run lands on whatever peers
+	// answer now, which is how an interrupted round survives a leader
+	// failover.
 	Retries int
 	// RetryBackoff is the pause before the first re-run, doubling per
 	// attempt (default 50ms when Retries > 0). Long enough for the health
@@ -198,7 +204,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	p := &Pipeline[Fd, E]{
 		cfg:      cfg,
 		queue:    make(chan pipeJob, cfg.QueueDepth),
+		backlog:  make(chan struct{}, 1),
 		stopping: make(chan struct{}),
+		maxDepth: maxOverlap,
 		shards:   make([]ShardStats, cfg.Shards),
 		m:        newPipeMetrics(reg),
 	}
@@ -209,6 +217,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	reg.GaugeFunc("prio_pipeline_queue_capacity",
 		"pipeline queue capacity",
 		func() float64 { return float64(cap(p.queue)) })
+	reg.GaugeFunc("prio_pipeline_inflight_batches",
+		"batches in their verification rounds, summed over shards",
+		func() float64 { return float64(p.inflight.Load()) })
 	if sys := leader.pro.snipSys(); sys != nil {
 		reg.CounterFunc("prio_snip_evcache_hits_total",
 			"challenge-keyed evaluator cache hits",
@@ -253,7 +264,7 @@ func (p *Pipeline[Fd, E]) SubmitWait(sub *Submission) (bool, error) {
 
 // SubmitFunc enqueues one submission like Submit (blocking while the queue
 // is full) and invokes fn with the individual decision once a shard reaches
-// it. fn runs on the deciding shard's goroutine and must not block; the
+// it. fn runs on the deciding batch's goroutine and must not block; the
 // streaming ingest layer uses this to ack many in-flight submissions without
 // parking a goroutine per submission.
 func (p *Pipeline[Fd, E]) SubmitFunc(sub *Submission, fn func(SubmitResult)) error {
@@ -282,6 +293,7 @@ func (p *Pipeline[Fd, E]) TrySubmitFunc(sub *Submission, fn func(SubmitResult)) 
 	sub.Trace.Stage("pipeline.queue")
 	select {
 	case p.queue <- job:
+		p.signalBacklog()
 		return true, nil
 	default:
 		atomic.AddUint64(&p.refused, 1)
@@ -306,7 +318,20 @@ func (p *Pipeline[Fd, E]) submit(job pipeJob) error {
 	}
 	job.sub.Trace.Stage("pipeline.queue")
 	p.queue <- job
+	p.signalBacklog()
 	return nil
+}
+
+// signalBacklog leaves a token for shardLoop when a full batch is waiting.
+// One token suffices: the shard that takes it re-signals after its drain if
+// another full batch is still queued.
+func (p *Pipeline[Fd, E]) signalBacklog() {
+	if len(p.queue) >= p.cfg.MaxBatch {
+		select {
+		case p.backlog <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // settle retires n decided submissions, waking Drain when the pipeline goes
@@ -320,107 +345,165 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 	p.mu.Unlock()
 }
 
-// shardLoop is one worker: block for a job, opportunistically drain more up
-// to MaxBatch, verify, record, repeat. The drain is what makes batching
-// adaptive: an idle pipeline verifies singletons immediately, a saturated
-// one fills every round.
+// shardLoop is one shard's scheduler. With nothing in flight it blocks for
+// a job and drains whatever else is queued up to MaxBatch: the adaptive
+// batching that verifies singletons at once on an idle pipeline and fills
+// every round on a saturated one. Each batch verifies on its own goroutine
+// (runBatch). While batches are in flight the shard dispatches another only
+// when all three hold:
+//
+//   - a full MaxBatch batch is waiting, so an under-loaded pipeline forms
+//     exactly the batches a serial loop would;
+//   - the session's in-flight submissions plus that batch stay within
+//     ChallengeEvery, so no batch outlives two challenge rotations (Leader);
+//   - the shard has fewer batches in flight than its session's
+//     overlapDepth (at most maxDepth), so depth is spent only where the
+//     rounds wait on the wire while the CPUs have room.
+//
+// Otherwise it waits for a batch to finish or for a submit to leave a full
+// batch queued. A shard returns once the queue is closed and drained and its
+// last batch is done, so Close's wg.Wait covers every background batch.
 func (p *Pipeline[Fd, E]) shardLoop(i int) {
 	defer p.wg.Done()
 	sess := p.sessions[i]
-	st := &p.shards[i]
-	jobs := make([]pipeJob, 0, p.cfg.MaxBatch)
-	subs := make([]*Submission, 0, p.cfg.MaxBatch)
+	done := make(chan int, maxOverlap) // batch sizes; cap ≥ maxDepth, so sends never block
+	batches, subs := 0, 0              // in flight on this shard
+	launch := func(jobs []pipeJob) {
+		batches++
+		subs += len(jobs)
+		p.inflight.Add(1)
+		go func() {
+			p.runBatch(i, jobs)
+			p.inflight.Add(-1)
+			done <- len(jobs)
+		}()
+	}
 	for {
-		job, ok := <-p.queue
-		if !ok {
-			return
-		}
-		jobs = append(jobs[:0], job)
-	drain:
-		for len(jobs) < p.cfg.MaxBatch {
-			select {
-			case job, ok := <-p.queue:
-				if !ok {
-					break drain
-				}
-				jobs = append(jobs, job)
-			default:
-				break drain
+		if batches == 0 {
+			job, ok := <-p.queue
+			if !ok {
+				return
 			}
-		}
-
-		subs = subs[:0]
-		for _, j := range jobs {
-			subs = append(subs, j.sub)
-			j.sub.Trace.Stage("verify")
-		}
-		if telemetry.Enabled {
-			now := time.Now()
-			for _, j := range jobs {
-				if !j.enq.IsZero() {
-					p.m.queueWait.Observe(now.Sub(j.enq))
-				}
-			}
-			p.m.batchSize.Observe(uint64(len(jobs)))
-		}
-		t0 := p.m.start()
-		accepts, err := sess.ProcessBatch(subs)
-		p.m.batchDur.Since(t0)
-
-		// Batch-level failure: re-run the whole batch in place, up to
-		// cfg.Retries times with doubling backoff. Each attempt is a fresh
-		// ProcessBatch — new batch ID, prior attempt's server state already
-		// released by the leader's abort path — so under a cluster roster
-		// this is the failover re-run: the interrupted round is driven
-		// again once the surviving peers answer, instead of discarding the
-		// submissions. Retrying in-shard (not re-queueing) cannot deadlock
-		// on a full queue and preserves completion-callback ordering.
-		for attempt := 1; err != nil && attempt <= p.cfg.Retries; attempt++ {
-			atomic.AddUint64(&st.FailedOver, 1)
-			atomic.AddUint64(&st.Retried, uint64(len(jobs)))
-			p.m.reruns.Inc()
-			p.m.retried.Add(uint64(len(jobs)))
-			if !p.sleepRetry(p.cfg.RetryBackoff << (attempt - 1)) {
-				break // closing: give up on further attempts
-			}
-			t0 = p.m.start()
-			accepts, err = sess.ProcessBatch(subs)
-			p.m.batchDur.Since(t0)
-		}
-
-		// Counters are written with atomics so Stats can snapshot them
-		// while the shard runs; one add per outcome per batch keeps the
-		// accounting off the per-submission path.
-		atomic.AddUint64(&st.Batches, 1)
-		p.m.batches.Inc()
-		if err != nil {
-			atomic.AddUint64(&st.Failed, uint64(len(jobs)))
-			p.m.failed.Add(uint64(len(jobs)))
-			p.recordErr(err)
-			for _, j := range jobs {
-				j.sub.Trace.Finish("failed")
-				j.finish(SubmitResult{Err: err})
-			}
-			p.settle(len(jobs))
+			launch(p.fill(append(make([]pipeJob, 0, p.cfg.MaxBatch), job)))
 			continue
 		}
-		atomic.AddUint64(&st.Processed, uint64(len(jobs)))
-		var nAccept uint64
-		for k, j := range jobs {
-			if accepts[k] {
-				nAccept++
-				j.sub.Trace.Finish("accepted")
-			} else {
-				j.sub.Trace.Finish("rejected")
+		room := batches < min(sess.overlapDepth(), p.maxDepth) &&
+			subs+p.cfg.MaxBatch <= sess.pro.Cfg.ChallengeEvery
+		if room && len(p.queue) >= p.cfg.MaxBatch {
+			// An idle shard may race this drain for part of the batch; what
+			// is left still goes out now.
+			if jobs := p.fill(make([]pipeJob, 0, p.cfg.MaxBatch)); len(jobs) > 0 {
+				launch(jobs)
+				p.signalBacklog()
+				continue
 			}
-			j.finish(SubmitResult{Accepted: accepts[k]})
 		}
-		atomic.AddUint64(&st.Accepted, nAccept)
-		atomic.AddUint64(&st.Rejected, uint64(len(jobs))-nAccept)
-		p.m.accepted.Add(nAccept)
-		p.m.rejected.Add(uint64(len(jobs)) - nAccept)
-		p.settle(len(jobs))
+		var backlog chan struct{}
+		if room {
+			backlog = p.backlog
+		}
+		select {
+		case n := <-done:
+			batches--
+			subs -= n
+		case <-backlog:
+		}
 	}
+}
+
+// fill appends queued jobs to jobs, without blocking, up to MaxBatch.
+func (p *Pipeline[Fd, E]) fill(jobs []pipeJob) []pipeJob {
+	for len(jobs) < p.cfg.MaxBatch {
+		select {
+		case job, ok := <-p.queue:
+			if !ok {
+				return jobs
+			}
+			jobs = append(jobs, job)
+		default:
+			return jobs
+		}
+	}
+	return jobs
+}
+
+// runBatch verifies one batch of shard i, re-runs it on a batch-level
+// failure, records the outcome and delivers every completion — all on the
+// batch's own goroutine. Completions of a shard's concurrent batches may
+// interleave in any order; ingest matches acks by ID.
+func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
+	sess, st := p.sessions[i], &p.shards[i]
+	subs := make([]*Submission, len(jobs))
+	for k, j := range jobs {
+		subs[k] = j.sub
+		j.sub.Trace.Stage("verify")
+	}
+	if telemetry.Enabled {
+		now := time.Now()
+		for _, j := range jobs {
+			if !j.enq.IsZero() {
+				p.m.queueWait.Observe(now.Sub(j.enq))
+			}
+		}
+		p.m.batchSize.Observe(uint64(len(jobs)))
+	}
+	t0 := p.m.start()
+	accepts, err := sess.ProcessBatch(subs)
+	p.m.batchDur.Since(t0)
+
+	// Batch-level failure: re-run the whole batch in place, up to
+	// cfg.Retries times with doubling backoff. Each attempt is a fresh
+	// ProcessBatch — new batch ID, prior attempt's server state already
+	// released by the leader's abort path — so under a cluster roster this
+	// is the failover re-run: the interrupted round is driven again once the
+	// surviving peers answer, instead of discarding the submissions.
+	// Retrying on the batch's goroutine (not re-queueing) cannot deadlock on
+	// a full queue, and the batch still counts against the shard's depth.
+	for attempt := 1; err != nil && attempt <= p.cfg.Retries; attempt++ {
+		atomic.AddUint64(&st.FailedOver, 1)
+		atomic.AddUint64(&st.Retried, uint64(len(jobs)))
+		p.m.reruns.Inc()
+		p.m.retried.Add(uint64(len(jobs)))
+		if !p.sleepRetry(p.cfg.RetryBackoff << (attempt - 1)) {
+			break // closing: give up on further attempts
+		}
+		t0 = p.m.start()
+		accepts, err = sess.ProcessBatch(subs)
+		p.m.batchDur.Since(t0)
+	}
+
+	// Counters are written with atomics so Stats can snapshot them while
+	// batches run; one add per outcome per batch keeps the accounting off
+	// the per-submission path.
+	atomic.AddUint64(&st.Batches, 1)
+	p.m.batches.Inc()
+	if err != nil {
+		atomic.AddUint64(&st.Failed, uint64(len(jobs)))
+		p.m.failed.Add(uint64(len(jobs)))
+		p.recordErr(err)
+		for _, j := range jobs {
+			j.sub.Trace.Finish("failed")
+			j.finish(SubmitResult{Err: err})
+		}
+		p.settle(len(jobs))
+		return
+	}
+	atomic.AddUint64(&st.Processed, uint64(len(jobs)))
+	var nAccept uint64
+	for k, j := range jobs {
+		if accepts[k] {
+			nAccept++
+			j.sub.Trace.Finish("accepted")
+		} else {
+			j.sub.Trace.Finish("rejected")
+		}
+		j.finish(SubmitResult{Accepted: accepts[k]})
+	}
+	atomic.AddUint64(&st.Accepted, nAccept)
+	atomic.AddUint64(&st.Rejected, uint64(len(jobs))-nAccept)
+	p.m.accepted.Add(nAccept)
+	p.m.rejected.Add(uint64(len(jobs)) - nAccept)
+	p.settle(len(jobs))
 }
 
 // sleepRetry pauses for a retry backoff, returning false when the pipeline

@@ -326,7 +326,7 @@ func (l *Leader[Fd, E]) PublishWindow(id uint64) (*WindowPublish[E], error) {
 	f := p.Cfg.Field
 	w := &wbuf{}
 	w.u64(id)
-	resps, err := l.broadcast(MsgWindowPublish, l.same(w.b))
+	resps, err := l.broadcast(MsgWindowPublish, l.same(w.b), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,8 @@ type SubmitterConfig struct {
 	TLS *tls.Config
 	// OnAck, when set, observes every decision. It runs on the submitter's
 	// read goroutine: a blocking callback stalls ack intake and therefore
-	// credit replenishment.
+	// credit replenishment. The acked submission's credit returns only after
+	// OnAck does, so OnAck must not call Submit.
 	OnAck func(Ack)
 }
 
@@ -108,7 +109,7 @@ func Dial(addr string, cfg SubmitterConfig) (*StreamSubmitter, error) {
 	}
 
 	s := &StreamSubmitter{
-		fc: fc,
+		fc:    fc,
 		onAck: cfg.OnAck,
 		// The queue outgrows the initial window so a dynamic-credit grow
 		// (msgCredit) widens the pipeline without the writer queue becoming
@@ -311,17 +312,13 @@ func (s *StreamSubmitter) readLoop() {
 	}
 }
 
-// complete resolves one acked submission.
+// complete resolves one acked submission. It counts the decision and runs
+// OnAck before it frees the submission's slot, so once Wait returns, Stats
+// and every OnAck already reflect all decisions.
 func (s *StreamSubmitter) complete(id uint64, status AckStatus) {
 	s.mu.Lock()
 	start, ok := s.pending[id]
-	if ok {
-		delete(s.pending, id)
-		s.outstanding--
-		// Wake window-blocked Submits (the slot this ack frees) and Wait
-		// (when the stream drained).
-		s.cond.Broadcast()
-	}
+	delete(s.pending, id)
 	s.mu.Unlock()
 	if !ok {
 		return // unknown ID: tolerate (e.g. duplicate ack) rather than kill the stream
@@ -339,4 +336,10 @@ func (s *StreamSubmitter) complete(id uint64, status AckStatus) {
 	if s.onAck != nil {
 		s.onAck(Ack{ID: id, Status: status, Latency: time.Since(start)})
 	}
+	s.mu.Lock()
+	s.outstanding--
+	// Wake window-blocked Submits (the slot this ack frees) and Wait (when
+	// the stream drained).
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }

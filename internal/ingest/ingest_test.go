@@ -151,7 +151,6 @@ func TestAckIDMatching(t *testing.T) {
 // gated — the server never saw more than the credit window in flight — and
 // (b) nothing was shed: backpressure queued the flood at the client.
 func TestBackpressureNoDrops(t *testing.T) {
-	skipIfNoTelemetry(t)
 	const credits, total = 8, 50
 	sink := &fakeSink{gate: make(chan struct{})}
 	ing, addr, stop := serveIngest(t, sink, Config{Credits: credits, QueueDepth: 64})
@@ -218,7 +217,6 @@ func TestBackpressureNoDrops(t *testing.T) {
 // to report "full": submissions must detour through the intake queue and
 // still be decided, with nothing shed.
 func TestIntakeQueueAbsorbsFullPipeline(t *testing.T) {
-	skipIfNoTelemetry(t)
 	sink := &fakeSink{}
 	atomic.StoreInt32(&sink.full, 1) // TrySubmitFunc always refuses
 	ing, addr, stop := serveIngest(t, sink, Config{Credits: 8, QueueDepth: 32})
@@ -250,10 +248,12 @@ func TestIntakeQueueAbsorbsFullPipeline(t *testing.T) {
 // queue: the overflow must come back as explicit shed acks (returning their
 // credits), not silent drops or a wedged stream.
 func TestShedWhenEverythingFull(t *testing.T) {
-	skipIfNoTelemetry(t)
 	sink := &fakeSink{gate: make(chan struct{})}
 	atomic.StoreInt32(&sink.full, 1)
-	ing, addr, stop := serveIngest(t, sink, Config{Credits: 16, QueueDepth: 4})
+	// The pump's blocking submit stays wedged too, so it holds exactly one
+	// submission instead of draining the intake queue as fast as it fills.
+	wedged := &wedgedSink{fakeSink: sink, release: make(chan struct{})}
+	ing, addr, stop := serveIngest(t, wedged, Config{Credits: 16, QueueDepth: 4})
 	defer stop()
 
 	var shed atomic.Int64
@@ -281,6 +281,7 @@ func TestShedWhenEverythingFull(t *testing.T) {
 	if got := shed.Load(); got < total-5 {
 		t.Fatalf("shed %d, want ≥ %d", got, total-5)
 	}
+	close(wedged.release)
 	close(sink.gate)
 	atomic.StoreInt32(&sink.full, 0)
 	if err := sub.Wait(); err != nil {
@@ -343,7 +344,6 @@ func TestTeardownMidFlight(t *testing.T) {
 // the leader's own listener, and a StreamSubmitter pushing pipelined
 // submissions — then the aggregate must be exact and every ack accounted.
 func TestStreamedPipelineOverTCP(t *testing.T) {
-	skipIfNoTelemetry(t)
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 8)
 	pro, err := core.NewProtocol(core.Config[field.F64, uint64]{
@@ -466,7 +466,6 @@ func TestStreamedPipelineOverTCP(t *testing.T) {
 // there would stall a pipeline shard goroutine and take the whole server
 // down with one bad connection. Afterwards a compliant stream must work.
 func TestNonReadingFloodDoesNotWedge(t *testing.T) {
-	skipIfNoTelemetry(t)
 	sink := &fakeSink{}
 	ing, addr, stop := serveIngest(t, sink, Config{Credits: 8, QueueDepth: 16})
 	defer stop()

@@ -7,19 +7,11 @@ import (
 	"prio/internal/transport"
 )
 
-// ingestMetrics is the ingest edge's view into the telemetry registry.
-// The registry counters are the source of truth for the subsystem-wide
-// totals — Server.Stats reads them back — while the per-stream Stats
-// structs keep their own atomics (a stream's counters die with it, the
-// registry's do not).
+// ingestMetrics is the ingest edge's view into the telemetry registry. The
+// subsystem-wide ledger totals live in Server.totals, plain atomics that
+// count under every build tag; the registry exports them through
+// CounterFuncs, so Server.Stats and a scrape read the same numbers.
 type ingestMetrics struct {
-	streams  *telemetry.Counter
-	received *telemetry.Counter
-	accepted *telemetry.Counter
-	rejected *telemetry.Counter
-	shed     *telemetry.Counter
-	failed   *telemetry.Counter
-
 	frameDur  *telemetry.DurationHistogram // submit frame decode → routed (fast path or parked)
 	intakeDur *telemetry.DurationHistogram // wait in the intake queue before the pump drains it
 	decision  *telemetry.DurationHistogram // frame decode → ack decision, any outcome
@@ -33,22 +25,25 @@ type ingestMetrics struct {
 	closedWire transport.Stats
 }
 
-// newIngestMetrics registers the ingest metric families in reg. The wire
-// CounterFuncs close over s to include the live streams' FrameConn counters.
+// newIngestMetrics registers the ingest metric families in reg. The ledger
+// CounterFuncs read s.totals; the wire CounterFuncs close over s to include
+// the live streams' FrameConn counters.
 func newIngestMetrics(reg *telemetry.Registry, s *Server) *ingestMetrics {
+	for _, c := range []struct {
+		name, help string
+		v          *uint64
+	}{
+		{"prio_ingest_streams_total", "ingest streams opened", &s.totals.Streams},
+		{"prio_ingest_received_total", "submit frames decoded", &s.totals.Received},
+		{"prio_ingest_accepted_total", "submissions acked accepted (shares entered the accumulators)", &s.totals.Accepted},
+		{"prio_ingest_rejected_total", "submissions acked rejected (verification refused the proof)", &s.totals.Rejected},
+		{"prio_ingest_shed_total", "submissions acked shed (credit overrun or intake queue full)", &s.totals.Shed},
+		{"prio_ingest_failed_total", "submissions acked failed (batch-level verification error)", &s.totals.Failed},
+	} {
+		v := c.v
+		reg.CounterFunc(c.name, c.help, func() uint64 { return atomic.LoadUint64(v) })
+	}
 	m := &ingestMetrics{
-		streams: reg.Counter("prio_ingest_streams_total",
-			"ingest streams opened"),
-		received: reg.Counter("prio_ingest_received_total",
-			"submit frames decoded"),
-		accepted: reg.Counter("prio_ingest_accepted_total",
-			"submissions acked accepted (shares entered the accumulators)"),
-		rejected: reg.Counter("prio_ingest_rejected_total",
-			"submissions acked rejected (verification refused the proof)"),
-		shed: reg.Counter("prio_ingest_shed_total",
-			"submissions acked shed (credit overrun or intake queue full)"),
-		failed: reg.Counter("prio_ingest_failed_total",
-			"submissions acked failed (batch-level verification error)"),
 		frameDur: reg.Duration("prio_ingest_frame_seconds",
 			"submit frame handling: decode through routing into the sink or intake queue"),
 		intakeDur: reg.Duration("prio_ingest_intake_wait_seconds",
@@ -118,20 +113,6 @@ func newIngestMetrics(reg *telemetry.Registry, s *Server) *ingestMetrics {
 // setBusyStreams records the busy-stream count from the latest tune tick.
 func (m *ingestMetrics) setBusyStreams(n int) {
 	atomic.StoreInt64(&m.busyStreams, int64(n))
-}
-
-// countAck records one decision in the registry counters.
-func (m *ingestMetrics) countAck(status AckStatus) {
-	switch status {
-	case StatusAccepted:
-		m.accepted.Inc()
-	case StatusRejected:
-		m.rejected.Inc()
-	case StatusShed:
-		m.shed.Inc()
-	case StatusFailed:
-		m.failed.Inc()
-	}
 }
 
 // foldWire accumulates a closing stream's FrameConn counters into the

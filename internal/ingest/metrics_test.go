@@ -1,22 +1,115 @@
 package ingest
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prio/internal/core"
 	"prio/internal/telemetry"
 )
 
-// skipIfNoTelemetry skips tests that assert Server.Stats or registry
-// values when the notelemetry build tag has compiled the counters out
-// (Stats then reads zeros by design).
+// skipIfNoTelemetry skips tests that assert histograms or traces, which the
+// notelemetry build tag compiles out. The ledger (Server.Stats and the
+// prio_ingest_*_total series) counts under every tag.
 func skipIfNoTelemetry(t *testing.T) {
 	t.Helper()
 	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out (-tags notelemetry): counters read zero")
+		t.Skip("telemetry compiled out (-tags notelemetry): histograms and traces are empty")
 	}
+}
+
+// TestLedgerClosesUnderEveryBuildTag drives every outcome — accepted,
+// rejected, shed, failed — through a real stream and checks the ledger
+// closes three ways: received equals the sum of outcomes, the client's view
+// equals the server's, and the exported series equal Stats. It runs without
+// skipping under -tags notelemetry, where the registry's own counters are
+// compiled out.
+func TestLedgerClosesUnderEveryBuildTag(t *testing.T) {
+	reg := telemetry.New()
+	sink := &fakeSink{decide: func(sub *core.Submission) core.SubmitResult {
+		switch sub.Bundles[0][0] % 3 {
+		case 0:
+			return core.SubmitResult{Accepted: true}
+		case 1:
+			return core.SubmitResult{}
+		default:
+			return core.SubmitResult{Err: errors.New("injected: batch lost")}
+		}
+	}}
+	// The pump's blocking path stays wedged until release closes, as a
+	// saturated pipeline's Submit would.
+	release := make(chan struct{})
+	wedged := &wedgedSink{fakeSink: sink, release: release}
+	ing, addr, stop := serveIngest(t, wedged, Config{Credits: 16, QueueDepth: 2, Registry: reg})
+	defer stop()
+
+	sub, err := Dial(addr, SubmitterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	const total = 120
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := sub.Submit(testSub(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(0, total/3)
+	// The middle third finds the sink full: one submission wedges the pump,
+	// two fill the intake queue, and the rest are shed.
+	atomic.StoreInt32(&sink.full, 1)
+	submit(total/3, 2*total/3)
+	for deadline := time.Now().Add(2 * time.Second); sub.Stats().Shed == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	atomic.StoreInt32(&sink.full, 0)
+	close(release)
+	submit(2*total/3, total)
+	if err := sub.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := ing.Stats()
+	if st.Received != total || st.Acked() != st.Received || st.Streams != 1 {
+		t.Fatalf("server ledger open: %+v, want %d received and decided", st, total)
+	}
+	if st.Accepted == 0 || st.Rejected == 0 || st.Shed == 0 || st.Failed == 0 {
+		t.Fatalf("workload should produce every outcome: %+v", st)
+	}
+	if cst := sub.Stats(); cst.Accepted != st.Accepted || cst.Rejected != st.Rejected ||
+		cst.Shed != st.Shed || cst.Failed != st.Failed {
+		t.Fatalf("client stats %+v disagree with server %+v", cst, st)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"prio_ingest_streams_total":  st.Streams,
+		"prio_ingest_received_total": st.Received,
+		"prio_ingest_accepted_total": st.Accepted,
+		"prio_ingest_rejected_total": st.Rejected,
+		"prio_ingest_shed_total":     st.Shed,
+		"prio_ingest_failed_total":   st.Failed,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("registry %s = %v, want %d", name, got, want)
+		}
+	}
+}
+
+// wedgedSink blocks the pump's SubmitFunc until release closes; the
+// embedded fakeSink's TrySubmitFunc still takes the unblocked path.
+type wedgedSink struct {
+	*fakeSink
+	release chan struct{}
+}
+
+func (w *wedgedSink) SubmitFunc(sub *core.Submission, fn func(core.SubmitResult)) error {
+	<-w.release
+	return w.fakeSink.SubmitFunc(sub, fn)
 }
 
 // TestMetricsAddUp drives a mixed workload — accepts, rejects, sheds —

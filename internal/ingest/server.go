@@ -43,9 +43,8 @@ type Config struct {
 	// pipeline (default 1024).
 	QueueDepth int
 	// Registry receives the ingest metric families. Nil means a private
-	// registry — counters still work and Stats still reads them, but nothing
-	// is exported. prio-server passes telemetry.Default so the admin
-	// endpoint sees them.
+	// registry: nothing is exported, and Stats counts either way.
+	// prio-server passes telemetry.Default so the admin endpoint sees them.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, samples submission lifecycles at the ingest
 	// edge: sampled submissions carry a Trace through the pipeline and land
@@ -119,6 +118,7 @@ type Server struct {
 	quit   chan struct{}
 	wg     sync.WaitGroup
 
+	totals Stats // the subsystem-wide ledger, atomics (see Stats)
 	m      *ingestMetrics
 	tracer *telemetry.Tracer
 
@@ -159,19 +159,8 @@ func (s *Server) Handler() transport.StreamHandler {
 }
 
 // Stats returns the aggregate counters across all streams, past and
-// present. It is a view over the telemetry registry: the counters it reads
-// are the same series the admin endpoint exports. (Under the notelemetry
-// build tag the counters are compiled out and this reads zeros.)
-func (s *Server) Stats() Stats {
-	return Stats{
-		Streams:  s.m.streams.Value(),
-		Received: s.m.received.Value(),
-		Accepted: s.m.accepted.Value(),
-		Rejected: s.m.rejected.Value(),
-		Shed:     s.m.shed.Value(),
-		Failed:   s.m.failed.Value(),
-	}
-}
+// present: the same totals the registry exports as prio_ingest_*_total.
+func (s *Server) Stats() Stats { return s.totals.Snapshot() }
 
 // StreamSnapshot pairs an active stream's ID with its counters.
 type StreamSnapshot struct {
@@ -280,16 +269,16 @@ func (st *stream) kill() {
 	})
 }
 
-// finish records one decision and queues its ack. It runs on pipeline shard
+// finish records one decision and queues its ack. It runs on pipeline batch
 // goroutines (whose contract is that it must NEVER block) and on the stream
 // reader. The ack channel outgrows the credit window, so a compliant client
 // cannot fill it: an overflow means the client overran its credits while
 // not draining acks (or stopped reading entirely, wedging the ack writer
 // against a full socket). Such a stream is dropped rather than allowed to
-// stall a verification shard.
+// stall a verification batch.
 func (st *stream) finish(id uint64, status AckStatus) {
 	st.stats.countAck(status)
-	st.srv.m.countAck(status)
+	st.srv.totals.countAck(status)
 	st.cmu.Lock()
 	if st.inflight > 0 {
 		st.inflight--
@@ -350,7 +339,7 @@ func (s *Server) handleStream(open []byte, fc *transport.FrameConn) {
 	s.streams[st.id] = st
 	s.streamWG.Add(1)
 	s.mu.Unlock()
-	s.m.streams.Inc()
+	atomic.AddUint64(&s.totals.Streams, 1)
 
 	defer func() {
 		st.kill()
@@ -392,7 +381,7 @@ func (s *Server) handleStream(open []byte, fc *transport.FrameConn) {
 			return
 		}
 		atomic.AddUint64(&st.stats.Received, 1)
-		s.m.received.Inc()
+		atomic.AddUint64(&s.totals.Received, 1)
 		if tr := s.tracer.Sample(); tr != nil {
 			tr.Stage("ingest.recv")
 			sub.Trace = tr
