@@ -11,6 +11,7 @@ import (
 	"prio/internal/field"
 	"prio/internal/poly"
 	"prio/internal/prg"
+	"prio/internal/sealbox"
 	"prio/internal/share"
 	"prio/internal/snip"
 	"prio/internal/transport"
@@ -239,6 +240,79 @@ func BenchmarkServerRound1(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkBuildSubmission is the client axis of Figure 4 / Table 2: one
+// sealed submission end to end — AFE encoding excluded, SNIP proof, seed
+// agreement, share splitting and sealing included — for the four shapes of
+// the benchmark's client_encode_mix workload, at three and five servers.
+func BenchmarkBuildSubmission(b *testing.B) {
+	shapes := []struct{ name, spec string }{
+		{"sum8", "sum8"},
+		{"bits434", "bits434"},
+		{"linreg10x14", "linreg10x14"},
+		{"countmin10-10", "countmin10/10"},
+	}
+	for _, shape := range shapes {
+		scheme, err := prio.ParseScheme(shape.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc, err := sampleEncoding(scheme)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, servers := range []int{3, 5} {
+			b.Run(fmt.Sprintf("%s/s=%d", shape.name, servers), func(b *testing.B) {
+				pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: servers, Mode: prio.ModePrio, Seal: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys := make([]*prio.ServerPublicKey, servers)
+				for i := range keys {
+					if keys[i], _, err = sealbox.GenerateKey(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				client, err := prio.NewClient(pro, keys, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := client.BuildSubmission(enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sampleEncoding encodes one fixed valid value of a BenchmarkBuildSubmission
+// shape.
+func sampleEncoding(scheme prio.Scheme) ([]uint64, error) {
+	switch s := scheme.(type) {
+	case *prio.Sum:
+		return s.Encode(200)
+	case *prio.BitVector:
+		bits := make([]bool, s.Len())
+		for i := range bits {
+			bits[i] = i%3 == 0
+		}
+		return s.Encode(bits)
+	case *prio.LinReg:
+		xs := make([]uint64, s.D())
+		for i := range xs {
+			xs[i] = uint64(1000 * (i + 1))
+		}
+		return s.Encode(xs, 4321)
+	case *prio.CountMin:
+		return s.Encode([]byte("example.com"))
+	default:
+		return nil, fmt.Errorf("no sample value for scheme %s", scheme.Name())
 	}
 }
 

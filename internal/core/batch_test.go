@@ -96,7 +96,7 @@ func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submiss
 		proofs := make([]*snip.Proof[uint64], s)
 		for i := 0; i < s; i++ {
 			flat := make([]uint64, p.flatLen)
-			if err := p.decodeBundle(sub.Bundles[i], cl.Servers[i].priv, flat); err != nil {
+			if err := p.decodeBundle(sub.Bundles[i], cl.Servers[i].priv, i, flat); err != nil {
 				t.Fatalf("submission %d, server %d: %v", j, i, err)
 			}
 			var proofFlat []uint64

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -17,7 +19,8 @@ import (
 // Submission is one client's upload: a bundle per server, delivered to the
 // leader, which relays each sealed bundle to its server. With PRG share
 // compression (Appendix I, optimization 1) the leader's bundle carries the
-// one explicit share vector and every other bundle is a 16-byte seed, so
+// one explicit share vector and every other bundle is a 16-byte seed (in a
+// sealed deployment, the 32-byte encapsulation the seed is derived from), so
 // total upload size is flatLen + O(s) — the factor-s saving the paper
 // reports for its five-server deployment.
 type Submission struct {
@@ -79,11 +82,21 @@ func UnmarshalSubmission(b []byte) (*Submission, error) {
 	return out, nil
 }
 
-// Bundle flags: an explicit share vector or a PRG seed.
+// Bundle flags: an explicit share vector or a PRG seed. A sealed deployment
+// sends no flagged seed: a seed server's bundle is the bare encapsulation
+// it derives its seed from (seedLabel).
 const (
 	bundleExplicit byte = 0
 	bundleSeed     byte = 1
 )
+
+// seedLabel is the HKDF info under which server i derives its PRG seed from
+// a submission's encapsulation, "prio/seed/v1" ‖ u32be(i): binding the index
+// makes two servers' seeds differ even under one key, and keeps a seed from
+// serving at another position.
+func seedLabel(i int) []byte {
+	return binary.BigEndian.AppendUint32([]byte("prio/seed/v1"), uint32(i))
+}
 
 // Client builds submissions for one deployment. It is safe for concurrent
 // use.
@@ -93,12 +106,25 @@ type Client[Fd field.Field[E], E any] struct {
 	rnd  io.Reader
 }
 
-// NewClient constructs a client. keys must hold one sealbox public key per
-// server when cfg.Seal is set; otherwise it may be nil. rnd defaults to
-// crypto/rand.
+// NewClient constructs a client. keys must hold one distinct sealbox public
+// key per server when cfg.Seal is set; otherwise it may be nil. A key listed
+// for two servers is refused: the leader relays every bundle, so a leader
+// sharing server j's key could open j's share. rnd defaults to crypto/rand.
 func NewClient[Fd field.Field[E], E any](pro *Protocol[Fd, E], keys []*sealbox.PublicKey, rnd io.Reader) (*Client[Fd, E], error) {
-	if pro.Cfg.Seal && len(keys) != pro.Cfg.Servers {
-		return nil, fmt.Errorf("core: need %d server keys, got %d", pro.Cfg.Servers, len(keys))
+	if pro.Cfg.Seal {
+		if len(keys) != pro.Cfg.Servers {
+			return nil, fmt.Errorf("core: need %d server keys, got %d", pro.Cfg.Servers, len(keys))
+		}
+		for i, k := range keys {
+			if k == nil {
+				return nil, fmt.Errorf("core: server %d's key is nil", i)
+			}
+			for j, prev := range keys[:i] {
+				if k.Equal(prev) {
+					return nil, fmt.Errorf("core: servers %d and %d have the same key", j, i)
+				}
+			}
+		}
 	}
 	if rnd == nil {
 		rnd = rand.Reader
@@ -139,43 +165,68 @@ func (c *Client[Fd, E]) BuildSubmission(encoding []E) (*Submission, error) {
 		flat = append(flat, p.TripleSys.FlattenProof(pf)...)
 	}
 
+	// Server i ≥ 1 holds a PRG seed. Sealed, one ephemeral key agreement per
+	// server derives it and the bundle is the 32-byte encapsulation (the
+	// sealbox package doc); unsealed, it is drawn fresh and sent flagged.
 	s := p.Cfg.Servers
 	sub := &Submission{Bundles: make([][]byte, s)}
-	var explicit []E
-	if s == 1 {
-		explicit = flat
-	} else {
-		seeds, last, err := share.SplitSeeded(f, flat, s)
-		if err != nil {
+	seeds := make([]prg.Seed, s-1)
+	var eph *sealbox.Ephemeral
+	if p.Cfg.Seal {
+		var err error
+		if eph, err = sealbox.NewEphemeral(); err != nil {
 			return nil, err
 		}
-		explicit = last
+		encaps := bytes.Repeat(eph.Public(), s-1)
 		for i := 1; i < s; i++ {
-			sub.Bundles[i] = append([]byte{bundleSeed}, seeds[i-1][:]...)
-		}
-	}
-	w := &wbuf{}
-	w.u8(bundleExplicit)
-	wvec(w, f, explicit)
-	sub.Bundles[0] = w.b
-
-	if p.Cfg.Seal {
-		for i := range sub.Bundles {
-			sealed, err := sealbox.Seal(c.keys[i], sub.Bundles[i])
+			secret, err := eph.Secret(c.keys[i], seedLabel(i))
 			if err != nil {
 				return nil, err
 			}
-			sub.Bundles[i] = sealed
+			seeds[i-1] = prg.Seed(secret[:prg.SeedSize])
+			sub.Bundles[i] = encaps[:sealbox.EncapSize:sealbox.EncapSize]
+			encaps = encaps[sealbox.EncapSize:]
 		}
+	} else {
+		for i := 1; i < s; i++ {
+			seed, err := prg.NewSeed()
+			if err != nil {
+				return nil, err
+			}
+			seeds[i-1] = seed
+			sub.Bundles[i] = append([]byte{bundleSeed}, seed[:]...)
+		}
+	}
+
+	w := &wbuf{}
+	w.u8(bundleExplicit)
+	wvec(w, f, share.SplitWithSeeds(f, flat, seeds))
+	sub.Bundles[0] = w.b
+	if eph != nil {
+		sealed, err := eph.Seal(c.keys[0], w.b)
+		if err != nil {
+			return nil, err
+		}
+		sub.Bundles[0] = sealed
 	}
 	return sub, nil
 }
 
-// decodeBundle recovers a server's flat share vector from its bundle into
+// decodeBundle recovers server idx's flat share vector from its bundle into
 // dst, which must hold p.flatLen elements; on success every one of them has
 // been overwritten, on error dst's contents are unspecified.
-func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, dst []E) error {
+func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, idx int, dst []E) error {
+	f := p.Cfg.Field
 	if p.Cfg.Seal {
+		if len(bundle) == sealbox.EncapSize {
+			// An encapsulation (no box is this short): the seed is derived.
+			secret, err := priv.Secret(bundle, seedLabel(idx))
+			if err != nil {
+				return err
+			}
+			share.ExpandInto(f, prg.Seed(secret[:prg.SeedSize]), dst)
+			return nil
+		}
 		// An explicit share's plaintext is as large as its box (41 kB at
 		// bits1024) and dead once its elements are decoded: open it into a
 		// pooled buffer instead of a fresh slice per submission.
@@ -190,15 +241,12 @@ func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, 
 	if len(bundle) < 1 {
 		return errTruncated
 	}
-	f := p.Cfg.Field
 	switch bundle[0] {
 	case bundleSeed:
 		if len(bundle) != 1+prg.SeedSize {
 			return errTruncated
 		}
-		var seed prg.Seed
-		copy(seed[:], bundle[1:])
-		share.ExpandInto(f, seed, dst)
+		share.ExpandInto(f, prg.Seed(bundle[1:]), dst)
 		return nil
 	case bundleExplicit:
 		if len(bundle)-1 != len(dst)*f.ElemSize() {

@@ -334,8 +334,9 @@ func TestSubmissionMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSealedBundleTamperRejected(t *testing.T) {
-	// A tampered box fails to open on its server, which costs that one
-	// submission and nothing else in the batch.
+	// A tampered encapsulation derives the wrong seed on its server (a
+	// tampered box would fail to open), which costs that one submission and
+	// nothing else in the batch.
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
 	subs := honestSubs(t, client, scheme, 5, 5, 5)
 	subs[1].Bundles[1][10] ^= 0xFF

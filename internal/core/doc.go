@@ -4,8 +4,10 @@
 //
 //	Upload    — each client AFE-encodes its value, splits encoding and SNIP
 //	            proof into per-server shares (PRG-compressed, Appendix I),
-//	            seals each share to its server, and sends the submission to
-//	            the current leader.
+//	            seals the explicit share to its server and derives every
+//	            other server's seed from one key agreement with it (the
+//	            sealbox package doc), and sends the submission to the
+//	            current leader.
 //	Validate  — the leader relays shares and drives the two verification
 //	            rounds; servers exchange constant-size messages per
 //	            submission in Round1 and one combined share per batch probe

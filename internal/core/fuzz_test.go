@@ -69,6 +69,12 @@ func FuzzBundleDecode(f *testing.F) {
 		}
 		f.Add(box, true)
 	}
+	// Seed servers' sealed bundles: an encapsulation to the fixed key, the
+	// all-zero (low-order) point, and one byte short or long of either.
+	encap := goldenEncap()
+	for _, b := range [][]byte{encap, make([]byte, sealbox.EncapSize), encap[:sealbox.EncapSize-1], append(encap, 0)} {
+		f.Add(b, true)
+	}
 
 	batchID := uint64(0)
 	f.Fuzz(func(t *testing.T, bundle []byte, seal bool) {
@@ -78,7 +84,7 @@ func FuzzBundleDecode(f *testing.F) {
 		}
 		p := srv.pro
 		dst := make([]uint64, flatLen)
-		decErr := p.decodeBundle(bundle, srv.priv, dst)
+		decErr := p.decodeBundle(bundle, srv.priv, srv.idx, dst)
 		if decErr == nil {
 			for i, v := range dst {
 				if v >= field.ModulusF64 {

@@ -488,21 +488,27 @@ func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
 		p.settle(len(jobs))
 		return
 	}
+	// Outcomes are counted before any submitter wakes, so a Stats read after
+	// an ack already includes it.
 	atomic.AddUint64(&st.Processed, uint64(len(jobs)))
 	var nAccept uint64
-	for k, j := range jobs {
+	for k := range jobs {
 		if accepts[k] {
 			nAccept++
+		}
+	}
+	atomic.AddUint64(&st.Accepted, nAccept)
+	atomic.AddUint64(&st.Rejected, uint64(len(jobs))-nAccept)
+	p.m.accepted.Add(nAccept)
+	p.m.rejected.Add(uint64(len(jobs)) - nAccept)
+	for k, j := range jobs {
+		if accepts[k] {
 			j.sub.Trace.Finish("accepted")
 		} else {
 			j.sub.Trace.Finish("rejected")
 		}
 		j.finish(SubmitResult{Accepted: accepts[k]})
 	}
-	atomic.AddUint64(&st.Accepted, nAccept)
-	atomic.AddUint64(&st.Rejected, uint64(len(jobs))-nAccept)
-	p.m.accepted.Add(nAccept)
-	p.m.rejected.Add(uint64(len(jobs)) - nAccept)
 	p.settle(len(jobs))
 }
 

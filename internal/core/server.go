@@ -317,7 +317,7 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 		}
 		flat := p.getFlat()
 		bs.flats = append(bs.flats, flat)
-		if err := p.decodeBundle(bundle, s.priv, flat); err != nil {
+		if err := p.decodeBundle(bundle, s.priv, s.idx, flat); err != nil {
 			zero := f.Zero()
 			for i := range flat {
 				flat[i] = zero

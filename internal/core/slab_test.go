@@ -10,9 +10,10 @@ import (
 	"prio/internal/field"
 )
 
-// TestPipelineIsolatesUndecryptableSubmission: one client's unopenable box,
-// whichever server it is addressed to (the explicit-share server included),
-// costs that client's submission only. The 15 honest submissions verified in
+// TestPipelineIsolatesUndecryptableSubmission: one client's damaged bundle,
+// whichever server it is addressed to — an unopenable box for the
+// explicit-share server, an encapsulation deriving the wrong seed for the
+// others — costs that client's submission only. The 15 honest submissions verified in
 // the same batch are accepted and aggregated, and nothing counts as Failed.
 func TestPipelineIsolatesUndecryptableSubmission(t *testing.T) {
 	for pos := 0; pos < 3; pos++ {

@@ -81,28 +81,37 @@ func mustSample[Fd field.Field[E], E any](f Fd, g *prg.PRG, dst []E) {
 	}
 }
 
-// splitChunk is how many elements of a seed's expansion SplitSeeded holds at
-// a time while subtracting it from the explicit share.
+// splitChunk is how many elements of a seed's expansion SplitWithSeeds holds
+// at a time while subtracting it from the explicit share.
 const splitChunk = 512
 
-// SplitSeeded divides x into s shares where the first s-1 are PRG seeds
-// (Appendix I, optimization 1). Server i < s-1 expands its seed with Expand;
-// server s-1 receives the explicit vector.
+// SplitSeeded divides x into s shares where the first s-1 are fresh random
+// PRG seeds (Appendix I, optimization 1). Server i < s-1 expands its seed
+// with Expand; server s-1 receives the explicit vector.
 func SplitSeeded[Fd field.Field[E], E any](f Fd, x []E, s int) ([]prg.Seed, []E, error) {
 	if s < 1 {
 		return nil, nil, ErrBadShareCount
 	}
 	seeds := make([]prg.Seed, s-1)
-	last := append([]E(nil), x...)
-	// Each expansion is subtracted as it streams out of the PRG; consecutive
-	// SampleInto calls on one PRG continue the same element stream.
-	chunk := make([]E, min(len(x), splitChunk))
 	for i := range seeds {
 		seed, err := prg.NewSeed()
 		if err != nil {
 			return nil, nil, err
 		}
 		seeds[i] = seed
+	}
+	return seeds, SplitWithSeeds(f, x, seeds), nil
+}
+
+// SplitWithSeeds is SplitSeeded over seeds the caller chose: it returns the
+// explicit share, x minus the Expand of every seed, leaving x unmodified.
+// The seeds must be unpredictable to whoever holds the explicit share.
+func SplitWithSeeds[Fd field.Field[E], E any](f Fd, x []E, seeds []prg.Seed) []E {
+	last := append([]E(nil), x...)
+	// Each expansion is subtracted as it streams out of the PRG; consecutive
+	// SampleInto calls on one PRG continue the same element stream.
+	chunk := make([]E, min(len(x), splitChunk))
+	for _, seed := range seeds {
 		g := prg.New(seed)
 		for rest := last; len(rest) > 0; {
 			c := chunk[:min(len(rest), len(chunk))]
@@ -111,7 +120,7 @@ func SplitSeeded[Fd field.Field[E], E any](f Fd, x []E, s int) ([]prg.Seed, []E,
 			rest = rest[len(c):]
 		}
 	}
-	return seeds, last, nil
+	return last
 }
 
 // XorSplit divides a packed bitset (len(words)*64 bits) into s XOR shares.

@@ -16,9 +16,10 @@
 #     today, one more on older toolchains); it was one allocation per
 #     ELEMENT before the bulk sampler, which is what this catches.
 #   - BenchmarkServerRound1: at most ${ROUND1_ALLOC_CEILING} allocs/op for
-#     one 16-submission bits1024 batch on all three servers (1,353 today,
-#     almost all inside sealbox.Open; 165,726 before shares were decoded into
-#     pooled slabs). Pinned ~4x above the current figure.
+#     one 16-submission bits1024 batch on all three servers (1,305 today,
+#     almost all in the key agreements and the explicit share's open; 1,353
+#     while seed servers still opened a box each, 165,726 before shares were
+#     decoded into pooled slabs). Pinned ~4x above the current figure.
 #
 # Runs locally (./scripts/alloc-gate.sh) and in the CI bench job.
 set -euo pipefail
