@@ -24,7 +24,7 @@ var (
 	pingTO     = flag.Duration("ping-timeout", 0, "per-probe timeout (cluster mode; default: ping interval)")
 	failAfter  = flag.Int("fail-after", 3, "consecutive probe failures that mark a peer down (cluster mode)")
 	rotateFlag = flag.Duration("rotate-every", 0, "timed leadership rotation interval (cluster mode; 0 = rotate only on failover)")
-	retriesFl  = flag.Int("batch-retries", 2, "re-run attempts for a verification batch that failed mid-round (cluster mode)")
+	retriesFl  = flag.Int("batch-retries", 2, "re-run attempts for a verification batch that failed mid-round, and re-sends of a commit that failed on some members (cluster mode)")
 )
 
 // loadOrCreateKey returns the sealbox key at path, generating and persisting

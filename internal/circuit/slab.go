@@ -4,88 +4,57 @@ import "prio/internal/field"
 
 // EvalSharesBatchF64 is the gate-major, slab-vectorized counterpart of
 // EvalShares over the Goldilocks field: it walks the circuit once for a whole
-// batch of submissions, with every wire holding a lane-per-submission slab.
-// Gate dispatch is paid once per gate instead of once per gate per
-// submission, and the per-lane arithmetic runs through the monomorphic field
-// kernels instead of the generics dictionary.
+// batch of b = len(xShares) submissions, with every wire holding a
+// lane-per-submission slab. Gate dispatch is paid once per gate instead of
+// once per gate per submission, and the per-lane arithmetic runs through the
+// monomorphic field kernels instead of the generics dictionary.
 //
-// xShares[i] is submission i's input share (length NumInputs); hAtMul[t] is
-// the lane slab of the submissions' shares of h(ω_{t+1}) for multiplication
-// gate t. The returned U, V (length M) and assertion (length len(Asserts))
-// slabs have one lane per submission and alias pooled backing arrays: callers
-// must consume them and then call release, after which the slabs are invalid.
-func EvalSharesBatchF64(c *Circuit[uint64], xShares [][]uint64, hAtMul [][]uint64, includeConst bool) (u, v, asserts [][]uint64, release func()) {
+// All wires live in the one caller-owned slab w of length len(Gates)·b: gate
+// i's lanes are w[i·b : (i+1)·b]. Before the call the caller writes each
+// multiplication gate's lanes with the submissions' shares of h(ω_{t+1}) for
+// that gate; the walk leaves those lanes alone, gathers xShares[i] (length
+// NumInputs) straight into the OpInput lanes, and computes every affine
+// gate, so every other lane of w may start uninitialized. Afterwards the U
+// and V operands of multiplication gate t are the lanes of wires
+// Gates[MulGates[t]].A and .B, and assertion k's shares are the lanes of
+// wire Asserts[k].
+func EvalSharesBatchF64(c *Circuit[uint64], w []uint64, xShares [][]uint64, includeConst bool) {
 	b := len(xShares)
 	for _, x := range xShares {
 		if len(x) != c.NumInputs {
 			panic("circuit: EvalSharesBatchF64 input length mismatch")
 		}
 	}
-	if len(hAtMul) != c.M() {
-		panic("circuit: EvalSharesBatchF64 needs one h slab per multiplication gate")
+	if len(w) != len(c.Gates)*b {
+		panic("circuit: EvalSharesBatchF64 wire slab length mismatch")
 	}
-	for _, h := range hAtMul {
-		if len(h) != b {
-			panic("circuit: EvalSharesBatchF64 h slab length mismatch")
-		}
-	}
-	// Lane-major gather of the submissions' input shares. Both backings come
-	// from the slab pool uninitialized: every input lane is written by the
-	// gather, and every wire lane is written by its gate (OpConst lanes are
-	// cleared explicitly below when this server does not carry constants).
-	in := make([][]uint64, c.NumInputs)
-	inBack := field.GetSlabUninit(c.NumInputs * b)
-	for a := range in {
-		in[a] = inBack[a*b : (a+1)*b]
-	}
-	// Transpose input-major (a outer): sequential writes per lane, and the
-	// per-submission reads at consecutive offsets stay cache-resident.
-	for a := range in {
-		lane := in[a]
-		for i, x := range xShares {
-			lane[i] = x[a]
-		}
-	}
-	w := make([][]uint64, len(c.Gates))
-	wBack := field.GetSlabUninit(len(c.Gates) * b)
-	for i := range w {
-		w[i] = wBack[i*b : (i+1)*b]
-	}
-	mul := 0
-	u = make([][]uint64, 0, c.M())
-	v = make([][]uint64, 0, c.M())
+	lane := func(i int) []uint64 { return w[i*b : (i+1)*b : (i+1)*b] }
 	for i, g := range c.Gates {
 		switch g.Op {
 		case OpInput:
-			copy(w[i], in[g.A])
+			// Consecutive input gates read consecutive offsets of each
+			// submission's share, which stay cache-resident across gates.
+			dst := lane(i)
+			for j, x := range xShares {
+				dst[j] = x[g.A]
+			}
 		case OpConst:
+			dst := lane(i)
 			if includeConst {
-				for j := range w[i] {
-					w[i][j] = g.K
+				for j := range dst {
+					dst[j] = g.K
 				}
 			} else {
-				clear(w[i])
+				clear(dst)
 			}
 		case OpAdd:
-			field.AddSlice(w[i], w[g.A], w[g.B])
+			field.AddSlice(lane(i), lane(g.A), lane(g.B))
 		case OpSub:
-			field.SubSlice(w[i], w[g.A], w[g.B])
+			field.SubSlice(lane(i), lane(g.A), lane(g.B))
 		case OpMul:
-			u = append(u, w[g.A])
-			v = append(v, w[g.B])
-			copy(w[i], hAtMul[mul])
-			mul++
+			// Filled by the caller with the h shares.
 		case OpMulConst:
-			field.ScaleSlice(w[i], w[g.A], g.K)
+			field.ScaleSlice(lane(i), lane(g.A), g.K)
 		}
 	}
-	asserts = make([][]uint64, len(c.Asserts))
-	for k, a := range c.Asserts {
-		asserts[k] = w[a]
-	}
-	release = func() {
-		field.PutSlab(inBack)
-		field.PutSlab(wBack)
-	}
-	return u, v, asserts, release
 }

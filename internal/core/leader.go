@@ -25,17 +25,25 @@ import (
 // times more bytes than a non-leader, which is why deployments rotate
 // leadership across servers for load balance (Figure 5).
 //
-// A Leader tolerates concurrent ProcessBatch calls: lmu serializes only
-// challenge rotation and batch-sequence allocation, while the verification
-// rounds themselves run lock-free, so independent batches overlap on the
-// wire and on the servers' cores. One caveat bounds the concurrency: the
-// servers keep a bounded window of live challenges per session (three, one
-// of which the prefetcher occupies), so a batch survives one rotation but
-// not two, and a session must not have more than ChallengeEvery submissions
-// in flight at once. Pipeline enforces this per shard: it dispatches a
-// shard's next batch while others are in flight only if the session's
-// in-flight submissions plus that batch stay within ChallengeEvery, and only
-// up to the depth overlapDepth measures.
+// A batch has two phases. Verification (verify) is Round1 plus the Round2
+// probes (and the MPC rounds in Prio-MPC mode) and ends in one decision per
+// submission; a failed attempt commits nothing and can be re-run under a
+// fresh batch ID. The commit (commit) is the MsgFinish carrying the accept
+// bitmap and window stamp, sent once per batch ID and only ever re-sent
+// as is. ProcessBatch is the two back to back.
+//
+// A Leader tolerates concurrent batches: lmu serializes only challenge
+// rotation and batch-sequence allocation, while the rounds themselves run
+// lock-free, so independent batches overlap on the wire and on the servers'
+// cores. One caveat bounds the concurrency: the servers keep a bounded
+// window of live challenges per session (three, one of which the prefetcher
+// occupies), so a batch survives one rotation but not two, and a session
+// must not have more than ChallengeEvery submissions in verification at
+// once. A commit names only its batch ID, never a challenge, so a decided
+// batch no longer counts. Pipeline enforces this per shard: it dispatches a
+// shard's next batch while others verify only if the session's verifying
+// submissions plus that batch stay within ChallengeEvery, and only up to
+// the depth overlapDepth measures.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
@@ -121,20 +129,22 @@ func (p *Protocol[Fd, E]) newChallenge() (*challenge[E], error) {
 }
 
 // maxOverlap is the fixed ceiling on overlapDepth: no shard keeps more than
-// this many batches in flight on its session. It is a memory bound: every
-// batch in flight holds its submissions' shares on every server, and on the
-// 5 ms WAN benchmark a ceiling of 8 raised peak RSS 27 % over the serial loop
-// where 4 raises it about 14 %, for 5× and 3× the throughput.
+// this many batches in verification on its session. It is a memory bound:
+// every batch holds its submissions' shares on every server until its
+// commit, one round trip after its decision, and on the 5 ms WAN benchmark a
+// ceiling of 8 raised peak RSS 27 % over the serial loop where 4 raises it
+// about 14 %, for 5× and 3× the throughput.
 const maxOverlap = 4
 
-// roundClock times one batch. wall and self sum its broadcasts' wall time
-// and the part of it the leader's own loopback call took: wall/self is how
-// many such batches fit in the rounds before the leader's own work, rather
-// than waiting on the other servers, fills them. start and cpu0 bracket the
-// batch's whole life against the process's CPU clock, because a wait on
-// another server is only worth overlapping if some CPU is idle to overlap
-// it with: when the servers share the leader's cores, waiting on them is
-// waiting on those cores.
+// roundClock times one batch's verification, the part of its life that
+// holds a slot in its shard's depth. wall and self sum its broadcasts' wall
+// time and the part of it the leader's own loopback call took: wall/self is
+// how many such batches fit in the rounds before the leader's own work,
+// rather than waiting on the other servers, fills them. start and cpu0
+// bracket the verification against the process's CPU clock, because a wait
+// on another server is only worth overlapping if some CPU is idle to
+// overlap it with: when the servers share the leader's cores, waiting on
+// them is waiting on those cores.
 type roundClock struct {
 	wall, self time.Duration
 	start      time.Time
@@ -142,9 +152,9 @@ type roundClock struct {
 }
 
 // load is wall/self scaled by the share of the host's CPU that sat idle
-// over the batch's life, capped at maxOverlap: about 50 × 0.5 on a 5 ms link
-// with the CPUs half idle, 4 × 0.05 when the servers saturate the leader's
-// cores.
+// over the batch's verification, capped at maxOverlap: about 50 × 0.5 on a
+// 5 ms link with the CPUs half idle, 4 × 0.05 when the servers saturate the
+// leader's cores.
 func (c *roundClock) load() float64 {
 	if c.self <= 0 {
 		return maxOverlap
@@ -154,7 +164,7 @@ func (c *roundClock) load() float64 {
 	return min(float64(c.wall)/float64(c.self)*(1-min(busy, 1)), maxOverlap)
 }
 
-// noteOverlap folds a completed batch's clock into the session's running
+// noteOverlap folds a decided batch's clock into the session's running
 // average (weight 1/8: one batch's CPU reading is noisy over a few
 // milliseconds). Concurrent batches may race the read-modify-write; a lost
 // update only slows the average down.
@@ -164,9 +174,9 @@ func (l *Leader[Fd, E]) noteOverlap(c *roundClock) {
 }
 
 // overlapDepth is how many batches this session can usefully keep in
-// flight: the running average of roundClock.load, rounded up and clamped to
-// [1, maxOverlap]. It is 1 before any batch completes and while the host's
-// CPUs are saturated, and maxOverlap on a high-latency link.
+// verification: the running average of roundClock.load, rounded up and
+// clamped to [1, maxOverlap]. It is 1 before any batch is decided and while
+// the host's CPUs are saturated, and maxOverlap on a high-latency link.
 func (l *Leader[Fd, E]) overlapDepth() int {
 	return int(min(max(math.Ceil(math.Float64frombits(l.overlap.Load())), 1), maxOverlap))
 }
@@ -175,6 +185,19 @@ func (l *Leader[Fd, E]) overlapDepth() int {
 // the responses in server order. A non-nil rt adds the broadcast's wall time
 // and the leader's own call time to it.
 func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundClock) ([][]byte, error) {
+	resps, errs := l.call(msgType, payloads, nil, rt)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d: %w", i, err)
+		}
+	}
+	return resps, nil
+}
+
+// call is broadcast without the error summary: it calls every server i
+// whose skip[i] is false (all of them when skip is nil) in parallel and
+// returns each one's response and error in server order.
+func (l *Leader[Fd, E]) call(msgType byte, payloads [][]byte, skip []bool, rt *roundClock) ([][]byte, []error) {
 	s := len(l.peers)
 	resps := make([][]byte, s)
 	errs := make([]error, s)
@@ -182,6 +205,9 @@ func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundCloc
 	t0 := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < s; i++ {
+		if skip != nil && skip[i] {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -197,12 +223,7 @@ func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundCloc
 		rt.wall += time.Since(t0)
 		rt.self += self
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: server %d: %w", i, err)
-		}
-	}
-	return resps, nil
+	return resps, errs
 }
 
 // same builds an identical payload list for broadcast.
@@ -289,17 +310,42 @@ func (l *Leader[Fd, E]) prefetchNext() {
 }
 
 // ProcessBatch verifies and aggregates a batch of submissions, returning the
-// per-submission accept decisions.
+// per-submission accept decisions. It is the batch's two phases back to
+// back: verification (verify), then the commit that applies the decisions
+// on every server (commit).
 //
 // ProcessBatch may be called concurrently: the leader lock covers only
 // challenge rotation and batch-ID allocation, after which each batch runs
-// its verification rounds independently. Servers key their per-batch state
-// by the allocated batch ID, so overlapping batches never interfere.
+// its rounds independently. Servers key their per-batch state by the
+// allocated batch ID, so overlapping batches never interfere.
 //
 // A submission that is malformed on its own — the wrong number of bundles
 // here, a bundle some server cannot decode in Round1 — is rejected
 // individually; it never fails the submissions batched with it.
 func (l *Leader[Fd, E]) ProcessBatch(subs []*Submission) ([]bool, error) {
+	d, err := l.verify(subs)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.commit(d); err != nil {
+		return nil, err
+	}
+	return d.accepts, nil
+}
+
+// decision is a verified batch waiting for its commit: the accept verdicts
+// and the MsgFinish that applies them on every server.
+type decision struct {
+	accepts []bool
+	finish  []byte // MsgFinish payload: batch ID, accept bitmap, window stamp; nil when there is nothing to commit
+	applied []bool // per server: the commit was acknowledged
+}
+
+// verify is a batch's verification phase: Round1, the Round2 probes and (in
+// Prio-MPC mode) the MPC rounds under a freshly allocated batch ID, ending
+// in one decision per submission. It commits nothing, so a failed attempt
+// can be re-run under a new batch ID.
+func (l *Leader[Fd, E]) verify(subs []*Submission) (*decision, error) {
 	servers := l.pro.Cfg.Servers
 	good := make([]*Submission, 0, len(subs))
 	for _, sub := range subs {
@@ -307,36 +353,66 @@ func (l *Leader[Fd, E]) ProcessBatch(subs []*Submission) ([]bool, error) {
 			good = append(good, sub)
 		}
 	}
-	if len(good) == len(subs) {
-		return l.verifyBatch(subs)
+	d, err := l.verifyBatch(good)
+	if err != nil || len(good) == len(subs) {
+		return d, err
 	}
-	verdicts, err := l.verifyBatch(good)
-	if err != nil {
-		return nil, err
-	}
-	accepts := make([]bool, len(subs))
+	verdicts := d.accepts
+	d.accepts = make([]bool, len(subs))
 	for i, sub := range subs {
 		if len(sub.Bundles) == servers {
-			accepts[i], verdicts = verdicts[0], verdicts[1:]
+			d.accepts[i], verdicts = verdicts[0], verdicts[1:]
 		}
 	}
-	return accepts, nil
+	return d, nil
+}
+
+// commit sends d's MsgFinish to every server that has not acknowledged it.
+// A server whose call fails stays pending, so calling commit again re-sends
+// the identical commit — same batch ID, bitmap and window stamp — to those
+// servers only. Servers acknowledge a commit they already applied without
+// applying it again, so a reply lost after the apply is harmless too. Once
+// sent, a commit is never replaced by a re-verification: some servers may
+// already have applied it.
+func (l *Leader[Fd, E]) commit(d *decision) error {
+	if d.finish == nil {
+		return nil
+	}
+	if d.applied == nil {
+		d.applied = make([]bool, len(l.peers))
+	}
+	t0 := l.m.start()
+	_, errs := l.call(MsgFinish, l.same(d.finish), d.applied, nil)
+	var err error
+	for i, e := range errs {
+		switch {
+		case e == nil:
+			d.applied[i] = true
+		case err == nil:
+			err = fmt.Errorf("core: server %d: %w", i, e)
+		}
+	}
+	if err == nil {
+		l.m.observeFinish(t0)
+	}
+	return err
 }
 
 // verifyBatch runs the verification rounds over submissions that each carry
 // one bundle per server.
-func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
+func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	p := l.pro
 	f := p.Cfg.Field
 	count := len(subs)
 	if count == 0 {
-		return nil, nil
+		return &decision{}, nil
 	}
-	// rt times the batch; if it completes, it feeds the session's overlapDepth.
+	// rt times the batch's verification: the slot it holds in its shard's
+	// depth. If it reaches a decision, it feeds the session's overlapDepth.
 	rt := roundClock{start: time.Now(), cpu0: processCPU()}
 
 	// Critical section: rotate the challenge if the window is exhausted and
-	// allocate this batch's identifiers. The three network rounds below run
+	// allocate this batch's identifiers. The network rounds below run
 	// outside the lock so in-flight batches pipeline.
 	l.lmu.Lock()
 	if err := l.ensureChallenge(count); err != nil {
@@ -355,8 +431,9 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	// Stamp the batch with the collection window open right now (0 when
 	// windowing is off). One stamp per batch, leader-assigned, so every
 	// server files these submissions under the same window regardless of
-	// clock skew; it rides in Round1 (for no-robust accumulation) and in
-	// the commit finish (where the robust modes accumulate).
+	// clock skew — however late the commit lands; it rides in Round1 (for
+	// no-robust accumulation) and in the commit (where the robust modes
+	// accumulate).
 	wid := l.currentWindow()
 
 	// In the robust modes, Round1 seeds per-batch state on every server
@@ -365,9 +442,9 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	// servers — send a best-effort all-reject finish so a failed batch (a
 	// routine, counted outcome under the pipeline) does not leak xShares
 	// and verifier sessions on the servers that got through Round1.
-	finished := p.Cfg.Mode == ModeNoRobust // no-robust servers keep no batch state
+	decided := p.Cfg.Mode == ModeNoRobust // no-robust servers keep no batch state
 	defer func() {
-		if finished {
+		if decided {
 			return
 		}
 		fw := &wbuf{}
@@ -410,12 +487,13 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 	l.m.observeRound1(t0)
 
 	if p.Cfg.Mode == ModeNoRobust {
+		// Round1 already accumulated: there is nothing to commit.
 		accepts := make([]bool, count)
 		for i := range accepts {
 			accepts[i] = true
 		}
 		l.noteOverlap(&rt)
-		return accepts, nil
+		return &decision{accepts: accepts}, nil
 	}
 
 	sys := p.snipSys()
@@ -541,35 +619,29 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) ([]bool, error) {
 		}
 	}
 
-	// Decide and broadcast the accept bitmap.
-	accepts := make([]bool, count)
+	// Decide, and build the commit that carries the accept bitmap. It is a
+	// plain allocation, not a pooled arena: it lives until every server has
+	// acknowledged it, across any re-sends.
+	d := &decision{accepts: make([]bool, count)}
 	bitmap := make([]byte, (count+7)/8)
 	for j := 0; j < count; j++ {
 		ok := snipOK[j]
 		if p.Cfg.Mode == ModeMPC {
 			ok = ok && f.IsZero(validTau[j])
 		}
-		accepts[j] = ok
+		d.accepts[j] = ok
 		if ok {
 			bitmap[j/8] |= 1 << uint(j%8)
 		}
 	}
-	var fw wbuf
-	fw.grab(8 + 4 + len(bitmap) + 8)
+	fw := wbuf{b: make([]byte, 0, 8+4+len(bitmap)+8)}
 	fw.u64(batchID)
 	fw.blob(bitmap)
 	fw.u64(wid)
-	req, arena := fw.seal()
-	finished = true
-	t0 = l.m.start()
-	_, err = l.broadcast(MsgFinish, l.same(req), &rt)
-	arena.Free()
-	if err != nil {
-		return nil, err
-	}
-	l.m.observeFinish(t0)
+	d.finish = fw.b
+	decided = true
 	l.noteOverlap(&rt)
-	return accepts, nil
+	return d, nil
 }
 
 // batchVerify drives the amortized SNIP check: one MsgRound2Batch probe over

@@ -13,7 +13,7 @@ import (
 // built outside a Pipeline) is a no-op everywhere.
 type pipeMetrics struct {
 	queueWait *telemetry.DurationHistogram // submit → shard pickup
-	batchDur  *telemetry.DurationHistogram // whole ProcessBatch
+	batchDur  *telemetry.DurationHistogram // one verification attempt, Round1 to the decision
 	round1    *telemetry.DurationHistogram // MsgRound1 broadcast round-trip
 	round2    *telemetry.DurationHistogram // SNIP round 2: the combined probe plus any bisect probes
 	finish    *telemetry.DurationHistogram // MsgFinish commit broadcast
@@ -26,6 +26,8 @@ type pipeMetrics struct {
 	refused  *telemetry.Counter
 	retried  *telemetry.Counter
 	reruns   *telemetry.Counter
+	// commitRetries counts MsgFinish re-sends to servers that failed the commit.
+	commitRetries *telemetry.Counter
 
 	bisectProbes *telemetry.Counter // extra Round2Batch probes beyond the first
 	fallbacks    *telemetry.Counter // batches whose combined check failed
@@ -38,7 +40,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 		queueWait: reg.Duration("prio_pipeline_queue_wait_seconds",
 			"time a submission spends in the pipeline queue before a shard picks it up"),
 		batchDur: reg.Duration("prio_verify_batch_seconds",
-			"wall time of one ProcessBatch (all verification rounds)"),
+			"wall time of one batch verification attempt (Round1 through the decision; the commit is prio_verify_finish_seconds)"),
 		round1: reg.Duration("prio_verify_round1_seconds",
 			"MsgRound1 broadcast round-trip (bundle relay + local circuit pass)"),
 		round2: reg.Duration("prio_verify_round2_seconds",
@@ -61,6 +63,8 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			"submissions re-run after a batch-level failure (failover re-queue)"),
 		reruns: reg.Counter("prio_verify_batch_reruns_total",
 			"failed verification batches re-run under a fresh batch ID"),
+		commitRetries: reg.Counter("prio_verify_commit_retries_total",
+			"commit (MsgFinish) re-sends, each to the servers whose previous attempt failed"),
 		bisectProbes: reg.Counter("prio_verify_bisect_probes_total",
 			"extra Round2Batch probes issued by the bisecting fallback"),
 		fallbacks: reg.Counter("prio_verify_batch_fallback_total",

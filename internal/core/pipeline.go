@@ -26,26 +26,30 @@ import (
 // write-up.
 //
 // Shape: Submit → bounded queue → K shard schedulers, each forming batches
-// of up to MaxBatch and verifying them on background goroutines. Workers
+// of up to MaxBatch and running them on background goroutines. Workers
 // batch adaptively — under light load a submission rides alone for low
 // latency; under heavy load batches fill to MaxBatch, amortizing the
-// per-round broadcasts — and a shard keeps several full batches in flight
-// when the rounds, not the CPUs, are the bottleneck (see shardLoop). Over
-// TCP, transport.StreamPeer carries every in-flight batch's rounds on each
-// server connection at once.
+// per-round broadcasts — and a shard keeps several full batches in
+// verification when the rounds, not the CPUs, are the bottleneck (see
+// shardLoop). A batch gives up its place in the shard's depth at its
+// decision and commits (MsgFinish) on its own goroutine while the next
+// batches verify; its completions run once every server has applied the
+// commit. Over TCP, transport.StreamPeer carries every in-flight batch's
+// rounds on each server connection at once.
 type Pipeline[Fd field.Field[E], E any] struct {
 	cfg      PipelineConfig
 	sessions []*Leader[Fd, E]
 	queue    chan pipeJob
 	backlog  chan struct{} // a token when a submit leaves ≥ MaxBatch queued; wakes a shard with room
 	stopping chan struct{} // closed by Close: retry backoffs abort immediately
-	maxDepth int           // ceiling on a shard's batches in flight: maxOverlap (tests lower it to 1)
+	maxDepth int           // ceiling on a shard's batches in verification: maxOverlap (tests lower it to 1)
 
-	wg       sync.WaitGroup
-	shards   []ShardStats
-	refused  uint64       // submissions refused unqueued by TrySubmitFunc (queue full)
-	inflight atomic.Int64 // batches in their rounds, all shards
-	m        *pipeMetrics
+	wg         sync.WaitGroup
+	shards     []ShardStats
+	refused    uint64       // submissions refused unqueued by TrySubmitFunc (queue full)
+	inflight   atomic.Int64 // batches in verification, all shards
+	committing atomic.Int64 // decided batches whose commit is under way, all shards
+	m          *pipeMetrics
 
 	// closeMu makes Submit's send atomic with respect to Close: senders
 	// hold the read side across the channel send (many may block there at
@@ -82,14 +86,20 @@ type PipelineConfig struct {
 	// Sharing one registry between two live pipelines merges their
 	// counters; give each its own for per-instance numbers.
 	Registry *telemetry.Registry
-	// Retries is how many times a shard re-runs a failed batch before
-	// counting its submissions Failed (default 0: fail fast, the
-	// single-process behavior). Each re-run goes through ProcessBatch
-	// afresh, on the batch's own goroutine, so it allocates a new batch ID —
-	// the old attempt's server-side state was already released by the abort
-	// path — and under a cluster roster the re-run lands on whatever peers
-	// answer now, which is how an interrupted round survives a leader
-	// failover.
+	// Retries is how many times a shard retries each phase of a failed
+	// batch before counting its submissions Failed (default 0: fail fast,
+	// the single-process behavior). Retries happen on the batch's own
+	// goroutine.
+	//
+	// A failed verification is re-run afresh, so it allocates a new batch ID
+	// — the old attempt's server-side state was already released by the
+	// abort path — and under a cluster roster the re-run lands on whatever
+	// peers answer now, which is how an interrupted round survives a leader
+	// failover. A failed commit is never re-verified, because some servers
+	// may already have applied it: the identical commit, under the same
+	// batch ID, is re-sent to the servers whose call failed, and a server
+	// acknowledges a commit it already applied without applying it again. A
+	// commit still failing after the retries fails its submissions.
 	Retries int
 	// RetryBackoff is the pause before the first re-run, doubling per
 	// attempt (default 50ms when Retries > 0). Long enough for the health
@@ -125,13 +135,16 @@ type ShardStats struct {
 	Accepted  uint64 // submissions whose shares entered the accumulators
 	Rejected  uint64 // submissions refused by SNIP/MPC verification
 	Failed    uint64 // submissions lost to batch-level errors (after any retries)
-	// Retried counts submission re-runs: a batch that failed its round and
-	// was re-driven contributes its size here per extra attempt. Retried
-	// submissions are not double-counted in Processed/Accepted/Rejected —
-	// only the attempt that reaches a decision lands there.
+	// Retried counts submission re-runs: a batch that failed its
+	// verification and was re-driven contributes its size here per extra
+	// attempt. Retried submissions are not double-counted in
+	// Processed/Accepted/Rejected — only the attempt that reaches a decision
+	// lands there.
 	Retried uint64
-	// FailedOver counts batch re-run attempts (each under a fresh batch ID,
-	// the old attempt's server-side state released by the abort path).
+	// FailedOver counts batch re-verification attempts (each under a fresh
+	// batch ID, the old attempt's server-side state released by the abort
+	// path). Commit re-sends are not re-runs; prio_verify_commit_retries_total
+	// counts them.
 	FailedOver uint64
 	// Refused counts submissions TrySubmitFunc turned away with a full
 	// queue (whole pipeline, not per shard). Whether a refusal is a loss is
@@ -220,6 +233,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	reg.GaugeFunc("prio_pipeline_inflight_batches",
 		"batches in their verification rounds, summed over shards",
 		func() float64 { return float64(p.inflight.Load()) })
+	reg.GaugeFunc("prio_pipeline_committing_batches",
+		"decided batches whose commit (MsgFinish) is under way, summed over shards",
+		func() float64 { return float64(p.committing.Load()) })
 	if sys := leader.pro.snipSys(); sys != nil {
 		reg.CounterFunc("prio_snip_evcache_hits_total",
 			"challenge-keyed evaluator cache hits",
@@ -345,37 +361,50 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 	p.mu.Unlock()
 }
 
-// shardLoop is one shard's scheduler. With nothing in flight it blocks for
-// a job and drains whatever else is queued up to MaxBatch: the adaptive
-// batching that verifies singletons at once on an idle pipeline and fills
-// every round on a saturated one. Each batch verifies on its own goroutine
-// (runBatch). While batches are in flight the shard dispatches another only
-// when all three hold:
+// shardLoop is one shard's scheduler. With no batch out it blocks for a job
+// and drains whatever else is queued up to MaxBatch: the adaptive batching
+// that verifies singletons at once on an idle pipeline and fills every round
+// on a saturated one. Each batch runs on its own goroutine (runBatch) and
+// verifies, then commits. While batches are out the shard dispatches
+// another only when all three hold:
 //
 //   - a full MaxBatch batch is waiting, so an under-loaded pipeline forms
 //     exactly the batches a serial loop would;
-//   - the session's in-flight submissions plus that batch stay within
+//   - the session's verifying submissions plus that batch stay within
 //     ChallengeEvery, so no batch outlives two challenge rotations (Leader);
-//   - the shard has fewer batches in flight than its session's
+//   - the shard has fewer batches in verification than its session's
 //     overlapDepth (at most maxDepth), so depth is spent only where the
 //     rounds wait on the wire while the CPUs have room.
 //
-// Otherwise it waits for a batch to finish or for a submit to leave a full
-// batch queued. A shard returns once the queue is closed and drained and its
-// last batch is done, so Close's wg.Wait covers every background batch.
+// A batch leaves the last two counts at its decision: its commit names no
+// challenge and needs no slot. It stays out until its completions have run,
+// so a shard whose batches are all committing still waits for a full batch
+// rather than forming a partial one early.
+//
+// Otherwise the loop waits for a batch to be decided or finish, or for a
+// submit to leave a full batch queued. A shard returns once the queue is
+// closed and drained and its last batch is done, so Close's wg.Wait covers
+// every background batch.
 func (p *Pipeline[Fd, E]) shardLoop(i int) {
 	defer p.wg.Done()
 	sess := p.sessions[i]
-	done := make(chan int, maxOverlap) // batch sizes; cap ≥ maxDepth, so sends never block
-	batches, subs := 0, 0              // in flight on this shard
+	// Each batch reports on events twice, in order: its size at its
+	// decision, then 0 once its completions have run. The buffer holds a
+	// full depth of decisions plus as many finishes; a send beyond it waits
+	// for the loop, which reads events whenever a batch is out.
+	events := make(chan int, 2*maxOverlap)
+	batches, verifying, subs := 0, 0, 0 // out, in verification, and the latter's submissions
 	launch := func(jobs []pipeJob) {
 		batches++
+		verifying++
 		subs += len(jobs)
 		p.inflight.Add(1)
 		go func() {
-			p.runBatch(i, jobs)
-			p.inflight.Add(-1)
-			done <- len(jobs)
+			p.runBatch(i, jobs, func() {
+				p.inflight.Add(-1)
+				events <- len(jobs)
+			})
+			events <- 0
 		}()
 	}
 	for {
@@ -387,7 +416,7 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 			launch(p.fill(append(make([]pipeJob, 0, p.cfg.MaxBatch), job)))
 			continue
 		}
-		room := batches < min(sess.overlapDepth(), p.maxDepth) &&
+		room := verifying < min(sess.overlapDepth(), p.maxDepth) &&
 			subs+p.cfg.MaxBatch <= sess.pro.Cfg.ChallengeEvery
 		if room && len(p.queue) >= p.cfg.MaxBatch {
 			// An idle shard may race this drain for part of the batch; what
@@ -403,9 +432,13 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 			backlog = p.backlog
 		}
 		select {
-		case n := <-done:
-			batches--
-			subs -= n
+		case n := <-events:
+			if n == 0 {
+				batches--
+			} else {
+				verifying--
+				subs -= n
+			}
 		case <-backlog:
 		}
 	}
@@ -427,11 +460,15 @@ func (p *Pipeline[Fd, E]) fill(jobs []pipeJob) []pipeJob {
 	return jobs
 }
 
-// runBatch verifies one batch of shard i, re-runs it on a batch-level
-// failure, records the outcome and delivers every completion — all on the
-// batch's own goroutine. Completions of a shard's concurrent batches may
-// interleave in any order; ingest matches acks by ID.
-func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
+// runBatch drives one batch of shard i through its two phases, retrying
+// each on failure, records the outcome and delivers every completion — all
+// on the batch's own goroutine. It calls decided when verification ends
+// (with a decision or for good), which frees the batch's place in the
+// shard's depth while its commit is still on the wire; the completions run
+// only after every server has applied the commit, so an accepted ack means
+// the submission is in every accumulator. Completions of a shard's
+// concurrent batches may interleave in any order; ingest matches acks by ID.
+func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob, decided func()) {
 	sess, st := p.sessions[i], &p.shards[i]
 	subs := make([]*Submission, len(jobs))
 	for k, j := range jobs {
@@ -447,29 +484,37 @@ func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
 		}
 		p.m.batchSize.Observe(uint64(len(jobs)))
 	}
-	t0 := p.m.start()
-	accepts, err := sess.ProcessBatch(subs)
-	p.m.batchDur.Since(t0)
 
-	// Batch-level failure: re-run the whole batch in place, up to
-	// cfg.Retries times with doubling backoff. Each attempt is a fresh
-	// ProcessBatch — new batch ID, prior attempt's server state already
-	// released by the leader's abort path — so under a cluster roster this
-	// is the failover re-run: the interrupted round is driven again once the
-	// surviving peers answer, instead of discarding the submissions.
-	// Retrying on the batch's goroutine (not re-queueing) cannot deadlock on
-	// a full queue, and the batch still counts against the shard's depth.
-	for attempt := 1; err != nil && attempt <= p.cfg.Retries; attempt++ {
+	// Verification, re-run in place on a batch-level failure. Each attempt
+	// is a fresh verify — new batch ID, prior attempt's server state already
+	// released by the leader's abort path — so under a cluster roster this is
+	// the failover re-run: the interrupted round is driven again once the
+	// surviving peers answer, instead of discarding the submissions. Retrying
+	// on the batch's goroutine (not re-queueing) cannot deadlock on a full
+	// queue, and the batch keeps its place in the shard's depth meanwhile.
+	var d *decision
+	err := p.withRetries(func() error {
+		t0 := p.m.start()
+		var err error
+		d, err = sess.verify(subs)
+		p.m.batchDur.Since(t0)
+		return err
+	}, func() {
 		atomic.AddUint64(&st.FailedOver, 1)
 		atomic.AddUint64(&st.Retried, uint64(len(jobs)))
 		p.m.reruns.Inc()
 		p.m.retried.Add(uint64(len(jobs)))
-		if !p.sleepRetry(p.cfg.RetryBackoff << (attempt - 1)) {
-			break // closing: give up on further attempts
+	})
+	decided()
+
+	// The commit: re-sent as is, never re-verified (see Retries).
+	if err == nil && d.finish != nil {
+		for _, j := range jobs {
+			j.sub.Trace.Stage("commit")
 		}
-		t0 = p.m.start()
-		accepts, err = sess.ProcessBatch(subs)
-		p.m.batchDur.Since(t0)
+		p.committing.Add(1)
+		err = p.withRetries(func() error { return sess.commit(d) }, p.m.commitRetries.Inc)
+		p.committing.Add(-1)
 	}
 
 	// Counters are written with atomics so Stats can snapshot them while
@@ -493,7 +538,7 @@ func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
 	atomic.AddUint64(&st.Processed, uint64(len(jobs)))
 	var nAccept uint64
 	for k := range jobs {
-		if accepts[k] {
+		if d.accepts[k] {
 			nAccept++
 		}
 	}
@@ -502,14 +547,29 @@ func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob) {
 	p.m.accepted.Add(nAccept)
 	p.m.rejected.Add(uint64(len(jobs)) - nAccept)
 	for k, j := range jobs {
-		if accepts[k] {
+		if d.accepts[k] {
 			j.sub.Trace.Finish("accepted")
 		} else {
 			j.sub.Trace.Finish("rejected")
 		}
-		j.finish(SubmitResult{Accepted: accepts[k]})
+		j.finish(SubmitResult{Accepted: d.accepts[k]})
 	}
 	p.settle(len(jobs))
+}
+
+// withRetries runs op, then re-runs it while it fails, up to cfg.Retries
+// more times with doubling backoff; onRetry runs before each re-run. It
+// gives up early once the pipeline is closing, and returns op's last error.
+func (p *Pipeline[Fd, E]) withRetries(op func() error, onRetry func()) error {
+	err := op()
+	for attempt := 1; err != nil && attempt <= p.cfg.Retries; attempt++ {
+		onRetry()
+		if !p.sleepRetry(p.cfg.RetryBackoff << (attempt - 1)) {
+			break
+		}
+		err = op()
+	}
+	return err
 }
 
 // sleepRetry pauses for a retry backoff, returning false when the pipeline

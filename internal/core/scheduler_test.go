@@ -10,6 +10,7 @@ import (
 
 	"prio/internal/afe"
 	"prio/internal/field"
+	"prio/internal/telemetry"
 	"prio/internal/transport"
 )
 
@@ -17,12 +18,31 @@ import (
 // through a slowPeer, so the rounds wait on the wire while the CPUs idle —
 // the regime rounds_sum8_s5_wan measures.
 
-// schedProbe is what the slow peers see of the pipeline under test.
+// schedProbe is what the slow peers see of the pipeline under test. Its
+// hooks are set before the first submit.
 type schedProbe struct {
-	inflight *atomic.Int64 // the pipeline's gauge; set before the first submit
-	peak     atomic.Int64  // the highest gauge reading at any call
+	inflight   *atomic.Int64 // the pipeline's verifying-batches gauge
+	committing *atomic.Int64 // the pipeline's committing-batches gauge
+	peak       atomic.Int64  // the highest inflight reading at any call
+	peakCommit atomic.Int64  // the highest committing reading at any call
+	peakOut    atomic.Int64  // the highest inflight + committing at any call
+	// finishDelay is slept before each MsgFinish on top of the peer's d.
+	finishDelay time.Duration
 	// fail, when set, may fail a call to server j instead of forwarding it.
 	fail func(j int, msgType byte, payload []byte) error
+	// loseReply, when set and true, fails a call to server j after the
+	// server handled it: the request landed, its reply did not.
+	loseReply func(j int, msgType byte) bool
+}
+
+// raise lifts peak to at least v.
+func raise(peak *atomic.Int64, v int64) {
+	for {
+		m := peak.Load()
+		if v <= m || peak.CompareAndSwap(m, v) {
+			return
+		}
+	}
 }
 
 // slowPeer sleeps d before delegating each call to its LoopbackPeer.
@@ -35,21 +55,26 @@ type slowPeer struct {
 
 func (p *slowPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	if p.probe.inflight != nil {
-		v := p.probe.inflight.Load()
-		for {
-			m := p.probe.peak.Load()
-			if v <= m || p.probe.peak.CompareAndSwap(m, v) {
-				break
-			}
-		}
+		v, c := p.probe.inflight.Load(), p.probe.committing.Load()
+		raise(&p.probe.peak, v)
+		raise(&p.probe.peakCommit, c)
+		raise(&p.probe.peakOut, v+c)
 	}
-	time.Sleep(p.d)
+	d := p.d
+	if msgType == MsgFinish {
+		d += p.probe.finishDelay
+	}
+	time.Sleep(d)
 	if p.probe.fail != nil {
 		if err := p.probe.fail(p.j, msgType, payload); err != nil {
 			return nil, err
 		}
 	}
-	return p.Peer.Call(msgType, payload)
+	resp, err := p.Peer.Call(msgType, payload)
+	if err == nil && p.probe.loseReply != nil && p.probe.loseReply(p.j, msgType) {
+		return nil, errors.New("injected: reply lost")
+	}
+	return resp, err
 }
 
 // slowRig is a three-server sum8 cluster whose leader reaches servers 1 and
@@ -101,7 +126,10 @@ func (r *slowRig) pipeline(t *testing.T, cfg PipelineConfig, maxDepth int) *Pipe
 	}
 	pl.maxDepth = maxDepth
 	r.probe.inflight = &pl.inflight
+	r.probe.committing = &pl.committing
 	r.probe.peak.Store(0)
+	r.probe.peakCommit.Store(0)
+	r.probe.peakOut.Store(0)
 	return pl
 }
 
@@ -226,9 +254,28 @@ func TestSchedulerFastRotation(t *testing.T) {
 // TestSchedulerShutdown: Quiesce and Close both wait out batches in flight,
 // and no completion runs after Close returns.
 func TestSchedulerShutdown(t *testing.T) {
-	const n = 128
 	rig := newSlowRig(t, 2*time.Millisecond, 0)
-	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: n}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, maxOverlap)
+	checkShutdown(t, rig, pl, &pl.inflight)
+}
+
+// TestSchedulerShutdownDuringCommits: Quiesce and Close issued while
+// batches commit — decided, out of the depth, MsgFinish still on the wire —
+// return only after every completion has run, and no completion runs after
+// Close returns.
+func TestSchedulerShutdownDuringCommits(t *testing.T) {
+	rig := newSlowRig(t, 0, 0)
+	rig.probe.finishDelay = 5 * time.Millisecond
+	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, maxOverlap)
+	checkShutdown(t, rig, pl, &pl.committing)
+}
+
+// checkShutdown submits two rounds of 128 submissions to pl, issuing
+// Quiesce and then Close each once busy reads nonzero, and checks that each
+// returns only after every completion ran and no batch was left verifying or
+// committing.
+func checkShutdown(t *testing.T, rig *slowRig, pl *Pipeline[field.F64, uint64], busy *atomic.Int64) {
+	const n = 128
 	var decided atomic.Int64
 	var closed atomic.Bool
 	var late atomic.Int64
@@ -244,8 +291,8 @@ func TestSchedulerShutdown(t *testing.T) {
 			}
 		}
 	}
-	waitInflight := func() {
-		for deadline := time.Now().Add(5 * time.Second); pl.inflight.Load() == 0; {
+	waitBusy := func() {
+		for deadline := time.Now().Add(5 * time.Second); busy.Load() == 0; {
 			if time.Now().After(deadline) {
 				t.Fatal("no batch ever in flight")
 			}
@@ -254,18 +301,18 @@ func TestSchedulerShutdown(t *testing.T) {
 	}
 
 	submit(honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
-	waitInflight()
+	waitBusy()
 	pl.Quiesce(func() {
 		if got := decided.Load(); got != n {
 			t.Errorf("Quiesce ran with %d of %d decided", got, n)
 		}
-		if in := pl.inflight.Load(); in != 0 {
-			t.Errorf("Quiesce ran with %d batches in flight", in)
+		if in, c := pl.inflight.Load(), pl.committing.Load(); in != 0 || c != 0 {
+			t.Errorf("Quiesce ran with %d batches verifying, %d committing", in, c)
 		}
 	})
 
 	submit(honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
-	waitInflight()
+	waitBusy()
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +392,254 @@ func TestSchedulerRetriesSeveredPeer(t *testing.T) {
 		if leaked != 0 {
 			t.Errorf("server %d holds %d batch states", i, leaked)
 		}
+	}
+}
+
+// TestSchedulerCommitsLeaveTheSlot: behind a link that delays only MsgFinish,
+// a depth-1 shard verifies its next batch while earlier ones commit, so 32
+// batches take well under the time of the serial verify-then-commit loop
+// (ProcessBatch back to back, each paying its commit); verifying batches
+// never exceed the depth, while committing batches ride beside them.
+func TestSchedulerCommitsLeaveTheSlot(t *testing.T) {
+	const batches, maxBatch = 32, 8
+	const finishDelay = 10 * time.Millisecond
+	newRig := func() *slowRig {
+		rig := newSlowRig(t, 0, 0)
+		rig.probe.finishDelay = finishDelay
+		return rig
+	}
+
+	serialRig := newRig()
+	subs := honestSubs(t, serialRig.client, serialRig.scheme, make([]uint64, batches*maxBatch)...)
+	t0 := time.Now()
+	for k := 0; k < batches; k++ {
+		if _, err := serialRig.leader.ProcessBatch(subs[k*maxBatch : (k+1)*maxBatch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := time.Since(t0)
+
+	rig := newRig()
+	subs = honestSubs(t, rig.client, rig.scheme, make([]uint64, batches*maxBatch)...)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 1)
+	defer pl.Close()
+	t0 = time.Now()
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	piped := time.Since(t0)
+	for i, r := range res {
+		if r.Err != nil || !r.Accepted {
+			t.Fatalf("submission %d: %+v", i, r)
+		}
+	}
+	if _, cnt, err := pl.Aggregate(); err != nil || cnt != uint64(len(subs)) {
+		t.Fatalf("aggregate count %d err %v", cnt, err)
+	}
+	peak, peakCommit, peakOut := rig.probe.peak.Load(), rig.probe.peakCommit.Load(), rig.probe.peakOut.Load()
+	t.Logf("serial loop %v, pipeline at depth 1 %v; peak verifying %d, committing %d, both %d",
+		serial, piped, peak, peakCommit, peakOut)
+	if piped > serial*8/10 {
+		t.Errorf("pipeline took %v, want ≤ 0.8 × the serial loop's %v", piped, serial)
+	}
+	if peak > 1 {
+		t.Errorf("%d batches verifying at depth 1", peak)
+	}
+	if peakCommit == 0 || peakOut <= 1 {
+		t.Errorf("commits never overlapped verification (peak committing %d, verifying + committing %d)", peakCommit, peakOut)
+	}
+}
+
+// TestSchedulerPartialQueueWaitsForCommit: a committing batch still keeps
+// its shard busy, so a partial queue that arrives during the commit leaves
+// as one batch once the commit is done, not as soon as the batch is decided
+// — an under-loaded shard forms the batches the serial loop formed.
+func TestSchedulerPartialQueueWaitsForCommit(t *testing.T) {
+	rig := newSlowRig(t, 0, 0)
+	rig.probe.finishDelay = 30 * time.Millisecond
+	var round1 atomic.Int64 // Round1 calls to server 1: one per batch
+	rig.probe.fail = func(j int, msgType byte, _ []byte) error {
+		if j == 1 && msgType == MsgRound1 {
+			round1.Add(1)
+		}
+		return nil
+	}
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8}, maxOverlap)
+	defer pl.Close()
+	subs := honestSubs(t, rig.client, rig.scheme, 1, 2, 3, 4)
+	var atFirst atomic.Int64
+	atFirst.Store(-1)
+	if err := pl.SubmitFunc(subs[0], func(SubmitResult) { atFirst.Store(round1.Load()) }); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); pl.committing.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first batch never committed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	res := submitAll(t, pl, subs[1:])
+	if pl.committing.Load() == 0 {
+		t.Fatal("the commit ended before the partial queue arrived")
+	}
+	pl.Drain()
+	for i, r := range res {
+		if r.Err != nil || !r.Accepted {
+			t.Fatalf("submission %d: %+v", i+1, r)
+		}
+	}
+	if got := atFirst.Load(); got != 1 {
+		t.Errorf("%d batches had started Round1 when the first batch completed, want 1", got)
+	}
+	if st := pl.Stats(); st.Batches != 2 || round1.Load() != 2 {
+		t.Errorf("stats %+v, %d Round1 calls: want the partial queue as one batch", st, round1.Load())
+	}
+}
+
+// TestSchedulerWindowStampSurvivesCommit: a window boundary that falls while
+// a batch's commit is on the wire — even one the commit is re-sent across —
+// files the batch under the window it was stamped with, on every server.
+func TestSchedulerWindowStampSurvivesCommit(t *testing.T) {
+	const n = 8
+	rig := newSlowRig(t, 0, 0)
+	var win atomic.Uint64
+	win.Store(1)
+	rig.cl.Servers[0].SetWindowFunc(win.Load)
+	var dropped atomic.Bool
+	rig.probe.fail = func(j int, msgType byte, _ []byte) error {
+		if msgType != MsgFinish {
+			return nil
+		}
+		win.Store(2)
+		if j == 2 && dropped.CompareAndSwap(false, true) {
+			return errors.New("injected: commit to server 2 lost")
+		}
+		return nil
+	}
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: 1, RetryBackoff: time.Millisecond}, maxOverlap)
+	defer pl.Close()
+	res := submitAll(t, pl, honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
+	pl.Drain()
+	for i, r := range res {
+		if r.Err != nil || !r.Accepted {
+			t.Fatalf("submission %d: %+v", i, r)
+		}
+	}
+	counts := func(srv *Server[field.F64, uint64]) map[uint64]uint64 {
+		out := map[uint64]uint64{}
+		for _, w := range srv.AccState().Windows {
+			out[w.ID] = w.Count
+		}
+		return out
+	}
+	want := counts(rig.cl.Servers[0])
+	if want[1] == 0 || want[1]+want[2] != n {
+		t.Errorf("server 0 windows %v: want the first batch in window 1 and all %d filed", want, n)
+	}
+	for i, srv := range rig.cl.Servers[1:] {
+		if got := counts(srv); got[1] != want[1] || got[2] != want[2] {
+			t.Errorf("server %d windows %v, server 0 %v", i+1, got, want)
+		}
+	}
+}
+
+// TestSchedulerCommitRetry: a commit that fails toward server 2 is re-sent
+// to server 2 alone under the same batch ID — never re-verified — so every
+// server counts each submission once, whether the request or only its reply
+// was lost; a commit lost for good fails its submissions.
+func TestSchedulerCommitRetry(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name    string
+		reply   bool // lose the reply after server 2 applied the commit
+		forever bool // lose every commit to server 2
+	}{
+		{name: "request lost"},
+		{name: "reply lost", reply: true},
+		{name: "lost for good", forever: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newSlowRig(t, 0, 0)
+			var dropped, round1 atomic.Int64
+			var finishes [3]atomic.Int64 // MsgFinish calls per server
+			drop := func(j int, msgType byte) bool {
+				return j == 2 && msgType == MsgFinish && (tc.forever || dropped.Add(1) == 1)
+			}
+			rig.probe.fail = func(j int, msgType byte, _ []byte) error {
+				if j == 1 && msgType == MsgRound1 {
+					round1.Add(1)
+				}
+				if msgType == MsgFinish {
+					finishes[j].Add(1)
+				}
+				if !tc.reply && drop(j, msgType) {
+					return errors.New("injected: commit to server 2 lost")
+				}
+				return nil
+			}
+			if tc.reply {
+				rig.probe.loseReply = drop
+			}
+			reg := telemetry.New()
+			const retries = 2
+			pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: retries, RetryBackoff: time.Millisecond, Registry: reg}, maxOverlap)
+			defer pl.Close()
+			res := submitAll(t, pl, honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
+			pl.Drain()
+			st := pl.Stats()
+			if st.FailedOver != 0 || uint64(round1.Load()) != st.Batches {
+				t.Errorf("stats %+v with %d Round1 calls: a commit failure must not re-verify", st, round1.Load())
+			}
+			var counts []uint64
+			for _, srv := range rig.cl.Servers {
+				srv.mu.Lock()
+				counts = append(counts, srv.accCount)
+				srv.mu.Unlock()
+			}
+			if tc.forever {
+				for i, r := range res {
+					if r.Err == nil {
+						t.Errorf("submission %d decided without its commit: %+v", i, r)
+					}
+				}
+				if st.Failed != n || counts[0] != n || counts[2] != 0 {
+					t.Errorf("stats %+v, server counts %v: want %d failed, applied everywhere but server 2", st, counts, n)
+				}
+				if telemetry.Enabled {
+					if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != retries*st.Batches {
+						t.Errorf("commit retries = %d, want %d per batch", got, retries)
+					}
+				}
+				return
+			}
+			for i, r := range res {
+				if r.Err != nil || !r.Accepted {
+					t.Fatalf("submission %d: %+v", i, r)
+				}
+			}
+			if _, cnt, err := pl.Aggregate(); err != nil || cnt != n {
+				t.Errorf("aggregate count %d err %v", cnt, err)
+			}
+			for i, c := range counts {
+				if c != n {
+					t.Errorf("server counts %v: server %d counted %d of %d", counts, i, c, n)
+				}
+			}
+			if f1, f2 := uint64(finishes[1].Load()), uint64(finishes[2].Load()); f1 != st.Batches || f2 != st.Batches+1 {
+				t.Errorf("%d batches sent %d commits to server 1 and %d to server 2: want the re-send to server 2 alone", st.Batches, f1, f2)
+			}
+			if telemetry.Enabled {
+				if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != 1 {
+					t.Errorf("commit retries = %d, want 1", got)
+				}
+			}
+			for i, srv := range rig.cl.Servers {
+				srv.mu.Lock()
+				leaked := len(srv.batches)
+				srv.mu.Unlock()
+				if leaked != 0 {
+					t.Errorf("server %d holds %d batch states", i, leaked)
+				}
+			}
+		})
 	}
 }

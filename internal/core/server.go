@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,6 +30,7 @@ type Server[Fd field.Field[E], E any] struct {
 	challenges map[uint32]*challState[Fd, E]
 	lastChall  map[uint32]uint32 // newest challenge ID per leader-session namespace
 	batches    map[uint64]*batchState[Fd, E]
+	commits    map[uint32]*commitLog // per leader session (batch ID >> 32): batches already committed
 	acc        []E
 	accCount   uint64
 	windows    map[uint64]*windowAcc[E] // per-collection-window accumulators (see window.go)
@@ -79,6 +81,42 @@ func (bs *batchState[Fd, E]) release() {
 	bs.flats, bs.xShares = nil, nil
 	bs.snipBatch, bs.mpcSess = nil, nil
 	bs.released = true
+}
+
+// commitMemory is how many committed batch IDs a server remembers per leader
+// session. A leader re-sends a commit only within its retry budget (a few
+// backoffs), long before the same session commits this many more batches.
+const commitMemory = 1024
+
+// commitLog is one leader session's record of the batches a server has
+// committed, so that a re-sent MsgFinish is acknowledged without being
+// applied twice: a ring of the session's newest commitMemory batch IDs.
+// Only a MsgFinish naming no live batch searches it, which is rare.
+type commitLog struct {
+	ids  [commitMemory]uint64
+	next int // IDs ever added; ids[next%commitMemory] is the oldest once full
+}
+
+// committedLocked reports whether this server already applied the commit
+// for batchID. Callers hold s.mu.
+func (s *Server[Fd, E]) committedLocked(batchID uint64) bool {
+	c := s.commits[uint32(batchID>>32)]
+	if c == nil {
+		return false
+	}
+	return slices.Contains(c.ids[:min(c.next, commitMemory)], batchID)
+}
+
+// noteCommitLocked records batchID as committed. Callers hold s.mu.
+func (s *Server[Fd, E]) noteCommitLocked(batchID uint64) {
+	ns := uint32(batchID >> 32)
+	c := s.commits[ns]
+	if c == nil {
+		c = &commitLog{}
+		s.commits[ns] = c
+	}
+	c.ids[c.next%commitMemory] = batchID
+	c.next++
 }
 
 // NewServer constructs server idx of the deployment. A fresh sealbox key
@@ -157,7 +195,8 @@ func (s *Server[Fd, E]) Handler() transport.Handler { return s.Handle }
 
 // ReleaseLeader drops every piece of round state a given leader server left
 // behind: in-flight batches (xShares, verifier sessions), challenge engines,
-// and challenge-window bookkeeping whose IDs carry leader in their top bits.
+// challenge-window bookkeeping and the record of committed batches, all
+// those whose IDs carry leader in their top bits.
 // Cluster members call it when the health checker declares a peer dead — a
 // leader killed between Round1 and MsgFinish can never finish its batches,
 // so without this the state would sit in the maps forever. The accumulator
@@ -182,6 +221,11 @@ func (s *Server[Fd, E]) ReleaseLeader(leader int) (batches, challenges int) {
 	for ns := range s.lastChall {
 		if int(ns>>8) == leader {
 			delete(s.lastChall, ns)
+		}
+	}
+	for ns := range s.commits {
+		if int(ns>>16) == leader {
+			delete(s.commits, ns)
 		}
 	}
 	s.mu.Unlock()
@@ -223,6 +267,7 @@ func (s *Server[Fd, E]) resetLocked() {
 	// In-flight batches are dropped, not released: their slabs go to the GC
 	// instead of the pool, which needs no wait for handlers still on them.
 	s.batches = make(map[uint64]*batchState[Fd, E])
+	s.commits = make(map[uint32]*commitLog)
 	s.windows = make(map[uint64]*windowAcc[E])
 	s.spilled = 0
 }
@@ -519,8 +564,13 @@ func (s *Server[Fd, E]) handleMPCRound(payload []byte) ([]byte, error) {
 	return w.b, nil
 }
 
-// handleFinish applies the leader's accept decisions: accepted submissions'
-// truncated shares enter the accumulator, and the batch state is dropped.
+// handleFinish applies the leader's accept decisions — the batch's commit:
+// accepted submissions' truncated shares enter the accumulator, and the batch
+// state is dropped. A leader that lost the reply re-sends the identical
+// commit; a batch ID this server already committed is acknowledged and
+// nothing is applied again. The lookup, the accumulation and the record of
+// the commit share one critical section, so two copies of a commit can never
+// both apply.
 func (s *Server[Fd, E]) handleFinish(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
@@ -541,28 +591,37 @@ func (s *Server[Fd, E]) handleFinish(payload []byte) ([]byte, error) {
 	}
 	s.mu.Lock()
 	bs := s.batches[batchID]
-	delete(s.batches, batchID)
-	s.mu.Unlock()
 	if bs == nil {
+		committed := s.committedLocked(batchID)
+		s.mu.Unlock()
+		if committed {
+			return nil, nil
+		}
 		return nil, fmt.Errorf("core: server %d: finish for unknown batch %d", s.idx, batchID)
 	}
-	// The batch is out of the table; wait out any round still reading its
-	// slabs, apply the decisions, and retire the slabs whatever happens.
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	defer bs.release()
-	if len(bitmap) != (bs.count+7)/8 {
-		return nil, errTruncated
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for j := 0; j < bs.count; j++ {
-		if bitmap[j/8]&(1<<uint(j%8)) == 0 {
-			continue
+	delete(s.batches, batchID)
+	// A batch found in the table has not been released, and round handlers
+	// only read its shares, so they can be summed here without bs.mu.
+	valid := len(bitmap) == (bs.count+7)/8
+	if valid {
+		for j := 0; j < bs.count; j++ {
+			if bitmap[j/8]&(1<<uint(j%8)) == 0 {
+				continue
+			}
+			field.AddVec(f, s.acc, bs.xShares[j])
+			s.accCount++
+			s.windowAddLocked(wid, bs.xShares[j])
 		}
-		field.AddVec(f, s.acc, bs.xShares[j])
-		s.accCount++
-		s.windowAddLocked(wid, bs.xShares[j])
+		s.noteCommitLocked(batchID)
+	}
+	s.mu.Unlock()
+	// The batch is out of the table; wait out any round still reading its
+	// slabs and retire them whatever happened.
+	bs.mu.Lock()
+	bs.release()
+	bs.mu.Unlock()
+	if !valid {
+		return nil, errTruncated
 	}
 	return nil, nil
 }

@@ -232,39 +232,29 @@ func (bv *BatchVerifier[Fd, E]) round1Fast(st *BatchState[E], xShares [][]E, pfs
 	sys := ev.sys
 	b := len(xShares)
 	c64 := any(sys.C).(*circuit.Circuit[uint64])
-	xs := make([][]uint64, b)
-	for i := range xs {
-		xs[i] = asU64s(xShares[i])
-	}
-	// Lane-major gather of the h shares at the multiplication points. The
-	// walk copies these lanes into its own wires, so the backing goes back
-	// to the pool right after.
-	hAt := make([][]uint64, sys.M)
-	hBack := field.GetSlabUninit(sys.M * b)
-	for t := range hAt {
-		hAt[t] = hBack[t*b : (t+1)*b]
-	}
-	// Gather lane-by-lane (t outer): writes stream through each lane and the
-	// strided H reads stay cache-resident across consecutive t.
-	hs := make([][]uint64, b)
+	// One wire slab for the whole walk: wire g's lanes are w[g·b : (g+1)·b].
+	w := field.GetSlabUninit(len(c64.Gates) * b)
+	defer field.PutSlab(w)
+	lane := func(g int) []uint64 { return w[g*b : (g+1)*b : (g+1)*b] }
+	// The h shares at the multiplication points go straight into the
+	// multiplication gates' lanes, one submission's H at a time: its reads
+	// run sequentially, and the lanes it writes fit in cache.
 	for i, pf := range pfs {
-		hs[i] = asU64s(pf.H)
-	}
-	for t := 0; t < sys.M; t++ {
-		lane, off := hAt[t], 2*(t+1)
-		for i := range hs {
-			lane[i] = hs[i][off]
+		h := asU64s(pf.H)
+		for t, g := range c64.MulGates {
+			w[g*b+i] = h[2*(t+1)]
 		}
 	}
-	u, v, asserts, release := circuit.EvalSharesBatchF64(c64, xs, hAt, constServer)
-	defer release()
-	field.PutSlab(hBack)
+	circuit.EvalSharesBatchF64(c64, w, any(xShares).([][]uint64), constServer)
+	// Multiplication gate t's operands are the lanes of its A and B wires.
+	u := func(t int) []uint64 { return lane(c64.Gates[c64.MulGates[t]].A) }
+	v := func(t int) []uint64 { return lane(c64.Gates[c64.MulGates[t]].B) }
 
 	// τ_i = Σ_k ρ_k·assert_k[i]: one fused multiply-accumulate pass per
 	// assertion wire across all lanes, one reduction per lane at the end.
 	a0, a1, a2 := field.GetSlab(b), field.GetSlab(b), field.GetSlab(b)
-	for k, aw := range asserts {
-		field.MulAcc192(a0, a1, a2, aw, asU64(ev.ch.Rho[k]))
+	for k, a := range c64.Asserts {
+		field.MulAcc192(a0, a1, a2, lane(a), asU64(ev.ch.Rho[k]))
 	}
 	field.Reduce192Slice(asU64s(st.taus), a0, a1, a2)
 
@@ -310,7 +300,7 @@ func (bv *BatchVerifier[Fd, E]) round1Fast(st *BatchState[E], xShares [][]E, pfs
 		zero3(a0, a1, a2)
 		field.MulAcc192(a0, a1, a2, f0s, wj[0])
 		for t := 0; t < sys.M; t++ {
-			field.MulAcc192(a0, a1, a2, u[t], wj[t+1])
+			field.MulAcc192(a0, a1, a2, u(t), wj[t+1])
 		}
 		for k := 0; k < reps-1; k++ {
 			field.MulAcc192(a0, a1, a2, pads[k], wj[sys.M+1+k])
@@ -327,7 +317,7 @@ func (bv *BatchVerifier[Fd, E]) round1Fast(st *BatchState[E], xShares [][]E, pfs
 		zero3(a0, a1, a2)
 		field.MulAcc192(a0, a1, a2, g0s, wj[0])
 		for t := 0; t < sys.M; t++ {
-			field.MulAcc192(a0, a1, a2, v[t], wj[t+1])
+			field.MulAcc192(a0, a1, a2, v(t), wj[t+1])
 		}
 		for k := 0; k < reps-1; k++ {
 			field.MulAcc192(a0, a1, a2, pads[reps-1+k], wj[sys.M+1+k])

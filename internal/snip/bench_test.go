@@ -1,0 +1,77 @@
+package snip
+
+import (
+	"crypto/rand"
+	"fmt"
+	"testing"
+
+	"prio/internal/afe"
+	"prio/internal/circuit"
+	"prio/internal/field"
+)
+
+// BenchmarkBatchRound1 is one server's batch circuit pass alone —
+// BatchVerifier.Round1 over B submissions under one challenge, two
+// repetitions — on the two shapes the repository benchmark verifies:
+// linreg10x14 (a 980-gate circuit) and bits1024 (1,024 multiplication
+// gates). ns/sub is the per-submission cost;
+// allocs/op and B/op are the pass's own allocations, wire slab included.
+//
+//	go test -run '^$' -bench BatchRound1 -benchmem ./internal/snip/
+func BenchmarkBatchRound1(b *testing.B) {
+	f := field.NewF64()
+	linreg := afe.NewLinRegUniform(f, 10, 14)
+	bits := afe.NewBitVector(f, 1024)
+	shapes := []struct {
+		name   string
+		c      *circuit.Circuit[uint64]
+		encode func(i int) ([]uint64, error)
+	}{
+		{"linreg10x14", linreg.Circuit(), func(i int) ([]uint64, error) {
+			x := make([]uint64, 10)
+			for j := range x {
+				x[j] = uint64(i*31+j*7) % (1 << 14)
+			}
+			return linreg.Encode(x, uint64(i)%(1<<14))
+		}},
+		{"bits1024", bits.Circuit(), func(i int) ([]uint64, error) {
+			v := make([]bool, 1024)
+			for j := range v {
+				v[j] = (i+j)%3 == 0
+			}
+			return bits.Encode(v)
+		}},
+	}
+	for _, shape := range shapes {
+		sys, err := NewSystem(f, shape.c, Params{Reps: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ch, err := sys.NewChallenge(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bv := sys.NewEvaluator(ch).Batch()
+		for _, batch := range []int{1, 16} {
+			xs := make([][]uint64, batch)
+			pfs := make([]*Proof[uint64], batch)
+			for i := range xs {
+				if xs[i], err = shape.encode(i); err != nil {
+					b.Fatal(err)
+				}
+				if pfs[i], err = sys.Prove(xs[i], rand.Reader); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run(fmt.Sprintf("%s/B=%d", shape.name, batch), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := bv.Round1(xs, pfs, true); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sub")
+			})
+		}
+	}
+}
