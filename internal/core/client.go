@@ -259,6 +259,20 @@ func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, 
 	}
 }
 
+// maxSubmission is the wire size (Submission.Marshal) of the largest
+// submission every server's decodeBundle can accept: one bundle per server,
+// each at most the longer of an explicit share (a flag byte and flatLen
+// elements) and a seed bundle (a flag byte and a seed), sealed when the
+// deployment seals. A short share (flatLen·ElemSize < SeedSize) makes the
+// seed bundle the longer one. An encapsulation is shorter than any box.
+func (p *Protocol[Fd, E]) maxSubmission() int {
+	bundle := 1 + max(p.flatLen*p.Cfg.Field.ElemSize(), prg.SeedSize)
+	if p.Cfg.Seal {
+		bundle += sealbox.Overhead
+	}
+	return 4 + p.Cfg.Servers*(4+bundle)
+}
+
 // getFlat returns a vector of p.flatLen elements with unspecified contents
 // for one submission's share: over F64 a pooled slab (putFlat recycles it),
 // otherwise a plain allocation.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"prio/internal/afe"
 	"prio/internal/field"
@@ -119,6 +120,14 @@ func NewProtocol[Fd field.Field[E], E any](cfg Config[Fd, E]) (*Protocol[Fd, E],
 // FlatLen returns the number of field elements in each server's share of one
 // submission (before PRG compression).
 func (p *Protocol[Fd, E]) FlatLen() int { return p.flatLen }
+
+// shareBytes is what one submission's share holds on each server while its
+// batch verifies and commits: flatLen elements in their pooled slab size
+// class, the power of two getFlat rounds them up to (512 B for sum8, 8 KiB
+// for linreg10x14, 64 KiB for bits1024).
+func (p *Protocol[Fd, E]) shareBytes() int {
+	return p.Cfg.Field.ElemSize() << bits.Len(uint(p.flatLen-1))
+}
 
 // splitFlat cuts a server's flat share vector into its parts:
 // (x, triples, proofFlat) according to the mode's layout.

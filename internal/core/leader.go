@@ -42,8 +42,9 @@ import (
 // once. A commit names only its batch ID, never a challenge, so a decided
 // batch no longer counts. Pipeline enforces this per shard: it dispatches a
 // shard's next batch while others verify only if the session's verifying
-// submissions plus that batch stay within ChallengeEvery, and only up to
-// the depth overlapDepth measures.
+// submissions plus that batch stay within ChallengeEvery, up to the depth
+// overlapDepth measures, and while the shares its verifying and committing
+// batches pin on each server stay within the session's share budget.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
@@ -57,6 +58,10 @@ type Leader[Fd field.Field[E], E any] struct {
 	next      *challPrefetch // pre-generated, pre-broadcast next challenge
 
 	overlap atomic.Uint64 // running average of completed batches' roundClock.load, as math.Float64bits
+	// depthCap is the deepest the pipeline's rules let this session's shard
+	// go with full batches (NewPipeline sets it; 1 outside a Pipeline). It
+	// clamps roundClock.load and overlapDepth.
+	depthCap int
 
 	// m carries the pipeline's stage metrics; nil (a Leader built outside a
 	// Pipeline) disables them.
@@ -105,6 +110,7 @@ func NewLeaderSession[Fd field.Field[E], E any](srv *Server[Fd, E], peers []tran
 		sess:     sess,
 		challID:  uint32(srv.idx)<<24 | uint32(sess)<<16,
 		batchSeq: uint64(srv.idx)<<48 | uint64(sess)<<32,
+		depthCap: 1,
 	}, nil
 }
 
@@ -128,14 +134,6 @@ func (p *Protocol[Fd, E]) newChallenge() (*challenge[E], error) {
 	return ch, nil
 }
 
-// maxOverlap is the fixed ceiling on overlapDepth: no shard keeps more than
-// this many batches in verification on its session. It is a memory bound:
-// every batch holds its submissions' shares on every server until its
-// commit, one round trip after its decision, and on the 5 ms WAN benchmark a
-// ceiling of 8 raised peak RSS 27 % over the serial loop where 4 raises it
-// about 14 %, for 5× and 3× the throughput.
-const maxOverlap = 4
-
 // roundClock times one batch's verification, the part of its life that
 // holds a slot in its shard's depth. wall and self sum its broadcasts' wall
 // time and the part of it the leader's own loopback call took: wall/self is
@@ -152,16 +150,16 @@ type roundClock struct {
 }
 
 // load is wall/self scaled by the share of the host's CPU that sat idle
-// over the batch's verification, capped at maxOverlap: about 50 × 0.5 on a
-// 5 ms link with the CPUs half idle, 4 × 0.05 when the servers saturate the
+// over the batch's verification, capped at limit: about 50 × 0.5 on a 5 ms
+// link with the CPUs half idle, 4 × 0.05 when the servers saturate the
 // leader's cores.
-func (c *roundClock) load() float64 {
+func (c *roundClock) load(limit int) float64 {
 	if c.self <= 0 {
-		return maxOverlap
+		return float64(limit)
 	}
 	life := time.Since(c.start)
 	busy := float64(processCPU()-c.cpu0) / (float64(life) * float64(runtime.GOMAXPROCS(0)))
-	return min(float64(c.wall)/float64(c.self)*(1-min(busy, 1)), maxOverlap)
+	return min(float64(c.wall)/float64(c.self)*(1-min(busy, 1)), float64(limit))
 }
 
 // noteOverlap folds a decided batch's clock into the session's running
@@ -170,15 +168,16 @@ func (c *roundClock) load() float64 {
 // update only slows the average down.
 func (l *Leader[Fd, E]) noteOverlap(c *roundClock) {
 	avg := math.Float64frombits(l.overlap.Load())
-	l.overlap.Store(math.Float64bits(avg + (c.load()-avg)/8))
+	l.overlap.Store(math.Float64bits(avg + (c.load(l.depthCap)-avg)/8))
 }
 
 // overlapDepth is how many batches this session can usefully keep in
 // verification: the running average of roundClock.load, rounded up and
-// clamped to [1, maxOverlap]. It is 1 before any batch is decided and while
-// the host's CPUs are saturated, and maxOverlap on a high-latency link.
+// clamped to [1, depthCap]. It is 1 before any batch is decided and while
+// the host's CPUs are saturated, and on a high-latency link with idle CPUs
+// it is wall/self times the idle share.
 func (l *Leader[Fd, E]) overlapDepth() int {
-	return int(min(max(math.Ceil(math.Float64frombits(l.overlap.Load())), 1), maxOverlap))
+	return int(min(max(math.Ceil(math.Float64frombits(l.overlap.Load())), 1), float64(l.depthCap)))
 }
 
 // broadcast issues the same call to every server in parallel and collects

@@ -30,25 +30,28 @@ import (
 // batch adaptively — under light load a submission rides alone for low
 // latency; under heavy load batches fill to MaxBatch, amortizing the
 // per-round broadcasts — and a shard keeps several full batches in
-// verification when the rounds, not the CPUs, are the bottleneck (see
+// verification when the rounds, not the CPUs, are the bottleneck, as far as
+// the share bytes its batches pin on each server stay within a budget (see
 // shardLoop). A batch gives up its place in the shard's depth at its
 // decision and commits (MsgFinish) on its own goroutine while the next
 // batches verify; its completions run once every server has applied the
 // commit. Over TCP, transport.StreamPeer carries every in-flight batch's
 // rounds on each server connection at once.
 type Pipeline[Fd field.Field[E], E any] struct {
-	cfg      PipelineConfig
-	sessions []*Leader[Fd, E]
-	queue    chan pipeJob
-	backlog  chan struct{} // a token when a submit leaves ≥ MaxBatch queued; wakes a shard with room
-	stopping chan struct{} // closed by Close: retry backoffs abort immediately
-	maxDepth int           // ceiling on a shard's batches in verification: maxOverlap (tests lower it to 1)
+	cfg        PipelineConfig
+	sessions   []*Leader[Fd, E]
+	queue      chan pipeJob
+	backlog    chan struct{} // a token when a submit leaves ≥ MaxBatch queued; wakes a shard with room
+	stopping   chan struct{} // closed by Close: retry backoffs abort immediately
+	maxDepth   int           // tests' clamp on a shard's batches in verification; 0 is none
+	shareBytes int           // share bytes one submission pins on each server (Protocol.shareBytes)
 
 	wg         sync.WaitGroup
 	shards     []ShardStats
 	refused    uint64       // submissions refused unqueued by TrySubmitFunc (queue full)
 	inflight   atomic.Int64 // batches in verification, all shards
 	committing atomic.Int64 // decided batches whose commit is under way, all shards
+	pinned     atomic.Int64 // share bytes per server that out batches pin, all shards
 	m          *pipeMetrics
 
 	// closeMu makes Submit's send atomic with respect to Close: senders
@@ -214,14 +217,18 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	if reg == nil {
 		reg = telemetry.New()
 	}
+	shareBytes := leader.pro.shareBytes()
+	// The deepest a shard can go with full batches: rule (ii) and the share
+	// budget of rule (iii) (shardLoop).
+	depth := max(1, min(leader.pro.Cfg.ChallengeEvery/cfg.MaxBatch, shareBudget/(cfg.MaxBatch*shareBytes)))
 	p := &Pipeline[Fd, E]{
-		cfg:      cfg,
-		queue:    make(chan pipeJob, cfg.QueueDepth),
-		backlog:  make(chan struct{}, 1),
-		stopping: make(chan struct{}),
-		maxDepth: maxOverlap,
-		shards:   make([]ShardStats, cfg.Shards),
-		m:        newPipeMetrics(reg),
+		cfg:        cfg,
+		queue:      make(chan pipeJob, cfg.QueueDepth),
+		backlog:    make(chan struct{}, 1),
+		stopping:   make(chan struct{}),
+		shareBytes: shareBytes,
+		shards:     make([]ShardStats, cfg.Shards),
+		m:          newPipeMetrics(reg),
 	}
 	p.quiet = sync.NewCond(&p.mu)
 	reg.GaugeFunc("prio_pipeline_queue_depth",
@@ -236,6 +243,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	reg.GaugeFunc("prio_pipeline_committing_batches",
 		"decided batches whose commit (MsgFinish) is under way, summed over shards",
 		func() float64 { return float64(p.committing.Load()) })
+	reg.GaugeFunc("prio_pipeline_share_bytes",
+		"share bytes per server pinned by batches verifying or committing, summed over shards",
+		func() float64 { return float64(p.pinned.Load()) })
 	if sys := leader.pro.snipSys(); sys != nil {
 		reg.CounterFunc("prio_snip_evcache_hits_total",
 			"challenge-keyed evaluator cache hits",
@@ -250,8 +260,18 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 			return nil, err
 		}
 		sess.m = p.m
+		sess.depthCap = depth
 		p.sessions = append(p.sessions, sess)
 	}
+	reg.GaugeFunc("prio_pipeline_depth_target",
+		"batches the shards' governors would keep in verification (overlapDepth), summed over shards",
+		func() float64 {
+			n := 0
+			for _, sess := range p.sessions {
+				n += sess.overlapDepth()
+			}
+			return float64(n)
+		})
 	p.wg.Add(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		go p.shardLoop(i)
@@ -361,6 +381,14 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 	p.mu.Unlock()
 }
 
+// shareBudget bounds the share bytes one shard's out batches, verifying or
+// committing, pin on each server, each submission charged its share's
+// pooled size class (Protocol.shareBytes). It is what a fixed ceiling of
+// four verifying batches admitted for bits1024 at MaxBatch 16 (4 × 16 ×
+// 64 KiB), so no scheme's worst case grows, while a sum8 shard (8 KiB a
+// batch) is left to ChallengeEvery and the governor (overlapDepth).
+const shareBudget = 4 << 20
+
 // shardLoop is one shard's scheduler. With no batch out it blocks for a job
 // and drains whatever else is queued up to MaxBatch: the adaptive batching
 // that verifies singletons at once on an idle pipeline and fills every round
@@ -368,18 +396,26 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 // verifies, then commits. While batches are out the shard dispatches
 // another only when all three hold:
 //
-//   - a full MaxBatch batch is waiting, so an under-loaded pipeline forms
-//     exactly the batches a serial loop would;
-//   - the session's verifying submissions plus that batch stay within
-//     ChallengeEvery, so no batch outlives two challenge rotations (Leader);
-//   - the shard has fewer batches in verification than its session's
-//     overlapDepth (at most maxDepth), so depth is spent only where the
-//     rounds wait on the wire while the CPUs have room.
+//   - (i) a full MaxBatch batch is waiting, so an under-loaded pipeline
+//     forms exactly the batches a serial loop would;
+//   - (ii) the session's verifying submissions plus that batch stay within
+//     ChallengeEvery, so no batch outlives two challenge rotations (Leader).
+//     The depth check of (iii) enforces it: NewPipeline caps the session's
+//     depth (depthCap) at ChallengeEvery/MaxBatch full batches, and at one
+//     when ChallengeEvery < MaxBatch, where a lone verifying batch sees no
+//     rotation;
+//   - (iii) the shard has fewer batches in verification than its session's
+//     overlapDepth, so depth is spent only where the rounds wait on the
+//     wire while the CPUs have room, and the share bytes its out batches
+//     pin on each server, plus a full batch's, stay within shareBudget.
+//     depthCap already holds the verifying batches inside the budget; the
+//     byte check is what bounds the committing ones.
 //
-// A batch leaves the last two counts at its decision: its commit names no
-// challenge and needs no slot. It stays out until its completions have run,
-// so a shard whose batches are all committing still waits for a full batch
-// rather than forming a partial one early.
+// A batch leaves the verifying count at its decision: its commit names no
+// challenge and needs no slot. It stays out, and its shares stay charged to
+// the budget, until its completions have run, so a shard whose batches are
+// all committing still waits for a full batch rather than forming a
+// partial one early.
 //
 // Otherwise the loop waits for a batch to be decided or finish, or for a
 // submit to leave a full batch queued. A shard returns once the queue is
@@ -389,22 +425,29 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 	defer p.wg.Done()
 	sess := p.sessions[i]
 	// Each batch reports on events twice, in order: its size at its
-	// decision, then 0 once its completions have run. The buffer holds a
-	// full depth of decisions plus as many finishes; a send beyond it waits
-	// for the loop, which reads events whenever a batch is out.
-	events := make(chan int, 2*maxOverlap)
-	batches, verifying, subs := 0, 0, 0 // out, in verification, and the latter's submissions
+	// decision, then its size negated once its completions have run. The
+	// buffer holds both reports of the deepest verification the rules admit;
+	// a send beyond it (commits outnumbering that depth) waits for the loop,
+	// which reads events whenever a batch is out.
+	events := make(chan int, 2*sess.depthCap)
+	batchBytes := p.cfg.MaxBatch * p.shareBytes
+	// Out batches, those in verification, and the share bytes the out
+	// batches pin.
+	batches, verifying, pinned := 0, 0, 0
 	launch := func(jobs []pipeJob) {
+		n, charge := len(jobs), len(jobs)*p.shareBytes
 		batches++
 		verifying++
-		subs += len(jobs)
+		pinned += charge
 		p.inflight.Add(1)
+		p.pinned.Add(int64(charge))
 		go func() {
 			p.runBatch(i, jobs, func() {
 				p.inflight.Add(-1)
-				events <- len(jobs)
+				events <- n
 			})
-			events <- 0
+			p.pinned.Add(-int64(charge))
+			events <- -n
 		}()
 	}
 	for {
@@ -416,8 +459,11 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 			launch(p.fill(append(make([]pipeJob, 0, p.cfg.MaxBatch), job)))
 			continue
 		}
-		room := verifying < min(sess.overlapDepth(), p.maxDepth) &&
-			subs+p.cfg.MaxBatch <= sess.pro.Cfg.ChallengeEvery
+		depth := sess.overlapDepth()
+		if p.maxDepth > 0 {
+			depth = min(depth, p.maxDepth)
+		}
+		room := verifying < depth && pinned+batchBytes <= shareBudget
 		if room && len(p.queue) >= p.cfg.MaxBatch {
 			// An idle shard may race this drain for part of the batch; what
 			// is left still goes out now.
@@ -433,11 +479,11 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 		}
 		select {
 		case n := <-events:
-			if n == 0 {
-				batches--
-			} else {
+			if n > 0 {
 				verifying--
-				subs -= n
+			} else {
+				batches--
+				pinned += n * p.shareBytes
 			}
 		case <-backlog:
 		}
@@ -670,6 +716,12 @@ func (p *Pipeline[Fd, E]) loadShard(i int) ShardStats {
 
 // Shards returns the configured shard count.
 func (p *Pipeline[Fd, E]) Shards() int { return p.cfg.Shards }
+
+// MaxSubmission is the wire size (Submission.Marshal) of the largest
+// submission the servers can decode: one bundle per server, each at most an
+// explicit share of the scheme, sealed when the deployment seals. Anything
+// longer is malformed, so the ingest edge refuses it at its length prefix.
+func (p *Pipeline[Fd, E]) MaxSubmission() int { return p.sessions[0].pro.maxSubmission() }
 
 // Aggregate quiesces the pipeline and merges the per-shard results into
 // the final aggregate: it pauses intake (Submit blocks for the duration),

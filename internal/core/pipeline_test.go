@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"prio/internal/afe"
 	"prio/internal/field"
+	"prio/internal/prg"
 	"prio/internal/sealbox"
 	"prio/internal/transport"
 )
@@ -578,5 +580,78 @@ func TestChallengePrefetchRotation(t *testing.T) {
 	}
 	if got.Uint64() != want {
 		t.Errorf("aggregate = %v, want %d", got, want)
+	}
+}
+
+// TestMaxSubmission: the bound the ingest edge enforces is exactly a
+// submission whose every bundle is as long as the longer of the explicit
+// share and a seed bundle (a sealed one, as a legacy box, when sealed), and
+// an honest submission is within it. sum8 under SNIP has the explicit share
+// as its longest bundle; bits1 without robustness has a one-element share,
+// shorter than a seed, so there the seed bundle sets the bound.
+func TestMaxSubmission(t *testing.T) {
+	f := field.NewF64()
+	for _, seal := range []bool{false, true} {
+		_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, seal)
+		checkMaxSubmission(t, "sum8 SNIP", cl, honestSubs(t, client, scheme, 7)[0])
+
+		bits := afe.NewBitVector(f, 1)
+		pro, err := NewProtocol(Config[field.F64, uint64]{
+			Field: f, Scheme: bits, Servers: 3, Mode: ModeNoRobust, Seal: seal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl, err = NewLocalCluster(pro); err != nil {
+			t.Fatal(err)
+		}
+		bc, err := NewClient(pro, cl.PublicKeys(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := bits.Encode([]bool{true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := bc.BuildSubmission(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMaxSubmission(t, "bits1 no-robust", cl, sub)
+	}
+}
+
+// checkMaxSubmission checks cl's pipeline bound against sub, an honest
+// submission, and against the widest bundle each server decodes.
+func checkMaxSubmission(t *testing.T, name string, cl *Cluster[field.F64, uint64], sub *Submission) {
+	t.Helper()
+	pro := cl.Leader.pro
+	name = fmt.Sprintf("%s seal=%v", name, pro.Cfg.Seal)
+	pl, err := NewPipeline(cl.Leader, PipelineConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+
+	seedBundle := append([]byte{bundleSeed}, make([]byte, prg.SeedSize)...)
+	if pro.Cfg.Seal {
+		if seedBundle, err = sealbox.Seal(cl.PublicKeys()[1], seedBundle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]uint64, pro.flatLen)
+	if err := pro.decodeBundle(seedBundle, cl.Servers[1].priv, 1, dst); err != nil {
+		t.Fatalf("%s: server 1 refuses a %d-byte seed bundle: %v", name, len(seedBundle), err)
+	}
+	widest := sub.Bundles[0]
+	if len(seedBundle) > len(widest) {
+		widest = seedBundle
+	}
+	all := &Submission{Bundles: [][]byte{widest, widest, widest}}
+	if got, want := pl.MaxSubmission(), len(all.Marshal()); got != want {
+		t.Errorf("%s: MaxSubmission %d, want %d (three %d-byte bundles)", name, got, want, len(widest))
+	}
+	if n := len(sub.Marshal()); n > pl.MaxSubmission() {
+		t.Errorf("%s: honest submission of %d bytes over the %d-byte bound", name, n, pl.MaxSubmission())
 	}
 }

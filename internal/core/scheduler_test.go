@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,9 +24,11 @@ import (
 type schedProbe struct {
 	inflight   *atomic.Int64 // the pipeline's verifying-batches gauge
 	committing *atomic.Int64 // the pipeline's committing-batches gauge
+	pinned     *atomic.Int64 // the pipeline's pinned-share-bytes gauge
 	peak       atomic.Int64  // the highest inflight reading at any call
 	peakCommit atomic.Int64  // the highest committing reading at any call
 	peakOut    atomic.Int64  // the highest inflight + committing at any call
+	peakPinned atomic.Int64  // the highest pinned reading at any call
 	// finishDelay is slept before each MsgFinish on top of the peer's d.
 	finishDelay time.Duration
 	// fail, when set, may fail a call to server j instead of forwarding it.
@@ -59,6 +62,7 @@ func (p *slowPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 		raise(&p.probe.peak, v)
 		raise(&p.probe.peakCommit, c)
 		raise(&p.probe.peakOut, v+c)
+		raise(&p.probe.peakPinned, p.probe.pinned.Load())
 	}
 	d := p.d
 	if msgType == MsgFinish {
@@ -77,21 +81,34 @@ func (p *slowPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	return resp, err
 }
 
-// slowRig is a three-server sum8 cluster whose leader reaches servers 1 and
-// 2 through slowPeers. The leader's own slot stays a bare loopback, so its
+// depthClamp is the ceiling on a shard's verifying batches the scheduler
+// tests run at unless they test the ceiling itself.
+const depthClamp = 4
+
+// slowRig is a three-server cluster whose leader reaches servers 1 and 2
+// through slowPeers. The leader's own slot stays a bare loopback, so its
 // handler time is compute alone and the rounds' wall time is mostly sleep.
 type slowRig struct {
 	cl     *Cluster[field.F64, uint64]
 	leader *Leader[field.F64, uint64]
 	client *Client[field.F64, uint64]
-	scheme *afe.Sum[field.F64, uint64]
+	scheme *afe.Sum[field.F64, uint64] // nil on a newSchemeRig rig
 	probe  *schedProbe
 }
 
+// newSlowRig is a sum8 slowRig.
 func newSlowRig(t *testing.T, d time.Duration, challengeEvery int) *slowRig {
 	t.Helper()
+	scheme := afe.NewSum(field.NewF64(), 8)
+	rig := newSchemeRig(t, scheme, d, challengeEvery)
+	rig.scheme = scheme
+	return rig
+}
+
+// newSchemeRig is a slowRig aggregating scheme.
+func newSchemeRig(t *testing.T, scheme afe.Scheme[uint64], d time.Duration, challengeEvery int) *slowRig {
+	t.Helper()
 	f := field.NewF64()
-	scheme := afe.NewSum(f, 8)
 	pro, err := NewProtocol(Config[field.F64, uint64]{
 		Field: f, Scheme: scheme, Servers: 3, Mode: ModeSNIP, SnipReps: 1,
 		ChallengeEvery: challengeEvery,
@@ -107,7 +124,7 @@ func newSlowRig(t *testing.T, d time.Duration, challengeEvery int) *slowRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &slowRig{cl: cl, client: client, scheme: scheme, probe: &schedProbe{}}
+	rig := &slowRig{cl: cl, client: client, probe: &schedProbe{}}
 	rig.leader = leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
 		if j == 0 {
 			return p
@@ -117,7 +134,8 @@ func newSlowRig(t *testing.T, d time.Duration, challengeEvery int) *slowRig {
 	return rig
 }
 
-// pipeline opens a pipeline on the rig; maxDepth 1 is the serial loop.
+// pipeline opens a pipeline on the rig with its shards' verifying batches
+// clamped to maxDepth: 1 is the serial loop, 0 clamps nothing.
 func (r *slowRig) pipeline(t *testing.T, cfg PipelineConfig, maxDepth int) *Pipeline[field.F64, uint64] {
 	t.Helper()
 	pl, err := NewPipeline(r.leader, cfg)
@@ -127,10 +145,47 @@ func (r *slowRig) pipeline(t *testing.T, cfg PipelineConfig, maxDepth int) *Pipe
 	pl.maxDepth = maxDepth
 	r.probe.inflight = &pl.inflight
 	r.probe.committing = &pl.committing
-	r.probe.peak.Store(0)
-	r.probe.peakCommit.Store(0)
-	r.probe.peakOut.Store(0)
+	r.probe.pinned = &pl.pinned
+	r.probe.reset()
 	return pl
+}
+
+// reset zeroes the peaks.
+func (p *schedProbe) reset() {
+	p.peak.Store(0)
+	p.peakCommit.Store(0)
+	p.peakOut.Store(0)
+	p.peakPinned.Store(0)
+}
+
+// sameSubs is n references to one all-zero submission of a newSchemeRig
+// rig's scheme: building one bits1024 proof per submission would dominate
+// the tests, and the servers verify each reference afresh.
+func sameSubs(t *testing.T, rig *slowRig, n int) []*Submission {
+	t.Helper()
+	sub, err := rig.client.BuildSubmission(make([]uint64, rig.client.pro.l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*Submission, n)
+	for i := range subs {
+		subs[i] = sub
+	}
+	return subs
+}
+
+// checkAccepted fails the test unless every submission was accepted and the
+// servers counted all n.
+func checkAccepted(t *testing.T, pl *Pipeline[field.F64, uint64], res []SubmitResult, n uint64) {
+	t.Helper()
+	for i, r := range res {
+		if r.Err != nil || !r.Accepted {
+			t.Fatalf("submission %d: %+v", i, r)
+		}
+	}
+	if _, cnt, err := pl.Aggregate(); err != nil || cnt != n {
+		t.Fatalf("aggregate count %d err %v, want %d", cnt, err, n)
+	}
 }
 
 // submitAll queues subs, recording each decision at its index.
@@ -177,7 +232,7 @@ func TestSchedulerBacklogOverlapsBatches(t *testing.T) {
 		return wall, rig.probe.peak.Load()
 	}
 	serial, serialPeak := run(1)
-	overlapped, peak := run(maxOverlap)
+	overlapped, peak := run(depthClamp)
 	t.Logf("serial %v (peak in flight %d), overlapped %v (peak %d)", serial, serialPeak, overlapped, peak)
 	if serialPeak > 1 {
 		t.Errorf("depth-1 pipeline had %d batches in flight", serialPeak)
@@ -196,7 +251,7 @@ func TestSchedulerBacklogOverlapsBatches(t *testing.T) {
 func TestSchedulerTrickleStaysSerial(t *testing.T) {
 	const n = 24
 	rig := newSlowRig(t, 2*time.Millisecond, 0)
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8}, depthClamp)
 	defer pl.Close()
 	for i, sub := range honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...) {
 		if ok, err := pl.SubmitWait(sub); err != nil || !ok {
@@ -219,7 +274,7 @@ func TestSchedulerFastRotation(t *testing.T) {
 	const n, maxBatch = 256, 8
 	rig := newSlowRig(t, 2*time.Millisecond, 2*maxBatch)
 	subs, want, sum := mixedBatch(t, rig.client, rig.scheme, n)
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, depthClamp)
 	defer pl.Close()
 	res := submitAll(t, pl, subs)
 	agg, cnt, err := pl.Aggregate()
@@ -255,7 +310,7 @@ func TestSchedulerFastRotation(t *testing.T) {
 // and no completion runs after Close returns.
 func TestSchedulerShutdown(t *testing.T) {
 	rig := newSlowRig(t, 2*time.Millisecond, 0)
-	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, depthClamp)
 	checkShutdown(t, rig, pl, &pl.inflight)
 }
 
@@ -266,7 +321,7 @@ func TestSchedulerShutdown(t *testing.T) {
 func TestSchedulerShutdownDuringCommits(t *testing.T) {
 	rig := newSlowRig(t, 0, 0)
 	rig.probe.finishDelay = 5 * time.Millisecond
-	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 2, MaxBatch: 8, QueueDepth: 128}, depthClamp)
 	checkShutdown(t, rig, pl, &pl.committing)
 }
 
@@ -356,7 +411,7 @@ func TestSchedulerRetriesSeveredPeer(t *testing.T) {
 		}
 		return nil
 	}
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, QueueDepth: n, Retries: 2, RetryBackoff: time.Millisecond}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, QueueDepth: n, Retries: 2, RetryBackoff: time.Millisecond}, depthClamp)
 	defer pl.Close()
 	res := submitAll(t, pl, honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
 	_, cnt, err := pl.Aggregate()
@@ -463,7 +518,7 @@ func TestSchedulerPartialQueueWaitsForCommit(t *testing.T) {
 		}
 		return nil
 	}
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8}, depthClamp)
 	defer pl.Close()
 	subs := honestSubs(t, rig.client, rig.scheme, 1, 2, 3, 4)
 	var atFirst atomic.Int64
@@ -515,7 +570,7 @@ func TestSchedulerWindowStampSurvivesCommit(t *testing.T) {
 		}
 		return nil
 	}
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: 1, RetryBackoff: time.Millisecond}, maxOverlap)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: 1, RetryBackoff: time.Millisecond}, depthClamp)
 	defer pl.Close()
 	res := submitAll(t, pl, honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
 	pl.Drain()
@@ -581,7 +636,7 @@ func TestSchedulerCommitRetry(t *testing.T) {
 			}
 			reg := telemetry.New()
 			const retries = 2
-			pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: retries, RetryBackoff: time.Millisecond, Registry: reg}, maxOverlap)
+			pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: 8, Retries: retries, RetryBackoff: time.Millisecond, Registry: reg}, depthClamp)
 			defer pl.Close()
 			res := submitAll(t, pl, honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...))
 			pl.Drain()
@@ -641,5 +696,97 @@ func TestSchedulerCommitRetry(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// seedDepth stores v as every session's running average of roundClock.load,
+// as if earlier batches had measured it, so a test checks the admission
+// rules at that governor reading rather than at whatever the host's timing
+// would warm it to.
+func seedDepth(pl *Pipeline[field.F64, uint64], v float64) {
+	for _, sess := range pl.sessions {
+		sess.overlap.Store(math.Float64bits(v))
+	}
+}
+
+// TestSchedulerDepthBeyondFour: on a sum8 shard whose governor reads deep,
+// as on a 2 ms link with idle CPUs, a backlog keeps more than four batches
+// in verification — a sum8 batch pins 4 KiB of shares, far inside the
+// budget — and never more than ChallengeEvery admits.
+func TestSchedulerDepthBeyondFour(t *testing.T) {
+	const n, maxBatch, challengeEvery = 512, 8, 16 * 8
+	rig := newSlowRig(t, 2*time.Millisecond, challengeEvery)
+	subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, 0)
+	defer pl.Close()
+	seedDepth(pl, 64)
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	checkAccepted(t, pl, res, n)
+	peak := rig.probe.peak.Load()
+	t.Logf("peak verifying %d, depth target %d, peak pinned %d B", peak, pl.sessions[0].overlapDepth(), rig.probe.peakPinned.Load())
+	if peak <= 4 {
+		t.Errorf("peak verifying %d: the backlog never went deeper than four batches", peak)
+	}
+	if peak > challengeEvery/maxBatch {
+		t.Errorf("peak verifying %d, ChallengeEvery admits %d", peak, challengeEvery/maxBatch)
+	}
+}
+
+// TestSchedulerShareBudget: bits1024 shares sit in the 64 KiB slab class,
+// so at MaxBatch 16 the budget admits four batches. Behind a link that
+// holds every commit for 300 ms, decided batches would pile up in their
+// commits; the budget counts them, so verifying plus committing never
+// exceeds four and the pinned bytes never exceed the budget.
+func TestSchedulerShareBudget(t *testing.T) {
+	const batches, maxBatch = 10, 16
+	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), time.Millisecond, 0)
+	rig.probe.finishDelay = 300 * time.Millisecond
+	if got := rig.leader.pro.shareBytes(); got != 64<<10 {
+		t.Fatalf("bits1024 share class %d B, want 64 KiB", got)
+	}
+	subs := sameSubs(t, rig, batches*maxBatch)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 0)
+	defer pl.Close()
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	checkAccepted(t, pl, res, uint64(len(subs)))
+	peakOut, peakPinned := rig.probe.peakOut.Load(), rig.probe.peakPinned.Load()
+	t.Logf("peak verifying %d, committing %d, both %d; peak pinned %d B", rig.probe.peak.Load(), rig.probe.peakCommit.Load(), peakOut, peakPinned)
+	if limit := int64(shareBudget / (maxBatch * 64 << 10)); peakOut > limit {
+		t.Errorf("%d batches verifying or committing, the share budget admits %d", peakOut, limit)
+	}
+	if peakPinned > shareBudget {
+		t.Errorf("%d share bytes pinned, budget %d", peakPinned, shareBudget)
+	}
+	if pl.pinned.Load() != 0 {
+		t.Errorf("%d share bytes still pinned after the drain", pl.pinned.Load())
+	}
+}
+
+// TestSchedulerBudgetAfterWarmup: a bits1024 shard whose governor reads
+// deep, as after a warm-up on idle CPUs, takes a backlog of full batches at
+// once behind a 20 ms link. It dispatches more than one batch, but its
+// verifying and committing batches never pass the share budget.
+func TestSchedulerBudgetAfterWarmup(t *testing.T) {
+	const batches, maxBatch = 8, 16
+	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), 20*time.Millisecond, 0)
+	subs := sameSubs(t, rig, batches*maxBatch)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 0)
+	defer pl.Close()
+	seedDepth(pl, 64)
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	checkAccepted(t, pl, res, uint64(len(subs)))
+	peak, peakOut, peakPinned := rig.probe.peak.Load(), rig.probe.peakOut.Load(), rig.probe.peakPinned.Load()
+	t.Logf("peak verifying %d, verifying + committing %d; peak pinned %d B", peak, peakOut, peakPinned)
+	if peak <= 1 {
+		t.Errorf("peak verifying %d: the backlog never overlapped batches", peak)
+	}
+	if peakPinned > shareBudget {
+		t.Errorf("%d share bytes pinned, budget %d", peakPinned, shareBudget)
+	}
+	if limit := int64(shareBudget / (maxBatch * 64 << 10)); peakOut > limit {
+		t.Errorf("%d batches verifying or committing, the share budget admits %d", peakOut, limit)
 	}
 }

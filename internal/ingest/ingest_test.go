@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -526,4 +527,115 @@ func TestNonReadingFloodDoesNotWedge(t *testing.T) {
 	if st := ing.Stats(); st.Streams != 2 {
 		t.Errorf("server saw %d streams, want 2", st.Streams)
 	}
+}
+
+// limitSink is a fakeSink that reports max as its largest submission.
+type limitSink struct {
+	*fakeSink
+	max int
+}
+
+func (s *limitSink) MaxSubmission() int { return s.max }
+
+// TestSubmitFrameLimit: a sink that reports its largest submission bounds
+// the submit frame. A frame exactly at the bound is verified; a length
+// prefix one byte over is refused with MsgError before its payload is even
+// sent, the sink never sees it, and it counts as failed; an oversized frame
+// of another type is refused the same way and counts nothing. A sink that
+// reports no bound takes a frame far past the connection's buffer.
+func TestSubmitFrameLimit(t *testing.T) {
+	big := &core.Submission{Bundles: [][]byte{make([]byte, 100<<10)}}
+	size := len(big.Marshal())
+	var seen atomic.Int64
+	newSink := func() *fakeSink {
+		return &fakeSink{decide: func(*core.Submission) core.SubmitResult {
+			seen.Add(1)
+			return core.SubmitResult{Accepted: true}
+		}}
+	}
+	accepts := func(t *testing.T, sink Sink) {
+		t.Helper()
+		seen.Store(0)
+		ing, addr, stop := serveIngest(t, sink, Config{})
+		defer stop()
+		s, err := Dial(addr, SubmitterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Submit(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if st := ing.Stats(); st.Accepted != 1 || st.Failed != 0 || seen.Load() != 1 {
+			t.Errorf("ingest stats %+v, sink saw %d: want the submission accepted", st, seen.Load())
+		}
+	}
+
+	t.Run("at the limit", func(t *testing.T) { accepts(t, &limitSink{fakeSink: newSink(), max: size}) })
+	t.Run("no limit", func(t *testing.T) { accepts(t, newSink()) })
+	t.Run("zero limit", func(t *testing.T) { accepts(t, &limitSink{fakeSink: newSink(), max: 0}) })
+
+	// refuses sends the length prefix of a frame of msgType one byte over the
+	// bound and expects MsgError and a closed stream; only a submit frame is
+	// counted, as one failed submission.
+	refuses := func(t *testing.T, msgType byte) {
+		t.Helper()
+		seen.Store(0)
+		ing, addr, stop := serveIngest(t, &limitSink{fakeSink: newSink(), max: size - 1}, Config{})
+		defer stop()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := transport.NewFrameConn(conn)
+		defer fc.Close()
+		if err := fc.WriteFrame(transport.MsgStreamOpen, []byte(magic)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msgType, _, err := fc.ReadFrame(); err != nil || msgType != msgHello {
+			t.Fatalf("hello: type %d err %v", msgType, err)
+		}
+		// The length prefix alone: the ID and the submission, one byte over.
+		var hdr [5]byte
+		hdr[0] = msgType
+		binary.LittleEndian.PutUint32(hdr[1:], uint32(8+size))
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		type frame struct {
+			msgType byte
+			err     error
+		}
+		got := make(chan frame, 1)
+		go func() {
+			msgType, _, err := fc.ReadFrame()
+			got <- frame{msgType, err}
+		}()
+		select {
+		case f := <-got:
+			if f.err != nil || f.msgType != transport.MsgError {
+				t.Fatalf("got type %#x err %v, want MsgError", f.msgType, f.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server waited for the payload of an oversized frame")
+		}
+		if _, _, err := fc.ReadFrame(); err == nil {
+			t.Error("the stream stayed open after the refusal")
+		}
+		want := Stats{Streams: 1}
+		if msgType == msgSubmit {
+			want.Received, want.Failed = 1, 1
+		}
+		if st := ing.Stats(); st != want || seen.Load() != 0 {
+			t.Errorf("ingest stats %+v, sink saw %d: want %+v and nothing at the sink", st, seen.Load(), want)
+		}
+	}
+	t.Run("one byte over", func(t *testing.T) { refuses(t, msgSubmit) })
+	t.Run("one byte over, not a submit", func(t *testing.T) { refuses(t, msgHello) })
 }

@@ -34,11 +34,11 @@ func newIngestMetrics(reg *telemetry.Registry, s *Server) *ingestMetrics {
 		v          *uint64
 	}{
 		{"prio_ingest_streams_total", "ingest streams opened", &s.totals.Streams},
-		{"prio_ingest_received_total", "submit frames decoded", &s.totals.Received},
+		{"prio_ingest_received_total", "submit frames decoded or refused oversized", &s.totals.Received},
 		{"prio_ingest_accepted_total", "submissions acked accepted (shares entered the accumulators)", &s.totals.Accepted},
 		{"prio_ingest_rejected_total", "submissions acked rejected (verification refused the proof)", &s.totals.Rejected},
 		{"prio_ingest_shed_total", "submissions acked shed (credit overrun or intake queue full)", &s.totals.Shed},
-		{"prio_ingest_failed_total", "submissions acked failed (batch-level verification error)", &s.totals.Failed},
+		{"prio_ingest_failed_total", "submissions acked failed (batch-level verification error), or submit frames refused oversized", &s.totals.Failed},
 	} {
 		v := c.v
 		reg.CounterFunc(c.name, c.help, func() uint64 { return atomic.LoadUint64(v) })

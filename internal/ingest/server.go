@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,12 @@ import (
 
 // Sink is where decoded submissions go: the verification pipeline, or a
 // stand-in for tests. core.Pipeline implements it.
+//
+// A Sink that also has a MaxSubmission() int method (sizedSink; core.Pipeline
+// has one) reports the largest submission it can decode, in
+// Submission.Marshal bytes. The server then refuses a longer submit frame at
+// its length prefix, before buffering any of it. Without the method, or
+// with a result ≤ 0, submit frames are bounded by transport.MaxFrame alone.
 type Sink interface {
 	// SubmitFunc enqueues one submission, blocking while the sink is
 	// saturated, and invokes fn with the decision once it is made.
@@ -21,6 +28,11 @@ type Sink interface {
 	// TrySubmitFunc is the non-blocking SubmitFunc: false means the sink's
 	// queue was full and fn will never run.
 	TrySubmitFunc(sub *core.Submission, fn func(core.SubmitResult)) (bool, error)
+}
+
+// sizedSink is a Sink that reports its largest acceptable submission.
+type sizedSink interface {
+	MaxSubmission() int
 }
 
 // Defaults for Config's zero values.
@@ -111,8 +123,9 @@ type intakeItem struct {
 // decision back on the stream that submitted it. Register Handler with a
 // transport server's OnStream.
 type Server struct {
-	sink Sink
-	cfg  Config
+	sink     Sink
+	cfg      Config
+	maxFrame int // submit-frame payload limit: transport.MaxFrame unless the sink is sized
 
 	intake chan intakeItem
 	quit   chan struct{}
@@ -137,6 +150,12 @@ func NewServer(sink Sink, cfg Config) *Server {
 		quit:    make(chan struct{}),
 		streams: make(map[uint64]*stream),
 		tracer:  cfg.Tracer,
+	}
+	s.maxFrame = transport.MaxFrame
+	if ss, ok := sink.(sizedSink); ok {
+		if n := ss.MaxSubmission(); n > 0 {
+			s.maxFrame = 8 + n // the submission ID, then the submission
+		}
 	}
 	s.intake = make(chan intakeItem, s.cfg.QueueDepth)
 	reg := s.cfg.Registry
@@ -363,8 +382,25 @@ func (s *Server) handleStream(open []byte, fc *transport.FrameConn) {
 	}
 	go st.ackLoop(fc)
 
+	fc.SetReadLimit(s.maxFrame)
 	for {
 		msgType, payload, err := fc.ReadFrame()
+		if errors.Is(err, transport.ErrFrameSize) {
+			// Refused at the length prefix, before any of it is buffered,
+			// and the stream ends. A submit frame this long is one no
+			// server could decode; it has no ID to ack, so it is counted
+			// failed here. A frame of another type is a protocol error like
+			// the two below and counts nothing.
+			if msgType == msgSubmit {
+				for _, c := range []*Stats{&st.stats, &s.totals} {
+					atomic.AddUint64(&c.Received, 1)
+					c.countAck(StatusFailed)
+				}
+			}
+			fc.WriteFrame(transport.MsgError, []byte(fmt.Sprintf("ingest: frame of type %#x exceeds the %d-byte limit", msgType, s.maxFrame)))
+			fc.Flush()
+			return
+		}
 		if err != nil {
 			return // client closed (or conn died): teardown
 		}

@@ -4,14 +4,16 @@ import "sync/atomic"
 
 // Stats counts one stream's — or, merged, the whole ingest subsystem's —
 // traffic and outcomes. All fields are updated atomically; read a consistent
-// copy with Snapshot.
+// copy with Snapshot. A frame that breaks the protocol — an unexpected type,
+// an undecodable submit, an oversized frame of a type other than submit —
+// ends its stream and counts nothing.
 type Stats struct {
 	Streams  uint64 // streams opened (aggregate only; 0 on per-stream stats)
-	Received uint64 // submit frames decoded
+	Received uint64 // submit frames decoded, or refused oversized at their length prefix
 	Accepted uint64 // acked accepted
 	Rejected uint64 // acked rejected (verification refused)
 	Shed     uint64 // acked shed (intake full or credit overrun)
-	Failed   uint64 // acked failed (batch-level error)
+	Failed   uint64 // acked failed (batch-level error), or submit frames refused oversized
 }
 
 // Snapshot returns a consistent copy of the counters.

@@ -43,7 +43,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			msgType, payload, err := readFrame(r)
+			msgType, payload, err := readFrame(r, MaxFrame)
 			if err != nil {
 				break
 			}

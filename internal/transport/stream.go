@@ -29,8 +29,9 @@ type StreamHandler func(open []byte, conn *FrameConn)
 // internally. Writes are buffered — call Flush when a batch of frames must
 // actually hit the wire.
 type FrameConn struct {
-	conn net.Conn
-	r    *bufio.Reader
+	conn  net.Conn
+	r     *bufio.Reader
+	limit int // largest frame payload ReadFrame accepts
 
 	wmu sync.Mutex
 	w   *bufio.Writer
@@ -41,14 +42,26 @@ type FrameConn struct {
 	closed bool
 }
 
+// connBuffer sizes each direction's buffer. A flush of verification rounds
+// (under 2 KB per 16-submission sum8 batch on one connection) and every
+// upload smaller than bits1024's fit in it; a larger frame streams past the
+// buffer, not through it.
+const connBuffer = 16 << 10
+
 // NewFrameConn wraps an established connection for framed streaming.
 func NewFrameConn(conn net.Conn) *FrameConn {
 	return &FrameConn{
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, 64<<10),
-		w:    bufio.NewWriterSize(conn, 64<<10),
+		conn:  conn,
+		r:     bufio.NewReaderSize(conn, connBuffer),
+		limit: MaxFrame,
+		w:     bufio.NewWriterSize(conn, connBuffer),
 	}
 }
+
+// SetReadLimit makes ReadFrame refuse a frame whose length prefix exceeds n
+// bytes (n ≤ MaxFrame) with ErrFrameSize, before reading or allocating its
+// payload. Call it from the reading goroutine.
+func (f *FrameConn) SetReadLimit(n int) { f.limit = min(n, MaxFrame) }
 
 // DialStream connects to addr and prepares the connection for streaming. If
 // tlsCfg is non-nil the connection is upgraded to TLS. The caller speaks its
@@ -61,11 +74,13 @@ func DialStream(addr string, tlsCfg *tls.Config) (*FrameConn, error) {
 	return NewFrameConn(conn), nil
 }
 
-// ReadFrame reads the next frame. Only one goroutine may read at a time.
+// ReadFrame reads the next frame. Only one goroutine may read at a time. A
+// frame over the read limit is ErrFrameSize with its type; any other error
+// comes with type 0.
 func (f *FrameConn) ReadFrame() (byte, []byte, error) {
-	msgType, payload, err := readFrame(f.r)
+	msgType, payload, err := readFrame(f.r, f.limit)
 	if err != nil {
-		return 0, nil, err
+		return msgType, nil, err
 	}
 	f.stats.add(false, frameLen(payload))
 	return msgType, payload, nil

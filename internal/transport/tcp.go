@@ -137,7 +137,7 @@ func (s *Server) acceptLoop() {
 // it names. A first frame that is not MsgStreamOpen has no handler to go to:
 // it is answered with MsgError and the connection is closed.
 func (s *Server) serveConn(conn net.Conn) {
-	msgType, payload, err := readFrame(conn)
+	msgType, payload, err := readFrame(conn, MaxFrame)
 	if err != nil {
 		return
 	}

@@ -80,21 +80,23 @@ func writeFrame(w io.Writer, msgType byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one tagged frame from r. The payload buffer grows
-// geometrically from at most 1 MiB rather than trusting the 4-byte length
-// up front: a peer that announces a 256 MB frame must actually send the
-// bytes before this side commits the memory, so a forged header costs the
-// attacker bandwidth instead of costing us an allocation. Frames at or
-// below the initial step — every frame the protocol sends in practice —
-// still take the single-allocation fast path.
-func readFrame(r io.Reader) (byte, []byte, error) {
+// readFrame reads one tagged frame of at most limit payload bytes from r; a
+// longer length prefix is ErrFrameSize, returned with the frame's type,
+// before any of the payload is read.
+// The payload buffer grows geometrically from at most 1 MiB rather than
+// trusting the 4-byte length up front: a peer that announces a 256 MB frame
+// must actually send the bytes before this side commits the memory, so a
+// forged header costs the attacker bandwidth instead of costing us an
+// allocation. Frames at or below the initial step — every frame the
+// protocol sends in practice — still take the single-allocation fast path.
+func readFrame(r io.Reader, limit int) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[1:]))
-	if n > MaxFrame {
-		return 0, nil, ErrFrameSize
+	if n > limit {
+		return hdr[0], nil, ErrFrameSize
 	}
 	const step = 1 << 20
 	if n <= step {
