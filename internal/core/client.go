@@ -167,14 +167,15 @@ func (c *Client[Fd, E]) BuildSubmission(encoding []E) (*Submission, error) {
 
 	// Server i ≥ 1 holds a PRG seed. Sealed, one ephemeral key agreement per
 	// server derives it and the bundle is the 32-byte encapsulation (the
-	// sealbox package doc); unsealed, it is drawn fresh and sent flagged.
+	// sealbox package doc); the s agreements and the ephemeral's own public
+	// key are one batch. Unsealed, each seed is drawn fresh and sent flagged.
 	s := p.Cfg.Servers
 	sub := &Submission{Bundles: make([][]byte, s)}
 	seeds := make([]prg.Seed, s-1)
 	var eph *sealbox.Ephemeral
 	if p.Cfg.Seal {
 		var err error
-		if eph, err = sealbox.NewEphemeral(); err != nil {
+		if eph, err = sealbox.NewEphemeral(c.keys...); err != nil {
 			return nil, err
 		}
 		encaps := bytes.Repeat(eph.Public(), s-1)
@@ -212,15 +213,31 @@ func (c *Client[Fd, E]) BuildSubmission(encoding []E) (*Submission, error) {
 	return sub, nil
 }
 
-// decodeBundle recovers server idx's flat share vector from its bundle into
+// agree runs priv's agreements with the encapsulations that lead bundles as
+// one batch (sealbox.PrivateKey.Agree), for decodeAgreed; nil when the
+// deployment does not seal. A bundle too short to hold an encapsulation
+// gets a failed agreement, so it fails alone.
+func (p *Protocol[Fd, E]) agree(bundles [][]byte, priv *sealbox.PrivateKey) []sealbox.Agreement {
+	if !p.Cfg.Seal {
+		return nil
+	}
+	epks := make([][]byte, len(bundles))
+	for j, b := range bundles {
+		epks[j] = b[:min(len(b), sealbox.EncapSize)]
+	}
+	return priv.Agree(epks)
+}
+
+// decodeAgreed recovers server idx's flat share vector from its bundle into
 // dst, which must hold p.flatLen elements; on success every one of them has
-// been overwritten, on error dst's contents are unspecified.
-func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, idx int, dst []E) error {
+// been overwritten, on error dst's contents are unspecified. agr is the
+// bundle's agreement from agree, nil when the deployment does not seal.
+func (p *Protocol[Fd, E]) decodeAgreed(bundle []byte, agr *sealbox.Agreement, idx int, dst []E) error {
 	f := p.Cfg.Field
 	if p.Cfg.Seal {
 		if len(bundle) == sealbox.EncapSize {
 			// An encapsulation (no box is this short): the seed is derived.
-			secret, err := priv.Secret(bundle, seedLabel(idx))
+			secret, err := agr.Secret(seedLabel(idx))
 			if err != nil {
 				return err
 			}
@@ -232,7 +249,7 @@ func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, 
 		// pooled buffer instead of a fresh slice per submission.
 		buf := transport.GetBuf(len(bundle))
 		defer buf.Free()
-		pt, err := sealbox.OpenTo(priv, buf.B, bundle)
+		pt, err := agr.OpenTo(buf.B, bundle)
 		if err != nil {
 			return err
 		}

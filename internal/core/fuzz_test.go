@@ -43,6 +43,16 @@ func fuzzServer(tb testing.TB, idx int, seal bool) *Server[field.F64, uint64] {
 	return srv
 }
 
+// decodeBundle is handleRound1's decode of one bundle: its agreement, a
+// batch of one, then decodeAgreed.
+func (p *Protocol[Fd, E]) decodeBundle(bundle []byte, priv *sealbox.PrivateKey, idx int, dst []E) error {
+	var agr *sealbox.Agreement
+	if agrs := p.agree([][]byte{bundle}, priv); agrs != nil {
+		agr = &agrs[0]
+	}
+	return p.decodeAgreed(bundle, agr, idx, dst)
+}
+
 // FuzzBundleDecode feeds arbitrary bytes to a server as a client's bundle,
 // sealed and unsealed: decoding either errors or yields canonical elements
 // that re-encode to the input, and Round1 verifies exactly that share — or

@@ -37,14 +37,15 @@ import (
 // lock-free, so independent batches overlap on the wire and on the servers'
 // cores. One caveat bounds the concurrency: the servers keep a bounded
 // window of live challenges per session (three, one of which the prefetcher
-// occupies), so a batch survives one rotation but not two, and a session
-// must not have more than ChallengeEvery submissions in verification at
-// once. A commit names only its batch ID, never a challenge, so a decided
-// batch no longer counts. Pipeline enforces this per shard: it dispatches a
-// shard's next batch while others verify only if the session's verifying
-// submissions plus that batch stay within ChallengeEvery, up to the depth
-// overlapDepth measures, and while the shares its verifying and committing
-// batches pin on each server stay within the session's share budget.
+// occupies), so a batch survives one rotation but not two. Rotation
+// therefore waits until no batch is still verifying under the challenge
+// its prefetch evicts (ensureChallenge). A commit names only its batch ID,
+// never a challenge, so a decided batch no longer counts. Pipeline keeps
+// that wait rare: it dispatches a shard's next batch while others verify
+// only if the session's verifying submissions plus that batch stay within
+// ChallengeEvery, up to the depth overlapDepth measures, and while the
+// shares its verifying and committing batches pin on each server stay
+// within the session's share budget.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
@@ -56,6 +57,11 @@ type Leader[Fd field.Field[E], E any] struct {
 	batchSeq  uint64
 	sinceCh   int
 	next      *challPrefetch // pre-generated, pre-broadcast next challenge
+	// verifying counts the batches in verification under the current
+	// challenge and the one before it, indexed by challenge-ID parity: the
+	// slot of the next challenge is that of the one its rotation evicts.
+	verifying [2]int
+	idle      sync.Cond // L is &lmu; broadcast when a verifying count drops to zero
 
 	overlap atomic.Uint64 // running average of completed batches' roundClock.load, as math.Float64bits
 	// depthCap is the deepest the pipeline's rules let this session's shard
@@ -104,14 +110,16 @@ func NewLeaderSession[Fd field.Field[E], E any](srv *Server[Fd, E], peers []tran
 	if sess < 0 || sess > 0xFF {
 		return nil, fmt.Errorf("core: leader session %d out of range [0, 256)", sess)
 	}
-	return &Leader[Fd, E]{
+	l := &Leader[Fd, E]{
 		Server:   srv,
 		peers:    peers,
 		sess:     sess,
 		challID:  uint32(srv.idx)<<24 | uint32(sess)<<16,
 		batchSeq: uint64(srv.idx)<<48 | uint64(sess)<<32,
 		depthCap: 1,
-	}, nil
+	}
+	l.idle.L = &l.lmu
+	return l, nil
 }
 
 // newChallenge samples fresh verification randomness for the deployment.
@@ -247,12 +255,23 @@ func (l *Leader[Fd, E]) same(payload []byte) [][]byte {
 // under the pipeline, the shard) at the window boundary. The servers keep a
 // window of three live challenges per session namespace to make the early
 // broadcast safe for batches still in flight on the previous challenge.
+//
+// Rotating to challenge c+1 starts the prefetch of c+2, whose install
+// evicts c−1 from the servers' window. A batch still verifying under c−1 —
+// one overtaken by a whole window's worth of later batches — would then
+// fail, so rotation first waits (releasing lmu) until none is left.
 func (l *Leader[Fd, E]) ensureChallenge(upcoming int) error {
 	if l.pro.Cfg.Mode == ModeNoRobust {
 		return nil
 	}
-	if l.haveChall && l.sinceCh+upcoming <= l.pro.Cfg.ChallengeEvery {
-		return nil
+	for {
+		if l.haveChall && l.sinceCh+upcoming <= l.pro.Cfg.ChallengeEvery {
+			return nil
+		}
+		if l.verifying[(l.challID+1)&1] == 0 {
+			break
+		}
+		l.idle.Wait()
 	}
 	if pf := l.next; pf != nil {
 		l.next = nil
@@ -425,7 +444,16 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	l.batchSeq = l.batchSeq&^uint64(0xFFFFFFFF) | (l.batchSeq+1)&0xFFFFFFFF
 	batchID := l.batchSeq
 	challID := l.challID
+	l.verifying[challID&1]++
 	l.lmu.Unlock()
+	defer func() {
+		l.lmu.Lock()
+		l.verifying[challID&1]--
+		if l.verifying[challID&1] == 0 {
+			l.idle.Broadcast()
+		}
+		l.lmu.Unlock()
+	}()
 
 	// Stamp the batch with the collection window open right now (0 when
 	// windowing is off). One stamp per batch, leader-assigned, so every

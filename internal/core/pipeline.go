@@ -399,7 +399,8 @@ const shareBudget = 4 << 20
 //   - (i) a full MaxBatch batch is waiting, so an under-loaded pipeline
 //     forms exactly the batches a serial loop would;
 //   - (ii) the session's verifying submissions plus that batch stay within
-//     ChallengeEvery, so no batch outlives two challenge rotations (Leader).
+//     ChallengeEvery, so a rotation rarely has to wait for a batch still
+//     verifying under the challenge it evicts (Leader.ensureChallenge).
 //     The depth check of (iii) enforces it: NewPipeline caps the session's
 //     depth (depthCap) at ChallengeEvery/MaxBatch full batches, and at one
 //     when ChallengeEvery < MaxBatch, where a lone verifying batch sees no

@@ -306,6 +306,58 @@ func TestSchedulerFastRotation(t *testing.T) {
 	}
 }
 
+// TestRotationWaitsForOvertakenBatch: with one batch per challenge, batch A
+// stalls in Round2 while B rotates past it; C's rotation would start the
+// prefetch that evicts A's challenge from the servers, so it waits for A.
+// Without the wait A failed with "unknown batch" once released (as batches
+// overtaken by a whole window did under load).
+func TestRotationWaitsForOvertakenBatch(t *testing.T) {
+	const batch = 8
+	rig := newSlowRig(t, 0, batch)
+	held, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	rig.probe.fail = func(j int, msgType byte, _ []byte) error {
+		if j == 1 && msgType == MsgRound2Batch && calls.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	run := func() chan error {
+		done := make(chan error, 1)
+		subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, batch)...)
+		go func() {
+			_, err := rig.leader.ProcessBatch(subs)
+			done <- err
+		}()
+		return done
+	}
+	a := run()
+	<-held
+	if err := <-run(); err != nil {
+		t.Fatalf("B: %v", err)
+	}
+	c := run()
+	var errC error
+	cDone := false
+	select {
+	case errC = <-c:
+		cDone = true
+		t.Error("C rotated past A's challenge while A was verifying")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-a; err != nil {
+		t.Errorf("A: %v", err)
+	}
+	if !cDone {
+		errC = <-c
+	}
+	if errC != nil {
+		t.Errorf("C: %v", errC)
+	}
+}
+
 // TestSchedulerShutdown: Quiesce and Close both wait out batches in flight,
 // and no completion runs after Close returns.
 func TestSchedulerShutdown(t *testing.T) {

@@ -70,6 +70,41 @@ func TestSwappedSeedBundlesRejected(t *testing.T) {
 	expectVerdicts(t, cl, subs, []bool{true, false, true}, 10)
 }
 
+// TestLowOrderEncapsulationRejectedAlone: one submission of a sealed Round1
+// batch carries a low-order encapsulation (RFC 7748 §6.1) in its seed
+// servers' bundles. Each seed server's batch agreement refuses that one
+// encapsulation, so exactly that submission is rejected: its neighbours,
+// agreed in the same batch, are accepted. (The leader's box keeps its own
+// encapsulation: were every bundle refused, all three shares would be zero,
+// and the all-zero vector is a valid sum8 submission of 0.)
+func TestLowOrderEncapsulationRejectedAlone(t *testing.T) {
+	lowOrder := []string{
+		"0000000000000000000000000000000000000000000000000000000000000000",
+		"0100000000000000000000000000000000000000000000000000000000000000",
+		"e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+		"5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+		"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+		"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+		"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	}
+	values := []uint64{11, 22, 33, 44}
+	for i, s := range lowOrder {
+		for _, high := range []byte{0, 0x80} {
+			u, _ := hex.DecodeString(s)
+			u[31] |= high
+			_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
+			subs := honestSubs(t, client, scheme, values...)
+			pos := i % len(subs)
+			for _, b := range subs[pos].Bundles[1:] {
+				copy(b, u)
+			}
+			want := []bool{true, true, true, true}
+			want[pos] = false
+			expectVerdicts(t, cl, subs, want, 11+22+33+44-values[pos])
+		}
+	}
+}
+
 // goldenEncap is internal/sealbox's TestSeedGoldenVector encapsulation: a
 // fixed ephemeral scalar's public key, a valid bundle for the fuzz
 // deployment's fixed-key servers.

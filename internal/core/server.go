@@ -349,20 +349,37 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	}()
 	constServer := s.idx == 0
 
-	// Decode phase: materialize every bundle into a slab and hand the
-	// verifiers views of it — the SNIP inputs and proof shares (and, in MPC
-	// mode, the cooperative sessions' inputs) are never copied.
+	bundles := make([][]byte, count)
+	for j := range bundles {
+		bundles[j] = r.blob()
+	}
+	// Optional trailing collection-window stamp (window.go). Robust modes
+	// re-learn it from MsgFinish, where accumulation actually happens; the
+	// Round1 copy is for no-robust mode, which accumulates right here.
+	wid := uint64(0)
+	if r.off < len(r.b) {
+		wid = r.u64()
+	}
+	if !r.done() {
+		return nil, errTruncated
+	}
+
+	// Decode phase: one batch agreement over the bundles' encapsulations,
+	// then materialize every bundle into a slab and hand the verifiers views
+	// of it — the SNIP inputs and proof shares (and, in MPC mode, the
+	// cooperative sessions' inputs) are never copied.
+	agrs := p.agree(bundles, s.priv)
 	snipInputs := make([][]E, 0, count)
 	snipProofs := make([]*snip.Proof[E], 0, count)
 	mpcOpens := make([]*mpc.Open[E], 0, count)
-	for j := 0; j < count; j++ {
-		bundle := r.blob()
-		if r.err != nil {
-			return nil, errTruncated
-		}
+	for j, bundle := range bundles {
 		flat := p.getFlat()
 		bs.flats = append(bs.flats, flat)
-		if err := p.decodeBundle(bundle, s.priv, s.idx, flat); err != nil {
+		var agr *sealbox.Agreement
+		if agrs != nil {
+			agr = &agrs[j]
+		}
+		if err := p.decodeAgreed(bundle, agr, s.idx, flat); err != nil {
 			zero := f.Zero()
 			for i := range flat {
 				flat[i] = zero
@@ -402,16 +419,6 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 			}
 			mpcOpens = append(mpcOpens, open)
 		}
-	}
-	// Optional trailing collection-window stamp (window.go). Robust modes
-	// re-learn it from MsgFinish, where accumulation actually happens; the
-	// Round1 copy is for no-robust mode, which accumulates right here.
-	wid := uint64(0)
-	if r.off < len(r.b) {
-		wid = r.u64()
-	}
-	if !r.done() {
-		return nil, errTruncated
 	}
 
 	// Verify phase: one batch pass over all submissions. Beaver openings

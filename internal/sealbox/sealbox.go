@@ -42,17 +42,50 @@
 // submissions under one ephemeral would give every seed server the same
 // share of both, so the leader's two explicit shares would differ by
 // exactly x_a − x_b. Callers draw a fresh Ephemeral per submission.
+//
+// # X25519
+//
+// Every X25519 here is internal/sealbox/x25519, crypto/ecdh being only the
+// tests' oracle. That package is the RFC 7748 §5 Montgomery ladder over the
+// GF(2²⁵⁵−19) arithmetic of Go's crypto/internal/fips140/edwards25519/field
+// (Copyright 2017 The Go Authors; BSD-style licence, kept in
+// x25519/LICENSE): its amd64 multiply and square assembly unchanged, its
+// generic Go on every other GOARCH and under the purego build tag. Two
+// things differ from crypto/ecdh's ladder, and neither changes an output:
+//
+//   - Lazy reduction. The ladder's additions and subtractions skip the
+//     carry pass, since each one feeds a multiply, a square or the
+//     multiplication by 121666, which are exact for limbs below 2⁵⁴. Sums
+//     and differences of reduced values (limbs below 2⁵¹ + 2²⁴) stay below
+//     2⁵³, one bit inside that.
+//   - One inversion per batch. x25519.ScalarMultBatch runs n ladders under
+//     one scalar and turns all n projective results (X:Z) into u = X/Z with
+//     one inversion (Montgomery's simultaneous inversion: 3(n−1)
+//     multiplications and one exponentiation, not n exponentiations). A
+//     server agrees one Round1 batch's encapsulations this way
+//     (PrivateKey.Agree); a client its ephemeral public key and its s
+//     recipients' agreements (NewEphemeral).
+//
+// A low-order encapsulation ends its ladder at Z = 0, which would zero the
+// batch's shared product and every result with it. Each Z is tested and, if
+// zero, swapped for one (its X for zero) by a constant-time select, so that
+// encapsulation's agreement is the all-zero output that is refused here,
+// alone. The batch stays constant time in the secret scalar: each ladder
+// is, and the normalisation performs the same operations for every input of
+// a given length — the zero test and the select included.
 package sealbox
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"io"
+
+	"prio/internal/sealbox/x25519"
 )
 
 // EncapSize is the byte length of an encapsulation: an X25519 public key.
@@ -71,31 +104,39 @@ var ErrDecrypt = errors.New("sealbox: decryption failed")
 
 // PublicKey identifies a recipient (a Prio server).
 type PublicKey struct {
-	k *ecdh.PublicKey
+	b [32]byte
 }
 
 // PrivateKey opens boxes sealed to the matching PublicKey.
 type PrivateKey struct {
-	k *ecdh.PrivateKey
+	scalar, pub [32]byte
 }
 
 // GenerateKey creates a fresh X25519 key pair.
 func GenerateKey() (*PublicKey, *PrivateKey, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
+	var scalar [32]byte
+	if _, err := io.ReadFull(rand.Reader, scalar[:]); err != nil {
 		return nil, nil, err
 	}
-	return &PublicKey{k: priv.PublicKey()}, &PrivateKey{k: priv}, nil
+	priv := newPrivateKey(&scalar)
+	return priv.Public(), priv, nil
+}
+
+// newPrivateKey is the key with this scalar and its public key.
+func newPrivateKey(scalar *[32]byte) *PrivateKey {
+	k := &PrivateKey{scalar: *scalar}
+	x25519.ScalarMult(&k.pub, &k.scalar, &x25519.Basepoint)
+	return k
 }
 
 // Bytes returns the 32-byte wire encoding of the public key.
-func (p *PublicKey) Bytes() []byte { return p.k.Bytes() }
+func (p *PublicKey) Bytes() []byte { return append([]byte(nil), p.b[:]...) }
 
 // Equal reports whether p and q are the same X25519 point, however each is
 // encoded: a u-coordinate with bit 255 set, or one not reduced mod 2²⁵⁵−19,
 // agrees exactly as its canonical form does.
 func (p *PublicKey) Equal(q *PublicKey) bool {
-	return canonical(p.k.Bytes()) == canonical(q.k.Bytes())
+	return canonical(p.b[:]) == canonical(q.b[:])
 }
 
 // canonical is the reduced little-endian u-coordinate of an X25519 public
@@ -120,82 +161,170 @@ func canonical(u []byte) [32]byte {
 
 // ParsePublicKey decodes a 32-byte X25519 public key.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
-	k, err := ecdh.X25519().NewPublicKey(b)
-	if err != nil {
-		return nil, err
+	if len(b) != 32 {
+		return nil, errors.New("sealbox: invalid public key")
 	}
-	return &PublicKey{k: k}, nil
+	return &PublicKey{b: [32]byte(b)}, nil
 }
 
 // Public returns the public half of the key.
-func (p *PrivateKey) Public() *PublicKey { return &PublicKey{k: p.k.PublicKey()} }
+func (p *PrivateKey) Public() *PublicKey { return &PublicKey{b: p.pub} }
 
 // Bytes returns the 32-byte encoding of the private scalar, for servers that
 // persist their identity across restarts (cmd/prio-server -key-file). Treat
 // the output as a secret.
-func (p *PrivateKey) Bytes() []byte { return p.k.Bytes() }
+func (p *PrivateKey) Bytes() []byte { return append([]byte(nil), p.scalar[:]...) }
 
 // ParsePrivateKey decodes a 32-byte X25519 private key produced by
 // PrivateKey.Bytes.
 func ParsePrivateKey(b []byte) (*PrivateKey, error) {
-	k, err := ecdh.X25519().NewPrivateKey(b)
-	if err != nil {
-		return nil, err
+	if len(b) != 32 {
+		return nil, errors.New("sealbox: invalid private key size")
 	}
-	return &PrivateKey{k: k}, nil
+	return newPrivateKey((*[32]byte)(b)), nil
 }
 
 // Secret derives the 32-byte secret the encapsulation epk shares with this
 // key under label: what Ephemeral.Secret computed on the sender's side. An
 // encapsulation that is not 32 bytes, or a low-order point, is ErrDecrypt.
 func (p *PrivateKey) Secret(epk, label []byte) ([]byte, error) {
-	pk, err := ecdh.X25519().NewPublicKey(epk)
+	return p.Agree([][]byte{epk})[0].Secret(label)
+}
+
+// Agreement is one encapsulation's X25519 agreement with a PrivateKey: it
+// derives that encapsulation's secrets, and opens its box, without another
+// scalar multiplication.
+type Agreement struct {
+	epk, shared, rpk [32]byte
+	ok               bool
+}
+
+// Agree runs the agreements of this key with every encapsulation in epks as
+// one batch, sharing a single field inversion (x25519.ScalarMultBatch). An
+// encapsulation that is not 32 bytes, or a low-order point, fails alone: its
+// Agreement refuses every derivation with ErrDecrypt, and the others are
+// unaffected.
+func (p *PrivateKey) Agree(epks [][]byte) []Agreement {
+	out := make([]Agreement, len(epks))
+	pts := make([][32]byte, 0, len(epks))
+	for i, epk := range epks {
+		out[i].rpk = p.pub
+		if len(epk) == EncapSize {
+			out[i].epk = [32]byte(epk)
+			pts = append(pts, out[i].epk)
+		}
+	}
+	x25519.ScalarMultBatch(pts, pts, &p.scalar)
+	for i, epk := range epks {
+		if len(epk) == EncapSize {
+			out[i].shared, pts = pts[0], pts[1:]
+			out[i].ok = !allZero(&out[i].shared)
+		}
+	}
+	return out
+}
+
+// Secret derives the 32-byte secret of the agreement's encapsulation under
+// label, equal to PrivateKey.Secret's.
+func (a *Agreement) Secret(label []byte) ([]byte, error) {
+	if !a.ok {
+		return nil, ErrDecrypt
+	}
+	return derive(a.shared[:], a.epk[:], a.rpk[:], label), nil
+}
+
+// OpenTo is the package OpenTo for a box that starts with the agreement's
+// encapsulation; any other box is ErrDecrypt.
+func (a *Agreement) OpenTo(dst, box []byte) ([]byte, error) {
+	if len(box) < Overhead || !bytes.Equal(box[:EncapSize], a.epk[:]) {
+		return nil, ErrDecrypt
+	}
+	epk := box[:EncapSize]
+	nonce := box[EncapSize : EncapSize+nonceSize]
+	ct := box[EncapSize+nonceSize:]
+	key, err := a.Secret(aeadLabel)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	shared, err := p.k.ECDH(pk)
+	aead, err := newAEAD(key)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	return derive(shared, epk, p.k.PublicKey().Bytes(), label), nil
+	pt, err := aead.Open(dst, nonce, ct, epk)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return pt, nil
+}
+
+// allZero reports whether b is all zeros, in constant time: X25519's output
+// for a low-order point (RFC 7748 §6.1).
+func allZero(b *[32]byte) bool {
+	var acc byte
+	for _, v := range b {
+		acc |= v
+	}
+	return acc == 0
 }
 
 // Ephemeral is a sender's one-use key pair: one per submission, whatever
 // the number of recipients (see the package doc for why it must never be
 // reused across submissions).
 type Ephemeral struct {
-	k   *ecdh.PrivateKey
-	epk []byte
+	scalar, epk [32]byte
+	recipients  []*PublicKey
+	shared      [][32]byte // X25519 with recipients[i]
 }
 
-// NewEphemeral draws a fresh ephemeral key pair.
-func NewEphemeral() (*Ephemeral, error) { return newEphemeral(rand.Reader) }
+// NewEphemeral draws a fresh ephemeral key pair and runs its agreement with
+// each of recipients, in one batch with its own public key: len+1 scalar
+// multiplications under one field inversion.
+func NewEphemeral(recipients ...*PublicKey) (*Ephemeral, error) {
+	return newEphemeral(rand.Reader, recipients...)
+}
 
 // newEphemeral reads the private scalar from r, which lets a test pin one.
-func newEphemeral(r io.Reader) (*Ephemeral, error) {
-	var scalar [32]byte
-	if _, err := io.ReadFull(r, scalar[:]); err != nil {
+func newEphemeral(r io.Reader, recipients ...*PublicKey) (*Ephemeral, error) {
+	e := &Ephemeral{recipients: recipients}
+	if _, err := io.ReadFull(r, e.scalar[:]); err != nil {
 		return nil, err
 	}
-	k, err := ecdh.X25519().NewPrivateKey(scalar[:])
-	if err != nil {
-		return nil, err
+	pts := make([][32]byte, 1+len(recipients))
+	pts[0] = x25519.Basepoint
+	for i, rc := range recipients {
+		pts[1+i] = rc.b
 	}
-	return &Ephemeral{k: k, epk: k.PublicKey().Bytes()}, nil
+	x25519.ScalarMultBatch(pts, pts, &e.scalar)
+	e.epk, e.shared = pts[0], pts[1:]
+	return e, nil
 }
 
 // Public returns the 32-byte encapsulation. The caller must not modify it.
-func (e *Ephemeral) Public() []byte { return e.epk }
+func (e *Ephemeral) Public() []byte { return e.epk[:] }
 
 // Secret derives the 32-byte secret this ephemeral shares with recipient
 // under label; recipient's PrivateKey.Secret derives the same one from
-// Public.
+// Public. A recipient NewEphemeral was given costs no scalar multiplication
+// here; any other costs one. A low-order recipient key is an error.
 func (e *Ephemeral) Secret(recipient *PublicKey, label []byte) ([]byte, error) {
-	shared, err := e.k.ECDH(recipient.k)
-	if err != nil {
-		return nil, err
+	shared, ok := e.agreement(recipient)
+	if !ok {
+		x25519.ScalarMult(&shared, &e.scalar, &recipient.b)
 	}
-	return derive(shared, e.epk, recipient.k.Bytes(), label), nil
+	if allZero(&shared) {
+		return nil, errors.New("sealbox: low-order recipient key")
+	}
+	return derive(shared[:], e.epk[:], recipient.b[:], label), nil
+}
+
+// agreement is the precomputed X25519 with recipient, if NewEphemeral ran it.
+func (e *Ephemeral) agreement(recipient *PublicKey) ([32]byte, bool) {
+	for i, rc := range e.recipients {
+		if rc.b == recipient.b {
+			return e.shared[i], true
+		}
+	}
+	return [32]byte{}, false
 }
 
 // Seal encrypts plaintext to recipient under this ephemeral, prepending the
@@ -210,13 +339,13 @@ func (e *Ephemeral) Seal(recipient *PublicKey, plaintext []byte) ([]byte, error)
 		return nil, err
 	}
 	out := make([]byte, 0, len(plaintext)+Overhead)
-	out = append(out, e.epk...)
+	out = append(out, e.epk[:]...)
 	nonce := make([]byte, nonceSize)
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
 	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, e.epk), nil
+	return aead.Seal(out, nonce, plaintext, e.epk[:]), nil
 }
 
 // derive computes HKDF-SHA256 (RFC 5869) of the shared secret with salt
@@ -248,7 +377,7 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 
 // Seal encrypts plaintext to the recipient under a fresh ephemeral key.
 func Seal(recipient *PublicKey, plaintext []byte) ([]byte, error) {
-	e, err := NewEphemeral()
+	e, err := NewEphemeral(recipient)
 	if err != nil {
 		return nil, err
 	}
@@ -270,20 +399,5 @@ func OpenTo(priv *PrivateKey, dst, box []byte) ([]byte, error) {
 	if len(box) < Overhead {
 		return nil, ErrDecrypt
 	}
-	epk := box[:EncapSize]
-	nonce := box[EncapSize : EncapSize+nonceSize]
-	ct := box[EncapSize+nonceSize:]
-	key, err := priv.Secret(epk, aeadLabel)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	pt, err := aead.Open(dst, nonce, ct, epk)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
+	return priv.Agree([][]byte{box[:EncapSize]})[0].OpenTo(dst, box)
 }

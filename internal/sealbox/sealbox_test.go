@@ -2,6 +2,7 @@ package sealbox
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -234,19 +235,192 @@ func TestEncapsulationBitFlips(t *testing.T) {
 	}
 }
 
+// lowOrder are the encapsulations whose X25519 output is all zeros for
+// every key (RFC 7748 §6.1): u = 0, 1, the two points of order 8, p − 1, p
+// and p + 1.
+var lowOrder = []string{
+	"0000000000000000000000000000000000000000000000000000000000000000",
+	"0100000000000000000000000000000000000000000000000000000000000000",
+	"e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+	"5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+	"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+}
+
+// ecdhSecret is PrivateKey.Secret computed over crypto/ecdh.
+func ecdhSecret(t *testing.T, priv *PrivateKey, epk, label []byte) []byte {
+	t.Helper()
+	k, err := ecdh.X25519().NewPrivateKey(priv.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := ecdh.X25519().NewPublicKey(epk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := k.ECDH(pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return derive(shared, epk, k.PublicKey().Bytes(), label)
+}
+
+// TestLowOrderEncapsulationRefused: every low-order encapsulation, also
+// with bit 255 set, is refused alone and at every position of a batch of 16,
+// whose 15 other encapsulations still derive crypto/ecdh's secrets. So is
+// an encapsulation of the wrong length.
 func TestLowOrderEncapsulationRefused(t *testing.T) {
 	priv := fixedKey(t)
-	one := make([]byte, EncapSize)
-	one[0] = 1
 	for name, epk := range map[string][]byte{
-		"u = 0":    make([]byte, EncapSize),
-		"u = 1":    one,
 		"31 bytes": make([]byte, EncapSize-1),
 		"33 bytes": make([]byte, EncapSize+1),
 	} {
 		if _, err := priv.Secret(epk, seedLabel1); !errors.Is(err, ErrDecrypt) {
 			t.Errorf("%s: err = %v, want ErrDecrypt", name, err)
 		}
+	}
+
+	const n = 16
+	honest := make([][]byte, n)
+	want := make([][]byte, n)
+	for i := range honest {
+		e, err := NewEphemeral()
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest[i] = e.Public()
+		want[i] = ecdhSecret(t, priv, honest[i], seedLabel1)
+	}
+	for _, s := range lowOrder {
+		for _, high := range []byte{0, 0x80} {
+			bad, _ := hex.DecodeString(s)
+			bad[31] |= high
+			if _, err := priv.Secret(bad, seedLabel1); !errors.Is(err, ErrDecrypt) {
+				t.Errorf("u %x alone: err = %v, want ErrDecrypt", bad, err)
+			}
+			for pos := 0; pos < n; pos++ {
+				epks := append([][]byte(nil), honest...)
+				epks[pos] = bad
+				for i, a := range priv.Agree(epks) {
+					got, err := a.Secret(seedLabel1)
+					switch {
+					case i == pos && !errors.Is(err, ErrDecrypt):
+						t.Errorf("u %x at %d: err = %v, want ErrDecrypt", bad, pos, err)
+					case i != pos && (err != nil || !bytes.Equal(got, want[i])):
+						t.Errorf("u %x at %d: neighbour %d derives %x, %v; want %x", bad, pos, i, got, err, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAgreeMatchesECDH: a batch agreement derives, for every encapsulation,
+// the secret and the box key crypto/ecdh's agreement does, and opens that
+// encapsulation's box.
+func TestAgreeMatchesECDH(t *testing.T) {
+	pub, priv, err := GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	epks := make([][]byte, 17)
+	boxes := make([][]byte, len(epks))
+	for i := range epks {
+		e, err := NewEphemeral(pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epks[i] = e.Public()
+		if boxes[i], err = e.Seal(pub, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agrs := priv.Agree(epks)
+	for i := range agrs {
+		for _, label := range [][]byte{seedLabel1, aeadLabel} {
+			got, err := agrs[i].Secret(label)
+			if want := ecdhSecret(t, priv, epks[i], label); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%d: secret %x, %v; want %x", i, got, err, want)
+			}
+		}
+		pt, err := agrs[i].OpenTo(nil, boxes[i])
+		if err != nil || !bytes.Equal(pt, []byte{byte(i)}) {
+			t.Errorf("%d: OpenTo = %x, %v", i, pt, err)
+		}
+		if _, err := agrs[i].OpenTo(nil, boxes[(i+1)%len(boxes)]); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("%d: opened another encapsulation's box: %v", i, err)
+		}
+	}
+}
+
+// TestEphemeralBatchMatchesUnbatched: the secrets of an ephemeral's batch
+// with its recipients equal the ones it derives for a recipient it was not
+// given, and crypto/ecdh's.
+func TestEphemeralBatchMatchesUnbatched(t *testing.T) {
+	pubs := make([]*PublicKey, 5)
+	privs := make([]*PrivateKey, 5)
+	for i := range pubs {
+		var err error
+		if pubs[i], privs[i], err = GenerateKey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scalar := bytes.Repeat([]byte{0x07}, 32)
+	batched, err := newEphemeral(bytes.NewReader(scalar), pubs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := newEphemeral(bytes.NewReader(scalar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(batched.Public(), alone.Public()) {
+		t.Fatalf("batched encapsulation %x, unbatched %x", batched.Public(), alone.Public())
+	}
+	for i, pub := range pubs {
+		a, errA := batched.Secret(pub, seedLabel1)
+		b, errB := alone.Secret(pub, seedLabel1)
+		want := ecdhSecret(t, privs[i], alone.Public(), seedLabel1)
+		if errA != nil || errB != nil || !bytes.Equal(a, want) || !bytes.Equal(b, want) {
+			t.Errorf("recipient %d: batched %x (%v), unbatched %x (%v), want %x", i, a, errA, b, errB, want)
+		}
+	}
+	low, err := ParsePublicKey(make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEphemeral(pubs[0], low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Secret(low, seedLabel1); err == nil {
+		t.Error("a low-order recipient key derived a secret")
+	}
+	if _, err := e.Secret(pubs[0], seedLabel1); err != nil {
+		t.Errorf("a low-order recipient in the batch failed its neighbour: %v", err)
+	}
+}
+
+// BenchmarkAgreeBatch is a seed server's key agreements for one full Round1
+// batch: 16 encapsulations, one shared inversion.
+func BenchmarkAgreeBatch(b *testing.B) {
+	_, priv, err := GenerateKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	epks := make([][]byte, 16)
+	for i := range epks {
+		e, err := NewEphemeral()
+		if err != nil {
+			b.Fatal(err)
+		}
+		epks[i] = e.Public()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		priv.Agree(epks)
 	}
 }
 
