@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"prio/internal/afe"
 	"prio/internal/field"
 	"prio/internal/mpc"
 	"prio/internal/snip"
+	"prio/internal/transport"
 )
 
 // diffScheme is one AFE entry of the differential matrix: a scheme plus an
@@ -77,7 +79,7 @@ func newDiffCluster(t *testing.T, scheme afe.Scheme[uint64], mode Mode) (*Cluste
 // snip.Evaluator (Round1, SumRound1, Round2, Decide — one exchange per
 // submission, under a challenge of its own) and, in MPC mode, a cooperative
 // evaluation of Valid over the same shares. It touches none of the batch
-// path: no BatchVerifier, no RLC probe, no bisection, no wire format.
+// path: no BatchVerifier, no RLC probe, no reveal, no wire format.
 func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submission) []bool {
 	t.Helper()
 	p := cl.Leader.pro
@@ -217,40 +219,102 @@ func TestBatchVerifyDifferential(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyAllMalicious drives the bisect fallback to its worst case:
-// every submission in the batch is bad, so the root probe and every split
-// fails and each singleton must be individually rejected.
-func TestBatchVerifyAllMalicious(t *testing.T) {
+// countingPeer wraps a Peer and counts its calls by message type.
+type countingPeer struct {
+	transport.Peer
+	calls *[256]atomic.Int32
+}
+
+func (p *countingPeer) Call(msgType byte, payload []byte) ([]byte, error) {
+	p.calls[msgType].Add(1)
+	return p.Peer.Call(msgType, payload)
+}
+
+// countedLeader builds a leader on server 0 whose calls are counted:
+// calls[j][m] is the number of type-m calls it made to server j.
+func countedLeader(t *testing.T, cl *Cluster[field.F64, uint64]) (*Leader[field.F64, uint64], []*[256]atomic.Int32) {
+	t.Helper()
+	calls := make([]*[256]atomic.Int32, len(cl.Servers))
+	ld := leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
+		calls[j] = new([256]atomic.Int32)
+		return &countingPeer{Peer: p, calls: calls[j]}
+	})
+	return ld, calls
+}
+
+// verifyCounted runs one batch of sum4 submissions, the ones bad marks made
+// invalid, through a leader whose calls are counted. The verdicts must be
+// the honesty mask and oracleAccepts', and every server must have answered
+// exactly wantProbes MsgRound2Batch probes.
+func verifyCounted(t *testing.T, bad []bool, wantProbes int32) {
+	t.Helper()
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 4)
 	cl, client := newDiffCluster(t, scheme, ModeSNIP)
-	const b = 6
-	subs := make([]*Submission, b)
-	for i := 0; i < b; i++ {
+	subs := make([]*Submission, len(bad))
+	honest := uint64(0)
+	for i := range subs {
 		enc, err := scheme.Encode(uint64(i) % 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc[0] = f.Add(enc[0], f.FromUint64(3))
+		if bad[i] {
+			enc[0] = f.Add(enc[0], f.FromUint64(3))
+		} else {
+			honest++
+		}
 		if subs[i], err = client.BuildSubmission(enc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	accepts, err := cl.Leader.ProcessBatch(subs)
+	ld, calls := countedLeader(t, cl)
+	got, err := ld.ProcessBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ok := range accepts {
-		if ok {
-			t.Errorf("all-malicious batch: submission %d accepted", i)
+	want := oracleAccepts(t, cl, subs)
+	for i := range subs {
+		if got[i] != !bad[i] || got[i] != want[i] {
+			t.Errorf("submission %d: accept=%v, honest=%v, oracle=%v", i, got[i], !bad[i], want[i])
 		}
 	}
-	_, n, err := cl.Leader.Aggregate()
-	if err != nil {
-		t.Fatal(err)
+	for j, c := range calls {
+		if n := c[MsgRound2Batch].Load(); n != wantProbes {
+			t.Errorf("server %d answered %d Round2 probes, want %d", j, n, wantProbes)
+		}
 	}
-	if n != 0 {
-		t.Errorf("accepted count = %d, want 0", n)
+	if _, n, err := ld.Aggregate(); err != nil || n != honest {
+		t.Errorf("accepted count = %d (%v), want %d", n, err, honest)
+	}
+}
+
+// TestBatchVerifyAllMalicious is the fallback's worst case: every
+// submission in a batch of 16 is bad, so the combined check fails and one
+// reveal must reject each of them, in two probes in all.
+func TestBatchVerifyAllMalicious(t *testing.T) {
+	bad := make([]bool, 16)
+	for i := range bad {
+		bad[i] = true
+	}
+	verifyCounted(t, bad, 2)
+}
+
+// TestBatchVerifyProbeCount pins the Round2 probes a batch costs: one when
+// every submission is honest or the batch is a single submission, two
+// otherwise.
+func TestBatchVerifyProbeCount(t *testing.T) {
+	oneBad := make([]bool, 16)
+	oneBad[11] = true
+	for _, c := range []struct {
+		name   string
+		bad    []bool
+		probes int32
+	}{
+		{"honest16", make([]bool, 16), 1},
+		{"oneBad16", oneBad, 2},
+		{"badSingleton", []bool{true}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) { verifyCounted(t, c.bad, c.probes) })
 	}
 }
 

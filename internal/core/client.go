@@ -83,8 +83,8 @@ func UnmarshalSubmission(b []byte) (*Submission, error) {
 }
 
 // Bundle flags: an explicit share vector or a PRG seed. A sealed deployment
-// sends no flagged seed: a seed server's bundle is the bare encapsulation
-// it derives its seed from (seedLabel).
+// sends and accepts no flagged seed: a seed server's bundle is the bare
+// encapsulation it derives its seed from (seedLabel).
 const (
 	bundleExplicit byte = 0
 	bundleSeed     byte = 1
@@ -231,7 +231,9 @@ func (p *Protocol[Fd, E]) agree(bundles [][]byte, priv *sealbox.PrivateKey) []se
 // decodeAgreed recovers server idx's flat share vector from its bundle into
 // dst, which must hold p.flatLen elements; on success every one of them has
 // been overwritten, on error dst's contents are unspecified. agr is the
-// bundle's agreement from agree, nil when the deployment does not seal.
+// bundle's agreement from agree, nil when the deployment does not seal. A
+// sealed bundle is either an encapsulation or a box around an explicit
+// share; only an unsealed deployment sends flagged seeds.
 func (p *Protocol[Fd, E]) decodeAgreed(bundle []byte, agr *sealbox.Agreement, idx int, dst []E) error {
 	f := p.Cfg.Field
 	if p.Cfg.Seal {
@@ -254,38 +256,32 @@ func (p *Protocol[Fd, E]) decodeAgreed(bundle []byte, agr *sealbox.Agreement, id
 			return err
 		}
 		bundle = pt
-	}
-	if len(bundle) < 1 {
-		return errTruncated
-	}
-	switch bundle[0] {
-	case bundleSeed:
+	} else if len(bundle) > 0 && bundle[0] == bundleSeed {
 		if len(bundle) != 1+prg.SeedSize {
 			return errTruncated
 		}
 		share.ExpandInto(f, prg.Seed(bundle[1:]), dst)
 		return nil
-	case bundleExplicit:
-		if len(bundle)-1 != len(dst)*f.ElemSize() {
-			return errTruncated
-		}
-		_, err := field.ReadInto(f, bundle[1:], dst)
-		return err
-	default:
+	}
+	if len(bundle) < 1 || bundle[0] != bundleExplicit || len(bundle)-1 != len(dst)*f.ElemSize() {
 		return errTruncated
 	}
+	_, err := field.ReadInto(f, bundle[1:], dst)
+	return err
 }
 
 // maxSubmission is the wire size (Submission.Marshal) of the largest
 // submission every server's decodeBundle can accept: one bundle per server,
-// each at most the longer of an explicit share (a flag byte and flatLen
-// elements) and a seed bundle (a flag byte and a seed), sealed when the
-// deployment seals. A short share (flatLen·ElemSize < SeedSize) makes the
-// seed bundle the longer one. An encapsulation is shorter than any box.
+// each at most an explicit share (a flag byte and flatLen elements), sealed
+// when the deployment seals. Unsealed, a seed bundle (a flag byte and a
+// seed) is longer when the share is short (flatLen·ElemSize < SeedSize);
+// sealed, an encapsulation is shorter than any box.
 func (p *Protocol[Fd, E]) maxSubmission() int {
-	bundle := 1 + max(p.flatLen*p.Cfg.Field.ElemSize(), prg.SeedSize)
+	bundle := 1 + p.flatLen*p.Cfg.Field.ElemSize()
 	if p.Cfg.Seal {
 		bundle += sealbox.Overhead
+	} else {
+		bundle = max(bundle, 1+prg.SeedSize)
 	}
 	return 4 + p.Cfg.Servers*(4+bundle)
 }

@@ -50,7 +50,7 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 			w := &wbuf{}
 			w.u32(1)
 			w.u64(999)
-			w.u8(0)
+			w.u8(probeReveal)
 			return w.b
 		}()},
 		// 3 and 9 are retired numbers (the per-submission Round2 exchange,

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"prio/internal/afe"
 	"prio/internal/field"
 	"prio/internal/prg"
 	"prio/internal/sealbox"
+	"prio/internal/snip"
 )
 
 // fuzzServer builds server idx of a 3-server sum8 deployment with a fixed
@@ -134,4 +136,131 @@ func FuzzBundleDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// FuzzBatchProbe sends arbitrary MsgRound2Batch payloads to a server holding
+// one live batch (challenge 1, batch 1, two submissions), opened afresh for
+// every input. Each input must be refused or answered with well-formed
+// shares, never panic: a combined probe with one share whose value is the
+// λ-combination of what a reveal then returns, a reveal with one share per
+// submission. A reveal before any combined probe is a state error, and
+// every probe kind other than the two is refused.
+func FuzzBatchProbe(f *testing.F) {
+	srv := fuzzServer(f, 1, false)
+	p := srv.pro
+	fd := p.Cfg.Field
+	reps := p.ValidSys.Reps
+	client, err := NewClient(p, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	scheme := p.Cfg.Scheme.(*afe.Sum[field.F64, uint64])
+	round1 := &wbuf{}
+	round1.u32(1)
+	round1.u64(1)
+	round1.u32(2)
+	for _, v := range []uint64{3, 200} {
+		enc, err := scheme.Encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sub, err := client.BuildSubmission(enc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		round1.blob(sub.Bundles[1])
+	}
+	const count = 2
+
+	head := func(kind byte) *wbuf {
+		w := &wbuf{}
+		w.u32(1)
+		w.u64(1)
+		w.u8(kind)
+		return w
+	}
+	combined := head(probeCombined)
+	wvec(combined, fd, make([]uint64, 2*reps*count))
+	combined.blob(bytes.Repeat([]byte{5}, prg.SeedSize))
+	for _, b := range [][]byte{
+		combined.b,
+		head(probeReveal).b, // before any combined probe
+		head(0).b,           // the retired bisection's interior probe
+		head(255).b,
+		append(head(0).b[:13:13], combined.b[13:]...),
+		combined.b[:len(combined.b)-1],
+		append(combined.b, 0),
+		append(head(probeReveal).b, 0),
+		combined.b[:12],
+		nil,
+	} {
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if _, err := srv.Handle(MsgRound1, round1.b); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			fin := &wbuf{}
+			fin.u64(1)
+			fin.blob([]byte{0})
+			if _, err := srv.Handle(MsgFinish, fin.b); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		resp, err := srv.Handle(MsgRound2Batch, payload)
+		if bytes.Equal(payload, head(probeReveal).b) && !errors.Is(err, snip.ErrBatchState) {
+			t.Fatalf("reveal before the combined probe: err = %v, want %v", err, snip.ErrBatchState)
+		}
+		if err != nil {
+			return
+		}
+		if len(payload) < 13 || payload[12] != probeCombined {
+			t.Fatalf("a payload that is no combined probe was answered: %x", payload)
+		}
+		comb := readShares(t, fd, resp, 1, reps)[0]
+		if resp, err = srv.Handle(MsgRound2Batch, head(probeReveal).b); err != nil {
+			t.Fatalf("reveal after a combined probe: %v", err)
+		}
+		shares := readShares(t, fd, resp, count, reps)
+		var seed prg.Seed
+		copy(seed[:], payload[len(payload)-prg.SeedSize:])
+		lambda := snip.RLCCoeffs(fd, seed, count)
+		for k := 0; k <= reps; k++ {
+			at := func(r *snip.Round2[uint64]) uint64 {
+				if k == reps {
+					return r.Tau
+				}
+				return r.Sigma[k]
+			}
+			want := fd.Zero()
+			for j, s := range shares {
+				want = fd.Add(want, fd.Mul(lambda[j], at(s)))
+			}
+			if at(comb) != want {
+				t.Fatalf("combined share %d is %d, the λ-combination of the revealed shares is %d", k, at(comb), want)
+			}
+		}
+	})
+}
+
+// readShares parses a probe reply as n Round2 shares of reps σ elements
+// and one τ, failing on any other length or a non-canonical element.
+func readShares(t *testing.T, fd field.F64, resp []byte, n, reps int) []*snip.Round2[uint64] {
+	t.Helper()
+	r := &rbuf{b: resp}
+	out := make([]*snip.Round2[uint64], n)
+	for j := range out {
+		sig := rvec(r, fd, reps)
+		tau := rvec(r, fd, 1)
+		if r.err != nil {
+			t.Fatalf("reply of %d bytes does not hold %d shares", len(resp), n)
+		}
+		out[j] = &snip.Round2[uint64]{Sigma: sig, Tau: tau[0]}
+	}
+	if !r.done() {
+		t.Fatalf("reply of %d bytes holds more than %d shares", len(resp), n)
+	}
+	return out
 }

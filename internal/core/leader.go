@@ -671,84 +671,69 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	return d, nil
 }
 
-// batchVerify drives the amortized SNIP check: one MsgRound2Batch probe over
-// the full batch (shipping the opened masks along), then — only if the
-// combined check fails — a bisection over subranges, each probe under a
-// fresh crypto/rand-derived λ seed. Singleton probes are exactly the
-// per-submission test (snip.Evaluator.Round2 scaled by a nonzero λ), so the
-// verdicts match the reference verifier's; interior probes accept a range
-// only when its combined share sums to zero, which a range containing an
-// invalid submission survives with probability ≈ 2/|F| per probe.
-//
-// The worst case (every submission invalid) costs 2·count−1 probes; the
-// common all-honest case costs exactly one.
+// batchVerify decides the batch's SNIP checks in at most two MsgRound2Batch
+// probes. The combined probe ships the opened masks and a fresh crypto/rand
+// λ seed, and every server answers its share of the random linear
+// combination over the whole batch: when the shares sum to zero, every
+// submission is accepted. Otherwise the reveal fetches each submission's own
+// Round2 share — the paper's per-submission Round2 (§4.2) — and decides each
+// one exactly, as the reference verifier does. A failed batch of one needs
+// no reveal: its combined share is its own scaled by a nonzero λ.
 func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, batchID uint64, count, reps int, opened []*snip.Round1[E], rt *roundClock) ([]bool, error) {
-	p := l.pro
-	f := p.Cfg.Field
+	f := l.pro.Cfg.Field
+	var seed [prg.SeedSize]byte
+	if _, err := rand.Read(seed[:]); err != nil {
+		return nil, err
+	}
 	ok := make([]bool, count)
-	type span struct{ lo, hi int }
-	stack := []span{{0, count}}
-	first := true
-	probes := 0
-	defer func() { l.m.countBisect(probes) }()
-	for len(stack) > 0 {
-		sp := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var seed [prg.SeedSize]byte
-		if _, err := rand.Read(seed[:]); err != nil {
-			return nil, err
-		}
+	for kind := probeCombined; ; kind = probeReveal {
 		var w wbuf
-		hint := 4 + 8 + 1 + 4 + len(seed) + 4 + 4
-		if first {
-			hint += count * (reps + 1) * 16
-		}
-		w.grab(hint)
+		w.grab(4 + 8 + 1 + 4 + len(seed) + count*(reps+1)*16)
 		w.u32(challID)
 		w.u64(batchID)
-		if first {
-			w.u8(1)
+		w.u8(kind)
+		n := count // Round2 shares per reply
+		if kind == probeCombined {
+			n = 1
 			for j := 0; j < count; j++ {
 				wvec(&w, f, opened[j].D)
 				wvec(&w, f, opened[j].E)
 			}
-		} else {
-			w.u8(0)
+			w.blob(seed[:])
 		}
-		w.blob(seed[:])
-		w.u32(uint32(sp.lo))
-		w.u32(uint32(sp.hi))
 		req, arena := w.seal()
 		resps, err := l.broadcast(MsgRound2Batch, l.same(req), rt)
 		arena.Free()
 		if err != nil {
 			return nil, err
 		}
-		first = false
-		probes++
-		r2 := make([]*snip.Round2[E], len(resps))
+		rs := make([]rbuf, len(resps))
 		for i, resp := range resps {
-			r := &rbuf{b: resp}
-			sig := rvec(r, f, reps)
-			tau := rvec(r, f, 1)
-			if r.err != nil || !r.done() {
-				return nil, fmt.Errorf("core: bad Round2Batch response from server %d", i)
-			}
-			r2[i] = &snip.Round2[E]{Sigma: sig, Tau: tau[0]}
+			rs[i].b = resp
 		}
-		switch {
-		case chSt.ev.Decide(r2):
-			for j := sp.lo; j < sp.hi; j++ {
+		shares := make([]*snip.Round2[E], len(rs))
+		for j := 0; j < n; j++ {
+			for i := range rs {
+				sig := rvec(&rs[i], f, reps)
+				tau := rvec(&rs[i], f, 1)
+				if rs[i].err != nil || j == n-1 && !rs[i].done() {
+					return nil, fmt.Errorf("core: bad Round2Batch response from server %d", i)
+				}
+				shares[i] = &snip.Round2[E]{Sigma: sig, Tau: tau[0]}
+			}
+			ok[j] = chSt.ev.Decide(shares)
+		}
+		if kind == probeReveal || count == 1 {
+			return ok, nil
+		}
+		if ok[0] {
+			for j := range ok {
 				ok[j] = true
 			}
-		case sp.hi-sp.lo == 1:
-			// Singleton under nonzero λ: definitively invalid.
-		default:
-			mid := (sp.lo + sp.hi) / 2
-			stack = append(stack, span{mid, sp.hi}, span{sp.lo, mid})
+			return ok, nil
 		}
+		l.m.countFallback()
 	}
-	return ok, nil
 }
 
 // Aggregate fetches every server's accumulator, checks that they agree on

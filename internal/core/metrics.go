@@ -15,7 +15,7 @@ type pipeMetrics struct {
 	queueWait *telemetry.DurationHistogram // submit → shard pickup
 	batchDur  *telemetry.DurationHistogram // one verification attempt, Round1 to the decision
 	round1    *telemetry.DurationHistogram // MsgRound1 broadcast round-trip
-	round2    *telemetry.DurationHistogram // SNIP round 2: the combined probe plus any bisect probes
+	round2    *telemetry.DurationHistogram // SNIP round 2: the combined probe plus any reveal
 	finish    *telemetry.DurationHistogram // MsgFinish commit broadcast
 	batchSize *telemetry.Histogram
 
@@ -29,8 +29,7 @@ type pipeMetrics struct {
 	// commitRetries counts MsgFinish re-sends to servers that failed the commit.
 	commitRetries *telemetry.Counter
 
-	bisectProbes *telemetry.Counter // extra Round2Batch probes beyond the first
-	fallbacks    *telemetry.Counter // batches whose combined check failed
+	fallbacks *telemetry.Counter // batches whose combined check failed, each answered by one reveal
 }
 
 // newPipeMetrics registers the pipeline's metric families in reg.
@@ -44,7 +43,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 		round1: reg.Duration("prio_verify_round1_seconds",
 			"MsgRound1 broadcast round-trip (bundle relay + local circuit pass)"),
 		round2: reg.Duration("prio_verify_round2_seconds",
-			"SNIP round-2 phase: combined probe plus any bisect probes"),
+			"SNIP round-2 phase: combined probe plus any reveal"),
 		finish: reg.Duration("prio_verify_finish_seconds",
 			"MsgFinish commit broadcast (accept bitmap to accumulators)"),
 		batchSize: reg.Histogram("prio_pipeline_batch_size",
@@ -65,10 +64,8 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			"failed verification batches re-run under a fresh batch ID"),
 		commitRetries: reg.Counter("prio_verify_commit_retries_total",
 			"commit (MsgFinish) re-sends, each to the servers whose previous attempt failed"),
-		bisectProbes: reg.Counter("prio_verify_bisect_probes_total",
-			"extra Round2Batch probes issued by the bisecting fallback"),
 		fallbacks: reg.Counter("prio_verify_batch_fallback_total",
-			"batches whose combined RLC check failed, triggering bisection"),
+			"batches whose combined RLC check failed, triggering one per-submission reveal"),
 	}
 }
 
@@ -102,11 +99,10 @@ func (m *pipeMetrics) observeFinish(t0 time.Time) {
 	m.finish.Since(t0)
 }
 
-// countBisect records one batch's probe tally after its round-2 phase.
-func (m *pipeMetrics) countBisect(probes int) {
-	if m == nil || probes <= 1 {
+// countFallback records one batch whose combined check failed.
+func (m *pipeMetrics) countFallback() {
+	if m == nil {
 		return
 	}
 	m.fallbacks.Inc()
-	m.bisectProbes.Add(uint64(probes - 1))
 }

@@ -8,9 +8,8 @@ import (
 
 // TestPipelineMetricsAddUp runs honest and dishonest submissions through a
 // real deployment and checks the verification-stage ledger balances: the
-// per-outcome counters sum to the submitted count and match ShardStats,
-// every round landed in the stage histograms, and the bisecting fallback
-// counters fire exactly when a batch carries an invalid proof.
+// per-outcome counters sum to the submitted count and match ShardStats, and
+// every round landed in the stage histograms.
 func TestPipelineMetricsAddUp(t *testing.T) {
 	if !telemetry.Enabled {
 		t.Skip("telemetry compiled out (-tags notelemetry)")
@@ -115,16 +114,18 @@ func TestPipelineMetricsAddUp(t *testing.T) {
 }
 
 // TestBisectFallbackMetrics drives one mixed batch straight through
-// ProcessBatch on a metered leader: the combined RLC check must fail,
-// trigger the bisection, and the fallback counters must record it —
-// deterministically, unlike pipeline batching.
+// ProcessBatch on a metered leader: the combined RLC check must fail and be
+// followed by exactly one reveal — the fallback that replaced the bisection
+// — which the fallback counter records, deterministically, unlike pipeline
+// batching.
 func TestBisectFallbackMetrics(t *testing.T) {
 	if !telemetry.Enabled {
 		t.Skip("telemetry compiled out (-tags notelemetry)")
 	}
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
+	ld, calls := countedLeader(t, cl)
 	reg := telemetry.New()
-	cl.Leader.m = newPipeMetrics(reg)
+	ld.m = newPipeMetrics(reg)
 
 	subs := make([]*Submission, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -143,7 +144,7 @@ func TestBisectFallbackMetrics(t *testing.T) {
 		}
 		subs = append(subs, sub)
 	}
-	accepts, err := cl.Leader.ProcessBatch(subs)
+	accepts, err := ld.ProcessBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,15 +153,17 @@ func TestBisectFallbackMetrics(t *testing.T) {
 			t.Errorf("submission %d: accepted=%v, want %v", i, ok, want)
 		}
 	}
+	// Two invalid members in a batch of eight: the combined probe and one
+	// reveal, to every server.
+	for j, c := range calls {
+		if got := c[MsgRound2Batch].Load(); got != 2 {
+			t.Errorf("server %d answered %d Round2 probes, want 2", j, got)
+		}
+	}
 
 	snap := reg.Snapshot()
 	if got := snap["prio_verify_batch_fallback_total"].(uint64); got != 1 {
 		t.Errorf("fallbacks = %d, want 1", got)
-	}
-	// Two invalid members in a batch of eight: bisection needs strictly
-	// more than one probe; the counter records all probes beyond the first.
-	if got := snap["prio_verify_bisect_probes_total"].(uint64); got == 0 {
-		t.Error("no bisect probes counted")
 	}
 	if got := snap["prio_verify_round2_seconds"].(map[string]any)["count"].(uint64); got != 1 {
 		t.Errorf("round2 observations = %d, want 1", got)

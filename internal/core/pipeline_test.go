@@ -584,16 +584,23 @@ func TestChallengePrefetchRotation(t *testing.T) {
 }
 
 // TestMaxSubmission: the bound the ingest edge enforces is exactly a
-// submission whose every bundle is as long as the longer of the explicit
-// share and a seed bundle (a sealed one, as a legacy box, when sealed), and
-// an honest submission is within it. sum8 under SNIP has the explicit share
-// as its longest bundle; bits1 without robustness has a one-element share,
-// shorter than a seed, so there the seed bundle sets the bound.
+// submission whose every bundle is as long as the longest bundle a server
+// decodes — the explicit share, or unsealed a seed bundle when that is
+// longer — and an honest submission is within it. sum8 under SNIP has the
+// explicit share as its longest bundle; bits1 without robustness has a
+// one-element share, shorter than a seed, so there unsealed the seed bundle
+// sets the bound. A sealed box around a seed bundle is refused, and costs
+// only its own submission.
 func TestMaxSubmission(t *testing.T) {
 	f := field.NewF64()
 	for _, seal := range []bool{false, true} {
 		_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, seal)
 		checkMaxSubmission(t, "sum8 SNIP", cl, honestSubs(t, client, scheme, 7)[0])
+		if seal {
+			subs := honestSubs(t, client, scheme, 3, 4, 5)
+			subs[1].Bundles[1] = sealedSeedBox(t, cl)
+			expectVerdicts(t, cl, subs, []bool{true, false, true}, 8)
+		}
 
 		bits := afe.NewBitVector(f, 1)
 		pro, err := NewProtocol(Config[field.F64, uint64]{
@@ -621,6 +628,17 @@ func TestMaxSubmission(t *testing.T) {
 	}
 }
 
+// sealedSeedBox is a seed bundle sealed to server 1's key: the sealed seed
+// server bundle before seeds were derived from the encapsulation.
+func sealedSeedBox(t *testing.T, cl *Cluster[field.F64, uint64]) []byte {
+	t.Helper()
+	box, err := sealbox.Seal(cl.PublicKeys()[1], append([]byte{bundleSeed}, make([]byte, prg.SeedSize)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return box
+}
+
 // checkMaxSubmission checks cl's pipeline bound against sub, an honest
 // submission, and against the widest bundle each server decodes.
 func checkMaxSubmission(t *testing.T, name string, cl *Cluster[field.F64, uint64], sub *Submission) {
@@ -633,19 +651,20 @@ func checkMaxSubmission(t *testing.T, name string, cl *Cluster[field.F64, uint64
 	}
 	defer pl.Close()
 
-	seedBundle := append([]byte{bundleSeed}, make([]byte, prg.SeedSize)...)
-	if pro.Cfg.Seal {
-		if seedBundle, err = sealbox.Seal(cl.PublicKeys()[1], seedBundle); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dst := make([]uint64, pro.flatLen)
-	if err := pro.decodeBundle(seedBundle, cl.Servers[1].priv, 1, dst); err != nil {
-		t.Fatalf("%s: server 1 refuses a %d-byte seed bundle: %v", name, len(seedBundle), err)
-	}
 	widest := sub.Bundles[0]
-	if len(seedBundle) > len(widest) {
-		widest = seedBundle
+	dst := make([]uint64, pro.flatLen)
+	if pro.Cfg.Seal {
+		if err := pro.decodeBundle(sealedSeedBox(t, cl), cl.Servers[1].priv, 1, dst); err == nil {
+			t.Errorf("%s: server 1 accepts a sealed seed bundle", name)
+		}
+	} else {
+		seedBundle := append([]byte{bundleSeed}, make([]byte, prg.SeedSize)...)
+		if err := pro.decodeBundle(seedBundle, cl.Servers[1].priv, 1, dst); err != nil {
+			t.Fatalf("%s: server 1 refuses a %d-byte seed bundle: %v", name, len(seedBundle), err)
+		}
+		if len(seedBundle) > len(widest) {
+			widest = seedBundle
+		}
 	}
 	all := &Submission{Bundles: [][]byte{widest, widest, widest}}
 	if got, want := pl.MaxSubmission(), len(all.Marshal()); got != want {

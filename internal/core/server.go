@@ -317,7 +317,7 @@ func (s *Server[Fd, E]) handleSetChallenge(payload []byte) ([]byte, error) {
 // A bundle this server cannot decode (bad box, unknown flag, wrong length,
 // non-canonical element) costs only its own submission: the server verifies
 // the all-zero share in its place, so the servers' shares no longer sum to a
-// valid proof and the leader's combined check (or its bisection) rejects
+// valid proof and the leader's combined check (or its reveal) rejects
 // exactly that submission. A request that is itself malformed still fails
 // as a whole — that is the leader's or the transport's fault, not a client's.
 func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
@@ -456,10 +456,11 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	return w.b, nil
 }
 
-// handleBatchProbe consumes the opened SNIP masks (on the first probe of a
-// batch) and answers random-linear-combination probes over submission
-// ranges. The leader probes [0, count) once for the common all-honest case
-// and bisects with fresh λ seeds only when a range fails.
+// handleBatchProbe answers the leader's Round2 probes of one batch. The
+// combined probe (probeCombined) consumes the opened SNIP masks and a λ seed
+// and replies with this server's share of the random linear combination over
+// the whole batch; the reveal (probeReveal), which the leader sends only
+// when that check failed, replies with every submission's own Round2 share.
 func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
@@ -470,46 +471,52 @@ func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	r := &rbuf{b: payload}
 	challID := r.u32()
 	batchID := r.u64()
-	hasOpened := r.u8()
+	kind := r.u8()
+	if r.err != nil || (kind != probeCombined && kind != probeReveal) {
+		return nil, errTruncated
+	}
 	chSt, bs, err := s.acquireBatch(challID, batchID)
 	if err != nil {
 		return nil, err
 	}
 	defer bs.mu.Unlock()
 	bv := chSt.ev.Batch()
-	if hasOpened == 1 {
-		reps := sys.Reps
-		if sys.M == 0 {
-			reps = 0
-		}
-		opened := make([]*snip.Round1[E], bs.count)
-		for j := range opened {
-			opened[j] = &snip.Round1[E]{D: rvec(r, f, reps), E: rvec(r, f, reps)}
-		}
-		if r.err != nil {
+	w := &wbuf{}
+	if kind == probeReveal {
+		if !r.done() {
 			return nil, errTruncated
 		}
-		if err := bv.SetOpened(bs.snipBatch, opened, p.Cfg.Servers); err != nil {
-			return nil, err
+		for j := 0; j < bs.count; j++ {
+			r2, err := bv.Single(bs.snipBatch, j)
+			if err != nil {
+				return nil, err
+			}
+			wvec(w, f, r2.Sigma)
+			wvec(w, f, []E{r2.Tau})
 		}
+		return w.b, nil
+	}
+	reps := sys.Reps
+	if sys.M == 0 {
+		reps = 0
+	}
+	opened := make([]*snip.Round1[E], bs.count)
+	for j := range opened {
+		opened[j] = &snip.Round1[E]{D: rvec(r, f, reps), E: rvec(r, f, reps)}
 	}
 	seed := r.blob()
-	lo := int(int32(r.u32()))
-	hi := int(int32(r.u32()))
 	if r.err != nil || !r.done() || len(seed) != prg.SeedSize {
 		return nil, errTruncated
 	}
-	if lo < 0 || hi > bs.count || lo >= hi {
-		return nil, snip.ErrBatchState
+	if err := bv.SetOpened(bs.snipBatch, opened, p.Cfg.Servers); err != nil {
+		return nil, err
 	}
 	var ps prg.Seed
 	copy(ps[:], seed)
-	lambda := snip.RLCCoeffs(f, ps, hi-lo)
-	r2, err := bv.Combined(bs.snipBatch, lambda, lo, hi)
+	r2, err := bv.Combined(bs.snipBatch, snip.RLCCoeffs(f, ps, bs.count), 0, bs.count)
 	if err != nil {
 		return nil, err
 	}
-	w := &wbuf{}
 	wvec(w, f, r2.Sigma)
 	wvec(w, f, []E{r2.Tau})
 	return w.b, nil

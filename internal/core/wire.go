@@ -23,16 +23,23 @@ const (
 	MsgAggregate    byte = 6 // anyone -> server: fetch accumulator
 	MsgReset        byte = 7 // leader -> servers: clear accumulator and sessions
 	MsgPublicKey    byte = 8 // anyone -> server: fetch sealbox public key
-	// MsgRound2Batch is the SNIP decision round: the leader ships the opened
-	// masks once, then probes ranges of the batch with fresh RLC seeds; each
-	// reply is a single combined σ/τ share for the probed range.
-	MsgRound2Batch byte = 10 // leader -> servers: opened masks + RLC probe; reply: combined share
+	// MsgRound2Batch is the SNIP decision round: one combined probe over the
+	// whole batch and, only if its check fails, one reveal (probe kinds
+	// below).
+	MsgRound2Batch byte = 10 // leader -> servers: a Round2 probe; reply: σ/τ shares
 	// MsgWindowPublish seals one tumbling collection window on every server
 	// and fetches its share: the server applies its own DP noise exactly
 	// once, freezes the window, and replies (flags, ε, count, vec). See
 	// window.go; window IDs are wall-time derived (internal/window), not
 	// cluster leadership epochs.
 	MsgWindowPublish byte = 11 // leader -> servers: seal window; reply: noised share
+)
+
+// MsgRound2Batch probe kinds, the byte after the batch ID. Kind 0 was the
+// retired bisection's interior probe; servers refuse it.
+const (
+	probeCombined byte = 1 // opened masks + λ seed; reply: one combined σ/τ share for the batch
+	probeReveal   byte = 2 // nothing more; reply: every submission's own σ/τ share, in order
 )
 
 // errTruncated reports malformed wire input.

@@ -28,14 +28,14 @@ import (
 //     internal/field.
 //
 // Soundness: with λ drawn after the submissions are fixed and never reused
-// across batches, a range containing an invalid submission passes one
+// across batches, a batch containing an invalid submission passes one
 // repetition with probability ≤ (2N+1)/|F| + 1/(|F|−1) (identity-test
 // slack plus the chance λ aligns with the kernel of the bad σ/τ vector).
-// When the combined check fails, the leader bisects with fresh λ per probe;
-// a singleton range with nonzero λ is exactly the per-submission test
-// (λ·σ = 0 ⟺ σ = 0), so the accepted set equals the per-submission
-// verifier's accepted set up to the negligible interior-probe error.
-// docs/VERIFY.md develops the full argument.
+// When the combined check fails, the leader asks every server for each
+// submission's own Round2 share (Single) and decides each one exactly as the
+// per-submission verifier does; a batch of one needs no such reveal, since
+// under nonzero λ its combined check is already exactly the per-submission
+// test (λ·σ = 0 ⟺ σ = 0). docs/VERIFY.md develops the full argument.
 
 // ErrBatchState is returned when BatchVerifier methods are invoked out of
 // order or with arguments inconsistent with the batch: a missing SetOpened,
@@ -136,7 +136,7 @@ func (st *BatchState[E]) Count() int { return st.count }
 // input and proof shares, producing the same per-submission D/E messages as
 // Evaluator.Round1 — the Beaver openings are inherently per-submission, so
 // the wire format is unchanged — but deferring the h evaluations to the
-// combined (or bisect) check. All shapes are validated before any
+// combined check (or the per-submission reveal). All shapes are validated before any
 // arithmetic; a malformed share yields an error, never a panic.
 func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServer bool) (*BatchState[E], []*Round1[E], error) {
 	sys := bv.ev.sys
@@ -384,10 +384,10 @@ func (bv *BatchVerifier[Fd, E]) SetOpened(st *BatchState[E], opened []*Round1[E]
 //
 // Summed across servers (Decide), both are zero when every submission in the
 // range is valid. λ must have length hi−lo with every coefficient nonzero
-// and must be freshly drawn (RLCCoeffs from a fresh seed) for every batch
-// and every bisect probe: a singleton range under nonzero λ is then exactly
-// the per-submission test, and independent challenges stop crafted
-// submissions from cancelling each other.
+// and must be freshly drawn (RLCCoeffs from a fresh seed) for every batch:
+// a singleton range under nonzero λ is then exactly the per-submission test,
+// and independent challenges stop crafted submissions from cancelling each
+// other. The deployment always probes the whole batch, [0, count).
 func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi int) (*Round2[E], error) {
 	ev := bv.ev
 	sys := ev.sys
@@ -453,9 +453,10 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 
 // Single reproduces the per-submission Round2 message for submission i —
 // the same values Evaluator.Round2 computes — from the batch state. It is
-// the bisect fallback's singleton leaf without the λ scaling: Combined over
-// [i, i+1) is Single(i) times a nonzero coefficient, which is how the
-// differential tests tie the batch state to the reference verifier.
+// what a server reveals for every submission when the batch's combined
+// check fails. Combined over [i, i+1) is Single(i) times a nonzero
+// coefficient, which is how the differential tests tie the batch state to
+// the reference verifier.
 func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], error) {
 	ev := bv.ev
 	sys := ev.sys
@@ -482,11 +483,11 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 
 // RLCCoeffs expands a PRG seed into n nonzero random-linear-combination
 // coefficients. The leader draws a fresh crypto/rand seed for every batch
-// and every bisect probe and ships only the 16-byte seed; deriving λ
-// deterministically from it keeps all servers in lockstep without ever
-// reusing a challenge. Coefficients are rejection-sampled to be nonzero: a
-// zero λ would silently drop its submission from the check, and nonzero λ
-// makes the singleton range exactly the per-submission test.
+// and ships only the 16-byte seed; deriving λ deterministically from it
+// keeps all servers in lockstep without ever reusing a challenge.
+// Coefficients are rejection-sampled to be nonzero: a zero λ would silently
+// drop its submission from the check, and nonzero λ makes a batch of one
+// exactly the per-submission test.
 func RLCCoeffs[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
 	g := prg.New(seed)
 	out := make([]E, n)
