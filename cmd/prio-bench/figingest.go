@@ -3,15 +3,17 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
+	"strings"
 	"sync"
 	"time"
 
 	"prio/internal/afe"
+	"prio/internal/cluster"
 	"prio/internal/core"
 	"prio/internal/field"
 	"prio/internal/ingest"
 	"prio/internal/sealbox"
-	"prio/internal/transport"
 )
 
 // figIngest measures the streaming ingestion subsystem over real TCP as a
@@ -65,14 +67,12 @@ func figIngest() {
 	fmt.Println("sits at the pipeline rate.")
 }
 
-// tcpDeployment is a three-server deployment over real localhost TCP with a
-// sharded pipeline and the ingest stream handler on the leader's listener.
+// tcpDeployment is a three-member roster over real localhost TCP, built as
+// prio-server builds it; member 0 leads, and the client streams to it.
 type tcpDeployment struct {
-	pro    *core.Protocol[field.F64, uint64]
-	client *core.Client[field.F64, uint64]
-	pl     *core.Pipeline[field.F64, uint64]
-	addr   string
-	closer []func()
+	client  *core.Client[field.F64, uint64]
+	members []*cluster.Member[field.F64, uint64]
+	addr    string
 }
 
 func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch, credits int) *tcpDeployment {
@@ -88,59 +88,44 @@ func newTCPDeployment(mode core.Mode, seal bool, shards, maxBatch, credits int) 
 	if err != nil {
 		log.Fatalf("prio-bench: %v", err)
 	}
-	d := &tcpDeployment{pro: pro}
-	srvs := make([]*core.Server[field.F64, uint64], servers)
-	peers := make([]transport.Peer, servers)
-	for i := 0; i < servers; i++ {
-		srv, err := core.NewServer(pro, i, nil)
-		if err != nil {
+	lns := make([]net.Listener, servers)
+	addrs := make([]string, servers)
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 			log.Fatalf("prio-bench: %v", err)
 		}
-		srvs[i] = srv
+		addrs[i] = lns[i].Addr().String()
 	}
-	peers[0] = &transport.LoopbackPeer{Handler: srvs[0].Handle}
-	for i := 1; i < servers; i++ {
-		ln, err := transport.Listen("127.0.0.1:0", nil, srvs[i].Handle)
-		if err != nil {
-			log.Fatalf("prio-bench: %v", err)
-		}
-		d.closer = append(d.closer, func() { ln.Close() })
-		peers[i] = transport.NewStreamPeer(ln.Addr().String(), nil)
-	}
-	leader, err := core.NewLeader(srvs[0], peers)
+	ros, err := cluster.ParseRoster(strings.Join(addrs, ","))
 	if err != nil {
 		log.Fatalf("prio-bench: %v", err)
 	}
-	pl, err := core.NewPipeline(leader, core.PipelineConfig{Shards: shards, MaxBatch: maxBatch})
-	if err != nil {
-		log.Fatalf("prio-bench: %v", err)
-	}
-	d.pl = pl
-	d.closer = append(d.closer, func() { pl.Close() })
-
-	// The leader's public listener: stream opens go to the ingest handler.
-	ing := ingest.NewServer(pl, ingest.Config{Credits: credits, QueueDepth: 4096})
-	d.closer = append(d.closer, ing.Close)
-	ln, err := transport.Listen("127.0.0.1:0", nil, srvs[0].Handle)
-	if err != nil {
-		log.Fatalf("prio-bench: %v", err)
-	}
-	ln.OnStream(ing.Handler())
-	d.addr = ln.Addr().String()
-	d.closer = append(d.closer, func() { ln.Close() })
-
+	d := &tcpDeployment{addr: addrs[0]}
 	var keys []*sealbox.PublicKey
-	if seal {
-		keys = make([]*sealbox.PublicKey, servers)
-		for i, srv := range srvs {
-			keys[i] = srv.PublicKey()
+	for i, ln := range lns {
+		m, err := cluster.NewMember(cluster.MemberConfig[field.F64, uint64]{
+			Listener: ln,
+			Protocol: pro,
+			// Every member starts at once, so no epoch gossip has to land
+			// before member 0 may lead: a short grace keeps the cells short.
+			Cluster:  cluster.Config{Roster: ros, Self: i, Grace: 50 * time.Millisecond},
+			Pipeline: core.PipelineConfig{Shards: shards, MaxBatch: maxBatch},
+			Ingest:   ingest.Config{Credits: credits, QueueDepth: 4096},
+		})
+		if err != nil {
+			log.Fatalf("prio-bench: %v", err)
+		}
+		d.members = append(d.members, m)
+		if seal {
+			keys = append(keys, m.Server.PublicKey())
 		}
 	}
-	client, err := core.NewClient(pro, keys, nil)
-	if err != nil {
+	for !d.members[0].Node.IsLeader() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if d.client, err = core.NewClient(pro, keys, nil); err != nil {
 		log.Fatalf("prio-bench: %v", err)
 	}
-	d.client = client
 	return d
 }
 
@@ -193,7 +178,7 @@ func (d *tcpDeployment) streamRate(subs []*core.Submission, n, streams int) floa
 }
 
 func (d *tcpDeployment) close() {
-	for i := len(d.closer) - 1; i >= 0; i-- {
-		d.closer[i]()
+	for _, m := range d.members {
+		m.Close()
 	}
 }

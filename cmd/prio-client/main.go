@@ -1,16 +1,18 @@
 // Command prio-client submits private values to a Prio deployment.
 //
-// The client fetches every server's public key, builds the sealed, proved
-// submissions locally, and uploads them to the leader over one persistent
-// streamed connection — -n submissions pipeline on that single stream with
-// asynchronous acks, instead of paying a round-trip (or worse, a dial) per
-// submission. Shed acks (transient server backpressure) and stream failures
-// are retried up to -max-attempts rather than reported as loss; the printed
-// ledger separates those retries from terminal outcomes. The value syntax
-// depends on the scheme: a decimal integer for sums, a comma-separated 0/1
-// vector for surveys, "x1,x2,...;y" for regression.
+// The client fetches every roster member's public key, builds the sealed,
+// proved submissions locally, asks the roster which member leads, and
+// uploads to it over one persistent streamed connection — -n submissions
+// pipeline on that single stream with asynchronous acks, instead of paying a
+// round-trip (or worse, a dial) per submission. Shed acks (transient server
+// backpressure) and stream failures are retried up to -max-attempts, and
+// every re-dial asks the roster again, so a leader failover costs a retry
+// rather than a loss; the printed ledger separates those retries from
+// terminal outcomes. The value syntax depends on the scheme: a decimal
+// integer for sums, a comma-separated 0/1 vector for surveys,
+// "x1,x2,...;y" for regression.
 //
-//	prio-client -peers localhost:7000,localhost:7001,localhost:7002 \
+//	prio-client -roster localhost:7000,localhost:7001,localhost:7002 \
 //	    -scheme sum8 -value 17 -n 100
 //
 // TLS is on by default, matching prio-server; pass -tls-ca to authenticate
@@ -23,16 +25,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
+	"time"
 
 	"prio"
 	"prio/internal/cli"
+	"prio/internal/cluster"
 	"prio/internal/ingest"
 	"prio/internal/transport"
 )
 
 var (
-	peersFlag   = flag.String("peers", "", "comma-separated server addresses in index order")
+	rosterFlag  = flag.String("roster", "", "roster file or comma-separated member addresses in index order")
 	schemeFlag  = flag.String("scheme", "sum8", "statistic spec (must match the servers)")
 	modeFlag    = flag.String("mode", "prio", "validation mode (must match the servers)")
 	value       = flag.String("value", "", "private value to submit")
@@ -45,10 +48,13 @@ var (
 func main() {
 	flag.Parse()
 	cli.InitLog()
-	if *peersFlag == "" || *value == "" {
-		log.Fatal("prio-client: -peers and -value are required")
+	if *rosterFlag == "" || *value == "" {
+		log.Fatal("prio-client: -roster and -value are required")
 	}
-	peers := strings.Split(*peersFlag, ",")
+	ros, err := cluster.LoadOrParseRoster(*rosterFlag)
+	if err != nil {
+		log.Fatalf("prio-client: bad -roster: %v", err)
+	}
 	scheme, err := prio.ParseScheme(*schemeFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -64,12 +70,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: len(peers), Mode: mode, Seal: true})
+	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: ros.N(), Mode: mode, Seal: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	keys := make([]*prio.ServerPublicKey, len(peers))
-	for i, addr := range peers {
+	keys := make([]*prio.ServerPublicKey, ros.N())
+	for i, addr := range ros.Addrs {
 		k, err := prio.FetchPublicKeyTLS(addr, tlsCfg)
 		if err != nil {
 			log.Fatalf("prio-client: fetching key from %s: %v", addr, err)
@@ -87,12 +93,11 @@ func main() {
 
 	// The failover layer turns shed acks and stream deaths into retries, so
 	// the ledger below reports only terminal outcomes — a shed under
-	// transient backpressure is re-submitted, not counted as loss.
-	leader := peers[0]
+	// transient backpressure is re-submitted, not counted as loss. Every
+	// dial re-resolves the leader: a member that does not lead refuses the
+	// stream, and after a failover the fresh stream lands on the successor.
 	stream, err := ingest.NewFailoverSubmitter(ingest.FailoverConfig{
-		Dial: func(onAck func(ingest.Ack)) (*ingest.StreamSubmitter, error) {
-			return ingest.Dial(leader, ingest.SubmitterConfig{TLS: tlsCfg, OnAck: onAck})
-		},
+		Dial:        cluster.LeaderDial(ros, cluster.ResolveConfig{TLS: tlsCfg, Timeout: 2 * time.Second}),
 		MaxAttempts: *maxAttempts,
 	})
 	if err != nil {
@@ -110,8 +115,8 @@ func main() {
 	}
 	stream.Wait()
 	st := stream.Stats()
-	fmt.Printf("streamed %d encrypted share bundle(s) of %q to %s: %d accepted, %d rejected, %d abandoned\n",
-		st.Submitted, *value, leader, st.Accepted, st.Rejected, st.Abandoned)
+	fmt.Printf("streamed %d encrypted share bundle(s) of %q to the leader of %s: %d accepted, %d rejected, %d abandoned\n",
+		st.Submitted, *value, ros, st.Accepted, st.Rejected, st.Abandoned)
 	if st.ShedRetried+st.FailedRetried+st.Redials > 0 {
 		fmt.Printf("retries: %d shed, %d failed, %d redials\n",
 			st.ShedRetried, st.FailedRetried, st.Redials)

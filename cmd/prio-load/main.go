@@ -19,9 +19,12 @@
 // (shed_retried=, failed_retried=) from real outcomes and closes as
 // submitted == accepted + rejected + abandoned.
 //
-// Example against a local three-server deployment:
+// Streams find the leader through the roster (the members' addresses in
+// index order, as the servers were given it) and re-resolve it after a
+// stream dies, so a run rides out a leader failover. Example against a
+// local three-member deployment:
 //
-//	prio-load -peers localhost:7000,localhost:7001,localhost:7002 \
+//	prio-load -roster localhost:7000,localhost:7001,localhost:7002 \
 //	    -scheme sum8 -streams 4 -duration 10s
 //
 // Submissions are pre-built (the paper's load generators do the same) so
@@ -34,29 +37,30 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"prio"
 	"prio/internal/cli"
+	"prio/internal/cluster"
 	"prio/internal/ingest"
 	"prio/internal/telemetry"
 	"prio/internal/transport"
 )
 
 var (
-	peersFlag  = flag.String("peers", "", "comma-separated server addresses in index order")
-	schemeFlag = flag.String("scheme", "sum8", "statistic spec (must match the servers)")
-	modeFlag   = flag.String("mode", "prio", "validation mode (must match the servers)")
-	value      = flag.String("value", "", "private value to submit (default: a scheme-appropriate constant)")
-	duration   = flag.Duration("duration", 10*time.Second, "how long to generate load")
-	streams    = flag.Int("streams", 4, "concurrent ingest streams (connections)")
-	rate       = flag.Float64("rate", 0, "open-loop aggregate submissions/s (0 = closed loop)")
-	prebuild   = flag.Int("prebuild", 256, "pre-built submissions recycled by the generators")
-	useTLS     = flag.Bool("tls", true, "dial the servers over TLS")
-	tlsCA      = flag.String("tls-ca", "", "PEM bundle to authenticate the servers against")
+	rosterFlag  = flag.String("roster", "", "roster file or comma-separated member addresses in index order")
+	schemeFlag  = flag.String("scheme", "sum8", "statistic spec (must match the servers)")
+	modeFlag    = flag.String("mode", "prio", "validation mode (must match the servers)")
+	value       = flag.String("value", "", "private value to submit (default: a scheme-appropriate constant)")
+	duration    = flag.Duration("duration", 10*time.Second, "how long to generate load")
+	streams     = flag.Int("streams", 4, "concurrent ingest streams (connections)")
+	rate        = flag.Float64("rate", 0, "open-loop aggregate submissions/s (0 = closed loop)")
+	prebuild    = flag.Int("prebuild", 256, "pre-built submissions recycled by the generators")
+	maxAttempts = flag.Int("max-attempts", 6, "delivery attempts per submission before abandoning it")
+	useTLS      = flag.Bool("tls", true, "dial the servers over TLS")
+	tlsCA       = flag.String("tls-ca", "", "PEM bundle to authenticate the servers against")
 )
 
 // collector accumulates final ack outcomes and latencies across all streams.
@@ -132,8 +136,9 @@ func buildPool(addrs []string, scheme prio.Scheme, mode prio.Mode, tlsCfg *tls.C
 func main() {
 	flag.Parse()
 	cli.InitLog()
-	if *peersFlag == "" && *rosterFlag == "" {
-		log.Fatal("prio-load: -peers or -roster is required")
+	ros, err := cluster.LoadOrParseRoster(*rosterFlag)
+	if err != nil {
+		log.Fatalf("prio-load: bad -roster: %v", err)
 	}
 	scheme, err := prio.ParseScheme(*schemeFlag)
 	if err != nil {
@@ -150,21 +155,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *rosterFlag != "" {
-		runRoster(scheme, mode, tlsCfg)
-		return
-	}
-	peers := strings.Split(*peersFlag, ",")
-	pool := buildPool(peers, scheme, mode, tlsCfg)
+	pool := buildPool(ros.Addrs, scheme, mode, tlsCfg)
 
-	// Fixed-address dial: plain mode always re-targets the same leader, but
-	// still rides the failover layer so a shed ack or a dropped connection
-	// costs a retry, not a ledger entry.
-	leader := peers[0]
-	dial := func(onAck func(ingest.Ack)) (*ingest.StreamSubmitter, error) {
-		return ingest.Dial(leader, ingest.SubmitterConfig{TLS: tlsCfg, OnAck: onAck})
-	}
-	runLoad(dial, pool, fmt.Sprintf("%d streams to %s, %s scheme", *streams, leader, scheme.Name()))
+	dial := cluster.LeaderDial(ros, cluster.ResolveConfig{TLS: tlsCfg, Timeout: 2 * time.Second})
+	runLoad(dial, pool, fmt.Sprintf("%d failover streams across %d members, %s scheme",
+		*streams, ros.N(), scheme.Name()))
 }
 
 // runLoad drives the generators over failover-aware streams and prints the

@@ -1,20 +1,25 @@
-// Command prio-server runs one Prio aggregation server over TLS.
+// Command prio-server runs one member of a Prio deployment over TLS.
 //
-// Every server in a deployment starts with the same statistic configuration
-// and its own index. The server with index 0 additionally acts as leader: it
-// accepts client submission streams (see internal/ingest), relays sealed
-// shares, drives verification in batches across concurrent shards, and
-// prints the decoded aggregate on an interval. Example three-server
-// deployment of a 434-question survey:
+// Every member starts with the same statistic configuration, the same
+// roster (the members' addresses in index order) and its own index. Each
+// runs the full server stack: it holds its share of every submission,
+// answers the verification rounds, and keeps a pipeline and a client ingest
+// endpoint warm. One member at a time leads: it accepts client submission
+// streams (see internal/ingest), drives verification in batches across
+// concurrent shards, and prints the decoded aggregate on an interval. The
+// others refuse client streams, naming the leader. Leadership starts at
+// index 0 and moves to the next live member when the leader fails (see
+// docs/CLUSTER.md). Example three-member deployment of a 434-question
+// survey:
 //
-//	prio-server -index 2 -listen :7002 -servers 3 -scheme bits434
-//	prio-server -index 1 -listen :7001 -servers 3 -scheme bits434
-//	prio-server -index 0 -listen :7000 -scheme bits434 \
-//	    -peers localhost:7000,localhost:7001,localhost:7002 \
+//	R=localhost:7000,localhost:7001,localhost:7002
+//	prio-server -roster $R -index 2 -listen :7002 -scheme bits434
+//	prio-server -roster $R -index 1 -listen :7001 -scheme bits434
+//	prio-server -roster $R -index 0 -listen :7000 -scheme bits434 \
 //	    -batch 16 -publish-every 30s
 //
-// Clients submit with prio-client (or flood with prio-load) pointed at the
-// leader.
+// Clients submit with prio-client (or flood with prio-load) given the same
+// roster; they find the leader themselves.
 //
 // TLS is on by default: without -tls-cert/-tls-key each server generates a
 // self-signed certificate, giving channel confidentiality without a PKI
@@ -30,30 +35,29 @@ import (
 	"log/slog"
 	"math/big"
 	"net"
-	"strconv"
-	"strings"
+	"os"
 	"time"
 
 	"prio"
 	"prio/internal/cli"
+	"prio/internal/cluster"
 	"prio/internal/ingest"
+	"prio/internal/sealbox"
 	"prio/internal/telemetry"
 	"prio/internal/transport"
 )
 
 var (
-	index         = flag.Int("index", 0, "this server's index (0 = leader)")
+	rosterFlag    = flag.String("roster", "", "roster file or comma-separated member addresses in index order (required)")
+	index         = flag.Int("index", 0, "this member's roster index")
 	listen        = flag.String("listen", ":7000", "address to listen on")
-	peersFlag     = flag.String("peers", "", "comma-separated server addresses in index order (leader only)")
 	schemeFlag    = flag.String("scheme", "sum8", "statistic spec (see prio.ParseScheme)")
-	servers       = flag.Int("servers", 0, "server count (default: inferred from -peers)")
 	modeFlag      = flag.String("mode", "prio", "validation mode: prio, prio-mpc, no-robust")
 	batch         = flag.Int("batch", 16, "max submissions per verification round (leader)")
 	shards        = flag.Int("shards", 0, "concurrent verification shards (leader; 0 = one per CPU)")
 	queueDepth    = flag.Int("queue-depth", 0, "pipeline submission queue capacity (leader; 0 = 4 batches per shard)")
 	ingestCredits = flag.Int("ingest-credits", ingest.DefaultCredits, "per-stream credit window for streamed submissions (leader)")
 	ingestQueue   = flag.Int("ingest-queue", ingest.DefaultQueueDepth, "intake queue capacity buffering streamed submissions for the pipeline (leader)")
-	ingestDynamic = flag.Bool("ingest-dynamic", true, "retune per-stream credit windows from intake-queue occupancy (leader)")
 	publishEvery  = flag.Duration("publish-every", 30*time.Second, "aggregate publication interval (leader)")
 	once          = flag.Bool("once", false, "leader: publish once after the first interval and exit (for scripting)")
 	useTLS        = flag.Bool("tls", true, "serve and dial TLS (self-signed unless -tls-cert/-tls-key)")
@@ -62,6 +66,12 @@ var (
 	tlsCA         = flag.String("tls-ca", "", "PEM bundle to authenticate peer servers against (default: encrypt without authenticating)")
 	adminAddr     = flag.String("admin-addr", "", "operator endpoint address serving /metrics, /healthz, /debug/* (default: off; TLS per -tls)")
 	traceSample   = flag.Int("trace-sample", 0, "sample 1-in-N submission lifecycles into /debug/trace (0 = off)")
+	keyFile       = flag.String("key-file", "", "persist the sealbox private key at this path (created 0600), so sealed submissions survive a restart")
+	pingEvery     = flag.Duration("ping-interval", 250*time.Millisecond, "peer health probe cadence")
+	pingTO        = flag.Duration("ping-timeout", 0, "per-probe timeout (default: ping interval)")
+	failAfter     = flag.Int("fail-after", 3, "consecutive probe failures that mark a peer down")
+	rotateFlag    = flag.Duration("rotate-every", 0, "timed leadership rotation interval (0 = rotate only on failover)")
+	retriesFl     = flag.Int("batch-retries", 2, "re-run attempts for a verification batch that failed mid-round, and re-sends of a commit that failed on some members")
 )
 
 func main() {
@@ -71,16 +81,9 @@ func main() {
 	if err != nil {
 		cli.Fatal("bad -scheme", "err", err)
 	}
-	var peers []string
-	if *peersFlag != "" {
-		peers = strings.Split(*peersFlag, ",")
-	}
-	n := *servers
-	if n == 0 {
-		n = len(peers)
-	}
-	if n == 0 && *rosterFlag == "" {
-		cli.Fatal("set -servers, -peers, or -roster")
+	ros, err := cluster.LoadOrParseRoster(*rosterFlag)
+	if err != nil {
+		cli.Fatal("bad -roster", "err", err)
 	}
 	mode, err := cli.ParseMode(*modeFlag)
 	if err != nil {
@@ -102,7 +105,7 @@ func main() {
 		}
 	}
 	// The operator endpoint serves the process-wide default registry, which
-	// the pipeline and ingest subsystems below register into.
+	// every subsystem of the member registers into.
 	tracer := telemetry.NewTracer(*traceSample, 256)
 	if *adminAddr != "" {
 		var adminTLS *tls.Config
@@ -117,119 +120,101 @@ func main() {
 		slog.Info("admin endpoint listening", "addr", aln.Addr().String(), "tls", *useTLS)
 	}
 
-	if *rosterFlag != "" {
-		runCluster(scheme, mode, serverTLS, clientTLS, tracer)
-		return
+	priv, err := loadOrCreateKey(*keyFile)
+	if err != nil {
+		cli.Fatal("loading sealbox key", "err", err)
 	}
-
-	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: n, Mode: mode, Seal: true})
+	pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: ros.N(), Mode: mode, Seal: true})
 	if err != nil {
 		cli.Fatal("building protocol", "err", err)
 	}
-	srv, err := prio.NewServer(pro, *index)
-	if err != nil {
-		cli.Fatal("building server", "err", err)
-	}
-
-	if *index != 0 {
-		// Followers never publish, but they still window their shares, add
-		// their own seal noise, and checkpoint durably.
-		if svc := startWindowService(srv, nil, nil, nil); svc != nil {
-			defer svc.Close()
-		}
-		ln, err := prio.ListenAndServeTLS(*listen, srv, serverTLS)
-		if err != nil {
-			cli.Fatal("listening", "err", err)
-		}
-		slog.Info("server listening", "index", *index, "scheme", scheme.Name(),
-			"mode", mode.String(), "tls", *useTLS, "addr", ln.Addr().String())
-		select {} // serve until killed
-	}
-
-	// Leader path. The peers dial lazily, so the verification stack is built
-	// first and the listener opens onto a pipeline that already exists: the
-	// protocol handler for the other servers' rounds and key fetches, and
-	// the streaming ingest handler for client submissions.
-	if len(peers) != n {
-		cli.Fatal("leader needs -peers with one entry per server", "want", n)
-	}
-	leader, err := prio.ConnectLeaderTLS(srv, peers, clientTLS)
-	if err != nil {
-		cli.Fatal("building leader", "err", err)
-	}
-	registerPeerStats(leader, n)
-	pl, err := prio.NewPipeline(leader, prio.PipelineConfig{
-		Shards:     *shards,
-		MaxBatch:   *batch,
-		QueueDepth: *queueDepth,
-		Registry:   telemetry.Default,
-	})
-	if err != nil {
-		cli.Fatal("building pipeline", "err", err)
-	}
-	defer pl.Close()
-	// The window service recovers from any checkpoint before intake starts,
-	// and closes windows inside the pipeline's quiesce so a seal never races
-	// a committing batch.
-	if svc := startWindowService(srv, leader, pl.Quiesce, nil); svc != nil {
-		defer svc.Close()
-	}
-	ln, err := prio.ListenAndServeTLS(*listen, srv, serverTLS)
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		cli.Fatal("listening", "err", err)
 	}
-	defer ln.Close()
-	ing := prio.ServeIngest(ln, pl, ingestConfig(tracer, nil))
-	defer ing.Close()
-	ld := &leaderLoop{scheme: scheme, pipeline: pl, ingest: ing}
-	slog.Info("leader listening", "scheme", scheme.Name(), "mode", mode.String(),
-		"tls", *useTLS, "addr", ln.Addr().String(), "servers", n,
-		"shards", pl.Shards(), "stream_credits", *ingestCredits)
+	if serverTLS != nil {
+		ln = tls.NewListener(ln, serverTLS)
+	}
+	self := *index
+	m, err := cluster.NewMember(cluster.MemberConfig[prio.Field, prio.Element]{
+		Listener: ln,
+		Protocol: pro,
+		Key:      priv,
+		Registry: telemetry.Default,
+		Cluster: cluster.Config{
+			Roster:       ros,
+			Self:         self,
+			TLS:          clientTLS,
+			PingInterval: *pingEvery,
+			PingTimeout:  *pingTO,
+			FailAfter:    *failAfter,
+			RotateEvery:  *rotateFlag,
+			OnLeaderChange: func(epoch uint64, leader int) {
+				slog.Info("leadership change", "epoch", epoch, "leader", leader, "self", self)
+			},
+			OnPeerDown: func(peer int) { slog.Warn("peer down; its verification state released", "peer", peer) },
+			OnPeerUp:   func(peer int) { slog.Info("peer up", "peer", peer) },
+		},
+		Pipeline: prio.PipelineConfig{
+			Shards:     *shards,
+			MaxBatch:   *batch,
+			QueueDepth: *queueDepth,
+			Retries:    *retriesFl,
+		},
+		Ingest: prio.IngestConfig{
+			Credits:        *ingestCredits,
+			QueueDepth:     *ingestQueue,
+			DynamicCredits: true,
+			Tracer:         tracer,
+		},
+		Window: windowConfig(),
+	})
+	if err != nil {
+		cli.Fatal("starting member", "err", err)
+	}
+	defer m.Close()
+	if m.Window != nil {
+		reportWindow(m.Window)
+	}
+	ld := &leaderLoop{scheme: scheme, pipeline: m.Pipeline, ingest: m.Ingest}
+	slog.Info("member listening", "self", self, "members", ros.N(),
+		"scheme", scheme.Name(), "mode", mode.String(), "tls", *useTLS,
+		"addr", m.Listener.Addr().String(), "shards", m.Pipeline.Shards(),
+		"stream_credits", *ingestCredits,
+		"ping_interval", pingEvery.String(), "rotate_every", rotateFlag.String())
 
 	ticker := time.NewTicker(*publishEvery)
 	defer ticker.Stop()
 	for range ticker.C {
-		ld.publish()
-		if *once {
-			return
+		if m.Node.IsLeader() {
+			ld.publish()
+			if *once {
+				return
+			}
 		}
 	}
 }
 
-// registerPeerStats exports the leader's per-peer RPC traffic counters:
-// one labeled series per server, read live at scrape time. The leader's own
-// slot is a loopback: its series count the bytes a network would have
-// carried, none of which crossed one.
-func registerPeerStats(leader *prio.Leader, n int) {
-	for i := 0; i < n; i++ {
-		i := i
-		lbl := telemetry.Label{Key: "peer", Value: strconv.Itoa(i)}
-		telemetry.Default.CounterFunc("prio_peer_bytes_sent_total",
-			"framed bytes sent to each server over the leader's RPC connection",
-			func() uint64 { return leader.PeerStats(i).BytesSent }, lbl)
-		telemetry.Default.CounterFunc("prio_peer_bytes_recv_total",
-			"framed bytes received from each server over the leader's RPC connection",
-			func() uint64 { return leader.PeerStats(i).BytesRecv }, lbl)
-		telemetry.Default.CounterFunc("prio_peer_msgs_sent_total",
-			"messages sent to each server over the leader's RPC connection",
-			func() uint64 { return leader.PeerStats(i).MsgsSent }, lbl)
-		telemetry.Default.CounterFunc("prio_peer_msgs_recv_total",
-			"messages received from each server over the leader's RPC connection",
-			func() uint64 { return leader.PeerStats(i).MsgsRecv }, lbl)
+// loadOrCreateKey returns the sealbox key at path, generating and persisting
+// one (mode 0600) when the file does not exist. An empty path yields nil:
+// the member then generates an ephemeral key.
+func loadOrCreateKey(path string) (*sealbox.PrivateKey, error) {
+	if path == "" {
+		return nil, nil
 	}
-}
-
-// ingestConfig is the ingest server configuration the flags describe; gate
-// is the cluster's leadership check (nil: always admit).
-func ingestConfig(tracer *telemetry.Tracer, gate func() error) prio.IngestConfig {
-	return prio.IngestConfig{
-		Credits:        *ingestCredits,
-		QueueDepth:     *ingestQueue,
-		DynamicCredits: *ingestDynamic,
-		Registry:       telemetry.Default,
-		Tracer:         tracer,
-		Gate:           gate,
+	if raw, err := os.ReadFile(path); err == nil {
+		return sealbox.ParsePrivateKey(raw)
+	} else if !os.IsNotExist(err) {
+		return nil, err
 	}
+	_, priv, err := sealbox.GenerateKey()
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(path, priv.Bytes(), 0o600); err != nil {
+		return nil, err
+	}
+	return priv, nil
 }
 
 // leaderLoop publishes a leader's aggregate and interval counters. publish

@@ -1,6 +1,5 @@
-// Windowed aggregation wiring: flags and construction for the
-// internal/window service, shared by the plain leader, plain follower, and
-// cluster-member paths. The service is off unless -window is set; with it,
+// Windowed aggregation wiring: flags and configuration for the member's
+// internal/window service. The service is off unless -window is set; with it,
 // every accepted submission lands in a tumbling collection window, each
 // window seals with this member's own DP noise (-dp-epsilon), and the
 // sitting leader publishes per-window aggregates (ledger lines below plus
@@ -20,7 +19,6 @@ import (
 	"prio/internal/cli"
 	"prio/internal/dp"
 	"prio/internal/field"
-	"prio/internal/telemetry"
 	"prio/internal/window"
 )
 
@@ -34,11 +32,10 @@ var (
 	dpClamp    = flag.Bool("dp-clamp", false, "clamp the final window's epsilon to the budget remainder instead of refusing to seal")
 )
 
-// startWindowService builds, recovers, and starts the window service for
-// this member. leader, quiesce, and isLeader are nil for members that never
-// publish (plain followers); isLeader is nil when this process always leads
-// (plain leader). Returns nil when -window is off.
-func startWindowService(srv *prio.Server, leader *prio.Leader, quiesce func(func()), isLeader func() bool) *window.Service[field.F64, uint64] {
+// windowConfig is the window service configuration the flags describe, or
+// nil when -window is off. The member fills in its own server, leader,
+// quiesce and leadership hooks.
+func windowConfig() *window.Config[field.F64, uint64] {
 	if *windowFlag <= 0 {
 		if *ckptDir != "" {
 			cli.Fatal("-checkpoint-dir requires -window")
@@ -48,56 +45,47 @@ func startWindowService(srv *prio.Server, leader *prio.Leader, quiesce func(func
 		}
 		return nil
 	}
-	var store *window.Store
-	if *ckptDir != "" {
-		var err error
-		store, err = window.NewStore(*ckptDir)
-		if err != nil {
-			cli.Fatal("opening -checkpoint-dir", "err", err)
-		}
-	}
-	var budget *dp.Budget
-	if *dpBudgetFl > 0 {
-		var err error
-		budget, err = dp.NewBudget(*dpBudgetFl, *dpClamp)
-		if err != nil {
-			cli.Fatal("bad -dp-budget", "err", err)
-		}
-	}
-	cfg := window.Config[field.F64, uint64]{
+	cfg := &window.Config[field.F64, uint64]{
 		Field:           prio.DefaultField(),
 		Width:           *windowFlag,
-		Server:          srv,
-		Leader:          leader,
-		Quiesce:         quiesce,
-		IsLeader:        isLeader,
-		Store:           store,
 		CheckpointEvery: *ckptEvery,
-		Budget:          budget,
-		Registry:        telemetry.Default,
 		Logf: func(format string, args ...any) {
 			slog.Info(fmt.Sprintf(format, args...))
 		},
 		OnPublish: printWindowLedger,
 	}
+	if *ckptDir != "" {
+		var err error
+		cfg.Store, err = window.NewStore(*ckptDir)
+		if err != nil {
+			cli.Fatal("opening -checkpoint-dir", "err", err)
+		}
+	}
+	if *dpBudgetFl > 0 {
+		var err error
+		cfg.Budget, err = dp.NewBudget(*dpBudgetFl, *dpClamp)
+		if err != nil {
+			cli.Fatal("bad -dp-budget", "err", err)
+		}
+	}
 	if *dpEpsilon > 0 {
 		cfg.DP = dp.Params{Epsilon: *dpEpsilon, Sensitivity: *dpSens}
 	}
-	svc, err := window.New(cfg)
-	if err != nil {
-		cli.Fatal("starting window service", "err", err)
-	}
+	return cfg
+}
+
+// reportWindow logs how the member's window service recovered and serves
+// its published windows on /aggregates.
+func reportWindow(svc *window.Service[field.F64, uint64]) {
 	if ok, info := svc.Recovered(); ok {
 		slog.Info("window state recovered from checkpoint",
 			"file", info.File, "skipped", info.Skipped, "last_published", svc.LastPublished())
-	} else if store != nil {
-		slog.Info("no usable checkpoint; starting empty", "dir", store.Dir(), "skipped", info.Skipped)
+	} else if *ckptDir != "" {
+		slog.Info("no usable checkpoint; starting empty", "dir", *ckptDir, "skipped", info.Skipped)
 	}
 	setAggregatesHandler(svc.AggregatesHandler())
-	svc.Start()
 	slog.Info("window service started", "width", windowFlag.String(),
 		"checkpoint_dir", *ckptDir, "dp_epsilon", *dpEpsilon, "dp_budget", *dpBudgetFl)
-	return svc
 }
 
 // printWindowLedger emits one stdout line per published window — the

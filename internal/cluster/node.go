@@ -329,9 +329,6 @@ func (n *Node) View() (epoch uint64, leader int) {
 	return n.epoch, n.leader
 }
 
-// Self returns this member's roster index.
-func (n *Node) Self() int { return n.self }
-
 // IsLeader reports whether this member currently holds coordination duty.
 // Always false during the boot grace.
 func (n *Node) IsLeader() bool {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"prio/internal/ingest"
 	"prio/internal/transport"
 )
 
@@ -60,4 +61,17 @@ func Resolve(r *Roster, cfg ResolveConfig) (Info, string, error) {
 		return Info{}, "", fmt.Errorf("cluster: reported leader %d outside roster", best.Leader)
 	}
 	return best, r.Addrs[best.Leader], nil
+}
+
+// LeaderDial is an ingest.FailoverConfig.Dial over the roster: it resolves
+// the leader on every call, so after a failover the fresh stream lands on
+// the successor.
+func LeaderDial(r *Roster, cfg ResolveConfig) func(onAck func(ingest.Ack)) (*ingest.StreamSubmitter, error) {
+	return func(onAck func(ingest.Ack)) (*ingest.StreamSubmitter, error) {
+		_, addr, err := Resolve(r, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return ingest.Dial(addr, ingest.SubmitterConfig{TLS: cfg.TLS, OnAck: onAck})
+	}
 }

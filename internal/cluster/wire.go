@@ -9,7 +9,7 @@ import (
 // resolving the leader) sends an empty request, the served member answers
 // with its Info. The type sits in the 0x30 block, clear of the core protocol
 // (1–10), ingest (0x20–0x22), and the reserved transport types (0xFC–0xFF).
-// cmd/prio-server splices HandleInfo in front of the core handler for it.
+// NewMember splices HandleInfo in front of the core handler for it.
 const MsgClusterInfo byte = 0x30
 
 // Info is one member's view of the cluster, small enough to ride along every

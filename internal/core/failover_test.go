@@ -237,6 +237,39 @@ func TestReleaseLeaderDropsAbandonedState(t *testing.T) {
 	}
 }
 
+// TestLeaderRecoversReleasedChallenge: a member that wrongly sees a live
+// leader die releases everything that leader seeded, its challenges
+// included. The leader keeps running, so its batches must recover within a
+// few attempts rather than fail until the challenge window rotates.
+func TestLeaderRecoversReleasedChallenge(t *testing.T) {
+	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
+	subs, want, _ := mixedBatch(t, client, scheme, 4)
+	if _, err := cl.Leader.ProcessBatch(subs); err != nil {
+		t.Fatal(err)
+	}
+	if _, challenges := cl.Servers[1].ReleaseLeader(0); challenges == 0 {
+		t.Fatal("server 1 held none of leader 0's challenges")
+	}
+	// The first attempt meets the released challenge, and the second may
+	// adopt a prefetched one released with it.
+	var got []bool
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		if got, err = cl.Leader.ProcessBatch(subs); err == nil {
+			t.Logf("recovered on attempt %d", attempt+1)
+			break
+		}
+	}
+	if err != nil {
+		t.Fatalf("leader still failing after 3 attempts: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("submission %d: accepted=%v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestPipelineRetriesTransientFailure: with Retries configured, a batch that
 // fails its first attempt (peer briefly unreachable) is re-run in place and
 // its submissions decided normally — Retried/FailedOver count the event,

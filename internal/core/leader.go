@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"math"
@@ -93,6 +94,37 @@ type challPrefetch struct {
 // concurrent leaders never collide in the servers' session tables.
 func NewLeader[Fd field.Field[E], E any](srv *Server[Fd, E], peers []transport.Peer) (*Leader[Fd, E], error) {
 	return NewLeaderSession(srv, peers, 0)
+}
+
+// ConnectLeader makes srv a leader over the network, connecting to every
+// other server by address (with TLS when tlsCfg is non-nil). addrs must have
+// one entry per server index; the entry for srv itself is ignored (a
+// loopback is used). Peers ride the streamed rounds subprotocol: one
+// persistent pipelined connection each, with correlation IDs matching
+// replies to in-flight calls, so concurrent leader sessions (NewPipeline)
+// overlap their verification rounds on the wire instead of queueing behind
+// one another. Connections are dialed lazily on first use and re-dialed
+// after transport failures, so boot order across the deployment's servers
+// does not matter.
+func ConnectLeader[Fd field.Field[E], E any](srv *Server[Fd, E], addrs []string, tlsCfg *tls.Config) (*Leader[Fd, E], error) {
+	peers := make([]transport.Peer, len(addrs))
+	for i, addr := range addrs {
+		if i == srv.Index() {
+			peers[i] = &transport.LoopbackPeer{Handler: srv.Handler()}
+			continue
+		}
+		peers[i] = transport.NewStreamPeer(addr, tlsCfg)
+	}
+	return NewLeader(srv, peers)
+}
+
+// Close releases the leader's peer connections. Pipelines built on the
+// leader share them, so close those first.
+func (l *Leader[Fd, E]) Close() error {
+	for _, p := range l.peers {
+		p.Close()
+	}
+	return nil
 }
 
 // NewLeaderSession wraps a server with coordination duties under session
@@ -372,6 +404,13 @@ func (l *Leader[Fd, E]) verify(subs []*Submission) (*decision, error) {
 		}
 	}
 	d, err := l.verifyBatch(good)
+	if err != nil {
+		// A server may have dropped the challenge: a member that wrongly saw
+		// this leader die releases all it seeded. The next batch rotates.
+		l.lmu.Lock()
+		l.haveChall = false
+		l.lmu.Unlock()
+	}
 	if err != nil || len(good) == len(subs) {
 		return d, err
 	}

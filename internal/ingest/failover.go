@@ -106,6 +106,7 @@ type FailoverSubmitter struct {
 	gen      uint64 // current dial generation
 	dialing  bool
 	inflight map[ackKey]*entry
+	early    map[ackKey]Ack // acks that beat their send to the inflight table
 	retryq   []*entry
 	pending  int // inflight + queued + being-sent, for Wait
 	closed   bool
@@ -122,6 +123,7 @@ func NewFailoverSubmitter(cfg FailoverConfig) (*FailoverSubmitter, error) {
 	f := &FailoverSubmitter{
 		cfg:      cfg.withDefaults(),
 		inflight: make(map[ackKey]*entry),
+		early:    make(map[ackKey]Ack),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	go f.retryLoop()
@@ -206,13 +208,27 @@ func (f *FailoverSubmitter) send(e *entry) error {
 			f.dropStream(s)
 			continue
 		}
+		// The stream's read goroutine may have acked e already, or s may
+		// have died and its watcher requeued what it found in flight, all
+		// before this registration.
+		k := ackKey{gen: gen, id: id}
 		f.mu.Lock()
 		if f.closed {
 			f.mu.Unlock()
 			return ErrSubmitterClosed
 		}
-		f.inflight[ackKey{gen: gen, id: id}] = e
+		a, acked := f.early[k]
+		delete(f.early, k)
+		live := f.cur == s
+		if live && !acked {
+			f.inflight[k] = e
+		}
 		f.mu.Unlock()
+		if acked {
+			f.decide(e, a)
+		} else if !live {
+			continue // s is dead and its watcher missed e: send it again
+		}
 		return nil
 	}
 }
@@ -343,15 +359,25 @@ func (f *FailoverSubmitter) takeOrphansLocked(gen uint64) []*entry {
 // stream's read goroutine, so the retry path only enqueues — the retryLoop
 // goroutine does the (potentially blocking) re-submission.
 func (f *FailoverSubmitter) onAck(gen uint64, a Ack) {
+	k := ackKey{gen: gen, id: a.ID}
 	f.mu.Lock()
-	e, ok := f.inflight[ackKey{gen: gen, id: a.ID}]
+	e, ok := f.inflight[k]
 	if ok {
-		delete(f.inflight, ackKey{gen: gen, id: a.ID})
+		delete(f.inflight, k)
+	} else if gen == f.gen && f.cur != nil {
+		// The stream is live, so its send has not registered the entry
+		// yet; it picks the ack up from here.
+		f.early[k] = a
 	}
 	f.mu.Unlock()
 	if !ok {
-		return // late ack for an entry already requeued elsewhere
+		return // early, or late for an entry already requeued elsewhere
 	}
+	f.decide(e, a)
+}
+
+// decide books an acked entry: final, or one more attempt.
+func (f *FailoverSubmitter) decide(e *entry, a Ack) {
 	switch a.Status {
 	case StatusAccepted, StatusRejected:
 		f.final(e, a.Status)

@@ -185,6 +185,53 @@ func TestFailoverRedialsAfterStreamDeath(t *testing.T) {
 	}
 }
 
+// TestFailoverAckBeforeRegistration: a stream's read goroutine can deliver
+// an ack before the send that produced it has filed the entry in flight. The
+// sink here withholds every decision, so the only ack the second submission
+// gets is one injected ahead of its send; Wait must still return with it
+// accepted rather than hang.
+func TestFailoverAckBeforeRegistration(t *testing.T) {
+	gate := make(chan struct{})
+	_, addr, stop := serveIngest(t, &fakeSink{gate: gate}, Config{Credits: 8})
+	defer stop()
+	defer close(gate)
+	fs, err := NewFailoverSubmitter(FailoverConfig{
+		Dial: func(onAck func(Ack)) (*StreamSubmitter, error) {
+			return Dial(addr, SubmitterConfig{OnAck: onAck})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	if err := fs.Submit(testSub(0)); err != nil { // stream ID 1
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	gen := fs.gen
+	fs.mu.Unlock()
+	fs.onAck(gen, Ack{ID: 2, Status: StatusAccepted})
+	if err := fs.Submit(testSub(1)); err != nil { // stream ID 2
+		t.Fatal(err)
+	}
+	fs.onAck(gen, Ack{ID: 1, Status: StatusAccepted})
+
+	done := make(chan struct{})
+	go func() {
+		fs.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait hung: the ack that beat its send was dropped")
+	}
+	if st := fs.Stats(); st.Accepted != 2 || st.Abandoned != 0 {
+		t.Errorf("stats = %+v, want 2 accepted", st)
+	}
+}
+
 // TestGateRefusesStream: a follower's admission gate must bounce the dial
 // with the gate's own message, so clients learn who the leader is.
 func TestGateRefusesStream(t *testing.T) {

@@ -199,7 +199,7 @@ type Listener = transport.Server
 // ListenAndServe exposes a server on a plaintext TCP address (":0" picks a
 // free port). Pass the returned listener's Addr to peers and clients.
 // Production deployments should prefer ListenAndServeTLS (§6.2: the paper's
-// servers always speak TLS); cmd/prio-server defaults to it.
+// servers always speak TLS), which cmd/prio-server serves by default.
 func ListenAndServe(addr string, srv *Server) (*Listener, error) {
 	return ListenAndServeTLS(addr, srv, nil)
 }
@@ -218,25 +218,10 @@ func ConnectLeader(srv *Server, addrs []string) (*Leader, error) {
 }
 
 // ConnectLeaderTLS makes srv the deployment leader, connecting to every
-// other server by address (with TLS when tlsCfg is non-nil). addrs must have
-// one entry per server index; the entry for srv itself is ignored (a
-// loopback is used). Peers ride the streamed rounds subprotocol: one
-// persistent pipelined connection each, with correlation IDs matching
-// replies to in-flight calls, so concurrent leader sessions (NewPipeline)
-// overlap their verification rounds on the wire instead of queueing behind
-// one another. Connections are dialed lazily on first use and re-dialed
-// after transport failures, so boot order across the deployment's servers
-// does not matter.
+// other server by address (with TLS when tlsCfg is non-nil); see
+// core.ConnectLeader.
 func ConnectLeaderTLS(srv *Server, addrs []string, tlsCfg *tls.Config) (*Leader, error) {
-	peers := make([]transport.Peer, len(addrs))
-	for i, addr := range addrs {
-		if i == srv.Index() {
-			peers[i] = &transport.LoopbackPeer{Handler: srv.Handler()}
-			continue
-		}
-		peers[i] = transport.NewStreamPeer(addr, tlsCfg)
-	}
-	return core.NewLeader(srv, peers)
+	return core.ConnectLeader(srv, addrs, tlsCfg)
 }
 
 // ServeIngest registers the streaming ingest subsystem on a leader's
