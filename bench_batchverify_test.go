@@ -60,7 +60,7 @@ func batchVerifyFixture(b *testing.B, batch int) (field.F64, *snip.Evaluator[fie
 //
 //	go test -bench=BatchVerify -benchmem
 func BenchmarkBatchVerify(b *testing.B) {
-	for _, batch := range []int{16, 64, 256} {
+	for _, batch := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("Mode=per-submission/B=%d", batch), func(b *testing.B) {
 			f, ev, xs, pfs := batchVerifyFixture(b, batch)
 			b.ResetTimer()

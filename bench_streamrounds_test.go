@@ -81,8 +81,8 @@ func latencyProxy(tb testing.TB, backend string, delay time.Duration) string {
 // propagation delay (2×benchRTT round trip). What it exercises is the
 // streamed rounds subprotocol keeping every shard's rounds in flight
 // concurrently, correlation IDs matching replies as they return. The
-// sub-benchmark name Streamed is what scripts/alloc-gate.sh and the
-// BENCH_*.json artifact key on.
+// sub-benchmark name Streamed is what scripts/alloc-gate.sh and the CI
+// bench job's bench-<sha>.txt archive key on.
 func BenchmarkStreamedRounds(b *testing.B) {
 	b.Run("Streamed", func(b *testing.B) {
 		scheme := prio.NewSum(2)

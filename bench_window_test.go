@@ -50,7 +50,7 @@ func windowSnapshotFixture(k, windows int) *window.Snapshot[uint64] {
 func BenchmarkWindowCheckpoint(b *testing.B) {
 	f := field.NewF64()
 	for _, sh := range []struct{ k, windows int }{
-		{64, 8}, {1024, 8}, {1024, 64}, {4096, 64},
+		{64, 8}, {256, 8}, {1024, 8}, {1024, 64}, {4096, 64}, {16384, 64},
 	} {
 		snap := windowSnapshotFixture(sh.k, sh.windows)
 		b.Run(fmt.Sprintf("write/k=%d/windows=%d", sh.k, sh.windows), func(b *testing.B) {
@@ -68,6 +68,7 @@ func BenchmarkWindowCheckpoint(b *testing.B) {
 				bytes = n
 			}
 			b.SetBytes(int64(bytes))
+			b.ReportMetric(float64(bytes), "bytes/file")
 		})
 		b.Run(fmt.Sprintf("recover/k=%d/windows=%d", sh.k, sh.windows), func(b *testing.B) {
 			st, err := window.NewStore(b.TempDir())

@@ -42,8 +42,8 @@ func checkPeer(t *testing.T, p Peer) {
 
 // TestLoopbackPeerByteAccounting pins the in-memory peer's counters to what
 // a network would carry — 5 framing bytes plus the payload each way, and no
-// response bytes for a handler error — the accounting Figure 6 and
-// prio-bench table2 read.
+// response bytes for a handler error — the accounting the root package's
+// BenchmarkFig6 and TestServerBytesShape read.
 func TestLoopbackPeerByteAccounting(t *testing.T) {
 	p := &LoopbackPeer{Handler: echoHandler}
 	checkPeer(t, p)

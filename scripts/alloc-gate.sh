@@ -7,9 +7,12 @@
 #     requests in pooled arenas; any allocation here is a pooling regression.
 #   - BenchmarkStreamedRounds/Streamed: at most ${STREAMED_ALLOC_CEILING}
 #     allocs/op end-to-end (one submission through a 4-shard pipeline over
-#     latency-injected TCP, measured steady-state after warm-up). The
-#     ceiling is pinned ~4x above the current figure, so it only trips on a
-#     structural regression, not benchmark noise.
+#     latency-injected TCP, after a warm-up submission). At this gate's
+#     -benchtime=1x the figure is about 510 allocs/op (504-516 over repeated
+#     runs on Go 1.24, 2 vCPU): the whole per-batch cost of a batch of one.
+#     At -benchtime=200x batches fill and it falls to about 100. The ceiling
+#     is ~4.9x the 1x figure, so it only trips on a structural regression,
+#     not benchmark noise.
 #   - BenchmarkShareExpand: at most ${EXPAND_ALLOC_CEILING} allocs/op at
 #     every length. An expansion allocates its output, the PRG and the two
 #     objects crypto/aes and crypto/cipher make for one AES-CTR stream (4
