@@ -86,7 +86,11 @@ func BenchmarkFig4(b *testing.B) {
 
 // BenchmarkFig5 measures throughput against server count for the
 // 1024-question survey workload of Figure 5. The no-privacy baseline has
-// one server whatever s.
+// one server whatever s. All s servers share this one process, so every
+// server's verification competes for the same cores and throughput falls
+// with s (on a 2-vCPU host Prio went 1,937 → 589 subs/s from s = 2 to 10).
+// The paper's near-flat curve needs one process per server, each on its
+// own machine.
 func BenchmarkFig5(b *testing.B) {
 	const l = 1024
 	for _, mode := range figModes {

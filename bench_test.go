@@ -141,11 +141,14 @@ func snarkBench(b *testing.B, mulGates, inputLen int) {
 // submissions/s as the number of concurrent leader sessions grows, for the
 // Figure 4/5 workload (1,024-bit submissions, three servers). On an N-core
 // host throughput should scale near-linearly in min(shards, N); compare the
-// subs/s metric across the Shards sub-benchmarks. Run with:
+// subs/s metric across the Shards sub-benchmarks. Each iteration pushes a
+// block of pipeBlock submissions (16 full batches) and subs/s counts
+// b.N·pipeBlock, so even a -benchtime=1x pass measures throughput rather
+// than one submission's latency; ns/op is per block. Run with:
 //
 //	go test -bench=PipelineThroughput -benchmem
 func BenchmarkPipelineThroughput(b *testing.B) {
-	const l = 1024
+	const l, pipeBlock = 1024, 256
 	scheme := prio.NewBitVector(l)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Shards=%d", shards), func(b *testing.B) {
@@ -162,7 +165,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 			defer pl.Close()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < b.N*pipeBlock; i++ {
 				if err := pl.Submit(pool[i%len(pool)]); err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +175,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			if st := pl.Stats(); st.Failed > 0 {
 				b.Fatalf("%d submissions failed", st.Failed)
 			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "subs/s")
+			b.ReportMetric(float64(b.N*pipeBlock)/b.Elapsed().Seconds(), "subs/s")
 		})
 	}
 }

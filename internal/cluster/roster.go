@@ -6,10 +6,10 @@
 // the roster-driven service arrangement follows dedis/cothority).
 //
 // Leadership here is coordination duty, not consensus: any server can verify
-// any submission (Appendix I), and challenge/batch identifiers are
-// namespaced by server index, so even two servers briefly acting as leader
-// during a transition cannot corrupt state — the cost of a split is only
-// duplicated work. That is why a gossiped epoch counter with
+// any submission (Appendix I), and batch identifiers are namespaced by
+// server index, so even two servers briefly acting as leader during a
+// transition cannot corrupt state — the cost of a split is only duplicated
+// work. That is why a gossiped epoch counter with
 // highest-epoch-wins is enough and no election protocol is needed.
 package cluster
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -85,12 +86,16 @@ func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submiss
 	p := cl.Leader.pro
 	f := p.Cfg.Field
 	s := p.Cfg.Servers
-	ch, err := p.newChallenge()
+	sys := p.snipSys()
+	ch, err := sys.NewChallenge(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := p.snipSys()
-	ev := sys.NewEvaluator(ch.sn)
+	ev := sys.NewEvaluator(ch)
+	validRho, err := field.SampleVec(f, crand.Reader, len(p.Cfg.Scheme.Circuit().Asserts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]bool, len(subs))
 	for j, sub := range subs {
 		xs := make([][]uint64, s)
@@ -137,7 +142,7 @@ func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submiss
 			}
 			tau := f.Zero()
 			for i := range sess {
-				share, err := sess[i].TauShare(ch.validRho)
+				share, err := sess[i].TauShare(validRho)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -45,7 +45,7 @@ func TestFinishRepeatAppliesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		func() { srv.ReleaseLeader(0) }, // last: it drops the leader's challenges too
+		func() { srv.ReleaseLeader(0) },
 	} {
 		before := count()
 		if _, err := lead.ProcessBatch(honestSubs(t, client, scheme, 1, 2, 3)); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -8,6 +10,7 @@ import (
 	"prio/internal/afe"
 	"prio/internal/field"
 	"prio/internal/mpc"
+	"prio/internal/prg"
 	"prio/internal/snip"
 )
 
@@ -155,48 +158,28 @@ func (p *Protocol[Fd, E]) snipSys() *snip.System[Fd, E] {
 	return p.ValidSys
 }
 
-// challenge bundles the verifier randomness shared by the servers for a
-// window of submissions: the SNIP challenge plus, in MPC mode, the random
-// coefficients for the Valid circuit's assertion combination.
-type challenge[E any] struct {
-	sn       *snip.Challenge[E]
-	validRho []E
+// deriveSeed derives the verifier randomness a challenge seed stands for
+// besides the SNIP challenge itself: SHA-256 over the seed, a 3-byte
+// domain label and an ID, truncated to a seed. The combined probe's λ seed
+// is deriveSeed(seed, "rlc", batch ID), Prio-MPC's Valid coefficients come
+// from deriveSeed(seed, "mpc", 0), and the SNIP challenge is the seed's own
+// PRG stream (snip.System.CachedEvaluator), so the three never share bytes.
+func deriveSeed(seed prg.Seed, label string, id uint64) prg.Seed {
+	var buf [prg.SeedSize + 3 + 8]byte
+	copy(buf[:], seed[:])
+	copy(buf[prg.SeedSize:], label)
+	binary.LittleEndian.PutUint64(buf[prg.SeedSize+3:], id)
+	sum := sha256.Sum256(buf[:])
+	return prg.Seed(sum[:prg.SeedSize])
 }
 
-// marshalChallenge serializes a challenge for MsgSetChallenge.
-func (p *Protocol[Fd, E]) marshalChallenge(ch *challenge[E]) []byte {
-	f := p.Cfg.Field
-	w := &wbuf{}
-	if sys := p.snipSys(); sys != nil {
-		wvec(w, f, ch.sn.R)
-		wvec(w, f, ch.sn.Rho)
+// validRho expands a challenge seed into Prio-MPC's random coefficients for
+// the Valid circuit's assertion combination.
+func (p *Protocol[Fd, E]) validRho(seed prg.Seed) []E {
+	rho, err := field.SampleVec(p.Cfg.Field, prg.New(deriveSeed(seed, "mpc", 0)), len(p.Cfg.Scheme.Circuit().Asserts))
+	if err != nil {
+		// prg.PRG.Read never fails.
+		panic("core: PRG sampling failed: " + err.Error())
 	}
-	if p.Cfg.Mode == ModeMPC {
-		wvec(w, f, ch.validRho)
-	}
-	return w.b
-}
-
-// unmarshalChallenge parses a challenge.
-func (p *Protocol[Fd, E]) unmarshalChallenge(b []byte) (*challenge[E], error) {
-	f := p.Cfg.Field
-	r := &rbuf{b: b}
-	ch := &challenge[E]{}
-	if sys := p.snipSys(); sys != nil {
-		reps := sys.Reps
-		if sys.M == 0 {
-			reps = 0
-		}
-		ch.sn = &snip.Challenge[E]{
-			R:   rvec(r, f, reps),
-			Rho: rvec(r, f, len(sys.C.Asserts)),
-		}
-	}
-	if p.Cfg.Mode == ModeMPC {
-		ch.validRho = rvec(r, f, len(p.Cfg.Scheme.Circuit().Asserts))
-	}
-	if !r.done() {
-		return nil, errTruncated
-	}
-	return ch, nil
+	return rho
 }

@@ -8,10 +8,11 @@
 //	            other server's seed from one key agreement with it (the
 //	            sealbox package doc), and sends the submission to the
 //	            current leader.
-//	Validate  — the leader relays shares and drives the two verification
-//	            rounds; servers exchange constant-size messages per
-//	            submission in Round1 and one combined share per batch probe
-//	            in Round2 (Section 4.2, docs/VERIFY.md).
+//	Validate  — the leader relays shares, with the batch's challenge as a
+//	            16-byte seed that every server expands itself, and drives
+//	            the two verification rounds; servers exchange constant-size
+//	            messages per submission in Round1 and one combined share per
+//	            batch probe in Round2 (Section 4.2, docs/VERIFY.md).
 //	Aggregate — servers add the truncated encodings of accepted submissions
 //	            into local accumulators.
 //	Publish   — accumulators are summed and decoded with the AFE.
@@ -40,11 +41,12 @@
 // scales throughput by giving every server a leader slice (Figure 5,
 // Appendix I). This package applies the same idea at two levels:
 //
-//   - Leader sessions: NewLeaderSession opens independent (challenge,
-//     batch) ID namespaces on one leader server, so several sessions can
-//     drive verification rounds concurrently against the shared server set.
-//     ProcessBatch holds the leader lock only to rotate challenges and
-//     allocate batch IDs; the network rounds run lock-free.
+//   - Leader sessions: NewLeaderSession opens an independent batch ID
+//     namespace and challenge seed on one leader server, so several
+//     sessions can drive verification rounds concurrently against the
+//     shared server set, which keeps no challenge state. ProcessBatch holds
+//     the leader lock only to rotate the seed and allocate batch IDs; the
+//     network rounds run lock-free.
 //   - Pipeline: a sharded front-end that fans a stream of submissions
 //     across K leader sessions with bounded queuing and adaptive batching,
 //     then merges the per-shard results into the final aggregate.

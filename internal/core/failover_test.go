@@ -165,7 +165,7 @@ func TestBatchRerunIdempotenceAcrossLeaders(t *testing.T) {
 
 // TestReleaseLeaderDropsAbandonedState covers the case the abort path cannot
 // reach: the dying leader's finish also fails toward a server, stranding
-// batch and challenge state there under the dead leader's ID namespace.
+// batch state there under the dead leader's ID namespace.
 // ReleaseLeader (wired to the cluster's OnPeerDown) must drop exactly that
 // namespace and leave other leaders' state alone.
 func TestReleaseLeaderDropsAbandonedState(t *testing.T) {
@@ -181,7 +181,7 @@ func TestReleaseLeaderDropsAbandonedState(t *testing.T) {
 			return p
 		}
 		return &faultPeer{Peer: p, fail: func(msgType byte) error {
-			if failing.Load() && msgType != MsgRound1 && msgType != MsgSetChallenge {
+			if failing.Load() && msgType != MsgRound1 {
 				return errors.New("injected: leader unreachable")
 			}
 			return nil
@@ -204,33 +204,24 @@ func TestReleaseLeaderDropsAbandonedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batches, challenges := srv2.ReleaseLeader(0)
-	if batches != leaked || challenges == 0 {
-		t.Errorf("released %d batches / %d challenges, want %d / >0", batches, challenges, leaked)
+	if n := srv2.ReleaseLeader(0); n != leaked {
+		t.Errorf("released %d batches, want %d", n, leaked)
 	}
 	srv2.mu.Lock()
 	rest := len(srv2.batches)
-	haveOther := false
-	for id := range srv2.challenges {
-		if int(id>>24) == 1 {
-			haveOther = true
-		}
-		if int(id>>24) == 0 {
-			t.Errorf("challenge %#x from leader 0 survived release", id)
-		}
-	}
+	_, haveOther := srv2.commits[1<<16] // leader 1, session 0
 	srv2.mu.Unlock()
 	if rest != 0 {
 		t.Errorf("%d batch states survived release", rest)
 	}
 	if !haveOther {
-		t.Error("leader 1's challenge state was dropped too")
+		t.Error("leader 1's commit record was dropped too")
 	}
 
 	// Releasing an idle leader is a no-op, and server 2 still verifies for
 	// live leaders afterwards.
-	if b, c := srv2.ReleaseLeader(0); b != 0 || c != 0 {
-		t.Errorf("second release found %d/%d", b, c)
+	if n := srv2.ReleaseLeader(0); n != 0 {
+		t.Errorf("second release found %d batches", n)
 	}
 	if _, err := lead1.ProcessBatch(subs[:2]); err != nil {
 		t.Errorf("server 2 broken after release: %v", err)
@@ -238,30 +229,20 @@ func TestReleaseLeaderDropsAbandonedState(t *testing.T) {
 }
 
 // TestLeaderRecoversReleasedChallenge: a member that wrongly sees a live
-// leader die releases everything that leader seeded, its challenges
-// included. The leader keeps running, so its batches must recover within a
-// few attempts rather than fail until the challenge window rotates.
+// leader die releases everything that leader seeded. Servers keep no
+// challenge state — every Round1 carries its batch's challenge seed — so
+// the leader's very first batch after the release succeeds, under the same
+// challenge, and decides every submission exactly.
 func TestLeaderRecoversReleasedChallenge(t *testing.T) {
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
 	subs, want, _ := mixedBatch(t, client, scheme, 4)
 	if _, err := cl.Leader.ProcessBatch(subs); err != nil {
 		t.Fatal(err)
 	}
-	if _, challenges := cl.Servers[1].ReleaseLeader(0); challenges == 0 {
-		t.Fatal("server 1 held none of leader 0's challenges")
-	}
-	// The first attempt meets the released challenge, and the second may
-	// adopt a prefetched one released with it.
-	var got []bool
-	var err error
-	for attempt := 0; attempt < 3; attempt++ {
-		if got, err = cl.Leader.ProcessBatch(subs); err == nil {
-			t.Logf("recovered on attempt %d", attempt+1)
-			break
-		}
-	}
+	cl.Servers[1].ReleaseLeader(0)
+	got, err := cl.Leader.ProcessBatch(subs)
 	if err != nil {
-		t.Fatalf("leader still failing after 3 attempts: %v", err)
+		t.Fatalf("first batch after the release: %v", err)
 	}
 	for i := range want {
 		if got[i] != want[i] {

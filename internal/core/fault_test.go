@@ -27,8 +27,15 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 		payload []byte
 	}{
 		{"unknown type", 99, nil},
-		{"truncated challenge", MsgSetChallenge, []byte{1, 2}},
 		{"truncated round1", MsgRound1, []byte{0}},
+		{"round1 short challenge seed", MsgRound1, func() []byte {
+			w := &wbuf{}
+			w.u32(1)
+			w.u64(1)
+			w.u32(0)
+			w.raw(make([]byte, prg.SeedSize-1))
+			return w.b
+		}()},
 		{"round1 huge count", MsgRound1, func() []byte {
 			w := &wbuf{}
 			w.u32(1)
@@ -53,8 +60,15 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 			w.u8(probeReveal)
 			return w.b
 		}()},
-		// 3 and 9 are retired numbers (the per-submission Round2 exchange,
-		// the one-shot client submit): no handler answers them.
+		// 1, 3 and 9 are retired numbers (the challenge broadcast, the
+		// per-submission Round2 exchange, the one-shot client submit): no
+		// handler answers them.
+		{"retired set-challenge", MsgSetChallenge, func() []byte {
+			w := &wbuf{}
+			w.u32(1)
+			w.raw(make([]byte, 64))
+			return w.b
+		}()},
 		{"retired round2", MsgRound2, func() []byte {
 			w := &wbuf{}
 			w.u32(1)
@@ -79,24 +93,6 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 		if _, err := srv.Handle(c.msgType, c.payload); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
-	}
-}
-
-func TestRound1RequiresChallenge(t *testing.T) {
-	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 2, false)
-	enc, _ := scheme.Encode(1)
-	sub, err := client.BuildSubmission(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Talk to a server directly with a challenge ID it has never seen.
-	w := &wbuf{}
-	w.u32(77)
-	w.u64(1)
-	w.u32(1)
-	w.blob(sub.Bundles[1])
-	if _, err := cl.Servers[1].Handle(MsgRound1, w.b); err == nil {
-		t.Error("Round1 accepted unknown challenge ID")
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"prio/internal/snip"
 )
 
+// fuzzSeed is the challenge seed the fuzz targets' Round1 requests carry.
+var fuzzSeed = prg.Seed{0xF0, 0x22}
+
 // fuzzServer builds server idx of a 3-server sum8 deployment with a fixed
-// sealbox key — the committed corpus holds boxes sealed to it — and installs
-// challenge 1 so Round1 requests can be replayed against it.
+// sealbox key — the committed corpus holds boxes sealed to it.
 func fuzzServer(tb testing.TB, idx int, seal bool) *Server[field.F64, uint64] {
 	tb.Helper()
 	f := field.NewF64()
@@ -30,16 +32,6 @@ func fuzzServer(tb testing.TB, idx int, seal bool) *Server[field.F64, uint64] {
 	}
 	srv, err := NewServer(pro, idx, priv)
 	if err != nil {
-		tb.Fatal(err)
-	}
-	ch, err := pro.newChallenge()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w := &wbuf{}
-	w.u32(1)
-	w.raw(pro.marshalChallenge(ch))
-	if _, err := srv.Handle(MsgSetChallenge, w.b); err != nil {
 		tb.Fatal(err)
 	}
 	return srv
@@ -115,6 +107,7 @@ func FuzzBundleDecode(f *testing.F) {
 		w.u32(1)
 		w.u64(batchID)
 		w.u32(1)
+		w.raw(fuzzSeed[:])
 		w.blob(bundle)
 		resp, err := srv.Handle(MsgRound1, w.b)
 		if err != nil {
@@ -139,11 +132,11 @@ func FuzzBundleDecode(f *testing.F) {
 }
 
 // FuzzBatchProbe sends arbitrary MsgRound2Batch payloads to a server holding
-// one live batch (challenge 1, batch 1, two submissions), opened afresh for
-// every input. Each input must be refused or answered with well-formed
-// shares, never panic: a combined probe with one share whose value is the
-// λ-combination of what a reveal then returns, a reveal with one share per
-// submission. A reveal before any combined probe is a state error, and
+// one live batch (challenge seed fuzzSeed, batch 1, two submissions), opened
+// afresh for every input. Each input must be refused or answered with
+// well-formed shares, never panic: a combined probe with one share whose
+// value is the combination, under the λ derived from the seed and batch ID,
+// of what a reveal then returns, a reveal with one share per submission. A reveal before any combined probe is a state error, and
 // every probe kind other than the two is refused.
 func FuzzBatchProbe(f *testing.F) {
 	srv := fuzzServer(f, 1, false)
@@ -159,6 +152,7 @@ func FuzzBatchProbe(f *testing.F) {
 	round1.u32(1)
 	round1.u64(1)
 	round1.u32(2)
+	round1.raw(fuzzSeed[:])
 	for _, v := range []uint64{3, 200} {
 		enc, err := scheme.Encode(v)
 		if err != nil {
@@ -181,7 +175,6 @@ func FuzzBatchProbe(f *testing.F) {
 	}
 	combined := head(probeCombined)
 	wvec(combined, fd, make([]uint64, 2*reps*count))
-	combined.blob(bytes.Repeat([]byte{5}, prg.SeedSize))
 	for _, b := range [][]byte{
 		combined.b,
 		head(probeReveal).b, // before any combined probe
@@ -224,9 +217,7 @@ func FuzzBatchProbe(f *testing.F) {
 			t.Fatalf("reveal after a combined probe: %v", err)
 		}
 		shares := readShares(t, fd, resp, count, reps)
-		var seed prg.Seed
-		copy(seed[:], payload[len(payload)-prg.SeedSize:])
-		lambda := snip.RLCCoeffs(fd, seed, count)
+		lambda := snip.RLCCoeffs(fd, deriveSeed(fuzzSeed, "rlc", 1), count)
 		for k := 0; k <= reps; k++ {
 			at := func(r *snip.Round2[uint64]) uint64 {
 				if k == reps {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/rand"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -36,33 +35,23 @@ import (
 // A Leader tolerates concurrent batches: lmu serializes only challenge
 // rotation and batch-sequence allocation, while the rounds themselves run
 // lock-free, so independent batches overlap on the wire and on the servers'
-// cores. One caveat bounds the concurrency: the servers keep a bounded
-// window of live challenges per session (three, one of which the prefetcher
-// occupies), so a batch survives one rotation but not two. Rotation
-// therefore waits until no batch is still verifying under the challenge
-// its prefetch evicts (ensureChallenge). A commit names only its batch ID,
-// never a challenge, so a decided batch no longer counts. Pipeline keeps
-// that wait rare: it dispatches a shard's next batch while others verify
-// only if the session's verifying submissions plus that batch stay within
-// ChallengeEvery, up to the depth overlapDepth measures, and while the
-// shares its verifying and committing batches pin on each server stay
-// within the session's share budget.
+// cores. The challenge travels with the batch — a 16-byte seed in its
+// Round1 that every server expands itself — so servers keep no challenge
+// state, and a rotation is a local step that never waits on the batches
+// still verifying under the seed before it. Pipeline dispatches a shard's
+// next batch while others verify up to the depth overlapDepth measures,
+// while the shares its verifying and committing batches pin on each server
+// stay within the session's share budget.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
 	sess  int              // session sub-namespace (0 for NewLeader)
 
-	lmu       sync.Mutex
-	challID   uint32
-	haveChall bool
-	batchSeq  uint64
-	sinceCh   int
-	next      *challPrefetch // pre-generated, pre-broadcast next challenge
-	// verifying counts the batches in verification under the current
-	// challenge and the one before it, indexed by challenge-ID parity: the
-	// slot of the next challenge is that of the one its rotation evicts.
-	verifying [2]int
-	idle      sync.Cond // L is &lmu; broadcast when a verifying count drops to zero
+	lmu      sync.Mutex
+	challID  uint32   // names the current challenge in errors and traces
+	seed     prg.Seed // the current challenge (Appendix I's r, shared by ChallengeEvery submissions)
+	sinceCh  int      // submissions verified under seed
+	batchSeq uint64
 
 	overlap atomic.Uint64 // running average of completed batches' roundClock.load, as math.Float64bits
 	// depthCap is the deepest the pipeline's rules let this session's shard
@@ -75,14 +64,6 @@ type Leader[Fd field.Field[E], E any] struct {
 	m *pipeMetrics
 }
 
-// challPrefetch is a challenge being generated and broadcast off-path, ahead
-// of the rotation that will adopt it.
-type challPrefetch struct {
-	id   uint32
-	done chan struct{}
-	err  error
-}
-
 // NewLeader wraps a server with coordination duties. peers must hold one
 // Peer per server in index order; the leader's own slot should be a
 // transport.LoopbackPeer (NewLocalCluster arranges this).
@@ -90,8 +71,8 @@ type challPrefetch struct {
 // Any server may lead, and several may lead concurrently for different
 // submissions — the load-balancing arrangement behind Figure 5 ("each
 // server is a leader for a smaller share of incoming submissions").
-// Challenge and batch identifiers are namespaced by the leader's index so
-// concurrent leaders never collide in the servers' session tables.
+// Batch identifiers are namespaced by the leader's index so concurrent
+// leaders never collide in the servers' batch tables.
 func NewLeader[Fd field.Field[E], E any](srv *Server[Fd, E], peers []transport.Peer) (*Leader[Fd, E], error) {
 	return NewLeaderSession(srv, peers, 0)
 }
@@ -129,12 +110,13 @@ func (l *Leader[Fd, E]) Close() error {
 
 // NewLeaderSession wraps a server with coordination duties under session
 // sub-namespace sess ∈ [0, 256). Sessions extend the per-leader ID
-// namespacing one level down: challenge IDs carry (server index, session)
-// in their top 16 bits and batch IDs in their top 32, so many sessions of
-// the same leader server can verify batches concurrently without colliding
-// in the servers' challenge and batch tables. This is the mechanism behind
-// Pipeline's shards (and the Appendix-I observation that verification of
-// distinct submissions is embarrassingly parallel).
+// namespacing one level down: batch IDs carry (server index, session) in
+// their top 32 bits, and challenge numbers in their top 16, so many
+// sessions of the same leader server can verify batches concurrently
+// without colliding in the servers' batch tables. Each session draws its
+// own challenge seeds. This is the mechanism behind Pipeline's shards (and
+// the Appendix-I observation that verification of distinct submissions is
+// embarrassingly parallel).
 func NewLeaderSession[Fd field.Field[E], E any](srv *Server[Fd, E], peers []transport.Peer, sess int) (*Leader[Fd, E], error) {
 	if len(peers) != srv.pro.Cfg.Servers {
 		return nil, fmt.Errorf("core: leader needs %d peers, got %d", srv.pro.Cfg.Servers, len(peers))
@@ -142,36 +124,19 @@ func NewLeaderSession[Fd field.Field[E], E any](srv *Server[Fd, E], peers []tran
 	if sess < 0 || sess > 0xFF {
 		return nil, fmt.Errorf("core: leader session %d out of range [0, 256)", sess)
 	}
-	l := &Leader[Fd, E]{
+	seed, err := prg.NewSeed()
+	if err != nil {
+		return nil, err
+	}
+	return &Leader[Fd, E]{
 		Server:   srv,
 		peers:    peers,
 		sess:     sess,
 		challID:  uint32(srv.idx)<<24 | uint32(sess)<<16,
+		seed:     seed,
 		batchSeq: uint64(srv.idx)<<48 | uint64(sess)<<32,
 		depthCap: 1,
-	}
-	l.idle.L = &l.lmu
-	return l, nil
-}
-
-// newChallenge samples fresh verification randomness for the deployment.
-func (p *Protocol[Fd, E]) newChallenge() (*challenge[E], error) {
-	ch := &challenge[E]{}
-	if sys := p.snipSys(); sys != nil {
-		sn, err := sys.NewChallenge(rand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		ch.sn = sn
-	}
-	if p.Cfg.Mode == ModeMPC {
-		rho, err := field.SampleVec(p.Cfg.Field, rand.Reader, len(p.Cfg.Scheme.Circuit().Asserts))
-		if err != nil {
-			return nil, err
-		}
-		ch.validRho = rho
-	}
-	return ch, nil
+	}, nil
 }
 
 // roundClock times one batch's verification, the part of its life that
@@ -274,91 +239,6 @@ func (l *Leader[Fd, E]) same(payload []byte) [][]byte {
 	return out
 }
 
-// ensureChallenge rotates the shared challenge when the Appendix-I window Q
-// is exhausted (or none exists yet). Callers must hold lmu; the counter
-// increments within the session's 16-bit slot so rotation never bleeds into
-// a neighboring session namespace.
-//
-// Rotation prefers a prefetched challenge: right after each rotation the
-// leader starts generating and broadcasting the *next* challenge on a
-// background goroutine, so by the time the window is exhausted again the
-// servers already hold it and rotation reduces to a counter bump — no
-// challenge sampling or MsgSetChallenge round-trip stalls the session (or,
-// under the pipeline, the shard) at the window boundary. The servers keep a
-// window of three live challenges per session namespace to make the early
-// broadcast safe for batches still in flight on the previous challenge.
-//
-// Rotating to challenge c+1 starts the prefetch of c+2, whose install
-// evicts c−1 from the servers' window. A batch still verifying under c−1 —
-// one overtaken by a whole window's worth of later batches — would then
-// fail, so rotation first waits (releasing lmu) until none is left.
-func (l *Leader[Fd, E]) ensureChallenge(upcoming int) error {
-	if l.pro.Cfg.Mode == ModeNoRobust {
-		return nil
-	}
-	for {
-		if l.haveChall && l.sinceCh+upcoming <= l.pro.Cfg.ChallengeEvery {
-			return nil
-		}
-		if l.verifying[(l.challID+1)&1] == 0 {
-			break
-		}
-		l.idle.Wait()
-	}
-	if pf := l.next; pf != nil {
-		l.next = nil
-		<-pf.done // almost always already closed: the prefetch started a full window ago
-		if pf.err == nil {
-			l.challID = pf.id
-			l.haveChall = true
-			l.sinceCh = 0
-			l.prefetchNext()
-			return nil
-		}
-		// The prefetch failed (e.g. a peer hiccup); fall through and rotate
-		// synchronously under the same ID so the counter stays contiguous.
-	}
-	nextID := l.challID&0xFFFF0000 | (l.challID+1)&0xFFFF
-	if err := l.installChallenge(nextID); err != nil {
-		return err
-	}
-	l.challID = nextID
-	l.haveChall = true
-	l.sinceCh = 0
-	l.prefetchNext()
-	return nil
-}
-
-// installChallenge samples fresh verification randomness and broadcasts it
-// to every server under the given challenge ID.
-func (l *Leader[Fd, E]) installChallenge(id uint32) error {
-	ch, err := l.pro.newChallenge()
-	if err != nil {
-		return err
-	}
-	w := &wbuf{}
-	w.u32(id)
-	w.raw(l.pro.marshalChallenge(ch))
-	_, err = l.broadcast(MsgSetChallenge, l.same(w.b), nil)
-	return err
-}
-
-// prefetchNext starts generating and broadcasting the next challenge in the
-// background. Callers must hold lmu. At most one prefetch is outstanding per
-// session, and its result is only adopted under lmu, so the session's
-// challenge counter stays strictly sequential.
-func (l *Leader[Fd, E]) prefetchNext() {
-	pf := &challPrefetch{
-		id:   l.challID&0xFFFF0000 | (l.challID+1)&0xFFFF,
-		done: make(chan struct{}),
-	}
-	l.next = pf
-	go func() {
-		pf.err = l.installChallenge(pf.id)
-		close(pf.done)
-	}()
-}
-
 // ProcessBatch verifies and aggregates a batch of submissions, returning the
 // per-submission accept decisions. It is the batch's two phases back to
 // back: verification (verify), then the commit that applies the decisions
@@ -404,13 +284,6 @@ func (l *Leader[Fd, E]) verify(subs []*Submission) (*decision, error) {
 		}
 	}
 	d, err := l.verifyBatch(good)
-	if err != nil {
-		// A server may have dropped the challenge: a member that wrongly saw
-		// this leader die releases all it seeded. The next batch rotates.
-		l.lmu.Lock()
-		l.haveChall = false
-		l.lmu.Unlock()
-	}
 	if err != nil || len(good) == len(subs) {
 		return d, err
 	}
@@ -468,31 +341,27 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	// depth. If it reaches a decision, it feeds the session's overlapDepth.
 	rt := roundClock{start: time.Now(), cpu0: processCPU()}
 
-	// Critical section: rotate the challenge if the window is exhausted and
-	// allocate this batch's identifiers. The network rounds below run
-	// outside the lock so in-flight batches pipeline.
+	// Critical section: rotate the challenge once this batch would take it
+	// past ChallengeEvery submissions (the Q of Appendix I) — a fresh
+	// crypto/rand seed, nothing sent — and allocate this batch's
+	// identifiers. The network rounds below run outside the lock so
+	// in-flight batches pipeline. The counters increment within their
+	// session's slot (16 bits, 32 bits) so they never wrap into a
+	// neighboring session's namespace.
 	l.lmu.Lock()
-	if err := l.ensureChallenge(count); err != nil {
-		l.lmu.Unlock()
-		return nil, err
+	if l.sinceCh+count > p.Cfg.ChallengeEvery {
+		seed, err := prg.NewSeed()
+		if err != nil {
+			l.lmu.Unlock()
+			return nil, err
+		}
+		l.seed, l.sinceCh = seed, 0
+		l.challID = l.challID&0xFFFF0000 | (l.challID+1)&0xFFFF
 	}
 	l.sinceCh += count
-	// Like the challenge counter, the batch counter increments within its
-	// session's 32-bit slot so it can never wrap into a neighboring
-	// session's namespace.
 	l.batchSeq = l.batchSeq&^uint64(0xFFFFFFFF) | (l.batchSeq+1)&0xFFFFFFFF
-	batchID := l.batchSeq
-	challID := l.challID
-	l.verifying[challID&1]++
+	batchID, challID, seed := l.batchSeq, l.challID, l.seed
 	l.lmu.Unlock()
-	defer func() {
-		l.lmu.Lock()
-		l.verifying[challID&1]--
-		if l.verifying[challID&1] == 0 {
-			l.idle.Broadcast()
-		}
-		l.lmu.Unlock()
-	}()
 
 	// Stamp the batch with the collection window open right now (0 when
 	// windowing is off). One stamp per batch, leader-assigned, so every
@@ -519,16 +388,17 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 		_, _ = l.broadcast(MsgFinish, l.same(fw.b), nil) // best effort
 	}()
 
-	// Round 1: relay each server its bundles. Requests are built in pooled
-	// arena buffers sized exactly up front, so the steady state allocates
-	// nothing; broadcast waits for every peer before returning (even on
-	// error), which is what makes freeing the arenas afterwards safe.
-	// Responses are never pooled: they are the peer's memory.
+	// Round 1: relay each server the challenge seed and its bundles.
+	// Requests are built in pooled arena buffers sized exactly up front, so
+	// the steady state allocates nothing; broadcast waits for every peer
+	// before returning (even on error), which is what makes freeing the
+	// arenas afterwards safe. Responses are never pooled: they are the
+	// peer's memory.
 	reqs := make([][]byte, p.Cfg.Servers)
 	arenas := make([]*transport.Buf, p.Cfg.Servers)
 	var w wbuf
 	for i := 0; i < p.Cfg.Servers; i++ {
-		hint := 4 + 8 + 4 + 8
+		hint := 4 + 8 + 4 + len(seed) + 8
 		for _, sub := range subs {
 			hint += 4 + len(sub.Bundles[i])
 		}
@@ -536,6 +406,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 		w.u32(challID)
 		w.u64(batchID)
 		w.u32(uint32(count))
+		w.raw(seed[:])
 		for _, sub := range subs {
 			w.blob(sub.Bundles[i])
 		}
@@ -608,18 +479,11 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 		}
 	}
 
-	// The leader needs its own challenge state to sum and decide shares.
-	l.Server.mu.Lock()
-	chSt := l.Server.challenges[challID]
-	l.Server.mu.Unlock()
-	if chSt == nil {
-		return nil, errors.New("core: leader lost its own challenge state")
-	}
-
 	// Round 2: per-submission accept verdicts for the SNIP check, from the
-	// amortized batch probes.
+	// amortized batch probes, decided under the batch's challenge (a cache
+	// hit: the leader's own server looked it up in Round1).
 	t0 = l.m.start()
-	snipOK, err := l.batchVerify(chSt, challID, batchID, count, reps, opened, &rt)
+	snipOK, err := l.batchVerify(sys.CachedEvaluator(seed), challID, batchID, count, reps, opened, &rt)
 	if err != nil {
 		return nil, err
 	}
@@ -711,23 +575,20 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 }
 
 // batchVerify decides the batch's SNIP checks in at most two MsgRound2Batch
-// probes. The combined probe ships the opened masks and a fresh crypto/rand
-// λ seed, and every server answers its share of the random linear
-// combination over the whole batch: when the shares sum to zero, every
-// submission is accepted. Otherwise the reveal fetches each submission's own
-// Round2 share — the paper's per-submission Round2 (§4.2) — and decides each
-// one exactly, as the reference verifier does. A failed batch of one needs
-// no reveal: its combined share is its own scaled by a nonzero λ.
-func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, batchID uint64, count, reps int, opened []*snip.Round1[E], rt *roundClock) ([]bool, error) {
+// probes. The combined probe ships the opened masks, and every server
+// answers its share of the random linear combination over the whole batch
+// under λ derived from the batch's challenge seed and ID: when the shares
+// sum to zero, every submission is accepted. Otherwise the reveal fetches
+// each submission's own Round2 share — the paper's per-submission Round2
+// (§4.2) — and decides each one exactly, as the reference verifier does. A
+// failed batch of one needs no reveal: its combined share is its own scaled
+// by a nonzero λ.
+func (l *Leader[Fd, E]) batchVerify(ev *snip.Evaluator[Fd, E], challID uint32, batchID uint64, count, reps int, opened []*snip.Round1[E], rt *roundClock) ([]bool, error) {
 	f := l.pro.Cfg.Field
-	var seed [prg.SeedSize]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, err
-	}
 	ok := make([]bool, count)
 	for kind := probeCombined; ; kind = probeReveal {
 		var w wbuf
-		w.grab(4 + 8 + 1 + 4 + len(seed) + count*(reps+1)*16)
+		w.grab(4 + 8 + 1 + count*2*reps*f.ElemSize())
 		w.u32(challID)
 		w.u64(batchID)
 		w.u8(kind)
@@ -738,7 +599,6 @@ func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, bat
 				wvec(&w, f, opened[j].D)
 				wvec(&w, f, opened[j].E)
 			}
-			w.blob(seed[:])
 		}
 		req, arena := w.seal()
 		resps, err := l.broadcast(MsgRound2Batch, l.same(req), rt)
@@ -760,7 +620,7 @@ func (l *Leader[Fd, E]) batchVerify(chSt *challState[Fd, E], challID uint32, bat
 				}
 				shares[i] = &snip.Round2[E]{Sigma: sig, Tau: tau[0]}
 			}
-			ok[j] = chSt.ev.Decide(shares)
+			ok[j] = ev.Decide(shares)
 		}
 		if kind == probeReveal || count == 1 {
 			return ok, nil

@@ -21,8 +21,8 @@ import (
 // of the traffic (Appendix I / Figure 5), and the servers' accumulators are
 // order-insensitive sums — so K concurrent leader sessions produce exactly
 // the aggregate a single serial leader would. Each session owns a private
-// (challenge, batch) ID namespace (NewLeaderSession), so sessions never
-// collide in the servers' state tables. See docs/PIPELINE.md for the design
+// batch ID namespace and challenge seed (NewLeaderSession), so sessions
+// never collide in the servers' state tables. See docs/PIPELINE.md for the design
 // write-up.
 //
 // Shape: Submit → bounded queue → K shard schedulers, each forming batches
@@ -218,9 +218,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 		reg = telemetry.New()
 	}
 	shareBytes := leader.pro.shareBytes()
-	// The deepest a shard can go with full batches: rule (ii) and the share
-	// budget of rule (iii) (shardLoop).
-	depth := max(1, min(leader.pro.Cfg.ChallengeEvery/cfg.MaxBatch, shareBudget/(cfg.MaxBatch*shareBytes)))
+	// The deepest a shard can go with full batches: the share budget of
+	// rule (ii) (shardLoop).
+	depth := max(1, shareBudget/(cfg.MaxBatch*shareBytes))
 	p := &Pipeline[Fd, E]{
 		cfg:        cfg,
 		queue:      make(chan pipeJob, cfg.QueueDepth),
@@ -386,7 +386,7 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 // pooled size class (Protocol.shareBytes). It is what a fixed ceiling of
 // four verifying batches admitted for bits1024 at MaxBatch 16 (4 × 16 ×
 // 64 KiB), so no scheme's worst case grows, while a sum8 shard (8 KiB a
-// batch) is left to ChallengeEvery and the governor (overlapDepth).
+// batch) is left to the governor (overlapDepth).
 const shareBudget = 4 << 20
 
 // shardLoop is one shard's scheduler. With no batch out it blocks for a job
@@ -394,29 +394,21 @@ const shareBudget = 4 << 20
 // that verifies singletons at once on an idle pipeline and fills every round
 // on a saturated one. Each batch runs on its own goroutine (runBatch) and
 // verifies, then commits. While batches are out the shard dispatches
-// another only when all three hold:
+// another only when both hold:
 //
 //   - (i) a full MaxBatch batch is waiting, so an under-loaded pipeline
 //     forms exactly the batches a serial loop would;
-//   - (ii) the session's verifying submissions plus that batch stay within
-//     ChallengeEvery, so a rotation rarely has to wait for a batch still
-//     verifying under the challenge it evicts (Leader.ensureChallenge).
-//     The depth check of (iii) enforces it: NewPipeline caps the session's
-//     depth (depthCap) at ChallengeEvery/MaxBatch full batches, and at one
-//     when ChallengeEvery < MaxBatch, where a lone verifying batch sees no
-//     rotation;
-//   - (iii) the shard has fewer batches in verification than its session's
+//   - (ii) the shard has fewer batches in verification than its session's
 //     overlapDepth, so depth is spent only where the rounds wait on the
 //     wire while the CPUs have room, and the share bytes its out batches
 //     pin on each server, plus a full batch's, stay within shareBudget.
 //     depthCap already holds the verifying batches inside the budget; the
 //     byte check is what bounds the committing ones.
 //
-// A batch leaves the verifying count at its decision: its commit names no
-// challenge and needs no slot. It stays out, and its shares stay charged to
-// the budget, until its completions have run, so a shard whose batches are
-// all committing still waits for a full batch rather than forming a
-// partial one early.
+// A batch leaves the verifying count at its decision: its commit needs no
+// slot. It stays out, and its shares stay charged to the budget, until its
+// completions have run, so a shard whose batches are all committing still
+// waits for a full batch rather than forming a partial one early.
 //
 // Otherwise the loop waits for a batch to be decided or finish, or for a
 // submit to leave a full batch queued. A shard returns once the queue is

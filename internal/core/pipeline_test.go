@@ -199,37 +199,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestChallengeWindowWrapStaysInNamespace regresses the eviction arithmetic
-// of handleSetChallenge: when a session's 16-bit challenge counter wraps,
-// the window eviction must stay inside that session's namespace instead of
-// deleting a neighbor's live challenge.
-func TestChallengeWindowWrapStaysInNamespace(t *testing.T) {
-	pro, cl, _, _ := newSumDeployment(t, ModeSNIP, 1, false)
-	srv := cl.Servers[0]
-	set := func(id uint32) {
-		ch, err := pro.newChallenge()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := &wbuf{}
-		w.u32(id)
-		w.raw(pro.marshalChallenge(ch))
-		if _, err := srv.handleSetChallenge(w.b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	neighbor := uint32(0x0002FFFF) // session 2's newest challenge
-	set(neighbor)
-	set(0x00030000) // session 3 wraps its counter to 0…
-	set(0x00030001) // …and rotates again: evicts 0x0003FFFF, not 0x0002FFFF
-	srv.mu.Lock()
-	_, ok := srv.challenges[neighbor]
-	srv.mu.Unlock()
-	if !ok {
-		t.Error("session 3's wrap evicted session 2's live challenge")
-	}
-}
-
 // TestFailedBatchReleasesServerState regresses the abort path: when a batch
 // fails after Round1 seeded per-batch state on some servers, the leader's
 // best-effort all-reject finish must release that state instead of leaking

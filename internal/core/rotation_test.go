@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"prio/internal/afe"
@@ -165,5 +166,48 @@ func TestConcurrentLeaders(t *testing.T) {
 	}
 	if got.Uint64() != 45 {
 		t.Errorf("aggregate = %v, want 45", got)
+	}
+}
+
+// TestSessionRotatesChallengeSeed: a leader session draws a new challenge
+// seed once ChallengeEvery submissions have used the current one, and
+// rotation needs no message of its own — the seed just changes in Round1.
+// 64 submissions in batches of 4 at ChallengeEvery 8 reach server 1 under
+// 8 distinct seeds, none covering more than 8 submissions, and every
+// verdict is exact.
+func TestSessionRotatesChallengeSeed(t *testing.T) {
+	const every, batch, n = 8, 4, 64
+	rig := newSlowRig(t, 0, every)
+	rec := &recordPeer{msgType: MsgRound1}
+	lead := leaderOn(t, rig.cl, 0, func(j int, p transport.Peer) transport.Peer {
+		if j != 1 {
+			return p
+		}
+		rec.Peer = p
+		return rec
+	})
+	subs, want, _ := mixedBatch(t, rig.client, rig.scheme, n)
+	for i := 0; i < n; i += batch {
+		got, err := lead.ProcessBatch(subs[i : i+batch])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, ok := range got {
+			if ok != want[i+j] {
+				t.Errorf("submission %d: accepted=%v, want %v", i+j, ok, want[i+j])
+			}
+		}
+	}
+	covered := map[string]int{}
+	for _, req := range rec.reqs {
+		covered[string(req[16:32])] += int(binary.LittleEndian.Uint32(req[12:]))
+	}
+	if len(covered) < n/every {
+		t.Errorf("%d submissions ran under %d distinct seeds, want at least %d", n, len(covered), n/every)
+	}
+	for _, c := range covered {
+		if c > every {
+			t.Errorf("one seed covered %d submissions, ChallengeEvery is %d", c, every)
+		}
 	}
 }

@@ -26,15 +26,13 @@ type Server[Fd field.Field[E], E any] struct {
 	priv *sealbox.PrivateKey
 	pub  *sealbox.PublicKey
 
-	mu         sync.Mutex
-	challenges map[uint32]*challState[Fd, E]
-	lastChall  map[uint32]uint32 // newest challenge ID per leader-session namespace
-	batches    map[uint64]*batchState[Fd, E]
-	commits    map[uint32]*commitLog // per leader session (batch ID >> 32): batches already committed
-	acc        []E
-	accCount   uint64
-	windows    map[uint64]*windowAcc[E] // per-collection-window accumulators (see window.go)
-	spilled    uint64                   // shares rolled forward past a sealed window
+	mu       sync.Mutex
+	batches  map[uint64]*batchState[Fd, E]
+	commits  map[uint32]*commitLog // per leader session (batch ID >> 32): batches already committed
+	acc      []E
+	accCount uint64
+	windows  map[uint64]*windowAcc[E] // per-collection-window accumulators (see window.go)
+	spilled  uint64                   // shares rolled forward past a sealed window
 
 	// windowFn stamps batches with their collection window (leader sessions
 	// read it at commit time); noiseFn is this server's own DP-at-seal
@@ -44,13 +42,10 @@ type Server[Fd field.Field[E], E any] struct {
 	noiseFn  atomic.Pointer[func(k int) ([]E, float64, error)]
 }
 
-// challState caches the per-challenge verification engine.
-type challState[Fd field.Field[E], E any] struct {
-	ch *challenge[E]
-	ev *snip.Evaluator[Fd, E]
-}
-
-// batchState holds per-batch verification sessions between rounds.
+// batchState holds per-batch verification sessions between rounds. The
+// batch's challenge seed, carried in its Round1, is all of its verifier
+// randomness: ev is the SNIP challenge's evaluator it expands to, the
+// combined probe's λ and (Prio-MPC) validRho are derived from it.
 //
 // Slab ownership: flats are the submissions' decoded share vectors — pooled
 // slabs over F64 (Protocol.getFlat) — and everything else here (xShares, the
@@ -65,6 +60,9 @@ type batchState[Fd field.Field[E], E any] struct {
 	released bool
 
 	count     int
+	seed      prg.Seed
+	ev        *snip.Evaluator[Fd, E]
+	validRho  []E // MPC: coefficients of the Valid assertion combination
 	flats     [][]E
 	xShares   [][]E // per submission: the kPrime prefix the accumulator adds
 	snipBatch *snip.BatchState[E]
@@ -133,13 +131,11 @@ func NewServer[Fd field.Field[E], E any](pro *Protocol[Fd, E], idx int, priv *se
 		}
 	}
 	s := &Server[Fd, E]{
-		pro:        pro,
-		idx:        idx,
-		priv:       priv,
-		pub:        priv.Public(),
-		challenges: make(map[uint32]*challState[Fd, E]),
-		lastChall:  make(map[uint32]uint32),
-		batches:    make(map[uint64]*batchState[Fd, E]),
+		pro:     pro,
+		idx:     idx,
+		priv:    priv,
+		pub:     priv.Public(),
+		batches: make(map[uint64]*batchState[Fd, E]),
 	}
 	s.resetLocked()
 	return s, nil
@@ -158,14 +154,12 @@ func (s *Server[Fd, E]) Index() int { return s.idx }
 // requests in a pooled arena and frees them right after the broadcast, which
 // an in-process peer (LoopbackPeer) delivers to Handle directly.
 // Every handler below therefore copies whatever it keeps past the return
-// (decodeBundle decodes into the batch's own slabs; rvec and
-// unmarshalChallenge produce fresh memory); new handlers must do the same.
+// (decodeBundle decodes into the batch's own slabs; rvec and the challenge
+// seed produce fresh memory); new handlers must do the same.
 // The returned response is handed off to the transport with Handle keeping
 // no reference, so it must be freshly allocated, never pooled or cached.
 func (s *Server[Fd, E]) Handle(msgType byte, payload []byte) ([]byte, error) {
 	switch msgType {
-	case MsgSetChallenge:
-		return s.handleSetChallenge(payload)
 	case MsgRound1:
 		return s.handleRound1(payload)
 	case MsgRound2Batch:
@@ -194,33 +188,23 @@ func (s *Server[Fd, E]) Handle(msgType byte, payload []byte) ([]byte, error) {
 func (s *Server[Fd, E]) Handler() transport.Handler { return s.Handle }
 
 // ReleaseLeader drops every piece of round state a given leader server left
-// behind: in-flight batches (xShares, verifier sessions), challenge engines,
-// challenge-window bookkeeping and the record of committed batches, all
-// those whose IDs carry leader in their top bits.
+// behind: in-flight batches (xShares, verifier sessions) and the record of
+// committed batches, all those whose IDs carry leader in their top bits.
 // Cluster members call it when the health checker declares a peer dead — a
 // leader killed between Round1 and MsgFinish can never finish its batches,
 // so without this the state would sit in the maps forever. The accumulator
-// is untouched: finished batches stay counted.
+// is untouched: finished batches stay counted. A live leader wrongly
+// declared dead loses only the batches in flight; its next batch carries
+// its challenge seed again.
 //
-// It returns how many batches and challenges were released, for logging.
-func (s *Server[Fd, E]) ReleaseLeader(leader int) (batches, challenges int) {
+// It returns how many batches were released, for logging.
+func (s *Server[Fd, E]) ReleaseLeader(leader int) int {
 	var dropped []*batchState[Fd, E]
 	s.mu.Lock()
 	for id, bs := range s.batches {
 		if int(id>>48) == leader {
 			delete(s.batches, id)
 			dropped = append(dropped, bs)
-		}
-	}
-	for id := range s.challenges {
-		if int(id>>24) == leader {
-			delete(s.challenges, id)
-			challenges++
-		}
-	}
-	for ns := range s.lastChall {
-		if int(ns>>8) == leader {
-			delete(s.lastChall, ns)
 		}
 	}
 	for ns := range s.commits {
@@ -236,24 +220,24 @@ func (s *Server[Fd, E]) ReleaseLeader(leader int) (batches, challenges int) {
 		bs.release()
 		bs.mu.Unlock()
 	}
-	return len(dropped), challenges
+	return len(dropped)
 }
 
-// acquireBatch looks up the challenge and batch a round handler names and
-// locks the batch against release; the caller unlocks bs.mu when done.
-func (s *Server[Fd, E]) acquireBatch(challID uint32, batchID uint64) (*challState[Fd, E], *batchState[Fd, E], error) {
+// acquireBatch looks up the batch a round handler names and locks it
+// against release; the caller unlocks bs.mu when done. The challenge
+// number only names the batch's challenge in the error.
+func (s *Server[Fd, E]) acquireBatch(challID uint32, batchID uint64) (*batchState[Fd, E], error) {
 	s.mu.Lock()
-	chSt := s.challenges[challID]
 	bs := s.batches[batchID]
 	s.mu.Unlock()
-	if chSt != nil && bs != nil {
+	if bs != nil {
 		bs.mu.Lock()
 		if !bs.released {
-			return chSt, bs, nil
+			return bs, nil
 		}
 		bs.mu.Unlock()
 	}
-	return nil, nil, fmt.Errorf("core: server %d: unknown batch %d", s.idx, batchID)
+	return nil, fmt.Errorf("core: server %d: unknown batch %d (challenge %#x)", s.idx, batchID, challID)
 }
 
 func (s *Server[Fd, E]) resetLocked() {
@@ -272,47 +256,11 @@ func (s *Server[Fd, E]) resetLocked() {
 	s.spilled = 0
 }
 
-func (s *Server[Fd, E]) handleSetChallenge(payload []byte) ([]byte, error) {
-	r := &rbuf{b: payload}
-	id := r.u32()
-	if r.err != nil {
-		return nil, errTruncated
-	}
-	ch, err := s.pro.unmarshalChallenge(r.b[r.off:])
-	if err != nil {
-		return nil, err
-	}
-	st := &challState[Fd, E]{ch: ch}
-	if sys := s.pro.snipSys(); sys != nil {
-		// The cache is keyed by (shape, challenge): in-process deployments,
-		// where all servers share the Protocol's System, compute each
-		// challenge's Lagrange weights once instead of once per server.
-		st.ev = sys.CachedEvaluator(ch.sn)
-	}
-	// Challenge IDs carry their leader session in the top 16 bits; each
-	// session keeps a window of three live challenges (the newest plus two
-	// predecessors), so concurrent leader sessions rotate independently
-	// without evicting one another's verification state. Three, not two,
-	// because leaders prefetch: the next challenge is broadcast while
-	// batches may still be in flight on the previous one, so "newest" runs
-	// one step ahead of the challenge verification actually uses.
-	ns := id >> 16
-	s.mu.Lock()
-	s.challenges[id] = st
-	if prev, ok := s.lastChall[ns]; ok && prev != id {
-		// Evict the slot falling out of the window. The counter is masked
-		// to 16 bits (matching ensureChallenge's increment) so a wrapping
-		// session never deletes a neighboring namespace's slot.
-		delete(s.challenges, ns<<16|(prev-2)&0xFFFF)
-	}
-	s.lastChall[ns] = id
-	s.mu.Unlock()
-	return nil, nil
-}
-
 // handleRound1 ingests a batch of bundles. In SNIP/MPC modes it returns the
 // servers' Round1 shares (and, for MPC, the first openings); in no-robust
-// mode it accumulates immediately and returns nothing.
+// mode it accumulates immediately and returns nothing. The request carries
+// the batch's challenge seed after the count; the evaluator cache turns it
+// into the SNIP challenge at the cost of a map lookup.
 //
 // A bundle this server cannot decode (bad box, unknown flag, wrong length,
 // non-canonical element) costs only its own submission: the server verifies
@@ -324,23 +272,18 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
 	r := &rbuf{b: payload}
-	challID := r.u32()
+	r.u32() // challenge number: names the challenge in traces only
 	batchID := r.u64()
 	count := int(r.u32())
+	var seed prg.Seed
+	r.raw(seed[:])
 	// Every bundle carries a 4-byte length, so the payload bounds the count
 	// before anything is sized by it.
 	if r.err != nil || count < 0 || count > (len(payload)-r.off)/4 {
 		return nil, errTruncated
 	}
 
-	s.mu.Lock()
-	chSt := s.challenges[challID]
-	s.mu.Unlock()
-	if p.Cfg.Mode != ModeNoRobust && chSt == nil {
-		return nil, fmt.Errorf("core: server %d: unknown challenge %d", s.idx, challID)
-	}
-
-	bs := &batchState[Fd, E]{count: count}
+	bs := &batchState[Fd, E]{count: count, seed: seed}
 	stored := false
 	defer func() {
 		if !stored {
@@ -424,8 +367,12 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	// Verify phase: one batch pass over all submissions. Beaver openings
 	// are inherently per-submission, so the reply carries one pair each.
 	w := &wbuf{}
-	if p.Cfg.Mode != ModeNoRobust {
-		st, r1s, err := chSt.ev.Batch().Round1(snipInputs, snipProofs, constServer)
+	if sys := p.snipSys(); sys != nil {
+		bs.ev = sys.CachedEvaluator(seed)
+		if p.Cfg.Mode == ModeMPC {
+			bs.validRho = p.validRho(seed)
+		}
+		st, r1s, err := bs.ev.Batch().Round1(snipInputs, snipProofs, constServer)
 		if err != nil {
 			return nil, err
 		}
@@ -457,10 +404,11 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 }
 
 // handleBatchProbe answers the leader's Round2 probes of one batch. The
-// combined probe (probeCombined) consumes the opened SNIP masks and a λ seed
-// and replies with this server's share of the random linear combination over
-// the whole batch; the reveal (probeReveal), which the leader sends only
-// when that check failed, replies with every submission's own Round2 share.
+// combined probe (probeCombined) consumes the opened SNIP masks and replies
+// with this server's share of the random linear combination over the whole
+// batch, its λ derived from the batch's challenge seed and ID; the reveal
+// (probeReveal), which the leader sends only when that check failed,
+// replies with every submission's own Round2 share.
 func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	p := s.pro
 	f := p.Cfg.Field
@@ -475,12 +423,12 @@ func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	if r.err != nil || (kind != probeCombined && kind != probeReveal) {
 		return nil, errTruncated
 	}
-	chSt, bs, err := s.acquireBatch(challID, batchID)
+	bs, err := s.acquireBatch(challID, batchID)
 	if err != nil {
 		return nil, err
 	}
 	defer bs.mu.Unlock()
-	bv := chSt.ev.Batch()
+	bv := bs.ev.Batch()
 	w := &wbuf{}
 	if kind == probeReveal {
 		if !r.done() {
@@ -504,16 +452,14 @@ func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	for j := range opened {
 		opened[j] = &snip.Round1[E]{D: rvec(r, f, reps), E: rvec(r, f, reps)}
 	}
-	seed := r.blob()
-	if r.err != nil || !r.done() || len(seed) != prg.SeedSize {
+	if !r.done() {
 		return nil, errTruncated
 	}
 	if err := bv.SetOpened(bs.snipBatch, opened, p.Cfg.Servers); err != nil {
 		return nil, err
 	}
-	var ps prg.Seed
-	copy(ps[:], seed)
-	r2, err := bv.Combined(bs.snipBatch, snip.RLCCoeffs(f, ps, bs.count), 0, bs.count)
+	lambda := snip.RLCCoeffs(f, deriveSeed(bs.seed, "rlc", batchID), bs.count)
+	r2, err := bv.Combined(bs.snipBatch, lambda, 0, bs.count)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +480,7 @@ func (s *Server[Fd, E]) handleMPCRound(payload []byte) ([]byte, error) {
 	r := &rbuf{b: payload}
 	challID := r.u32()
 	batchID := r.u64()
-	chSt, bs, err := s.acquireBatch(challID, batchID)
+	bs, err := s.acquireBatch(challID, batchID)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +504,7 @@ func (s *Server[Fd, E]) handleMPCRound(payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		if done {
-			tau, err := sess.TauShare(chSt.ch.validRho)
+			tau, err := sess.TauShare(bs.validRho)
 			if err != nil {
 				return nil, err
 			}

@@ -225,7 +225,7 @@ func TestBatchStateReleasesSlabs(t *testing.T) {
 		_, cl, client, scheme := newSumDeployment(t, ModeMPC, 3, true)
 		// Server 2 hears nothing after Round1, the abort finish included.
 		lead := hookPeers(t, cl, func(j int, msgType byte) error {
-			if j == 2 && msgType != MsgRound1 && msgType != MsgSetChallenge {
+			if j == 2 && msgType != MsgRound1 {
 				return errors.New("injected: leader unreachable")
 			}
 			return nil
@@ -234,7 +234,7 @@ func TestBatchStateReleasesSlabs(t *testing.T) {
 			t.Fatal("interrupted batch did not error")
 		}
 		seen := snapshot(cl)
-		if n, _ := cl.Servers[2].ReleaseLeader(0); n != 1 {
+		if n := cl.Servers[2].ReleaseLeader(0); n != 1 {
 			t.Errorf("ReleaseLeader dropped %d batches, want 1", n)
 		}
 		checkReleased(t, cl, seen, 1)

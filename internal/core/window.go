@@ -56,8 +56,9 @@ type WindowState[E any] struct {
 
 // AccState is a deep copy of everything the accumulator side of a Server
 // owns: the all-time total plus every live window. Verification session
-// state (challenges, in-flight batches) is deliberately excluded — it is
-// worthless across a restart, which is exactly when AccState travels.
+// state (in-flight batches, committed-batch records) is deliberately
+// excluded — it is worthless across a restart, which is exactly when
+// AccState travels.
 type AccState[E any] struct {
 	Total      []E
 	TotalCount uint64

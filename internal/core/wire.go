@@ -10,13 +10,20 @@ import (
 	"prio/internal/transport"
 )
 
-// Message types of the server-to-server protocol. Two numbers are retired
-// and must not be reused: 3 (MsgRound2, kept as a name so tooling that
-// labels old traces still compiles; no handler answers it) and 9 (the
-// one-shot client submit that streaming ingest replaced).
+// Message types of the server-to-server protocol. Three numbers are
+// retired and must not be reused; no handler answers them: 1
+// (MsgSetChallenge, the challenge broadcast that the seed in every Round1
+// replaced), 3 (MsgRound2, the per-submission Round2 exchange) and 9 (the
+// one-shot client submit that streaming ingest replaced). 1 and 3 keep
+// their names so tooling that labels old traces still compiles.
+//
+// Every verification-round request opens with [u32 challenge number][u64
+// batch ID]; the challenge number only names the challenge in errors and
+// traces. Round1 continues [u32 count][16-byte challenge seed][count ×
+// (u32 length, bundle)][u64 window stamp].
 const (
-	MsgSetChallenge byte = 1 // leader -> servers: new verification challenge
-	MsgRound1       byte = 2 // leader -> servers: batch of bundles; reply: Round1 shares
+	MsgSetChallenge byte = 1 // retired: the challenge broadcast
+	MsgRound1       byte = 2 // leader -> servers: challenge seed and batch of bundles; reply: Round1 shares
 	MsgRound2       byte = 3 // retired: the per-submission Round2 exchange
 	MsgMPCRound     byte = 4 // leader -> servers: opened MPC masks; reply: next masks or tau
 	MsgFinish       byte = 5 // leader -> servers: accept bitmap; servers accumulate
@@ -38,7 +45,7 @@ const (
 // MsgRound2Batch probe kinds, the byte after the batch ID. Kind 0 was the
 // retired bisection's interior probe; servers refuse it.
 const (
-	probeCombined byte = 1 // opened masks + λ seed; reply: one combined σ/τ share for the batch
+	probeCombined byte = 1 // opened masks; reply: one combined σ/τ share for the batch
 	probeReveal   byte = 2 // nothing more; reply: every submission's own σ/τ share, in order
 )
 
@@ -164,6 +171,15 @@ func (r *rbuf) blob() []byte {
 	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
+}
+
+// raw reads len(dst) bytes into dst.
+func (r *rbuf) raw(dst []byte) {
+	if r.err != nil || r.off+len(dst) > len(r.b) {
+		r.fail()
+		return
+	}
+	r.off += copy(dst, r.b[r.off:])
 }
 
 // rvec reads n field elements.

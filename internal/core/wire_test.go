@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"sync"
 	"testing"
 
 	"prio/internal/afe"
 	"prio/internal/field"
+	"prio/internal/prg"
+	"prio/internal/transport"
 )
 
 // Wire-format tests: the hand-rolled binary codec must round-trip exactly
@@ -83,41 +87,108 @@ func TestRvecRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-func TestChallengeMarshalRoundTrip(t *testing.T) {
+// TestChallengeSeedDerivation: the randomness a challenge seed stands for
+// is a function of the seed alone — what lets every server expand it on its
+// own — and its uses are domain-separated: λ seeds differ per batch ID and
+// from the MPC coefficients' seed, and none is the challenge seed itself.
+func TestChallengeSeedDerivation(t *testing.T) {
 	f := field.NewF64()
-	for _, mode := range []Mode{ModeSNIP, ModeMPC} {
-		pro, err := NewProtocol(Config[field.F64, uint64]{
-			Field:    f,
-			Scheme:   afe.NewSum(f, 6),
-			Servers:  2,
-			Mode:     mode,
-			SnipReps: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
+	pro, err := NewProtocol(Config[field.F64, uint64]{
+		Field: f, Scheme: afe.NewSum(f, 6), Servers: 2, Mode: ModeMPC, SnipReps: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := prg.Seed{1}, prg.Seed{2}
+	derived := []prg.Seed{a, deriveSeed(a, "rlc", 1), deriveSeed(a, "rlc", 2), deriveSeed(a, "mpc", 0), deriveSeed(b, "rlc", 1)}
+	for i := range derived {
+		for j := 0; j < i; j++ {
+			if derived[i] == derived[j] {
+				t.Errorf("derived seeds %d and %d coincide", j, i)
+			}
 		}
-		ch, err := pro.newChallenge()
-		if err != nil {
-			t.Fatal(err)
+	}
+	if deriveSeed(a, "rlc", 1) != derived[1] {
+		t.Error("λ seed is not a function of (seed, batch ID)")
+	}
+	rho := pro.validRho(a)
+	if len(rho) != len(pro.Cfg.Scheme.Circuit().Asserts) || !field.EqualVec(f, rho, pro.validRho(a)) {
+		t.Error("MPC coefficients are not a function of the seed")
+	}
+	if field.EqualVec(f, rho, pro.validRho(b)) {
+		t.Error("distinct seeds gave the same MPC coefficients")
+	}
+}
+
+// recordPeer keeps a copy of every request of the given type it forwards.
+type recordPeer struct {
+	transport.Peer
+	msgType byte
+	mu      sync.Mutex
+	reqs    [][]byte
+}
+
+func (p *recordPeer) Call(msgType byte, payload []byte) ([]byte, error) {
+	if msgType == p.msgType {
+		p.mu.Lock()
+		p.reqs = append(p.reqs, bytes.Clone(payload))
+		p.mu.Unlock()
+	}
+	return p.Peer.Call(msgType, payload)
+}
+
+// TestRoundRequestLayout pins the verification-round requests of a
+// 3-submission batch: Round1 is [challenge number][batch ID][count][16-byte
+// challenge seed][count × (length, bundle)][window stamp], and the combined
+// probe is [challenge number][batch ID][kind][opened masks] with no λ seed,
+// every server deriving λ from the challenge seed and the batch ID.
+func TestRoundRequestLayout(t *testing.T) {
+	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
+	r1 := &recordPeer{msgType: MsgRound1}
+	probes := &recordPeer{msgType: MsgRound2Batch}
+	lead := leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
+		switch j {
+		case 1:
+			r1.Peer = p
+			return r1
+		case 2:
+			probes.Peer = p
+			return probes
 		}
-		enc := pro.marshalChallenge(ch)
-		back, err := pro.unmarshalChallenge(enc)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+		return p
+	})
+	subs := honestSubs(t, client, scheme, 1, 2, 3)
+	if _, err := lead.ProcessBatch(subs); err != nil {
+		t.Fatal(err)
+	}
+	if len(r1.reqs) != 1 || len(probes.reqs) != 1 {
+		t.Fatalf("recorded %d Round1 and %d Round2Batch requests, want 1 and 1", len(r1.reqs), len(probes.reqs))
+	}
+	round1, probe := r1.reqs[0], probes.reqs[0]
+	want := 4 + 8 + 4 + prg.SeedSize + 8
+	for _, sub := range subs {
+		want += 4 + len(sub.Bundles[1])
+	}
+	if len(round1) != want {
+		t.Errorf("Round1 is %d bytes, want %d", len(round1), want)
+	}
+	reps := lead.pro.ValidSys.Reps
+	if want := 4 + 8 + 1 + len(subs)*2*reps*8; len(probe) != want {
+		t.Errorf("combined probe is %d bytes, want %d", len(probe), want)
+	}
+	for name, req := range map[string][]byte{"Round1": round1, "combined probe": probe} {
+		if id := binary.LittleEndian.Uint64(req[4:]); id != lead.batchSeq {
+			t.Errorf("%s: batch ID %#x at offset 4, want %#x", name, id, lead.batchSeq)
 		}
-		if !field.EqualVec(f, back.sn.R, ch.sn.R) || !field.EqualVec(f, back.sn.Rho, ch.sn.Rho) {
-			t.Errorf("%v: SNIP challenge round trip mismatch", mode)
-		}
-		if mode == ModeMPC && !field.EqualVec(f, back.validRho, ch.validRho) {
-			t.Errorf("MPC validRho round trip mismatch")
-		}
-		// Truncated and padded encodings must be rejected.
-		if _, err := pro.unmarshalChallenge(enc[:len(enc)-1]); err == nil {
-			t.Errorf("%v: truncated challenge accepted", mode)
-		}
-		if _, err := pro.unmarshalChallenge(append(append([]byte(nil), enc...), 0)); err == nil {
-			t.Errorf("%v: padded challenge accepted", mode)
-		}
+	}
+	if n := binary.LittleEndian.Uint32(round1[12:]); n != 3 {
+		t.Errorf("Round1 count %d at offset 12, want 3", n)
+	}
+	if !bytes.Equal(round1[16:16+prg.SeedSize], lead.seed[:]) {
+		t.Error("Round1 does not carry the session's challenge seed after the count")
+	}
+	if probe[12] != probeCombined {
+		t.Errorf("probe kind %d, want %d", probe[12], probeCombined)
 	}
 }
 

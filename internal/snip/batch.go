@@ -1,10 +1,8 @@
 package snip
 
 import (
-	"crypto/sha256"
 	"errors"
-	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"prio/internal/circuit"
 	"prio/internal/field"
@@ -43,58 +41,63 @@ import (
 // bounds, or a λ vector of the wrong length.
 var ErrBatchState = errors.New("snip: batch verifier state mismatch")
 
-// ShapeKey identifies the circuit shape this system verifies: two systems
-// with equal keys verify interchangeable submissions. It is the cache key
-// deployments use to share per-shape verification precomputation.
-func (sys *System[Fd, E]) ShapeKey() string {
-	return fmt.Sprintf("%s/in%d/g%d/m%d/n%d/rep%d/as%d",
-		sys.F.Name(), sys.C.NumInputs, len(sys.C.Gates), sys.M, sys.N, sys.Reps, len(sys.C.Asserts))
+// evCacheCap bounds the seed-keyed evaluator cache. Every leader session
+// verifying against this server names one challenge seed at a time, two
+// across a rotation; 32 serves sixteen concurrent sessions without a
+// rebuild per batch, while keeping at most 32 sets of weights (3 MiB for
+// bits1024 at two repetitions).
+const evCacheCap = 32
+
+// evEntry is one cached challenge: its Evaluator, built once by whichever
+// lookup inserted the entry, and the lookup tick of its last use.
+type evEntry[Fd field.Field[E], E any] struct {
+	once sync.Once
+	ev   *Evaluator[Fd, E]
+	used uint64
 }
 
-// evCacheCap bounds the challenge-keyed evaluator cache. Deployments rotate
-// challenges on a window of two or three; eight leaves slack for overlap
-// during rotation without letting a challenge flood grow the cache.
-const evCacheCap = 8
-
-// CachedEvaluator returns an Evaluator for ch, memoized by a digest of the
-// challenge and the circuit shape, so every in-process server verifying the
-// same batch shares one O(N·Reps) Lagrange-weight precomputation instead of
-// each rebuilding it. The cache holds the evCacheCap most recent challenges.
-func (sys *System[Fd, E]) CachedEvaluator(ch *Challenge[E]) *Evaluator[Fd, E] {
-	shape := sys.ShapeKey()
-	buf := make([]byte, 0, len(shape)+16*(len(ch.R)+len(ch.Rho)))
-	buf = append(buf, shape...)
-	buf = field.AppendVec(sys.F, buf, ch.R)
-	buf = field.AppendVec(sys.F, buf, ch.Rho)
-	sum := sha256.Sum256(buf)
-	key := string(sum[:])
-
+// CachedEvaluator returns the Evaluator for the challenge that seed expands
+// to — NewChallenge reading prg.New(seed) — memoized by the seed itself. A
+// hit costs one map lookup, so a server can look the challenge up on every
+// Round1; a miss builds the O(N·Reps) Lagrange weights once, shared by every
+// server in the process and by concurrent lookups of the same seed. The
+// cache holds the evCacheCap most recently used seeds.
+func (sys *System[Fd, E]) CachedEvaluator(seed prg.Seed) *Evaluator[Fd, E] {
 	sys.evMu.Lock()
-	if ev, ok := sys.evCache[key]; ok {
-		sys.evMu.Unlock()
-		atomic.AddUint64(&sys.evHits, 1)
-		return ev
+	sys.evTick++
+	e, hit := sys.evCache[seed]
+	if hit {
+		sys.evHits++
+	} else {
+		sys.evMisses++
+		if sys.evCache == nil {
+			sys.evCache = make(map[prg.Seed]*evEntry[Fd, E], evCacheCap)
+		}
+		if len(sys.evCache) >= evCacheCap {
+			var lru prg.Seed
+			oldest := sys.evTick
+			for k, c := range sys.evCache {
+				if c.used < oldest {
+					lru, oldest = k, c.used
+				}
+			}
+			delete(sys.evCache, lru)
+		}
+		e = &evEntry[Fd, E]{}
+		sys.evCache[seed] = e
 	}
+	e.used = sys.evTick
 	sys.evMu.Unlock()
-	// Build outside the lock: EvalWeights is O(N) per repetition and other
-	// challenges' lookups should not wait on it.
-	atomic.AddUint64(&sys.evMisses, 1)
-	ev := sys.NewEvaluator(ch)
-	sys.evMu.Lock()
-	defer sys.evMu.Unlock()
-	if cached, ok := sys.evCache[key]; ok {
-		return cached
-	}
-	if sys.evCache == nil {
-		sys.evCache = make(map[string]*Evaluator[Fd, E], evCacheCap)
-	}
-	for len(sys.evOrder) >= evCacheCap {
-		delete(sys.evCache, sys.evOrder[0])
-		sys.evOrder = sys.evOrder[1:]
-	}
-	sys.evCache[key] = ev
-	sys.evOrder = append(sys.evOrder, key)
-	return ev
+	// Built outside the lock: lookups of other seeds need not wait on it.
+	e.once.Do(func() {
+		ch, err := sys.NewChallenge(prg.New(seed))
+		if err != nil {
+			// prg.PRG.Read never fails.
+			panic("snip: PRG sampling failed: " + err.Error())
+		}
+		e.ev = sys.NewEvaluator(ch)
+	})
+	return e.ev
 }
 
 // BatchVerifier checks many same-shape submissions under one challenge in a
@@ -482,9 +485,9 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 }
 
 // RLCCoeffs expands a PRG seed into n nonzero random-linear-combination
-// coefficients. The leader draws a fresh crypto/rand seed for every batch
-// and ships only the 16-byte seed; deriving λ deterministically from it
-// keeps all servers in lockstep without ever reusing a challenge.
+// coefficients. Every server derives the same seed for a batch from its
+// challenge seed and batch ID (internal/core), so λ costs no bytes on the
+// wire, keeps all servers in lockstep and is never reused across batches.
 // Coefficients are rejection-sampled to be nonzero: a zero λ would silently
 // drop its submission from the check, and nonzero λ makes a batch of one
 // exactly the per-submission test.

@@ -492,47 +492,48 @@ func TestBatchStateErrors(t *testing.T) {
 	}
 }
 
-// TestCachedEvaluator checks the shape/challenge-keyed memoization and its
-// eviction bound.
+// TestCachedEvaluator checks the seed-keyed memoization: a seed expands to
+// the challenge NewChallenge reads from prg.New(seed), a repeated seed hits,
+// and the least recently used seed is the one evicted at the cap.
 func TestCachedEvaluator(t *testing.T) {
 	f := field.NewF64()
 	sys, err := NewSystem(f, range4(f), Params{Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch1, err := sys.NewChallenge(rand.Reader)
+	seed := func(i byte) prg.Seed { return prg.Seed{i, 0xC0} }
+	ev1 := sys.CachedEvaluator(seed(1))
+	want, err := sys.NewChallenge(prg.New(seed(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev1 := sys.CachedEvaluator(ch1)
-	if sys.CachedEvaluator(ch1) != ev1 {
-		t.Fatal("same challenge did not hit the cache")
+	if !field.EqualVec(f, ev1.ch.R, want.R) || !field.EqualVec(f, ev1.ch.Rho, want.Rho) {
+		t.Fatal("cached challenge differs from the seed's expansion")
 	}
-	ch2, err := sys.NewChallenge(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	if sys.CachedEvaluator(seed(1)) != ev1 {
+		t.Fatal("same seed did not hit the cache")
 	}
-	if sys.CachedEvaluator(ch2) == ev1 {
-		t.Fatal("distinct challenges shared an evaluator")
+	if sys.CachedEvaluator(seed(2)) == ev1 {
+		t.Fatal("distinct seeds shared an evaluator")
 	}
-	for i := 0; i < 2*evCacheCap; i++ {
-		chI, err := sys.NewChallenge(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.CachedEvaluator(chI)
+	// Fill past the cap while seed 1 stays in use: the idle seed 2 goes.
+	for i := 3; i < 3+evCacheCap; i++ {
+		sys.CachedEvaluator(seed(1))
+		sys.CachedEvaluator(seed(byte(i)))
 	}
 	sys.evMu.Lock()
 	n := len(sys.evCache)
+	_, kept := sys.evCache[seed(1)]
+	_, idle := sys.evCache[seed(2)]
 	sys.evMu.Unlock()
 	if n > evCacheCap {
 		t.Fatalf("evaluator cache grew to %d entries, cap is %d", n, evCacheCap)
 	}
-	// Evicted challenge rebuilds without error.
-	if sys.CachedEvaluator(ch1) == nil {
-		t.Fatal("rebuild after eviction failed")
+	if !kept || idle {
+		t.Errorf("after the fill: busy seed cached %v, idle seed cached %v; want true, false", kept, idle)
 	}
-	if sys.ShapeKey() == "" {
-		t.Fatal("empty shape key")
+	hits, misses := sys.EvCacheStats()
+	if hits != 1+evCacheCap || misses != 2+evCacheCap {
+		t.Errorf("stats %d hits / %d misses, want %d / %d", hits, misses, 1+evCacheCap, 2+evCacheCap)
 	}
 }

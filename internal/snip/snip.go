@@ -6,11 +6,11 @@ import (
 	"io"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"prio/internal/circuit"
 	"prio/internal/field"
 	"prio/internal/poly"
+	"prio/internal/prg"
 	"prio/internal/share"
 )
 
@@ -39,7 +39,7 @@ type Triple[E any] struct {
 // System binds a field, a validation circuit and proof parameters, and
 // precomputes the NTT domains shared by prover and verifiers. A System's
 // parameters are immutable and it is safe for concurrent use; the only
-// mutable state is the internal challenge-keyed evaluator cache, which is
+// mutable state is the internal seed-keyed evaluator cache, which is
 // guarded by its own lock.
 type System[Fd field.Field[E], E any] struct {
 	F    Fd
@@ -55,23 +55,23 @@ type System[Fd field.Field[E], E any] struct {
 	dN  *poly.Domain[Fd, E] // nil when M == 0
 	d2N *poly.Domain[Fd, E]
 
-	// Challenge-keyed evaluator cache (CachedEvaluator): in-process servers
-	// sharing a System and a challenge share one Lagrange precomputation.
-	evMu    sync.Mutex
-	evCache map[string]*Evaluator[Fd, E]
-	evOrder []string
-
-	// Cache outcome counters (atomic; see EvCacheStats). A healthy
-	// deployment hits almost always — each challenge rotation costs one
-	// miss shared by every in-process server.
+	// Seed-keyed evaluator cache (CachedEvaluator) and its outcome counts
+	// (EvCacheStats), all under evMu. evTick counts lookups; an entry's
+	// used tick orders the least recently used eviction.
+	evMu             sync.Mutex
+	evCache          map[prg.Seed]*evEntry[Fd, E]
+	evTick           uint64
 	evHits, evMisses uint64
 }
 
-// EvCacheStats reports the evaluator cache's cumulative hits and misses —
-// the telemetry layer exposes them as the cache hit-rate a mis-tuned
-// rotation cadence (or a challenge flood) would degrade.
+// EvCacheStats reports the evaluator cache's cumulative hits and misses.
+// Servers look the challenge up once per Round1, so a healthy deployment
+// misses once per challenge rotation and hits on every other batch; the
+// telemetry layer exposes the hit rate a challenge flood would degrade.
 func (sys *System[Fd, E]) EvCacheStats() (hits, misses uint64) {
-	return atomic.LoadUint64(&sys.evHits), atomic.LoadUint64(&sys.evMisses)
+	sys.evMu.Lock()
+	defer sys.evMu.Unlock()
+	return sys.evHits, sys.evMisses
 }
 
 // NewSystem builds a SNIP system for circuit c over field f. It fails if
