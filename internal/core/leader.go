@@ -344,12 +344,14 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	// Critical section: rotate the challenge once this batch would take it
 	// past ChallengeEvery submissions (the Q of Appendix I) — a fresh
 	// crypto/rand seed, nothing sent — and allocate this batch's
-	// identifiers. The network rounds below run outside the lock so
-	// in-flight batches pipeline. The counters increment within their
-	// session's slot (16 bits, 32 bits) so they never wrap into a
+	// identifiers. No-robust mode verifies nothing, so it never rotates and
+	// its Round1 carries no seed. The network rounds below run outside the
+	// lock so in-flight batches pipeline. The counters increment within
+	// their session's slot (16 bits, 32 bits) so they never wrap into a
 	// neighboring session's namespace.
+	robust := p.Cfg.Mode != ModeNoRobust
 	l.lmu.Lock()
-	if l.sinceCh+count > p.Cfg.ChallengeEvery {
+	if robust && l.sinceCh+count > p.Cfg.ChallengeEvery {
 		seed, err := prg.NewSeed()
 		if err != nil {
 			l.lmu.Unlock()
@@ -377,7 +379,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	// servers — send a best-effort all-reject finish so a failed batch (a
 	// routine, counted outcome under the pipeline) does not leak xShares
 	// and verifier sessions on the servers that got through Round1.
-	decided := p.Cfg.Mode == ModeNoRobust // no-robust servers keep no batch state
+	decided := !robust // no-robust servers keep no batch state
 	defer func() {
 		if decided {
 			return
@@ -394,11 +396,15 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	// before returning (even on error), which is what makes freeing the
 	// arenas afterwards safe. Responses are never pooled: they are the
 	// peer's memory.
+	var seedField []byte
+	if robust {
+		seedField = seed[:]
+	}
 	reqs := make([][]byte, p.Cfg.Servers)
 	arenas := make([]*transport.Buf, p.Cfg.Servers)
 	var w wbuf
 	for i := 0; i < p.Cfg.Servers; i++ {
-		hint := 4 + 8 + 4 + len(seed) + 8
+		hint := 4 + 8 + 4 + len(seedField) + 8
 		for _, sub := range subs {
 			hint += 4 + len(sub.Bundles[i])
 		}
@@ -406,7 +412,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 		w.u32(challID)
 		w.u64(batchID)
 		w.u32(uint32(count))
-		w.raw(seed[:])
+		w.raw(seedField)
 		for _, sub := range subs {
 			w.blob(sub.Bundles[i])
 		}
@@ -483,7 +489,7 @@ func (l *Leader[Fd, E]) verifyBatch(subs []*Submission) (*decision, error) {
 	// amortized batch probes, decided under the batch's challenge (a cache
 	// hit: the leader's own server looked it up in Round1).
 	t0 = l.m.start()
-	snipOK, err := l.batchVerify(sys.CachedEvaluator(seed), challID, batchID, count, reps, opened, &rt)
+	snipOK, err := l.batchVerify(sys.CachedEvaluator(batchID>>32, seed), challID, batchID, count, reps, opened, &rt)
 	if err != nil {
 		return nil, err
 	}

@@ -774,13 +774,19 @@ func seedDepth(pl *Pipeline[field.F64, uint64], v float64) {
 // TestSchedulerDepthBeyondFour: on a sum8 shard whose governor reads deep,
 // as on a 2 ms link with idle CPUs, a backlog keeps more than four batches
 // in verification — a sum8 batch pins 4 KiB of shares, far inside the
-// budget — and never more than the depth clamp admits.
+// budget. The shard's only ceiling is the share budget's, whatever
+// ChallengeEvery is: a rotation no longer waits on verifying batches, so
+// it bounds nothing.
 func TestSchedulerDepthBeyondFour(t *testing.T) {
-	const n, maxBatch, challengeEvery, clamp = 512, 8, 16 * 8, 16
+	const n, maxBatch, challengeEvery = 512, 8, 16 * 8
 	rig := newSlowRig(t, 2*time.Millisecond, challengeEvery)
 	subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...)
-	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, clamp)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, 0)
 	defer pl.Close()
+	ceiling := shareBudget / (maxBatch * rig.leader.pro.shareBytes())
+	if got := pl.sessions[0].depthCap; got != ceiling {
+		t.Fatalf("depth ceiling %d, the share budget admits %d", got, ceiling)
+	}
 	seedDepth(pl, 64)
 	res := submitAll(t, pl, subs)
 	pl.Drain()
@@ -790,8 +796,46 @@ func TestSchedulerDepthBeyondFour(t *testing.T) {
 	if peak <= 4 {
 		t.Errorf("peak verifying %d: the backlog never went deeper than four batches", peak)
 	}
-	if peak > clamp {
-		t.Errorf("peak verifying %d, the clamp admits %d", peak, clamp)
+	if peak > int64(ceiling) {
+		t.Errorf("peak verifying %d, the share budget admits %d", peak, ceiling)
+	}
+}
+
+// TestEvCacheManyShards: a pipeline of 40 shards, all drawing from one
+// queue, builds each session's challenge once: the cache keeps seeds per
+// session, so the sessions do not evict each other. Every Round1 on every server and every leader
+// decision looks its seed up, and all but the first lookup of each seed
+// hit; the hit fraction is the snip.evcache_hit_frac the repository
+// benchmark reports.
+func TestEvCacheManyShards(t *testing.T) {
+	const shards, maxBatch, n = 40, 8, 40 * 8 * 8
+	rig := newSlowRig(t, time.Millisecond, 0)
+	var mu sync.Mutex
+	seeds := map[string]bool{}
+	rig.probe.fail = func(j int, msgType byte, payload []byte) error {
+		if j == 1 && msgType == MsgRound1 {
+			mu.Lock()
+			seeds[string(payload[16:32])] = true
+			mu.Unlock()
+		}
+		return nil
+	}
+	sys := rig.leader.pro.ValidSys
+	hits0, misses0 := sys.EvCacheStats()
+	pl := rig.pipeline(t, PipelineConfig{Shards: shards, MaxBatch: maxBatch, QueueDepth: n}, 0)
+	defer pl.Close()
+	res := submitAll(t, pl, sameSubs(t, rig, n))
+	pl.Drain()
+	checkAccepted(t, pl, res, n)
+	hits, misses := sys.EvCacheStats()
+	hits, misses = hits-hits0, misses-misses0
+	t.Logf("%d batches under %d seeds: %d hits, %d misses, hit fraction %.3f",
+		pl.Stats().Batches, len(seeds), hits, misses, float64(hits)/float64(hits+misses))
+	if len(seeds) <= 32 {
+		t.Fatalf("only %d sessions verified a batch, want more than 32", len(seeds))
+	}
+	if misses != uint64(len(seeds)) {
+		t.Errorf("%d evaluator builds for %d challenge seeds, want one each", misses, len(seeds))
 	}
 }
 

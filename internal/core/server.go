@@ -258,9 +258,10 @@ func (s *Server[Fd, E]) resetLocked() {
 
 // handleRound1 ingests a batch of bundles. In SNIP/MPC modes it returns the
 // servers' Round1 shares (and, for MPC, the first openings); in no-robust
-// mode it accumulates immediately and returns nothing. The request carries
-// the batch's challenge seed after the count; the evaluator cache turns it
-// into the SNIP challenge at the cost of a map lookup.
+// mode it accumulates immediately and returns nothing. In the robust modes
+// the request carries the batch's challenge seed after the count; the
+// evaluator cache turns it into the SNIP challenge at the cost of a map
+// lookup. A no-robust Round1 carries no seed.
 //
 // A bundle this server cannot decode (bad box, unknown flag, wrong length,
 // non-canonical element) costs only its own submission: the server verifies
@@ -276,7 +277,9 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	batchID := r.u64()
 	count := int(r.u32())
 	var seed prg.Seed
-	r.raw(seed[:])
+	if p.Cfg.Mode != ModeNoRobust {
+		r.raw(seed[:])
+	}
 	// Every bundle carries a 4-byte length, so the payload bounds the count
 	// before anything is sized by it.
 	if r.err != nil || count < 0 || count > (len(payload)-r.off)/4 {
@@ -368,7 +371,9 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	// are inherently per-submission, so the reply carries one pair each.
 	w := &wbuf{}
 	if sys := p.snipSys(); sys != nil {
-		bs.ev = sys.CachedEvaluator(seed)
+		// The batch ID's top half is its leader session, the stream its
+		// seeds rotate along.
+		bs.ev = sys.CachedEvaluator(batchID>>32, seed)
 		if p.Cfg.Mode == ModeMPC {
 			bs.validRho = p.validRho(seed)
 		}

@@ -20,7 +20,8 @@ import (
 // Every verification-round request opens with [u32 challenge number][u64
 // batch ID]; the challenge number only names the challenge in errors and
 // traces. Round1 continues [u32 count][16-byte challenge seed][count ×
-// (u32 length, bundle)][u64 window stamp].
+// (u32 length, bundle)][u64 window stamp]; in no-robust mode, which
+// verifies nothing, the seed is absent.
 const (
 	MsgSetChallenge byte = 1 // retired: the challenge broadcast
 	MsgRound1       byte = 2 // leader -> servers: challenge seed and batch of bundles; reply: Round1 shares

@@ -192,6 +192,42 @@ func TestRoundRequestLayout(t *testing.T) {
 	}
 }
 
+// TestNoRobustRound1CarriesNoSeed: no-robust mode verifies nothing, so its
+// Round1 is the head, the count, the bundles and the window stamp, with no
+// challenge seed, and its leader never rotates one.
+func TestNoRobustRound1CarriesNoSeed(t *testing.T) {
+	_, cl, client, scheme := newSumDeployment(t, ModeNoRobust, 3, true)
+	r1 := &recordPeer{msgType: MsgRound1}
+	lead := leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
+		if j != 1 {
+			return p
+		}
+		r1.Peer = p
+		return r1
+	})
+	challID := lead.challID
+	var want []int
+	for _, n := range []int{3, lead.pro.Cfg.ChallengeEvery} {
+		subs := honestSubs(t, client, scheme, make([]uint64, n)...)
+		if _, err := lead.ProcessBatch(subs); err != nil {
+			t.Fatal(err)
+		}
+		w := 4 + 8 + 4 + 8
+		for _, sub := range subs {
+			w += 4 + len(sub.Bundles[1])
+		}
+		want = append(want, w)
+	}
+	for i, req := range r1.reqs {
+		if len(req) != want[i] {
+			t.Errorf("no-robust Round1 %d is %d bytes, want %d", i, len(req), want[i])
+		}
+	}
+	if lead.challID != challID {
+		t.Errorf("no-robust leader rotated its challenge: number %#x, was %#x", lead.challID, challID)
+	}
+}
+
 func TestFlatLenByMode(t *testing.T) {
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 6) // K=7, M=6

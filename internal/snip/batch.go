@@ -41,52 +41,51 @@ import (
 // bounds, or a λ vector of the wrong length.
 var ErrBatchState = errors.New("snip: batch verifier state mismatch")
 
-// evCacheCap bounds the seed-keyed evaluator cache. Every leader session
-// verifying against this server names one challenge seed at a time, two
-// across a rotation; 32 serves sixteen concurrent sessions without a
-// rebuild per batch, while keeping at most 32 sets of weights (3 MiB for
-// bits1024 at two repetitions).
-const evCacheCap = 32
-
-// evEntry is one cached challenge: its Evaluator, built once by whichever
-// lookup inserted the entry, and the lookup tick of its last use.
+// evEntry is one cached challenge: its seed and its Evaluator, built once
+// by whichever lookup inserted the entry.
 type evEntry[Fd field.Field[E], E any] struct {
+	seed prg.Seed
 	once sync.Once
 	ev   *Evaluator[Fd, E]
-	used uint64
 }
 
 // CachedEvaluator returns the Evaluator for the challenge that seed expands
 // to — NewChallenge reading prg.New(seed) — memoized by the seed itself. A
 // hit costs one map lookup, so a server can look the challenge up on every
 // Round1; a miss builds the O(N·Reps) Lagrange weights once, shared by every
-// server in the process and by concurrent lookups of the same seed. The
-// cache holds the evCacheCap most recently used seeds.
-func (sys *System[Fd, E]) CachedEvaluator(seed prg.Seed) *Evaluator[Fd, E] {
+// server in the process and by concurrent lookups of the same seed.
+//
+// stream names the sequence the caller's seeds rotate along (in core, a
+// leader session), and the cache keeps each stream's two most recently
+// used seeds: its current challenge and, across a rotation, the one before
+// it. Its size is therefore two per stream, whatever the number of
+// streams, and a retired seed goes as soon as the one after it arrives. A
+// stream that stops (a leader that lost its role) keeps its last two until
+// the same stream resumes; core's streams are (leader index, session), so
+// they number at most the roster size times 256.
+func (sys *System[Fd, E]) CachedEvaluator(stream uint64, seed prg.Seed) *Evaluator[Fd, E] {
 	sys.evMu.Lock()
-	sys.evTick++
-	e, hit := sys.evCache[seed]
-	if hit {
-		sys.evHits++
-	} else {
-		sys.evMisses++
+	ways := sys.evCache[stream]
+	if ways == nil {
 		if sys.evCache == nil {
-			sys.evCache = make(map[prg.Seed]*evEntry[Fd, E], evCacheCap)
+			sys.evCache = make(map[uint64]*[2]*evEntry[Fd, E])
 		}
-		if len(sys.evCache) >= evCacheCap {
-			var lru prg.Seed
-			oldest := sys.evTick
-			for k, c := range sys.evCache {
-				if c.used < oldest {
-					lru, oldest = k, c.used
-				}
-			}
-			delete(sys.evCache, lru)
-		}
-		e = &evEntry[Fd, E]{}
-		sys.evCache[seed] = e
+		ways = new([2]*evEntry[Fd, E])
+		sys.evCache[stream] = ways
 	}
-	e.used = sys.evTick
+	e := ways[0]
+	switch {
+	case e != nil && e.seed == seed:
+		sys.evHits++
+	case ways[1] != nil && ways[1].seed == seed:
+		sys.evHits++
+		e = ways[1]
+		ways[0], ways[1] = e, ways[0]
+	default:
+		sys.evMisses++
+		e = &evEntry[Fd, E]{seed: seed}
+		ways[0], ways[1] = e, ways[0]
+	}
 	sys.evMu.Unlock()
 	// Built outside the lock: lookups of other seeds need not wait on it.
 	e.once.Do(func() {

@@ -494,15 +494,16 @@ func TestBatchStateErrors(t *testing.T) {
 
 // TestCachedEvaluator checks the seed-keyed memoization: a seed expands to
 // the challenge NewChallenge reads from prg.New(seed), a repeated seed hits,
-// and the least recently used seed is the one evicted at the cap.
+// a stream keeps its two most recently used seeds, and streams do not evict
+// each other however many there are.
 func TestCachedEvaluator(t *testing.T) {
 	f := field.NewF64()
 	sys, err := NewSystem(f, range4(f), Params{Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := func(i byte) prg.Seed { return prg.Seed{i, 0xC0} }
-	ev1 := sys.CachedEvaluator(seed(1))
+	seed := func(i int) prg.Seed { return prg.Seed{byte(i), byte(i >> 8), 0xC0} }
+	ev1 := sys.CachedEvaluator(0, seed(1))
 	want, err := sys.NewChallenge(prg.New(seed(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -510,30 +511,41 @@ func TestCachedEvaluator(t *testing.T) {
 	if !field.EqualVec(f, ev1.ch.R, want.R) || !field.EqualVec(f, ev1.ch.Rho, want.Rho) {
 		t.Fatal("cached challenge differs from the seed's expansion")
 	}
-	if sys.CachedEvaluator(seed(1)) != ev1 {
+	if sys.CachedEvaluator(0, seed(1)) != ev1 {
 		t.Fatal("same seed did not hit the cache")
 	}
-	if sys.CachedEvaluator(seed(2)) == ev1 {
+	ev2 := sys.CachedEvaluator(0, seed(2))
+	if ev2 == ev1 {
 		t.Fatal("distinct seeds shared an evaluator")
 	}
-	// Fill past the cap while seed 1 stays in use: the idle seed 2 goes.
-	for i := 3; i < 3+evCacheCap; i++ {
-		sys.CachedEvaluator(seed(1))
-		sys.CachedEvaluator(seed(byte(i)))
+	// A rotation keeps the seed before it; the next one retires the seed
+	// the stream used least recently.
+	if sys.CachedEvaluator(0, seed(1)) != ev1 || sys.CachedEvaluator(0, seed(2)) != ev2 {
+		t.Fatal("a stream's previous seed was not kept")
 	}
-	sys.evMu.Lock()
-	n := len(sys.evCache)
-	_, kept := sys.evCache[seed(1)]
-	_, idle := sys.evCache[seed(2)]
-	sys.evMu.Unlock()
-	if n > evCacheCap {
-		t.Fatalf("evaluator cache grew to %d entries, cap is %d", n, evCacheCap)
-	}
-	if !kept || idle {
-		t.Errorf("after the fill: busy seed cached %v, idle seed cached %v; want true, false", kept, idle)
+	sys.CachedEvaluator(0, seed(3))
+	if sys.CachedEvaluator(0, seed(2)) != ev2 {
+		t.Fatal("the stream's most recent seed was evicted")
 	}
 	hits, misses := sys.EvCacheStats()
-	if hits != 1+evCacheCap || misses != 2+evCacheCap {
-		t.Errorf("stats %d hits / %d misses, want %d / %d", hits, misses, 1+evCacheCap, 2+evCacheCap)
+	if hits != 4 || misses != 3 {
+		t.Errorf("stats %d hits / %d misses, want 4 / 3", hits, misses)
+	}
+	if sys.CachedEvaluator(0, seed(1)) == ev1 {
+		t.Error("the stream kept a third seed")
+	}
+	// 300 streams, each across a rotation, cycled twice: the second pass
+	// builds nothing.
+	const streams = 300
+	for pass := 0; pass < 2; pass++ {
+		_, before := sys.EvCacheStats()
+		for s := uint64(1); s <= streams; s++ {
+			sys.CachedEvaluator(s, seed(int(2*s)))
+			sys.CachedEvaluator(s, seed(int(2*s+1)))
+		}
+		_, after := sys.EvCacheStats()
+		if wantBuilt := uint64(2 * streams * (1 - pass)); after-before != wantBuilt {
+			t.Errorf("pass %d over %d streams built %d evaluators, want %d", pass, streams, after-before, wantBuilt)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"prio/internal/circuit"
 	"prio/internal/field"
 	"prio/internal/poly"
-	"prio/internal/prg"
 	"prio/internal/share"
 )
 
@@ -56,11 +55,10 @@ type System[Fd field.Field[E], E any] struct {
 	d2N *poly.Domain[Fd, E]
 
 	// Seed-keyed evaluator cache (CachedEvaluator) and its outcome counts
-	// (EvCacheStats), all under evMu. evTick counts lookups; an entry's
-	// used tick orders the least recently used eviction.
+	// (EvCacheStats), all under evMu: per stream, its two most recently
+	// used seeds' entries, the more recent first.
 	evMu             sync.Mutex
-	evCache          map[prg.Seed]*evEntry[Fd, E]
-	evTick           uint64
+	evCache          map[uint64]*[2]*evEntry[Fd, E]
 	evHits, evMisses uint64
 }
 
