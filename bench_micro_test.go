@@ -224,7 +224,8 @@ func BenchmarkServerRound1(b *testing.B) {
 		}
 	}
 	// One real batch leaves each peer holding the Round1 and Finish requests
-	// to replay; the challenge they name stays installed on the servers.
+	// to replay. Servers keep no challenge state: each replayed Round1
+	// carries its own 16-byte challenge seed.
 	if _, err := leader.ProcessBatch(subs); err != nil {
 		b.Fatal(err)
 	}

@@ -218,9 +218,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 		reg = telemetry.New()
 	}
 	shareBytes := leader.pro.shareBytes()
-	// The deepest a shard can go with full batches: the share budget of
-	// rule (ii) (shardLoop).
-	depth := max(1, shareBudget/(cfg.MaxBatch*shareBytes))
+	// The deepest a shard can go with full batches: depthCeiling, and the
+	// share budget of rule (ii) (shardLoop).
+	depth := max(1, min(depthCeiling, shareBudget/(cfg.MaxBatch*shareBytes)))
 	p := &Pipeline[Fd, E]{
 		cfg:        cfg,
 		queue:      make(chan pipeJob, cfg.QueueDepth),
@@ -386,8 +386,18 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 // pooled size class (Protocol.shareBytes). It is what a fixed ceiling of
 // four verifying batches admitted for bits1024 at MaxBatch 16 (4 × 16 ×
 // 64 KiB), so no scheme's worst case grows, while a sum8 shard (8 KiB a
-// batch) is left to the governor (overlapDepth).
+// batch) is left to the governor (overlapDepth) and depthCeiling.
 const shareBudget = 4 << 20
+
+// depthCeiling is the most batches a shard keeps in verification, however
+// idle the governor finds the CPUs. Every batch out holds its shares, its
+// round frames, its goroutines and the servers' verifier state until its
+// commit lands, and the share budget counts only the shares: a sum8 batch
+// charges 8 KiB of its budget's 4 MiB. So without a ceiling a shard's
+// memory follows the governor, and once the X25519 ladder ran eight lanes
+// wide the WAN benchmark's governor read 40 to 110, for 1.7× the
+// submissions/s of 8 deep at 1.4× the peak RSS (docs/PIPELINE.md).
+const depthCeiling = 8
 
 // shardLoop is one shard's scheduler. With no batch out it blocks for a job
 // and drains whatever else is queued up to MaxBatch: the adaptive batching
@@ -402,7 +412,8 @@ const shareBudget = 4 << 20
 //     overlapDepth, so depth is spent only where the rounds wait on the
 //     wire while the CPUs have room, and the share bytes its out batches
 //     pin on each server, plus a full batch's, stay within shareBudget.
-//     depthCap already holds the verifying batches inside the budget; the
+//     depthCap (depthCeiling, or fewer where the budget admits fewer full
+//     batches) already holds the verifying batches inside the budget; the
 //     byte check is what bounds the committing ones.
 //
 // A batch leaves the verifying count at its decision: its commit needs no

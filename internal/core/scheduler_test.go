@@ -774,18 +774,17 @@ func seedDepth(pl *Pipeline[field.F64, uint64], v float64) {
 // TestSchedulerDepthBeyondFour: on a sum8 shard whose governor reads deep,
 // as on a 2 ms link with idle CPUs, a backlog keeps more than four batches
 // in verification — a sum8 batch pins 4 KiB of shares, far inside the
-// budget. The shard's only ceiling is the share budget's, whatever
-// ChallengeEvery is: a rotation no longer waits on verifying batches, so
-// it bounds nothing.
+// budget — and no more than depthCeiling, whatever ChallengeEvery is: a
+// rotation no longer waits on verifying batches, so it bounds nothing.
 func TestSchedulerDepthBeyondFour(t *testing.T) {
 	const n, maxBatch, challengeEvery = 512, 8, 16 * 8
 	rig := newSlowRig(t, 2*time.Millisecond, challengeEvery)
 	subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...)
 	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, 0)
 	defer pl.Close()
-	ceiling := shareBudget / (maxBatch * rig.leader.pro.shareBytes())
+	ceiling := min(depthCeiling, shareBudget/(maxBatch*rig.leader.pro.shareBytes()))
 	if got := pl.sessions[0].depthCap; got != ceiling {
-		t.Fatalf("depth ceiling %d, the share budget admits %d", got, ceiling)
+		t.Fatalf("depth ceiling %d, want %d", got, ceiling)
 	}
 	seedDepth(pl, 64)
 	res := submitAll(t, pl, subs)
@@ -797,7 +796,7 @@ func TestSchedulerDepthBeyondFour(t *testing.T) {
 		t.Errorf("peak verifying %d: the backlog never went deeper than four batches", peak)
 	}
 	if peak > int64(ceiling) {
-		t.Errorf("peak verifying %d, the share budget admits %d", peak, ceiling)
+		t.Errorf("peak verifying %d, the ceiling is %d", peak, ceiling)
 	}
 }
 

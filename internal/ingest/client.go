@@ -60,7 +60,7 @@ type StreamSubmitter struct {
 	fc    *transport.FrameConn
 	onAck func(Ack)
 
-	writeq chan *transport.Buf // framed submit payloads awaiting the writer
+	writeq chan queuedSubmit // submissions awaiting the writer
 
 	dead chan struct{} // closed on first failure or Close
 
@@ -114,7 +114,7 @@ func Dial(addr string, cfg SubmitterConfig) (*StreamSubmitter, error) {
 		// The queue outgrows the initial window so a dynamic-credit grow
 		// (msgCredit) widens the pipeline without the writer queue becoming
 		// the new bottleneck.
-		writeq:  make(chan *transport.Buf, max(2*credits, 256)),
+		writeq:  make(chan queuedSubmit, max(2*credits, 256)),
 		dead:    make(chan struct{}),
 		pending: make(map[uint64]time.Time),
 		limit:   credits,
@@ -136,7 +136,9 @@ func (s *StreamSubmitter) Credits() int {
 // Submit queues one submission on the stream and returns its ID, blocking
 // while the credit window is exhausted (the server is behind — queue here
 // rather than on its floor). The decision arrives asynchronously via OnAck;
-// Wait blocks until every outstanding submission is decided.
+// Wait blocks until every outstanding submission is decided. The stream's
+// writer encodes sub from its bundles after Submit returns, so they must not
+// change until its ack arrives.
 func (s *StreamSubmitter) Submit(sub *core.Submission) (uint64, error) {
 	start := time.Now() // window wait is part of the measured latency
 	s.mu.Lock()
@@ -154,7 +156,7 @@ func (s *StreamSubmitter) Submit(sub *core.Submission) (uint64, error) {
 	s.mu.Unlock()
 	atomic.AddUint64(&s.stats.Submitted, 1)
 	select {
-	case s.writeq <- encodeSubmit(id, sub):
+	case s.writeq <- queuedSubmit{id, sub}:
 		return id, nil
 	case <-s.dead:
 		s.mu.Lock()
@@ -234,28 +236,22 @@ func (s *StreamSubmitter) fail(err error) {
 	s.fc.Close()
 }
 
-// writeLoop drains queued submit frames onto the wire, flushing whenever the
+// writeLoop drains queued submissions onto the wire, flushing whenever the
 // queue momentarily empties — the batching that turns many small Submits
 // into few syscalls without adding latency under light load.
 func (s *StreamSubmitter) writeLoop() {
-	// Each payload lives in a pooled buffer; WriteFrame copies it into the
-	// connection's write buffer, after which it goes back to the arena.
 	for {
 		select {
-		case payload := <-s.writeq:
-			err := s.fc.WriteFrame(msgSubmit, payload.B)
-			payload.Free()
-			if err != nil {
+		case q := <-s.writeq:
+			if err := writeSubmit(s.fc, q); err != nil {
 				s.fail(err)
 				return
 			}
 		drain:
 			for {
 				select {
-				case payload := <-s.writeq:
-					err := s.fc.WriteFrame(msgSubmit, payload.B)
-					payload.Free()
-					if err != nil {
+				case q := <-s.writeq:
+					if err := writeSubmit(s.fc, q); err != nil {
 						s.fail(err)
 						return
 					}

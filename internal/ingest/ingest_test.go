@@ -80,6 +80,39 @@ func testSub(tag byte) *core.Submission {
 	return &core.Submission{Bundles: [][]byte{{tag, 1, 2, 3}}}
 }
 
+// TestWriteSubmitFrame: the frame writeSubmit builds from a queued
+// submission's bundles is its stream-local ID followed by the submission's
+// own encoding, and decodes back to it.
+func TestWriteSubmitFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	w, r := transport.NewFrameConn(a), transport.NewFrameConn(b)
+	sub := &core.Submission{Bundles: [][]byte{{1, 2, 3}, {}, make([]byte, 300)}}
+	errc := make(chan error, 1)
+	go func() {
+		if err := writeSubmit(w, queuedSubmit{7, sub}); err != nil {
+			errc <- err
+			return
+		}
+		errc <- w.Flush()
+	}()
+	msgType, payload, err := r.ReadFrame()
+	if err != nil || msgType != msgSubmit {
+		t.Fatalf("frame type %d, err %v", msgType, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if want := sub.AppendBinary(binary.LittleEndian.AppendUint64(nil, 7)); string(payload) != string(want) {
+		t.Fatalf("frame %x, want %x", payload, want)
+	}
+	id, got, err := decodeSubmit(payload)
+	if err != nil || id != 7 || len(got.Bundles) != len(sub.Bundles) {
+		t.Fatalf("decoded id %d, %d bundles, err %v", id, len(got.Bundles), err)
+	}
+}
+
 // TestAckIDMatching pipelines submissions from several goroutines over one
 // stream, with the sink deciding accept/reject from each submission's own
 // payload, and checks every ack matches the expectation recorded for its ID.
@@ -488,7 +521,7 @@ func TestNonReadingFloodDoesNotWedge(t *testing.T) {
 	// Flood without ever reading an ack. Acks pile into the kernel buffers,
 	// then into the server's ack channel; once that overflows the server
 	// must kill the stream, surfacing here as a write error.
-	payload := append([]byte(nil), encodeSubmit(0, testSub(1)).B...)
+	payload := testSub(1).AppendBinary(binary.LittleEndian.AppendUint64(nil, 0))
 	killed := false
 	for i := 0; i < 2_000_000; i++ {
 		binary.LittleEndian.PutUint64(payload, uint64(i+1))

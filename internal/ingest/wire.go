@@ -80,18 +80,29 @@ type ackEntry struct {
 	status AckStatus
 }
 
-// encodeSubmit frames one submission under its stream-local ID into a
-// pooled buffer; the write loop returns it to the arena after the frame is
-// copied into the connection's write buffer.
-func encodeSubmit(id uint64, sub *core.Submission) *transport.Buf {
-	size := 8 + 4
-	for _, b := range sub.Bundles {
-		size += 4 + len(b)
+// queuedSubmit is one submission awaiting the stream's writer.
+type queuedSubmit struct {
+	id  uint64
+	sub *core.Submission
+}
+
+// writeSubmit appends q's submit frame, the stream-local ID followed by the
+// submission's encoding (core.Submission.AppendBinary), to fc's write
+// buffer, copying each bundle there straight from the submission: no
+// frame-sized buffer holds a queued submission a second time.
+func writeSubmit(fc *transport.FrameConn, q queuedSubmit) error {
+	n := len(q.sub.Bundles)
+	head := make([]byte, 12+4*n) // ID, bundle count, one length per bundle
+	binary.LittleEndian.PutUint64(head, q.id)
+	binary.LittleEndian.PutUint32(head[8:], uint32(n))
+	parts := make([][]byte, 1, 1+2*n)
+	parts[0] = head[:12]
+	for i, b := range q.sub.Bundles {
+		l := head[12+4*i : 16+4*i]
+		binary.LittleEndian.PutUint32(l, uint32(len(b)))
+		parts = append(parts, l, b)
 	}
-	buf := transport.GetBuf(size)
-	buf.B = binary.LittleEndian.AppendUint64(buf.B, id)
-	buf.B = sub.AppendBinary(buf.B)
-	return buf
+	return fc.WriteFrameParts(msgSubmit, parts...)
 }
 
 // decodeSubmit parses a submit frame.

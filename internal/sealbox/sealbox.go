@@ -50,24 +50,36 @@
 // GF(2²⁵⁵−19) arithmetic of Go's crypto/internal/fips140/edwards25519/field
 // (Copyright 2017 The Go Authors; BSD-style licence, kept in
 // x25519/LICENSE): its amd64 multiply and square assembly unchanged, its
-// generic Go on every other GOARCH and under the purego build tag. Two
-// things differ from crypto/ecdh's ladder, and neither changes an output:
+// generic Go on every other GOARCH and under the purego build tag. Three
+// things differ from crypto/ecdh's ladder, and none changes an output:
 //
-//   - Lazy reduction. The ladder's additions and subtractions skip the
-//     carry pass, since each one feeds a multiply, a square or the
+//   - Lazy reduction. The scalar ladder's additions and subtractions skip
+//     the carry pass, since each one feeds a multiply, a square or the
 //     multiplication by 121666, which are exact for limbs below 2⁵⁴. Sums
 //     and differences of reduced values (limbs below 2⁵¹ + 2²⁴) stay below
 //     2⁵³, one bit inside that.
-//   - One inversion per batch. x25519.ScalarMultBatch runs n ladders under
-//     one scalar and turns all n projective results (X:Z) into u = X/Z with
-//     one inversion (Montgomery's simultaneous inversion: 3(n−1)
-//     multiplications and one exponentiation, not n exponentiations). A
-//     server agrees one Round1 batch's encapsulations this way
-//     (PrivateKey.Agree); a client its ephemeral public key and its s
-//     recipients' agreements (NewEphemeral).
+//   - Eight ladders per vector. x25519.ScalarMultBatch runs n ladders under
+//     one scalar, so every ladder takes the same sequence of conditional
+//     swaps. On amd64 CPUs with AVX-512 IFMA (found by CPUID leaf 7 and
+//     XGETBV, not by any setting) it runs them eight at a time in ZMM
+//     registers, one point per lane, the swap a blend under a mask
+//     broadcast from the shared scalar bit: the same instructions and
+//     addresses whatever the bit, so the ladder stays constant time. IFMA
+//     multiplies only the low 52 bits of a lane, so this ladder carries
+//     every sum before it is multiplied (limbs below 2⁵¹ + 2¹⁴; the bound is
+//     argued in x25519/ladder8.go and tested at its extreme). A run of one
+//     point, purego, other GOARCHes and CPUs without IFMA take the scalar
+//     ladder.
+//   - One inversion per run of eight. ScalarMultBatch turns each run of up to
+//     eight projective results (X:Z) into u = X/Z with one inversion
+//     (Montgomery's simultaneous inversion: 3(n−1) multiplications and one
+//     exponentiation, not n exponentiations), in stack scratch, so a batch
+//     allocates nothing. A server agrees one Round1 batch's encapsulations
+//     this way (PrivateKey.Agree); a client its ephemeral public key and its
+//     s recipients' agreements (NewEphemeral).
 //
-// A low-order encapsulation ends its ladder at Z = 0, which would zero the
-// batch's shared product and every result with it. Each Z is tested and, if
+// A low-order encapsulation ends its ladder at Z = 0, which would zero its
+// run's shared product and every result with it. Each Z is tested and, if
 // zero, swapped for one (its X for zero) by a constant-time select, so that
 // encapsulation's agreement is the all-zero output that is refused here,
 // alone. The batch stays constant time in the secret scalar: each ladder
@@ -79,7 +91,6 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
@@ -230,7 +241,8 @@ func (a *Agreement) Secret(label []byte) ([]byte, error) {
 	if !a.ok {
 		return nil, ErrDecrypt
 	}
-	return derive(a.shared[:], a.epk[:], a.rpk[:], label), nil
+	k := derive(a.shared[:], a.epk[:], a.rpk[:], label)
+	return k[:], nil
 }
 
 // OpenTo is the package OpenTo for a box that starts with the agreement's
@@ -314,7 +326,8 @@ func (e *Ephemeral) Secret(recipient *PublicKey, label []byte) ([]byte, error) {
 	if allZero(&shared) {
 		return nil, errors.New("sealbox: low-order recipient key")
 	}
-	return derive(shared[:], e.epk[:], recipient.b[:], label), nil
+	k := derive(shared[:], e.epk[:], recipient.b[:], label)
+	return k[:], nil
 }
 
 // agreement is the precomputed X25519 with recipient, if NewEphemeral ran it.
@@ -349,21 +362,37 @@ func (e *Ephemeral) Seal(recipient *PublicKey, plaintext []byte) ([]byte, error)
 }
 
 // derive computes HKDF-SHA256 (RFC 5869) of the shared secret with salt
-// epk ‖ rpk and info label, one 32-byte block, inlined over crypto/hmac so
-// the module builds on every toolchain go.mod admits.
-func derive(shared, epk, rpk, label []byte) []byte {
-	salt := make([]byte, 0, 2*EncapSize)
-	salt = append(salt, epk...)
-	salt = append(salt, rpk...)
-	// Extract: PRK = HMAC(salt, IKM).
-	ext := hmac.New(sha256.New, salt)
-	ext.Write(shared)
-	prk := ext.Sum(nil)
-	// Expand: one block suffices for a 32-byte output (SHA-256 width).
-	exp := hmac.New(sha256.New, prk)
-	exp.Write(label)
-	exp.Write([]byte{1})
-	return exp.Sum(nil)
+// epk ‖ rpk and info label: one 32-byte block, T(1), the SHA-256 width.
+func derive(shared, epk, rpk, label []byte) [32]byte {
+	var salt [2 * EncapSize]byte
+	copy(salt[:], epk)
+	copy(salt[EncapSize:], rpk)
+	prk := hmacSHA256(salt[:], shared, nil)     // Extract: PRK = HMAC(salt, IKM)
+	return hmacSHA256(prk[:], label, []byte{1}) // Expand: T(1) = HMAC(PRK, info ‖ 1)
+}
+
+// hmacSHA256 is HMAC-SHA256 (RFC 2104) of msg ‖ tail under key, which must
+// be at most one SHA-256 block (the 64-byte salt and the 32-byte PRK both
+// are, so each is its own zero-padded block). Both hashes are sha256.Sum256
+// over a stack buffer, key ⊕ ipad ‖ msg ‖ tail and then key ⊕ opad ‖ inner
+// hash, so a message of up to a block allocates nothing.
+func hmacSHA256(key, msg, tail []byte) [sha256.Size]byte {
+	if len(key) > sha256.BlockSize {
+		panic("sealbox: HMAC key longer than a SHA-256 block")
+	}
+	var k [sha256.BlockSize]byte
+	copy(k[:], key)
+	buf := make([]byte, sha256.BlockSize, 2*sha256.BlockSize)
+	for i := range k {
+		buf[i] = k[i] ^ 0x36
+	}
+	buf = append(append(buf, msg...), tail...)
+	inner := sha256.Sum256(buf)
+	buf = buf[:sha256.BlockSize]
+	for i := range k {
+		buf[i] = k[i] ^ 0x5c
+	}
+	return sha256.Sum256(append(buf, inner[:]...))
 }
 
 // newAEAD is AES-256-GCM under key.

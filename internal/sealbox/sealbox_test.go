@@ -3,9 +3,12 @@ package sealbox
 import (
 	"bytes"
 	"crypto/ecdh"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -263,7 +266,81 @@ func ecdhSecret(t *testing.T, priv *PrivateKey, epk, label []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return derive(shared, epk, k.PublicKey().Bytes(), label)
+	return hkdfRef(shared, append(append([]byte(nil), epk...), k.PublicKey().Bytes()...), label)
+}
+
+// hkdfRef is HKDF-SHA256's first 32-byte block over crypto/hmac: the
+// reference derive's stack-only HMAC is checked against.
+func hkdfRef(ikm, salt, info []byte) []byte {
+	ext := hmac.New(sha256.New, salt)
+	ext.Write(ikm)
+	exp := hmac.New(sha256.New, ext.Sum(nil))
+	exp.Write(info)
+	exp.Write([]byte{1})
+	return exp.Sum(nil)
+}
+
+// TestHMACMatchesCryptoHMAC: hmacSHA256 equals crypto/hmac for random keys
+// of every length up to a block and random messages around a block.
+func TestHMACMatchesCryptoHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(sha256.BlockSize+1))
+		msg := make([]byte, rng.Intn(2*sha256.BlockSize))
+		tail := make([]byte, rng.Intn(3))
+		rng.Read(key)
+		rng.Read(msg)
+		rng.Read(tail)
+		m := hmac.New(sha256.New, key)
+		m.Write(msg)
+		m.Write(tail)
+		if got := hmacSHA256(key, msg, tail); !bytes.Equal(got[:], m.Sum(nil)) {
+			t.Fatalf("key %x, msg %x ‖ %x: %x, want %x", key, msg, tail, got, m.Sum(nil))
+		}
+	}
+	var epk, rpk, shared [32]byte
+	for i := 0; i < 200; i++ {
+		rng.Read(epk[:])
+		rng.Read(rpk[:])
+		rng.Read(shared[:])
+		label := []byte(fmt.Sprintf("prio/label/%d", i))
+		got := derive(shared[:], epk[:], rpk[:], label)
+		if want := hkdfRef(shared[:], append(epk[:], rpk[:]...), label); !bytes.Equal(got[:], want) {
+			t.Fatalf("derive = %x, want %x", got, want)
+		}
+	}
+}
+
+// TestHKDFRFC5869: RFC 5869 test case 1 (A.1): the PRK, and the first
+// 32-byte block of the OKM, through hmacSHA256's extract and expand.
+func TestHKDFRFC5869(t *testing.T) {
+	dec := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt := dec("000102030405060708090a0b0c")
+	info := dec("f0f1f2f3f4f5f6f7f8f9")
+	prk := hmacSHA256(salt, ikm, nil)
+	if want := dec("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"); !bytes.Equal(prk[:], want) {
+		t.Fatalf("PRK = %x, want %x", prk, want)
+	}
+	okm := hmacSHA256(prk[:], info, []byte{1})
+	if want := dec("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"); !bytes.Equal(okm[:], want) {
+		t.Fatalf("OKM block 1 = %x, want %x", okm, want)
+	}
+}
+
+// TestDeriveAllocs: a derivation allocates nothing.
+func TestDeriveAllocs(t *testing.T) {
+	var shared, epk, rpk [32]byte
+	label := []byte("prio/seed/v1\x00\x00\x00\x01")
+	if n := testing.AllocsPerRun(100, func() { derive(shared[:], epk[:], rpk[:], label) }); n != 0 {
+		t.Errorf("derive allocates %v times", n)
+	}
 }
 
 // TestLowOrderEncapsulationRefused: every low-order encapsulation, also

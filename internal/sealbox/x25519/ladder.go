@@ -1,8 +1,8 @@
 // Package x25519 is the X25519 function of RFC 7748 over Go's own
 // GF(2²⁵⁵−19) arithmetic, for internal/sealbox: a Montgomery ladder whose
-// additions and subtractions skip the carry pass, and a batch call that runs
-// many ladders under one scalar and normalises them with one shared
-// inversion.
+// additions and subtractions skip the carry pass, an eight-lane ladder in
+// AVX-512 IFMA assembly, and a batch call that runs many ladders under one
+// scalar and normalises each run of eight with one shared inversion.
 //
 // The field code (fe.go, fe_generic.go, fe_amd64.go, fe_amd64.s,
 // fe_amd64_noasm.go) is copied from Go's
@@ -10,6 +10,13 @@
 // directory's LICENSE file; fe.go lists what was cut or changed. The amd64
 // multiply and square are its avo-generated assembly, unchanged; every
 // other GOARCH, and the purego build tag, uses its generic Go.
+//
+// The eight-lane ladder (ladder8.go, ladder8_amd64.s) is this package's
+// own. ScalarMultBatch gives it every run of two or more points when CPUID
+// and XGETBV report AVX-512F, AVX-512 IFMA and ZMM state the OS saves. Each
+// point runs the scalar ladder below otherwise: under purego, on other
+// GOARCHes, on CPUs without IFMA, and for a lone point, which costs less on
+// the scalar ladder than a vector of eight does.
 package x25519
 
 // The lazy limb bound.
@@ -127,16 +134,17 @@ func ScalarMult(dst, scalar, point *[32]byte) {
 	*dst = b[0]
 }
 
-// batchStack is the largest batch whose scratch stays on the stack.
-const batchStack = 8
-
-// ScalarMultBatch sets dst[i] to X25519(scalar, points[i]) for every i, with
-// one field inversion for the whole batch (Montgomery's simultaneous
-// inversion) instead of one per point. dst and points must have the same
-// length and may be the same slice.
+// ScalarMultBatch sets dst[i] to X25519(scalar, points[i]) for every i. dst
+// and points must have the same length and may be the same slice.
+//
+// The points run eight at a time: through the vector ladder (ladder8.go)
+// where the CPU has one and a run holds at least vectorCrossover points, else
+// through one scalar ladder each. Each run of up to eight is normalised
+// with one field inversion (Montgomery's simultaneous inversion) instead of
+// one per point, in stack scratch.
 //
 // A low-order point's ladder ends at the identity, Z = 0, which would zero
-// the running product and with it every result of the batch. Each Z is
+// the running product and with it every result of its run. Each Z is
 // therefore tested and, when zero, replaced by one (and its X by zero) with
 // a constant-time select, so that point's result is the all-zero output
 // X25519 defines for it and the other points' results are unaffected. The
@@ -147,23 +155,34 @@ func ScalarMultBatch(dst, points [][32]byte, scalar *[32]byte) {
 	if len(dst) != len(points) {
 		panic("x25519: dst and points differ in length")
 	}
-	n := len(points)
-	if n == 0 {
-		return
-	}
 	e := *scalar
 	e[0] &= 248
 	e[31] &= 127
 	e[31] |= 64
 
-	var stack [3 * batchStack]Element
-	scratch := stack[:]
-	if n > batchStack {
-		scratch = make([]Element, 3*n)
+	var flags [255]uint64
+	final := swapFlags(&flags, &e)
+	for len(points) > 0 {
+		n := min(lanes, len(points))
+		var xs, zs, prods [lanes]Element
+		if vectorFrom > 0 && n >= vectorFrom {
+			ladderVector(xs[:n], zs[:n], points[:n], &flags, final)
+		} else {
+			for i := range points[:n] {
+				ladder(&xs[i], &zs[i], &e, &points[i])
+			}
+		}
+		normalise(dst[:n], xs[:n], zs[:n], prods[:n])
+		dst, points = dst[n:], points[n:]
 	}
-	xs, zs, prods := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
-	for i := range points {
-		ladder(&xs[i], &zs[i], &e, &points[i])
+}
+
+// normalise sets dst[i] to the encoding of xs[i]/zs[i], with one inversion;
+// a zero zs[i] gives the all-zero output. prods is scratch of the same
+// length.
+func normalise(dst [][32]byte, xs, zs, prods []Element) {
+	n := len(xs)
+	for i := range xs {
 		zero := zs[i].isZero()
 		xs[i].Select(feZero, &xs[i], zero)
 		zs[i].Select(feOne, &zs[i], zero)

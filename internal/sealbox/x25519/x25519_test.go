@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"encoding/hex"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -16,6 +17,46 @@ func hex32(tb testing.TB, s string) [32]byte {
 		tb.Fatalf("bad 32-byte hex %q", s)
 	}
 	return [32]byte(b)
+}
+
+// noVector is why a vector-ladder test skips.
+const noVector = "no vector ladder: the CPU lacks AVX-512F or AVX-512 IFMA, the OS does not save ZMM state, or the build is purego or not amd64"
+
+// forEachPath runs f on each ladder ScalarMultBatch has: "scalar" with the
+// vector ladder off, and "vector" with it taking every run, down to one
+// point. The vector subtest is skipped, with the reason, where the CPU or
+// the build has no vector ladder.
+func forEachPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, p := range []struct {
+		name string
+		from int
+	}{{"scalar", 0}, {"vector", 1}} {
+		t.Run(p.name, func(t *testing.T) {
+			if p.from > 0 && !hasIFMA() {
+				t.Skip(noVector)
+			}
+			defer func(old int) { vectorFrom = old }(vectorFrom)
+			vectorFrom = p.from
+			f(t)
+		})
+	}
+}
+
+// TestVectorPathDetected logs which ladder ScalarMultBatch takes on this
+// CPU (run it with -v), and checks the detection and the default agree.
+func TestVectorPathDetected(t *testing.T) {
+	if hasIFMA() {
+		t.Logf("vector ladder: AVX-512 IFMA detected; runs of %d or more points take it", vectorCrossover)
+		if vectorFrom != vectorCrossover {
+			t.Errorf("vectorFrom = %d with IFMA detected, want %d", vectorFrom, vectorCrossover)
+		}
+	} else {
+		t.Log("scalar ladder only; " + noVector)
+		if vectorFrom != 0 {
+			t.Errorf("vectorFrom = %d without IFMA, want 0", vectorFrom)
+		}
+	}
 }
 
 // oracle is X25519 by crypto/ecdh, with the all-zero output for the inputs
@@ -42,9 +83,10 @@ func oracleWith(tb testing.TB, k *ecdh.PrivateKey, u [32]byte) [32]byte {
 	return [32]byte(s)
 }
 
-// batchSizes straddle batchStack (the stack-scratch limit) and 16, the
-// encapsulations of one full Round1 batch.
-var batchSizes = []int{1, 2, 15, 16, 17}
+// batchSizes straddle one vector of eight (a partial vector, a full one,
+// two and a partial third) and 16, the encapsulations of one full Round1
+// batch.
+var batchSizes = []int{1, 2, 7, 8, 9, 15, 16, 17}
 
 // check computes X25519(scalar, u) unbatched and, at every position, in
 // each of batchSizes' batches of other points, and wants want every time.
@@ -74,7 +116,9 @@ func check(t *testing.T, name string, scalar, u, want [32]byte) {
 
 // TestRFC7748Vectors: §5.2's two test vectors, and §6.1's Alice/Bob
 // exchange, each batched and not, all agreeing with crypto/ecdh.
-func TestRFC7748Vectors(t *testing.T) {
+func TestRFC7748Vectors(t *testing.T) { forEachPath(t, testRFC7748Vectors) }
+
+func testRFC7748Vectors(t *testing.T) {
 	vectors := []struct{ name, scalar, u, out string }{
 		{"§5.2 vector 1",
 			"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
@@ -113,7 +157,9 @@ func TestRFC7748Vectors(t *testing.T) {
 // TestRFC7748Iterations: §5.2's iteration, k, u ← X25519(k, u), k from
 // k = u = 9, after 1 and 1,000 rounds; the last round of each is also run
 // batched.
-func TestRFC7748Iterations(t *testing.T) {
+func TestRFC7748Iterations(t *testing.T) { forEachPath(t, testRFC7748Iterations) }
+
+func testRFC7748Iterations(t *testing.T) {
 	want := map[int][32]byte{
 		1:    hex32(t, "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"),
 		1000: hex32(t, "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"),
@@ -147,9 +193,12 @@ func encodeLE(n *big.Int) [32]byte {
 
 // TestDifferentialAgainstECDH: 10⁴ random (scalar, u) pairs, a quarter of
 // them with bit 255 set and some u in [p, 2²⁵⁵), give crypto/ecdh's outputs
-// batched (each batch one scalar, at sizes cycling through batchSizes) and
-// unbatched.
-func TestDifferentialAgainstECDH(t *testing.T) {
+// batched (each batch one scalar, at sizes cycling through 1 to 17: partial
+// vectors, one full vector, two, and two with a partial tail) and
+// unbatched, on each path.
+func TestDifferentialAgainstECDH(t *testing.T) { forEachPath(t, testDifferentialAgainstECDH) }
+
+func testDifferentialAgainstECDH(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const pairs = 10000
 	done := 0
@@ -160,7 +209,7 @@ func TestDifferentialAgainstECDH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := batchSizes[b%len(batchSizes)]
+		n := 1 + b%17
 		pts := make([][32]byte, n)
 		for i := range pts {
 			rng.Read(pts[i][:])
@@ -205,9 +254,12 @@ var lowOrder = []string{
 }
 
 // TestLowOrderPointsStayIsolated: a low-order point's result is all zeros
-// at every position of a 16-point batch, and its 15 neighbours still get
-// crypto/ecdh's outputs: its zero Z does not reach the shared inversion.
-func TestLowOrderPointsStayIsolated(t *testing.T) {
+// at every position of a 16-point batch, every lane of both vectors on the
+// vector path, and its 15 neighbours still get crypto/ecdh's outputs: its
+// zero Z does not reach the shared inversion.
+func TestLowOrderPointsStayIsolated(t *testing.T) { forEachPath(t, testLowOrderPointsStayIsolated) }
+
+func testLowOrderPointsStayIsolated(t *testing.T) {
 	scalar := hex32(t, "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
 	k, err := ecdh.X25519().NewPrivateKey(scalar[:])
 	if err != nil {
@@ -247,7 +299,12 @@ func TestLowOrderPointsStayIsolated(t *testing.T) {
 	}
 }
 
-func TestBatchAliasesAndEmpty(t *testing.T) {
+// TestBatchAliasesAndEmpty: an empty batch is a no-op, dst may be points
+// (within one vector, and across three with a low-order point in the
+// second), and mismatched lengths panic.
+func TestBatchAliasesAndEmpty(t *testing.T) { forEachPath(t, testBatchAliasesAndEmpty) }
+
+func testBatchAliasesAndEmpty(t *testing.T) {
 	ScalarMultBatch(nil, nil, &Basepoint)
 	pts := [][32]byte{Basepoint, hex32(t, lowOrder[2])}
 	want := [][32]byte{oracle(t, Basepoint, pts[0]), {}}
@@ -255,6 +312,25 @@ func TestBatchAliasesAndEmpty(t *testing.T) {
 	if pts[0] != want[0] || pts[1] != want[1] {
 		t.Errorf("in-place batch = %x, want %x", pts, want)
 	}
+
+	scalar := hex32(t, "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d")
+	rng := rand.New(rand.NewSource(7))
+	pts = make([][32]byte, 17)
+	want = make([][32]byte, len(pts))
+	for i := range pts {
+		rng.Read(pts[i][:])
+		if i == 9 {
+			pts[i] = hex32(t, lowOrder[3])
+		}
+		want[i] = oracle(t, scalar, pts[i])
+	}
+	ScalarMultBatch(pts, pts, &scalar)
+	for i := range pts {
+		if pts[i] != want[i] {
+			t.Errorf("in-place batch of 17: output %d = %x, want %x", i, pts[i], want[i])
+		}
+	}
+
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched lengths did not panic")
@@ -422,9 +498,140 @@ func TestLadderStepAtBound(t *testing.T) {
 	}
 }
 
+// carriedMax is the largest limb of a carried value, the bound every value
+// of the vector ladder keeps (ladder8.go).
+const carriedMax = 1<<51 + 1<<14 - 1
+
+// extremeLanes fills eight lanes of each of vs: lane 0 all limbs at
+// carriedMax, lanes 1 to 4 at carriedMax and 0 in the four patterns that
+// put one operand's limbs at the bound and the other's at 0, and lanes 5 to
+// 7 random carried limbs.
+func extremeLanes(rng *rand.Rand, vs ...*vec8) {
+	patterns := [][2]Element{
+		{splat(carriedMax), splat(carriedMax)},
+		{splat(carriedMax), {}},
+		{{}, splat(carriedMax)},
+		{{carriedMax, 0, carriedMax, 0, carriedMax}, {0, carriedMax, 0, carriedMax, 0}},
+		{{0, carriedMax, 0, carriedMax, 0}, {carriedMax, 0, carriedMax, 0, carriedMax}},
+	}
+	for k, v := range vs {
+		for l := 0; l < lanes; l++ {
+			e := randElement(rng, carriedMax+1)
+			if l < len(patterns) {
+				e = patterns[l][k%2]
+			}
+			v.set(l, &e)
+		}
+	}
+}
+
+// checkCarried fails if a limb of v is above carriedMax.
+func checkCarried(t *testing.T, name string, v *vec8) {
+	t.Helper()
+	for i := range v {
+		for l, x := range v[i] {
+			if x > carriedMax {
+				t.Fatalf("%s: limb %d of lane %d is %#x, above the carried bound", name, i, l, x)
+			}
+		}
+	}
+}
+
+func (v *vec8) lane(l int) *big.Int {
+	var e Element
+	v.get(l, &e)
+	return e.big()
+}
+
+// TestVectorFieldOpsAtBound: the vector ladder's multiply, square and a24
+// step are exact against math/big, in every lane, for carried inputs at the
+// carried bound and below it, and their outputs are carried.
+func TestVectorFieldOpsAtBound(t *testing.T) {
+	if !hasIFMA() {
+		t.Skip(noVector)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for round := 0; round < 300; round++ {
+		var v [5]vec8
+		extremeLanes(rng, &v[0], &v[1])
+		fieldOps8(&v)
+		for l := 0; l < lanes; l++ {
+			a, b := v[0].lane(l), v[1].lane(l)
+			want := []*big.Int{
+				new(big.Int).Mul(a, b),
+				new(big.Int).Mul(a, a),
+				new(big.Int).Add(b, new(big.Int).Mul(a, big.NewInt(121666))),
+			}
+			for k, w := range want {
+				if modP(v[2+k].lane(l)).Cmp(modP(w)) != 0 {
+					t.Fatalf("round %d, lane %d: operation %d wrong mod p", round, l, k)
+				}
+			}
+		}
+		for k := range v {
+			checkCarried(t, "fieldOps8", &v[k])
+		}
+	}
+}
+
+// TestVectorStepAtBound: one vector ladder step, with each swap flag, from
+// registers at the carried bound (and x1 at it too) and below it, is exact
+// against RFC 7748's formulas in math/big in every lane and leaves every
+// register carried.
+func TestVectorStepAtBound(t *testing.T) {
+	if !hasIFMA() {
+		t.Skip(noVector)
+	}
+	rng := rand.New(rand.NewSource(9))
+	mul := func(a, b *big.Int) *big.Int { return modP(new(big.Int).Mul(a, b)) }
+	for round := 0; round < 200; round++ {
+		var st ladderState8
+		extremeLanes(rng, &st.x1, &st.x2, &st.z2, &st.x3, &st.z3)
+		if round%2 == 1 {
+			extremeLanes(rng, &st.x2, &st.x3, &st.z2, &st.z3)
+		}
+		swap := uint64(round/2) % 2
+		before := st
+		ladder8(&st, []uint64{swap})
+		for l := 0; l < lanes; l++ {
+			x1, x2, z2, x3, z3 := before.x1.lane(l), before.x2.lane(l), before.z2.lane(l), before.x3.lane(l), before.z3.lane(l)
+			if swap == 1 {
+				x2, z2, x3, z3 = x3, z3, x2, z2
+			}
+			a := modP(new(big.Int).Add(x2, z2))
+			aa := mul(a, a)
+			b := modP(new(big.Int).Sub(x2, z2))
+			bb := mul(b, b)
+			e := modP(new(big.Int).Sub(aa, bb))
+			c := modP(new(big.Int).Add(x3, z3))
+			d := modP(new(big.Int).Sub(x3, z3))
+			da, cb := mul(d, a), mul(c, b)
+			sum, diff := modP(new(big.Int).Add(da, cb)), modP(new(big.Int).Sub(da, cb))
+			want := [4]*big.Int{
+				mul(aa, bb), // x2
+				mul(e, modP(new(big.Int).Add(aa, mul(big.NewInt(121665), e)))), // z2
+				mul(sum, sum),            // x3
+				mul(x1, mul(diff, diff)), // z3
+			}
+			for j, got := range []*vec8{&st.x2, &st.z2, &st.x3, &st.z3} {
+				if modP(got.lane(l)).Cmp(want[j]) != 0 {
+					t.Fatalf("round %d, swap %d, lane %d: register %d wrong mod p", round, swap, l, j+1)
+				}
+			}
+		}
+		if st.x1 != before.x1 {
+			t.Fatalf("round %d: the step changed x1", round)
+		}
+		for _, v := range []*vec8{&st.x2, &st.z2, &st.x3, &st.z3} {
+			checkCarried(t, "ladder8", v)
+		}
+	}
+}
+
 // FuzzX25519 checks X25519(scalar, u) against crypto/ecdh at position pos of
-// a batch of 17 (batchStack exceeded), whose other points are multiples of
-// the base point, and unbatched.
+// a batch of 17 (two full vectors and a partial one), whose other points are
+// multiples of the base point, on the scalar ladder and, where the CPU has
+// it, the vector ladder, and unbatched.
 func FuzzX25519(f *testing.F) {
 	seeds := [][2]string{
 		{"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4", "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"},
@@ -442,6 +649,11 @@ func FuzzX25519(f *testing.F) {
 		u[31] |= 0x80
 		f.Add(scalar[:], u[:], uint8(16-i))
 	}
+	paths := []int{0}
+	if hasIFMA() {
+		paths = append(paths, 1)
+	}
+	defer func(old int) { vectorFrom = old }(vectorFrom)
 	f.Fuzz(func(t *testing.T, scalarBytes, uBytes []byte, pos uint8) {
 		var scalar, u [32]byte
 		copy(scalar[:], scalarBytes)
@@ -458,41 +670,69 @@ func FuzzX25519(f *testing.F) {
 		}
 		at := int(pos) % n
 		pts[at] = u
-		out := make([][32]byte, n)
-		ScalarMultBatch(out, pts, &scalar)
+		want := make([][32]byte, n)
 		for i := range pts {
-			if want := oracleWith(t, k, pts[i]); out[i] != want {
-				t.Fatalf("scalar %x, u %x at %d of %d: %x, want %x", scalar, pts[i], i, n, out[i], want)
-			}
+			want[i] = oracleWith(t, k, pts[i])
 		}
-		var one [32]byte
-		ScalarMult(&one, &scalar, &u)
-		if !bytes.Equal(one[:], out[at][:]) {
-			t.Fatalf("scalar %x, u %x: ScalarMult %x, batched %x", scalar, u, one, out[at])
+		for _, from := range paths {
+			vectorFrom = from
+			out := make([][32]byte, n)
+			ScalarMultBatch(out, pts, &scalar)
+			for i := range pts {
+				if out[i] != want[i] {
+					t.Fatalf("vectorFrom %d: scalar %x, u %x at %d of %d: %x, want %x", from, scalar, pts[i], i, n, out[i], want[i])
+				}
+			}
+			var one [32]byte
+			ScalarMult(&one, &scalar, &u)
+			if !bytes.Equal(one[:], want[at][:]) {
+				t.Fatalf("vectorFrom %d: scalar %x, u %x: ScalarMult %x, want %x", from, scalar, u, one, want[at])
+			}
 		}
 	})
 }
 
+// BenchmarkScalarMult times X25519 on each path: one point, batches of n
+// points (ns/point is the figure to compare; vectorCrossover is the n from
+// which the vector ladder wins), and crypto/ecdh for reference.
 func BenchmarkScalarMult(b *testing.B) {
 	scalar := hex32(b, "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
 	u := hex32(b, "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c")
+	defer func(old int) { vectorFrom = old }(vectorFrom)
 	b.Run("x25519", func(b *testing.B) {
 		var out [32]byte
 		for i := 0; i < b.N; i++ {
 			ScalarMult(&out, &scalar, &u)
 		}
 	})
-	b.Run("batch16", func(b *testing.B) {
-		pts := make([][32]byte, 16)
-		for i := range pts {
-			pts[i] = u
+	batch := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
+			pts := make([][32]byte, n)
+			for i := range pts {
+				pts[i] = u
+			}
+			out := make([][32]byte, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ScalarMultBatch(out, pts, &scalar)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/point")
 		}
-		out := make([][32]byte, 16)
-		for i := 0; i < b.N; i++ {
-			ScalarMultBatch(out, pts, &scalar)
+	}
+	// batch16 on the default path: the figure earlier versions reported.
+	b.Run("batch16", batch(16))
+	for _, p := range []struct {
+		name string
+		from int
+	}{{"scalar", 0}, {"vector", 1}} {
+		if p.from > 0 && !hasIFMA() {
+			continue
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(16*b.N), "ns/point")
-	})
+		vectorFrom = p.from
+		for _, n := range []int{1, 2, 4, 6, 8, 16} {
+			b.Run(fmt.Sprintf("%s/n=%d", p.name, n), batch(n))
+		}
+	}
 	b.Run("crypto-ecdh", func(b *testing.B) {
 		k, _ := ecdh.X25519().NewPrivateKey(scalar[:])
 		pk, _ := ecdh.X25519().NewPublicKey(u[:])
