@@ -17,7 +17,7 @@ import (
 
 // aggregatesHandler is the /aggregates route, installed late: the admin
 // endpoint starts before the protocol stack (and thus before the window
-// service) exists, so the route answers 404 until windowing comes up.
+// service) exists, so the route answers 404 until the member is up.
 var aggregatesHandler atomic.Pointer[http.Handler]
 
 func setAggregatesHandler(h http.Handler) { aggregatesHandler.Store(&h) }
@@ -41,7 +41,7 @@ func startAdmin(addr string, tlsCfg *tls.Config, tr *telemetry.Tracer) (net.List
 			(*h).ServeHTTP(w, r)
 			return
 		}
-		http.Error(w, "windowed aggregation disabled (start with -window)", http.StatusNotFound)
+		http.Error(w, "window service not started yet", http.StatusNotFound)
 	})
 	srv := &http.Server{
 		Handler:           mux,

@@ -6,17 +6,17 @@
 // answers the verification rounds, and keeps a pipeline and a client ingest
 // endpoint warm. One member at a time leads: it accepts client submission
 // streams (see internal/ingest), drives verification in batches across
-// concurrent shards, and prints the decoded aggregate on an interval. The
-// others refuse client streams, naming the leader. Leadership starts at
-// index 0 and moves to the next live member when the leader fails (see
-// docs/CLUSTER.md). Example three-member deployment of a 434-question
-// survey:
+// concurrent shards, and publishes each closed collection window's aggregate
+// (see window.go). The others refuse client streams, naming the leader.
+// Leadership starts at index 0 and moves to the next live member when the
+// leader fails (see docs/CLUSTER.md). Example three-member deployment of a
+// 434-question survey:
 //
 //	R=localhost:7000,localhost:7001,localhost:7002
 //	prio-server -roster $R -index 2 -listen :7002 -scheme bits434
 //	prio-server -roster $R -index 1 -listen :7001 -scheme bits434
 //	prio-server -roster $R -index 0 -listen :7000 -scheme bits434 \
-//	    -batch 16 -publish-every 30s
+//	    -batch 16 -window 30s
 //
 // Clients submit with prio-client (or flood with prio-load) given the same
 // roster; they find the leader themselves.
@@ -31,11 +31,11 @@ package main
 import (
 	"crypto/tls"
 	"flag"
-	"fmt"
 	"log/slog"
-	"math/big"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"prio"
@@ -58,8 +58,6 @@ var (
 	queueDepth    = flag.Int("queue-depth", 0, "pipeline submission queue capacity (leader; 0 = 4 batches per shard)")
 	ingestCredits = flag.Int("ingest-credits", ingest.DefaultCredits, "per-stream credit window for streamed submissions (leader)")
 	ingestQueue   = flag.Int("ingest-queue", ingest.DefaultQueueDepth, "intake queue capacity buffering streamed submissions for the pipeline (leader)")
-	publishEvery  = flag.Duration("publish-every", 30*time.Second, "aggregate publication interval (leader)")
-	once          = flag.Bool("once", false, "leader: publish once after the first interval and exit (for scripting)")
 	useTLS        = flag.Bool("tls", true, "serve and dial TLS (self-signed unless -tls-cert/-tls-key)")
 	tlsCert       = flag.String("tls-cert", "", "PEM certificate file (with -tls-key; default: fresh self-signed)")
 	tlsKey        = flag.String("tls-key", "", "PEM private key file (with -tls-cert)")
@@ -167,32 +165,22 @@ func main() {
 			DynamicCredits: true,
 			Tracer:         tracer,
 		},
-		Window: windowConfig(),
+		Window: windowConfig(scheme),
 	})
 	if err != nil {
 		cli.Fatal("starting member", "err", err)
 	}
 	defer m.Close()
-	if m.Window != nil {
-		reportWindow(m.Window)
-	}
-	ld := &leaderLoop{scheme: scheme, pipeline: m.Pipeline, ingest: m.Ingest}
+	reportWindow(m.Window)
 	slog.Info("member listening", "self", self, "members", ros.N(),
 		"scheme", scheme.Name(), "mode", mode.String(), "tls", *useTLS,
 		"addr", m.Listener.Addr().String(), "shards", m.Pipeline.Shards(),
 		"stream_credits", *ingestCredits,
 		"ping_interval", pingEvery.String(), "rotate_every", rotateFlag.String())
 
-	ticker := time.NewTicker(*publishEvery)
-	defer ticker.Stop()
-	for range ticker.C {
-		if m.Node.IsLeader() {
-			ld.publish()
-			if *once {
-				return
-			}
-		}
-	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	slog.Info("shutting down", "signal", (<-sig).String())
 }
 
 // loadOrCreateKey returns the sealbox key at path, generating and persisting
@@ -215,89 +203,4 @@ func loadOrCreateKey(path string) (*sealbox.PrivateKey, error) {
 		return nil, err
 	}
 	return priv, nil
-}
-
-// leaderLoop publishes a leader's aggregate and interval counters. publish
-// runs on the one ticker goroutine, so the last-interval marks need no lock.
-type leaderLoop struct {
-	scheme   prio.Scheme
-	pipeline *prio.Pipeline
-	ingest   *prio.IngestServer
-
-	lastStat   prio.ShardStats
-	lastIngest prio.IngestStats
-}
-
-// publish quiesces the pipeline and prints the decoded aggregate plus the
-// interval's verification and ingest counters. Pipeline.Aggregate pauses
-// intake for the duration, so the published aggregate is a consistent
-// snapshot even under sustained submission traffic.
-func (ld *leaderLoop) publish() {
-	agg, n, err := ld.pipeline.Aggregate()
-	st := ld.pipeline.Stats()
-	ist := ld.ingest.Stats()
-	delta := st
-	delta.Batches -= ld.lastStat.Batches
-	delta.Processed -= ld.lastStat.Processed
-	delta.Accepted -= ld.lastStat.Accepted
-	delta.Rejected -= ld.lastStat.Rejected
-	delta.Failed -= ld.lastStat.Failed
-	streamed := ist.Received - ld.lastIngest.Received
-	// The ingest layer's count is the authoritative client-visible shed
-	// number; pipeline Refused entries were re-queued through the intake
-	// buffer, not necessarily lost.
-	shed := ist.Shed - ld.lastIngest.Shed
-	ld.lastStat = st
-	ld.lastIngest = ist
-	if delta.Processed+delta.Failed+shed > 0 {
-		slog.Info("interval",
-			"accepted", delta.Accepted, "rejected", delta.Rejected,
-			"failed", delta.Failed, "shed", shed,
-			"rounds", delta.Batches, "streamed", streamed)
-	}
-	if err != nil {
-		slog.Warn("aggregate error", "err", err)
-		return
-	}
-	fmt.Printf("aggregate over %d clients: %s\n", n, describeAggregate(ld.scheme, agg, int(n)))
-}
-
-// describeAggregate renders the aggregate with the scheme's own decoder
-// where the type is known, falling back to the raw vector.
-func describeAggregate(scheme prio.Scheme, agg []uint64, n int) string {
-	switch s := scheme.(type) {
-	case *prio.Sum:
-		if v, err := s.Decode(agg, n); err == nil {
-			return "sum=" + v.String()
-		}
-	case *prio.Variance:
-		if mean, v, err := s.Decode(agg, n); err == nil {
-			return fmt.Sprintf("mean=%.3f variance=%.3f", mean, v)
-		}
-	case *prio.FreqCount:
-		if h, err := s.Decode(agg, n); err == nil {
-			return fmt.Sprintf("histogram=%v", h)
-		}
-	case *prio.BitVector:
-		if c, err := s.Decode(agg, n); err == nil {
-			return fmt.Sprintf("counts=%v", c)
-		}
-	case *prio.IntVector:
-		if c, err := s.Decode(agg, n); err == nil {
-			return fmt.Sprintf("sums=%v", bigs(c))
-		}
-	case *prio.LinReg:
-		if coef, err := s.Decode(agg, n); err == nil {
-			return fmt.Sprintf("coefficients=%v", coef)
-		}
-	}
-	return fmt.Sprintf("raw=%v", agg)
-}
-
-func bigs(v []*big.Int) []string {
-	out := make([]string, len(v))
-	for i, b := range v {
-		out[i] = b.String()
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Windowed aggregation wiring: flags and configuration for the member's
-// internal/window service. The service is off unless -window is set; with it,
-// every accepted submission lands in a tumbling collection window, each
+// internal/window service, the only way a member releases an aggregate.
+// Every accepted submission lands in a tumbling collection window, each
 // window seals with this member's own DP noise (-dp-epsilon), and the
 // sitting leader publishes per-window aggregates (ledger lines below plus
 // the /aggregates admin view). -checkpoint-dir adds durable recovery: a
@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math/big"
+	"strconv"
 	"strings"
 	"time"
 
@@ -23,8 +25,8 @@ import (
 )
 
 var (
-	windowFlag = flag.Duration("window", 0, "tumbling collection window width; each window publishes its own DP-noised aggregate (0 = all-time aggregate only)")
-	ckptDir    = flag.String("checkpoint-dir", "", "directory for durable accumulator checkpoints (requires -window; empty = memory only)")
+	windowFlag = flag.Duration("window", 30*time.Second, "tumbling collection window width; the leader publishes each window's aggregate when it closes")
+	ckptDir    = flag.String("checkpoint-dir", "", "directory for durable accumulator checkpoints (empty = memory only)")
 	ckptEvery  = flag.Duration("checkpoint-every", 0, "periodic checkpoint cadence (0 = half the window, clamped to [1s, 30s])")
 	dpEpsilon  = flag.Float64("dp-epsilon", 0, "differential-privacy epsilon this server spends per aggregate component when sealing a window (0 = publish without noise)")
 	dpSens     = flag.Float64("dp-sensitivity", 1, "DP sensitivity: the most one client can move one aggregate component (1 for counts; 2^b for b-bit sums)")
@@ -32,18 +34,11 @@ var (
 	dpClamp    = flag.Bool("dp-clamp", false, "clamp the final window's epsilon to the budget remainder instead of refusing to seal")
 )
 
-// windowConfig is the window service configuration the flags describe, or
-// nil when -window is off. The member fills in its own server, leader,
-// quiesce and leadership hooks.
-func windowConfig() *window.Config[field.F64, uint64] {
+// windowConfig is the window service configuration the flags describe. The
+// member fills in its own server, leader, quiesce and leadership hooks.
+func windowConfig(scheme prio.Scheme) *window.Config[field.F64, uint64] {
 	if *windowFlag <= 0 {
-		if *ckptDir != "" {
-			cli.Fatal("-checkpoint-dir requires -window")
-		}
-		if *dpEpsilon > 0 {
-			cli.Fatal("-dp-epsilon requires -window")
-		}
-		return nil
+		cli.Fatal("-window must be positive", "window", windowFlag.String())
 	}
 	cfg := &window.Config[field.F64, uint64]{
 		Field:           prio.DefaultField(),
@@ -52,7 +47,7 @@ func windowConfig() *window.Config[field.F64, uint64] {
 		Logf: func(format string, args ...any) {
 			slog.Info(fmt.Sprintf(format, args...))
 		},
-		OnPublish: printWindowLedger,
+		OnPublish: func(r window.Record) { fmt.Println(ledgerLine(scheme, r)) },
 	}
 	if *ckptDir != "" {
 		var err error
@@ -88,26 +83,85 @@ func reportWindow(svc *window.Service[field.F64, uint64]) {
 		"checkpoint_dir", *ckptDir, "dp_epsilon", *dpEpsilon, "dp_budget", *dpBudgetFl)
 }
 
-// printWindowLedger emits one stdout line per published window — the
-// leader-side release ledger, shaped like the interval aggregate line.
-func printWindowLedger(r window.Record) {
-	agg := r.Agg
-	truncated := ""
-	if len(agg) > 8 {
-		agg = agg[:8]
-		truncated = fmt.Sprintf(" …+%d", len(r.Agg)-8)
-	}
-	extra := ""
+// ledgerCounters name the registry series a ledger line reports, as deltas
+// since this member's previous publish (Record.Stages).
+var ledgerCounters = []struct{ name, series string }{
+	{"accepted", `prio_pipeline_submissions_total{outcome="accepted"}`},
+	{"rejected", `prio_pipeline_submissions_total{outcome="rejected"}`},
+	{"failed", `prio_pipeline_submissions_total{outcome="failed"}`},
+	{"shed", "prio_ingest_shed_total"},
+	{"rounds", "prio_verify_batches_total"},
+	{"streamed", "prio_ingest_received_total"},
+}
+
+// ledgerLine renders one published window as the leader's stdout release
+// ledger: the decoded aggregate, its noise, and the verification and ingest
+// counters of the window.
+func ledgerLine(scheme prio.Scheme, r window.Record) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "window %d [%s, %s): clients=%d %s noised=%v",
+		r.ID, r.Start.Format(time.TimeOnly), r.End.Format(time.TimeOnly),
+		r.Count, describeAggregate(scheme, r.Agg, int(r.Count)), r.Noised)
 	if r.Noised {
-		extra = fmt.Sprintf(" eps=%.4g", r.Eps)
+		fmt.Fprintf(&b, " eps=%.4g", r.Eps)
 	}
 	if !r.Consistent {
-		extra += fmt.Sprintf(" INCONSISTENT counts=%v", r.Counts)
+		fmt.Fprintf(&b, " INCONSISTENT counts=%v", r.Counts)
 	}
 	if r.Republished {
-		extra += " republished"
+		b.WriteString(" republished")
 	}
-	fmt.Printf("window %d [%s, %s): clients=%d aggregate=[%s%s] noised=%v%s\n",
-		r.ID, r.Start.Format(time.TimeOnly), r.End.Format(time.TimeOnly),
-		r.Count, strings.Join(agg, " "), truncated, r.Noised, extra)
+	for _, c := range ledgerCounters {
+		fmt.Fprintf(&b, " %s=%d", c.name, r.Stages[c.series].Counter)
+	}
+	return b.String()
+}
+
+// describeAggregate renders a window's aggregate vector (decimal field
+// elements) with the scheme's own decoder where the type is known, falling
+// back to the raw vector.
+func describeAggregate(scheme prio.Scheme, vec []string, n int) string {
+	agg := make([]uint64, len(vec))
+	for i, s := range vec {
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return fmt.Sprintf("raw=%v", vec)
+		}
+		agg[i] = v
+	}
+	switch s := scheme.(type) {
+	case *prio.Sum:
+		if v, err := s.Decode(agg, n); err == nil {
+			return "sum=" + v.String()
+		}
+	case *prio.Variance:
+		if mean, v, err := s.Decode(agg, n); err == nil {
+			return fmt.Sprintf("mean=%.3f variance=%.3f", mean, v)
+		}
+	case *prio.FreqCount:
+		if h, err := s.Decode(agg, n); err == nil {
+			return fmt.Sprintf("histogram=%v", h)
+		}
+	case *prio.BitVector:
+		if c, err := s.Decode(agg, n); err == nil {
+			return fmt.Sprintf("counts=%v", c)
+		}
+	case *prio.IntVector:
+		if c, err := s.Decode(agg, n); err == nil {
+			return fmt.Sprintf("sums=%v", bigs(c))
+		}
+	case *prio.LinReg:
+		if coef, err := s.Decode(agg, n); err == nil {
+			return fmt.Sprintf("coefficients=%v", coef)
+		}
+	}
+	return fmt.Sprintf("raw=%v", vec)
+}
+
+func bigs(v []*big.Int) []string {
+	out := make([]string, len(v))
+	for i, b := range v {
+		out[i] = b.String()
+	}
+	return out
 }

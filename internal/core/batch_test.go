@@ -158,10 +158,10 @@ func oracleAccepts(t *testing.T, cl *Cluster[field.F64, uint64], subs []*Submiss
 // TestBatchVerifyDifferential is the core-level equivalence suite for the
 // verification path: the same submission batch — with 0, 1, and N malicious
 // submissions planted at deterministic random positions — is processed by
-// the deployment (batched probes, bisecting) and decided one submission at a
-// time by oracleAccepts over the very same shares. Both must accept exactly
-// the honest submissions, which also pins down that the bisect fallback
-// rejects only the planted positions.
+// the deployment (the combined probe, then one reveal when it fails) and
+// decided one submission at a time by oracleAccepts over the very same
+// shares. Both must accept exactly the honest submissions, which also pins
+// down that the reveal rejects only the planted positions.
 func TestBatchVerifyDifferential(t *testing.T) {
 	f := field.NewF64()
 	const b = 10

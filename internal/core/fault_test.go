@@ -1,12 +1,10 @@
 package core
 
 import (
-	"crypto/rand"
 	"sync/atomic"
 	"testing"
 
 	"prio/internal/afe"
-	"prio/internal/dp"
 	"prio/internal/field"
 	"prio/internal/prg"
 	"prio/internal/sealbox"
@@ -231,56 +229,6 @@ func TestMixedBatchFiltersOnlyBadSubmissions(t *testing.T) {
 	}
 	if got.Uint64() != wantSum {
 		t.Errorf("aggregate = %v, want %d", got, wantSum)
-	}
-}
-
-func TestDifferentialPrivacyIntegration(t *testing.T) {
-	// Section 7 extension: servers add discrete-Laplace noise shares before
-	// publishing. The decoded aggregate equals truth + Σ noise; with s
-	// servers each adding noise, the sum must stay near the truth.
-	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, false)
-	var subs []*Submission
-	truth := uint64(0)
-	for i := 0; i < 30; i++ {
-		v := uint64(i % 16)
-		truth += v
-		enc, _ := scheme.Encode(v)
-		sub, err := client.BuildSubmission(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, sub)
-	}
-	if _, err := cl.Leader.ProcessBatch(subs); err != nil {
-		t.Fatal(err)
-	}
-	params := dp.Params{Epsilon: 1, Sensitivity: 255}
-	for _, srv := range cl.Servers {
-		noise, err := dp.NoiseVector(field.NewF64(), rand.Reader, scheme.KPrime(), params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.AddNoise(noise); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg, _, err := cl.Leader.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interpret the (possibly negative) noised total.
-	f := field.NewF64()
-	v := f.ToBig(agg[0])
-	signed := v.Int64()
-	if v.BitLen() > 62 { // wrapped negative
-		signed = -int64(field.ModulusF64 - agg[0])
-	}
-	diff := signed - int64(truth)
-	if diff < -20000 || diff > 20000 {
-		t.Errorf("noised aggregate off by %d; noise scale implausible", diff)
-	}
-	if err := cl.Servers[0].AddNoise([]uint64{1, 2}); err == nil {
-		t.Error("AddNoise accepted wrong-length vector")
 	}
 }
 

@@ -70,9 +70,9 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 }
 
 // start returns the wall clock for a stage timing, or the zero time when
-// metrics are absent or compiled out (Since then records nothing).
+// metrics are absent (Since then records nothing).
 func (m *pipeMetrics) start() time.Time {
-	if m == nil || !telemetry.Enabled {
+	if m == nil {
 		return time.Time{}
 	}
 	return time.Now()

@@ -11,9 +11,6 @@ import (
 // per-outcome counters sum to the submitted count and match ShardStats, and
 // every round landed in the stage histograms.
 func TestPipelineMetricsAddUp(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out (-tags notelemetry)")
-	}
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
 	reg := telemetry.New()
 	pl, err := NewPipeline(cl.Leader, PipelineConfig{Shards: 2, MaxBatch: 4, Registry: reg})
@@ -113,15 +110,11 @@ func TestPipelineMetricsAddUp(t *testing.T) {
 
 }
 
-// TestBisectFallbackMetrics drives one mixed batch straight through
+// TestRevealProbeMetrics drives one mixed batch straight through
 // ProcessBatch on a metered leader: the combined RLC check must fail and be
-// followed by exactly one reveal — the fallback that replaced the bisection
-// — which the fallback counter records, deterministically, unlike pipeline
-// batching.
-func TestBisectFallbackMetrics(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out (-tags notelemetry)")
-	}
+// followed by exactly one reveal probe, which the fallback counter records,
+// deterministically, unlike pipeline batching.
+func TestRevealProbeMetrics(t *testing.T) {
 	_, cl, client, scheme := newSumDeployment(t, ModeSNIP, 3, true)
 	ld, calls := countedLeader(t, cl)
 	reg := telemetry.New()

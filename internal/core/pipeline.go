@@ -176,7 +176,7 @@ type pipeJob struct {
 	sub *Submission
 	res chan<- SubmitResult
 	fn  func(SubmitResult)
-	enq time.Time // enqueue instant for the queue-wait histogram (zero when telemetry is off)
+	enq time.Time // enqueue instant for the queue-wait histogram
 }
 
 // finish delivers the decision to whichever completion the submitter chose.
@@ -322,10 +322,7 @@ func (p *Pipeline[Fd, E]) TrySubmitFunc(sub *Submission, fn func(SubmitResult)) 
 	p.mu.Lock()
 	p.pending++
 	p.mu.Unlock()
-	job := pipeJob{sub: sub, fn: fn}
-	if telemetry.Enabled {
-		job.enq = time.Now()
-	}
+	job := pipeJob{sub: sub, fn: fn, enq: time.Now()}
 	sub.Trace.Stage("pipeline.queue")
 	select {
 	case p.queue <- job:
@@ -349,9 +346,7 @@ func (p *Pipeline[Fd, E]) submit(job pipeJob) error {
 	p.mu.Lock()
 	p.pending++
 	p.mu.Unlock()
-	if telemetry.Enabled {
-		job.enq = time.Now()
-	}
+	job.enq = time.Now()
 	job.sub.Trace.Stage("pipeline.queue")
 	p.queue <- job
 	p.signalBacklog()
@@ -525,15 +520,11 @@ func (p *Pipeline[Fd, E]) runBatch(i int, jobs []pipeJob, decided func()) {
 		subs[k] = j.sub
 		j.sub.Trace.Stage("verify")
 	}
-	if telemetry.Enabled {
-		now := time.Now()
-		for _, j := range jobs {
-			if !j.enq.IsZero() {
-				p.m.queueWait.Observe(now.Sub(j.enq))
-			}
-		}
-		p.m.batchSize.Observe(uint64(len(jobs)))
+	now := time.Now()
+	for _, j := range jobs {
+		p.m.queueWait.Observe(now.Sub(j.enq))
 	}
+	p.m.batchSize.Observe(uint64(len(jobs)))
 
 	// Verification, re-run in place on a batch-level failure. Each attempt
 	// is a fresh verify — new batch ID, prior attempt's server state already
@@ -699,9 +690,6 @@ func (p *Pipeline[Fd, E]) Stats() ShardStats {
 	out.Refused = atomic.LoadUint64(&p.refused)
 	return out
 }
-
-// ShardStatsAt returns one shard's counters (benchmark introspection).
-func (p *Pipeline[Fd, E]) ShardStatsAt(i int) ShardStats { return p.loadShard(i) }
 
 // loadShard reads a shard's counters with atomic loads, since its worker
 // may still be writing them.

@@ -483,10 +483,10 @@ func TestTrySubmitRefused(t *testing.T) {
 	}
 }
 
-// TestChallengePrefetchRotation drives many rotations through one leader
-// with a tiny challenge window, so nearly every rotation adopts a challenge
-// that was generated and broadcast off-path. The aggregate must stay exact.
-func TestChallengePrefetchRotation(t *testing.T) {
+// TestChallengeSeedRotation drives many rotations through one leader with a
+// tiny challenge window, so every batch draws a fresh challenge seed that
+// travels in its Round1. The aggregate must stay exact.
+func TestChallengeSeedRotation(t *testing.T) {
 	f := field.NewF64()
 	scheme := afe.NewSum(f, 8)
 	pro, err := NewProtocol(Config[field.F64, uint64]{

@@ -721,10 +721,8 @@ func TestSchedulerCommitRetry(t *testing.T) {
 				if st.Failed != n || counts[0] != n || counts[2] != 0 {
 					t.Errorf("stats %+v, server counts %v: want %d failed, applied everywhere but server 2", st, counts, n)
 				}
-				if telemetry.Enabled {
-					if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != retries*st.Batches {
-						t.Errorf("commit retries = %d, want %d per batch", got, retries)
-					}
+				if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != retries*st.Batches {
+					t.Errorf("commit retries = %d, want %d per batch", got, retries)
 				}
 				return
 			}
@@ -744,10 +742,8 @@ func TestSchedulerCommitRetry(t *testing.T) {
 			if f1, f2 := uint64(finishes[1].Load()), uint64(finishes[2].Load()); f1 != st.Batches || f2 != st.Batches+1 {
 				t.Errorf("%d batches sent %d commits to server 1 and %d to server 2: want the re-send to server 2 alone", st.Batches, f1, f2)
 			}
-			if telemetry.Enabled {
-				if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != 1 {
-					t.Errorf("commit retries = %d, want 1", got)
-				}
+			if got := reg.Snapshot()["prio_verify_commit_retries_total"].(uint64); got != 1 {
+				t.Errorf("commit retries = %d, want 1", got)
 			}
 			for i, srv := range rig.cl.Servers {
 				srv.mu.Lock()

@@ -592,24 +592,17 @@ func (s *Server[Fd, E]) handleFinish(payload []byte) ([]byte, error) {
 }
 
 // handleAggregate publishes the accumulator (Section 3, step "Publish").
+// A server that seals windows with DP noise refuses: its all-time
+// accumulator carries none of that noise, and every member's all-time share
+// summed would undo the per-window release's privacy.
 func (s *Server[Fd, E]) handleAggregate() ([]byte, error) {
+	if s.noiseFn.Load() != nil {
+		return nil, fmt.Errorf("core: server %d: refusing the all-time aggregate: this server seals windows with DP noise, and its accumulator is un-noised", s.idx)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := &wbuf{}
 	w.u64(s.accCount)
 	wvec(w, s.pro.Cfg.Field, s.acc)
 	return w.b, nil
-}
-
-// AddNoise lets a deployment add differential-privacy noise shares to the
-// local accumulator before publishing (Section 7): each server adds its own
-// share so no single server ever sees the un-noised total.
-func (s *Server[Fd, E]) AddNoise(noise []E) error {
-	if len(noise) != s.pro.kPrime {
-		return errors.New("core: noise vector length mismatch")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	field.AddVec(s.pro.Cfg.Field, s.acc, noise)
-	return nil
 }

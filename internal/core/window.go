@@ -92,7 +92,8 @@ func (s *Server[Fd, E]) currentWindow() uint64 {
 // Crucially the hook is this server's own policy — a malicious leader can
 // ask for a publish but can never lower or disable another server's noise,
 // matching the Section-7 trust model where privacy holds as long as one
-// server is honest.
+// server is honest. While the hook is installed the server refuses
+// MsgAggregate, whose all-time accumulator it never noises.
 func (s *Server[Fd, E]) SetWindowNoise(fn func(k int) ([]E, float64, error)) {
 	if fn == nil {
 		s.noiseFn.Store(nil)

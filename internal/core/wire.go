@@ -28,7 +28,7 @@ const (
 	MsgRound2       byte = 3 // retired: the per-submission Round2 exchange
 	MsgMPCRound     byte = 4 // leader -> servers: opened MPC masks; reply: next masks or tau
 	MsgFinish       byte = 5 // leader -> servers: accept bitmap; servers accumulate
-	MsgAggregate    byte = 6 // anyone -> server: fetch accumulator
+	MsgAggregate    byte = 6 // anyone -> server: fetch accumulator (refused once DP noise is installed)
 	MsgReset        byte = 7 // leader -> servers: clear accumulator and sessions
 	MsgPublicKey    byte = 8 // anyone -> server: fetch sealbox public key
 	// MsgRound2Batch is the SNIP decision round: one combined probe over the

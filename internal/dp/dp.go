@@ -99,8 +99,9 @@ func uniform53(rnd io.Reader) (float64, error) {
 }
 
 // NoiseVector samples one discrete-Laplace noise value per aggregate
-// component, mapped into the field (negative noise becomes p − |z|). Servers
-// pass the result to core.Server.AddNoise before publishing.
+// component, mapped into the field (negative noise becomes p − |z|). A
+// server adds the result to its share of a window when it seals it (see
+// core.Server.SetWindowNoise).
 func NoiseVector[Fd field.Field[E], E any](f Fd, rnd io.Reader, k int, p Params) ([]E, error) {
 	out := make([]E, k)
 	for i := range out {

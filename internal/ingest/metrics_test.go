@@ -11,22 +11,10 @@ import (
 	"prio/internal/telemetry"
 )
 
-// skipIfNoTelemetry skips tests that assert histograms or traces, which the
-// notelemetry build tag compiles out. The ledger (Server.Stats and the
-// prio_ingest_*_total series) counts under every tag.
-func skipIfNoTelemetry(t *testing.T) {
-	t.Helper()
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out (-tags notelemetry): histograms and traces are empty")
-	}
-}
-
 // TestLedgerClosesUnderEveryBuildTag drives every outcome — accepted,
 // rejected, shed, failed — through a real stream and checks the ledger
 // closes three ways: received equals the sum of outcomes, the client's view
-// equals the server's, and the exported series equal Stats. It runs without
-// skipping under -tags notelemetry, where the registry's own counters are
-// compiled out.
+// equals the server's, and the exported series equal Stats.
 func TestLedgerClosesUnderEveryBuildTag(t *testing.T) {
 	reg := telemetry.New()
 	sink := &fakeSink{decide: func(sub *core.Submission) core.SubmitResult {
@@ -119,7 +107,6 @@ func (w *wedgedSink) SubmitFunc(sub *core.Submission, fn func(core.SubmitResult)
 // decision, and the Prometheus exposition carries the same numbers an
 // operator's scrape would alert on.
 func TestMetricsAddUp(t *testing.T) {
-	skipIfNoTelemetry(t)
 	reg := telemetry.New()
 	tracer := telemetry.NewTracer(2, 64)
 	sink := &fakeSink{decide: func(sub *core.Submission) core.SubmitResult {

@@ -114,7 +114,7 @@ type intakeItem struct {
 	st  *stream
 	id  uint64
 	sub *core.Submission
-	rcv time.Time // frame decode time (zero when telemetry is compiled out)
+	rcv time.Time // frame decode time
 	enq time.Time // intake enqueue time, for the queue-wait histogram
 }
 
@@ -181,23 +181,6 @@ func (s *Server) Handler() transport.StreamHandler {
 // present: the same totals the registry exports as prio_ingest_*_total.
 func (s *Server) Stats() Stats { return s.totals.Snapshot() }
 
-// StreamSnapshot pairs an active stream's ID with its counters.
-type StreamSnapshot struct {
-	ID    uint64
-	Stats Stats
-}
-
-// StreamStats snapshots every active stream's counters.
-func (s *Server) StreamStats() []StreamSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StreamSnapshot, 0, len(s.streams))
-	for _, st := range s.streams {
-		out = append(out, StreamSnapshot{ID: st.id, Stats: st.stats.Snapshot()})
-	}
-	return out
-}
-
 // Close refuses new streams, drops the active ones, and stops the intake
 // pump. Ordering matters: the stream readers are gone before the pump, so
 // no submission can be parked in the intake queue after its final drain —
@@ -237,9 +220,7 @@ func (s *Server) pump() {
 				}
 			}
 		case it := <-s.intake:
-			if telemetry.Enabled && !it.enq.IsZero() {
-				s.m.intakeDur.Observe(time.Since(it.enq))
-			}
+			s.m.intakeDur.Observe(time.Since(it.enq))
 			if err := s.sink.SubmitFunc(it.sub, func(r core.SubmitResult) {
 				status := statusOf(r)
 				it.sub.Trace.Finish(status.String())
@@ -269,12 +250,12 @@ type stream struct {
 	target   int
 	window   int
 	inflight int
-	lastRecv uint64 // Received at the previous tune tick (tuner-only)
+	lastRecv uint64 // received at the previous tune tick (tuner-only)
 
-	acks  chan ackEntry
-	dead  chan struct{}
-	once  sync.Once
-	stats Stats
+	acks     chan ackEntry
+	dead     chan struct{}
+	once     sync.Once
+	received atomic.Uint64 // submit frames decoded: the tuner's activity signal
 }
 
 // kill marks the stream dead and closes its connection, releasing anything
@@ -296,7 +277,6 @@ func (st *stream) kill() {
 // against a full socket). Such a stream is dropped rather than allowed to
 // stall a verification batch.
 func (st *stream) finish(id uint64, status AckStatus) {
-	st.stats.countAck(status)
 	st.srv.totals.countAck(status)
 	st.cmu.Lock()
 	if st.inflight > 0 {
@@ -315,11 +295,9 @@ func (st *stream) finish(id uint64, status AckStatus) {
 }
 
 // decide is finish plus the decision-latency observation: rcv is the
-// submit frame's decode time, zero when telemetry is compiled out.
+// submit frame's decode time.
 func (st *stream) decide(id uint64, status AckStatus, rcv time.Time) {
-	if telemetry.Enabled && !rcv.IsZero() {
-		st.srv.m.decision.Observe(time.Since(rcv))
-	}
+	st.srv.m.decision.Observe(time.Since(rcv))
 	st.finish(id, status)
 }
 
@@ -392,10 +370,8 @@ func (s *Server) handleStream(open []byte, fc *transport.FrameConn) {
 			// failed here. A frame of another type is a protocol error like
 			// the two below and counts nothing.
 			if msgType == msgSubmit {
-				for _, c := range []*Stats{&st.stats, &s.totals} {
-					atomic.AddUint64(&c.Received, 1)
-					c.countAck(StatusFailed)
-				}
+				atomic.AddUint64(&s.totals.Received, 1)
+				s.totals.countAck(StatusFailed)
 			}
 			fc.WriteFrame(transport.MsgError, []byte(fmt.Sprintf("ingest: frame of type %#x exceeds the %d-byte limit", msgType, s.maxFrame)))
 			fc.Flush()
@@ -409,23 +385,21 @@ func (s *Server) handleStream(open []byte, fc *transport.FrameConn) {
 			fc.Flush()
 			return
 		}
-		rcv := telemetry.Start()
+		rcv := time.Now()
 		id, sub, err := decodeSubmit(payload)
 		if err != nil {
 			fc.WriteFrame(transport.MsgError, []byte(err.Error()))
 			fc.Flush()
 			return
 		}
-		atomic.AddUint64(&st.stats.Received, 1)
+		st.received.Add(1)
 		atomic.AddUint64(&s.totals.Received, 1)
 		if tr := s.tracer.Sample(); tr != nil {
 			tr.Stage("ingest.recv")
 			sub.Trace = tr
 		}
 		st.route(id, sub, rcv)
-		if telemetry.Enabled {
-			s.m.frameDur.Since(rcv)
-		}
+		s.m.frameDur.Since(rcv)
 	}
 }
 
@@ -465,7 +439,7 @@ func (st *stream) route(id uint64, sub *core.Submission, rcv time.Time) {
 	}
 	sub.Trace.Stage("ingest.intake")
 	select {
-	case s.intake <- intakeItem{st: st, id: id, sub: sub, rcv: rcv, enq: telemetry.Start()}:
+	case s.intake <- intakeItem{st: st, id: id, sub: sub, rcv: rcv, enq: time.Now()}:
 	default:
 		sub.Trace.Finish("shed")
 		st.decide(id, StatusShed, rcv)
@@ -504,7 +478,7 @@ func (s *Server) tune() {
 		busy := make([]bool, len(streams))
 		nbusy := 0
 		for i, st := range streams {
-			recv := atomic.LoadUint64(&st.stats.Received)
+			recv := st.received.Load()
 			st.cmu.Lock()
 			active := st.inflight > 0 || recv != st.lastRecv
 			st.lastRecv = recv

@@ -58,7 +58,7 @@ func stripeHint() uint32 {
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
-	if !Enabled || c == nil {
+	if c == nil {
 		return
 	}
 	atomic.AddUint64(&c.cells[stripeHint()&c.mask].v, n)
@@ -92,7 +92,7 @@ func NewGauge() *Gauge { return &Gauge{} }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if !Enabled || g == nil {
+	if g == nil {
 		return
 	}
 	atomic.StoreUint64(&g.bits, math.Float64bits(v))
@@ -100,7 +100,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add adjusts the gauge by delta (CAS loop; gauges are low-rate).
 func (g *Gauge) Add(delta float64) {
-	if !Enabled || g == nil {
+	if g == nil {
 		return
 	}
 	for {

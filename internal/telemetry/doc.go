@@ -11,11 +11,6 @@
 // the expensive side (a scrape sums the stripes), which is the right
 // trade for counters written millions of times per scrape.
 //
-// Building with -tags notelemetry compiles every write operation to a
-// no-op (the Enabled constant gates them, so the calls fold away),
-// which is how the CI overhead smoke measures the cost of the
-// instrumentation itself.
-//
 // Conventions follow Prometheus: counters end in _total, durations are
 // exported in seconds (recorded internally in nanoseconds), and names
 // are prio_<subsystem>_<what>[_unit]. See docs/OBSERVABILITY.md for the

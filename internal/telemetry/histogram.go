@@ -59,7 +59,7 @@ func NewHistogram() *Histogram { return &Histogram{scale: 1} }
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	if !Enabled || h == nil {
+	if h == nil {
 		return
 	}
 	atomic.AddUint64(&h.counts[bucketIndex(v)], 1)
@@ -181,7 +181,7 @@ type DurationHistogram struct {
 
 // Observe records one duration (negatives clamp to zero).
 func (d *DurationHistogram) Observe(dur time.Duration) {
-	if !Enabled || d == nil {
+	if d == nil {
 		return
 	}
 	if dur < 0 {
@@ -190,10 +190,9 @@ func (d *DurationHistogram) Observe(dur time.Duration) {
 	d.H.Observe(uint64(dur))
 }
 
-// Since records the time elapsed from t0. A zero t0 (from a disabled
-// Start) records nothing.
+// Since records the time elapsed from t0. A zero t0 records nothing.
 func (d *DurationHistogram) Since(t0 time.Time) {
-	if !Enabled || d == nil || t0.IsZero() {
+	if d == nil || t0.IsZero() {
 		return
 	}
 	d.Observe(time.Since(t0))
@@ -205,14 +204,4 @@ func (d *DurationHistogram) Snapshot() HistSnapshot {
 		return HistSnapshot{}
 	}
 	return d.H.Snapshot()
-}
-
-// Start returns the current time when telemetry is compiled in, and the
-// zero time otherwise — pair it with Since so disabled builds skip the
-// clock reads entirely.
-func Start() time.Time {
-	if !Enabled {
-		return time.Time{}
-	}
-	return time.Now()
 }

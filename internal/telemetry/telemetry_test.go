@@ -10,19 +10,9 @@ import (
 	"time"
 )
 
-// skipDisabled skips tests that assert live metric writes when the
-// notelemetry build tag has compiled them out.
-func skipDisabled(t *testing.T) {
-	t.Helper()
-	if !Enabled {
-		t.Skip("telemetry compiled out (-tags notelemetry)")
-	}
-}
-
 // TestCounterConcurrent hammers one counter from many goroutines and
 // checks no increment is lost across the stripes.
 func TestCounterConcurrent(t *testing.T) {
-	skipDisabled(t)
 	c := NewCounter()
 	const goroutines, per = 16, 10000
 	var wg sync.WaitGroup
@@ -66,7 +56,6 @@ func TestCounterNil(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	skipDisabled(t)
 	g := NewGauge()
 	g.Set(3.5)
 	g.Add(-1.25)
@@ -128,7 +117,6 @@ func quantileExact(vals []uint64, q float64) uint64 {
 // exact sort on random and adversarial distributions: estimates must
 // never be low and at most 1/histSub high.
 func TestQuantileAccuracy(t *testing.T) {
-	skipDisabled(t)
 	rng := rand.New(rand.NewSource(42))
 	dists := map[string]func(n int) []uint64{
 		"uniform": func(n int) []uint64 {
@@ -246,7 +234,6 @@ func TestSnapshotMergeAssociative(t *testing.T) {
 // TestHistogramConcurrent checks observations are not lost under
 // concurrent writers (run with -race for the memory-model half).
 func TestHistogramConcurrent(t *testing.T) {
-	skipDisabled(t)
 	h := NewHistogram()
 	const goroutines, per = 8, 20000
 	var wg sync.WaitGroup
@@ -269,7 +256,6 @@ func TestHistogramConcurrent(t *testing.T) {
 // TestRegistry exercises get-or-create identity, label rendering, and
 // the Prometheus exposition shape.
 func TestRegistry(t *testing.T) {
-	skipDisabled(t)
 	r := New()
 	c1 := r.Counter("prio_test_total", "a counter", Label{"outcome", "ok"})
 	c2 := r.Counter("prio_test_total", "a counter", Label{"outcome", "ok"})
@@ -320,7 +306,6 @@ func TestRegistry(t *testing.T) {
 
 // TestRegistryConcurrent races get-or-create against scraping.
 func TestRegistryConcurrent(t *testing.T) {
-	skipDisabled(t)
 	r := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -351,7 +336,6 @@ func TestRegistryConcurrent(t *testing.T) {
 // TestTracer checks sampling cadence, span bookkeeping, and ring
 // eviction.
 func TestTracer(t *testing.T) {
-	skipDisabled(t)
 	tr := NewTracer(4, 8)
 	var sampled int
 	for i := 0; i < 64; i++ {
@@ -416,7 +400,6 @@ func TestTracer(t *testing.T) {
 // TestTracerConcurrent samples from many goroutines with handoffs
 // (-race is the real assertion).
 func TestTracerConcurrent(t *testing.T) {
-	skipDisabled(t)
 	tr := NewTracer(2, 32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

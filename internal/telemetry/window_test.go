@@ -6,7 +6,6 @@ import (
 )
 
 func TestHistSnapshotDelta(t *testing.T) {
-	skipDisabled(t)
 	h := NewHistogram()
 	for _, v := range []uint64{1, 5, 100} {
 		h.Observe(v)
@@ -41,7 +40,6 @@ func TestHistSnapshotDelta(t *testing.T) {
 }
 
 func TestWindowViewAdvance(t *testing.T) {
-	skipDisabled(t)
 	r := New()
 	c := r.Counter("acc_total", "accepted")
 	var fnVal uint64

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -325,6 +326,40 @@ func TestBoundaryPublishAndLedger(t *testing.T) {
 	recs = rec.all()
 	if len(recs) != 2 || recs[1].ID != w1+1 || recs[1].Count != 0 {
 		t.Fatalf("idle window record: %+v", recs)
+	}
+}
+
+// TestNoisedMemberRefusesAllTimeAggregate: once members seal windows with
+// DP noise, the all-time aggregate (MsgAggregate) is refused — summing the
+// members' un-noised accumulators would recover exactly what the noised
+// window release hides. Without DP the exact aggregate stays available.
+func TestNoisedMemberRefusesAllTimeAggregate(t *testing.T) {
+	for _, eps := range []float64{0, 0.5} {
+		cl, client, scheme := newDeployment(t, 3)
+		clk := &fakeClock{}
+		width := time.Minute
+		clk.Set(time.Unix(6000, 0))
+		rec := &recorder{}
+		svcs := newServices(t, cl, clk.Now, width, t.TempDir(), eps, nil, rec)
+
+		submit(t, cl, client, scheme, 3, 4, 5)
+		clk.Advance(width)
+		for _, s := range svcs {
+			s.CloseBoundary()
+		}
+		if recs := rec.all(); len(recs) != 1 || recs[0].Noised != (eps > 0) {
+			t.Fatalf("eps=%g: records = %+v", eps, recs)
+		}
+		agg, n, err := cl.Leader.Aggregate()
+		if eps > 0 {
+			if err == nil || !strings.Contains(err.Error(), "DP noise") {
+				t.Fatalf("noised deployment served the all-time aggregate %v over %d (err %v)", agg, n, err)
+			}
+			continue
+		}
+		if err != nil || n != 3 || agg[0] != 12 {
+			t.Fatalf("un-noised all-time aggregate = %v over %d, err %v; want 12 over 3", agg, n, err)
+		}
 	}
 }
 

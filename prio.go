@@ -121,7 +121,7 @@ type (
 	// PipelineConfig tunes a Pipeline (shard count, batch size, queue
 	// depth); the zero value picks sensible defaults.
 	PipelineConfig = core.PipelineConfig
-	// ShardStats reports a Pipeline's merged (or per-shard) work counters.
+	// ShardStats reports a Pipeline's merged work counters.
 	ShardStats = core.ShardStats
 	// SubmitResult reports one submission's verification outcome.
 	SubmitResult = core.SubmitResult

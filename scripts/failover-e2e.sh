@@ -37,7 +37,7 @@ start_member() { # start_member <index>
     -listen "127.0.0.1:730${i}" -admin-addr "${ADMIN[$i]}" \
     -key-file "${WORK}/key${i}" -tls=false \
     -ping-interval 200ms -fail-after 3 -batch-retries 3 \
-    -publish-every 2s >"${WORK}/server${i}.log" 2>&1 &
+    >"${WORK}/server${i}.log" 2>&1 &
   pids+=($!)
   eval "PID${i}=$!"
 }

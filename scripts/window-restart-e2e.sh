@@ -10,7 +10,8 @@
 #     with the leadership)
 #   - the restarted member recovers its accumulator state from the newest
 #     checkpoint (boot log provenance)
-#   - every published window carries DP noise with its epsilon
+#   - every published window carries DP noise with its epsilon, and no
+#     member prints any other aggregate (the all-time one is refused)
 #   - a fully post-restart window publishes with consistent per-server
 #     counts — at most the in-flight window was damaged by the crash
 #
@@ -46,8 +47,7 @@ start_member() { # start_member <index>
     -key-file "${WORK}/key${i}" -tls=false \
     -ping-interval 200ms -fail-after 3 -batch-retries 3 \
     -window "${WINDOW}" -checkpoint-dir "${WORK}/ckpt${i}" -checkpoint-every 1s \
-    -dp-epsilon 1.0 -dp-budget 100 \
-    -publish-every 1h >>"${WORK}/server${i}.log" 2>&1 &
+    -dp-epsilon 1.0 -dp-budget 100 >>"${WORK}/server${i}.log" 2>&1 &
   pids+=($!)
   eval "PID${i}=$!"
 }
@@ -125,6 +125,12 @@ cat "${WORK}"/server*.log | grep '^window ' || true
 grep -Eq '^window [0-9]+ .*noised=true eps=1' "${WORK}/server0.log" ||
   grep -Eqh '^window [0-9]+ .*noised=true eps=1' "${WORK}/server1.log" "${WORK}/server2.log" || {
   echo "FAIL: no noised window release found"; exit 1; }
+
+echo "== assert: every aggregate a member printed is a noised window ledger line"
+if grep -Eh 'sum=|raw=|aggregate' "${WORK}"/server*.log |
+    grep -Ev '^window [0-9]+ .*noised=true eps=1'; then
+  echo "FAIL: an aggregate line above is not a noised window release"; exit 1
+fi
 
 echo "== assert: the client-side ledger closed and saw per-window lines"
 grep -q '^ledger=closed$' "${WORK}/load.out" || { echo "FAIL: ledger open"; exit 1; }
