@@ -118,13 +118,21 @@ func ledgerLine(scheme prio.Scheme, r window.Record) string {
 }
 
 // describeAggregate renders a window's aggregate vector (decimal field
-// elements) with the scheme's own decoder where the type is known, falling
-// back to the raw vector.
+// elements, signed when the window is noised) with the scheme's own decoder
+// where the type is known, falling back to the raw vector. A negative
+// component — noise outweighing the window's true value — is no field
+// element a decoder takes; a sum's aggregate is its first component, so a
+// negative one still reads as the sum.
 func describeAggregate(scheme prio.Scheme, vec []string, n int) string {
 	agg := make([]uint64, len(vec))
 	for i, s := range vec {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
+			if _, sum := scheme.(*prio.Sum); sum && i == 0 {
+				if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+					return "sum=" + s
+				}
+			}
 			return fmt.Sprintf("raw=%v", vec)
 		}
 		agg[i] = v

@@ -51,3 +51,15 @@ func TestLedgerLine(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerLineSignedNoise: a noised window renders its components signed,
+// so an empty window whose noise came out negative reads as a negative sum,
+// and a vector with a negative component no decoder takes prints raw, signed.
+func TestLedgerLineSignedNoise(t *testing.T) {
+	if got := describeAggregate(prio.NewSum(8), []string{"-3"}, 0); got != "sum=-3" {
+		t.Errorf("noised empty sum window described %q, want sum=-3", got)
+	}
+	if got := describeAggregate(prio.NewFreqCount(2), []string{"-1", "4", "0", "2"}, 5); got != "raw=[-1 4 0 2]" {
+		t.Errorf("noised histogram with a negative bucket described %q, want the signed raw vector", got)
+	}
+}

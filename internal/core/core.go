@@ -11,6 +11,7 @@ import (
 	"prio/internal/field"
 	"prio/internal/mpc"
 	"prio/internal/prg"
+	"prio/internal/sealbox"
 	"prio/internal/snip"
 )
 
@@ -130,6 +131,49 @@ func (p *Protocol[Fd, E]) FlatLen() int { return p.flatLen }
 // for linreg10x14, 64 KiB for bits1024).
 func (p *Protocol[Fd, E]) shareBytes() int {
 	return p.Cfg.Field.ElemSize() << bits.Len(uint(p.flatLen-1))
+}
+
+// batchCharge is what a batch of n submissions holds, summed over the
+// leader and every server, from its dispatch until its completions run —
+// the bytes the pipeline's budget charges it (Pipeline, rule ii):
+//
+//   - each server's share of each submission in its pooled slab class
+//     (shareBytes), plus the verifier state that indexes it;
+//   - the Round1 request frames, which carry every bundle once, and the
+//     Round1 replies, each server's Beaver openings per submission, which
+//     the leader also keeps summed until its decision;
+//   - a goroutine per server and one for the batch itself, parked while
+//     the rounds are on the wire.
+//
+// TestBatchChargeHonest holds full batches on an in-process cluster and
+// finds this within 2× of their live heap and stacks for sum8 on five
+// servers and linreg10x14 and bits1024 on three.
+func (p *Protocol[Fd, E]) batchCharge(n int) int {
+	s, elem := p.Cfg.Servers, p.Cfg.Field.ElemSize()
+	openings := 0
+	if sys := p.snipSys(); sys != nil {
+		openings = 2 * sys.Reps * elem
+	}
+	// The verifier state per submission and server: the flat share's
+	// slice headers, its proof's views and its Round1 record. A parked
+	// goroutine's stack: Round1's unseal and ladder work grow it to several
+	// KiB.
+	const stateBytes, stackBytes = 128, 8 << 10
+	perSub := s*(p.shareBytes()+stateBytes+2*openings) + p.uploadBytes()
+	return (s+1)*stackBytes + n*perSub
+}
+
+// uploadBytes is the wire size of one well-formed submission: the leader's
+// bundle carries its explicit share, sealed when the deployment seals; every
+// other server's is an encapsulation (sealed) or a flagged seed.
+func (p *Protocol[Fd, E]) uploadBytes() int {
+	explicit := 1 + p.flatLen*p.Cfg.Field.ElemSize()
+	seed := 1 + prg.SeedSize
+	if p.Cfg.Seal {
+		explicit += sealbox.Overhead
+		seed = sealbox.EncapSize
+	}
+	return 4 + 4 + explicit + (p.Cfg.Servers-1)*(4+seed)
 }
 
 // splitFlat cuts a server's flat share vector into its parts:

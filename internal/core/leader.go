@@ -39,9 +39,9 @@ import (
 // Round1 that every server expands itself — so servers keep no challenge
 // state, and a rotation is a local step that never waits on the batches
 // still verifying under the seed before it. Pipeline dispatches a shard's
-// next batch while others verify up to the depth overlapDepth measures,
-// while the shares its verifying and committing batches pin on each server
-// stay within the session's share budget.
+// next batch while others verify up to the depth overlapDepth measures, as
+// far as the bytes all its shards' verifying and committing batches are
+// charged stay within the pipeline's one budget.
 type Leader[Fd field.Field[E], E any] struct {
 	*Server[Fd, E]
 	peers []transport.Peer // indexed by server; peers[Index()] is a loopback
@@ -53,10 +53,12 @@ type Leader[Fd field.Field[E], E any] struct {
 	sinceCh  int      // submissions verified under seed
 	batchSeq uint64
 
-	overlap atomic.Uint64 // running average of completed batches' roundClock.load, as math.Float64bits
-	// depthCap is the deepest the pipeline's rules let this session's shard
-	// go with full batches (NewPipeline sets it; 1 outside a Pipeline). It
-	// clamps roundClock.load and overlapDepth.
+	gov     governor
+	overlap atomic.Uint64 // the depth gov last read, as math.Float64bits
+	// depthCap is how many full batches the pipeline's budget holds, the
+	// deepest this session's shard could go were the other shards idle
+	// (NewPipeline sets it; 1 outside a Pipeline). It caps the governor's
+	// reading and overlapDepth.
 	depthCap int
 
 	// m carries the pipeline's stage metrics; nil (a Leader built outside a
@@ -154,33 +156,73 @@ type roundClock struct {
 	cpu0       time.Duration // processCPU at start
 }
 
-// load is wall/self scaled by the share of the host's CPU that sat idle
-// over the batch's verification, capped at limit: about 50 × 0.5 on a 5 ms
-// link with the CPUs half idle, 4 × 0.05 when the servers saturate the
-// leader's cores.
-func (c *roundClock) load(limit int) float64 {
-	if c.self <= 0 {
-		return float64(limit)
-	}
+// idle is the share of the host's CPU that sat idle over the batch's
+// verification so far.
+func (c *roundClock) idle() float64 {
 	life := time.Since(c.start)
 	busy := float64(processCPU()-c.cpu0) / (float64(life) * float64(runtime.GOMAXPROCS(0)))
-	return min(float64(c.wall)/float64(c.self)*(1-min(busy, 1)), float64(limit))
+	return 1 - min(busy, 1)
 }
 
-// noteOverlap folds a decided batch's clock into the session's running
-// average (weight 1/8: one batch's CPU reading is noisy over a few
-// milliseconds). Concurrent batches may race the read-modify-write; a lost
-// update only slows the average down.
+// governor is a session's running averages (weight 1/8) of its decided
+// batches' roundClock readings, and the depth they read: mean wall over
+// mean self, scaled twice by the mean idle share.
+//
+// The first idle factor is the overlap rule: a wait on another server is
+// worth overlapping only with CPU that would otherwise sit idle. The second
+// takes out the queueing wall already holds: when the batches share the
+// host's CPUs at utilisation b, each round's CPU work waits behind theirs,
+// and a queue at utilisation b stretches work by 1/(1-b) (M/M/1), so
+// wall·idle estimates the rounds' time on the wire and the CPUs alone.
+// Without it the reading chases its own queueing: more depth lengthens the
+// rounds, which reads as more depth. On the WAN workload (2 vCPUs, 5 ms
+// links) the single-factor reading settled near 50 batches a shard with the
+// CPUs 80 % busy and the rounds' wall time more than doubled (p50 53 ms for
+// two 10 ms round trips); the squared one keeps about a dozen, for four
+// fifths of those submissions/s at a sixth less peak RSS.
+//
+// It is a ratio of averages, not an average of each batch's ratio: one
+// batch whose own call was unusually quick (tens of microseconds against
+// milliseconds of rounds) would put a ratio in the hundreds into an average
+// of ratios and, for the next several batches, let the shard dispatch every
+// queued batch at once.
+type governor struct {
+	mu               sync.Mutex
+	wall, self, idle float64 // seconds, seconds, share
+}
+
+// note folds a decided batch's clock into the averages and returns the
+// depth they now read, capped at limit.
+func (g *governor) note(c *roundClock, limit int) float64 {
+	idle := c.idle()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.self == 0 {
+		g.wall, g.self, g.idle = c.wall.Seconds(), c.self.Seconds(), idle
+	} else {
+		g.wall += (c.wall.Seconds() - g.wall) / 8
+		g.self += (c.self.Seconds() - g.self) / 8
+		g.idle += (idle - g.idle) / 8
+	}
+	if g.self <= 0 {
+		return float64(limit)
+	}
+	return min(g.wall/g.self*g.idle*g.idle, float64(limit))
+}
+
+// noteOverlap folds a decided batch's clock into the session's governor
+// and publishes the depth it reads for overlapDepth.
 func (l *Leader[Fd, E]) noteOverlap(c *roundClock) {
-	avg := math.Float64frombits(l.overlap.Load())
-	l.overlap.Store(math.Float64bits(avg + (c.load(l.depthCap)-avg)/8))
+	l.overlap.Store(math.Float64bits(l.gov.note(c, l.depthCap)))
 }
 
 // overlapDepth is how many batches this session can usefully keep in
-// verification: the running average of roundClock.load, rounded up and
-// clamped to [1, depthCap]. It is 1 before any batch is decided and while
-// the host's CPUs are saturated, and on a high-latency link with idle CPUs
-// it is wall/self times the idle share.
+// verification: the governor's reading, rounded up and clamped to [1,
+// depthCap]. It is 1 before any batch is decided and while the host's CPUs
+// are saturated, and on a high-latency link with idle CPUs it is wall/self
+// times the idle share squared. No constant caps it: a sum8 batch is cheap
+// against the pipeline's budget, so on the WAN workload this reading is the
+// depth.
 func (l *Leader[Fd, E]) overlapDepth() int {
 	return int(min(max(math.Ceil(math.Float64frombits(l.overlap.Load())), 1), float64(l.depthCap)))
 }
@@ -198,29 +240,50 @@ func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundCloc
 	return resps, nil
 }
 
+// starter is a peer that can put a call on the wire and return before its
+// reply arrives (transport.StreamPeer, every networked peer).
+type starter interface {
+	Start(msgType byte, payload []byte) *transport.PendingCall
+}
+
 // call is broadcast without the error summary: it calls every server i
-// whose skip[i] is false (all of them when skip is nil) in parallel and
-// returns each one's response and error in server order.
+// whose skip[i] is false (all of them when skip is nil) at once and returns
+// each one's response and error in server order. Calls to starters go on
+// the wire first; then the leader's own server handles its call on this
+// goroutine while those replies travel, and the batch collects them
+// afterwards, so a round parks no goroutine per server. Any other peer gets
+// a goroutine of its own.
 func (l *Leader[Fd, E]) call(msgType byte, payloads [][]byte, skip []bool, rt *roundClock) ([][]byte, []error) {
 	s := len(l.peers)
 	resps := make([][]byte, s)
 	errs := make([]error, s)
-	var self time.Duration
+	pending := make([]*transport.PendingCall, s)
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	for i := 0; i < s; i++ {
-		if skip != nil && skip[i] {
+	for i, peer := range l.peers {
+		if i == l.idx || skip != nil && skip[i] {
+			continue
+		}
+		if st, ok := peer.(starter); ok {
+			pending[i] = st.Start(msgType, payloads[i])
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c0 := time.Now()
 			resps[i], errs[i] = l.peers[i].Call(msgType, payloads[i])
-			if i == l.idx {
-				self = time.Since(c0)
-			}
 		}(i)
+	}
+	var self time.Duration
+	if skip == nil || !skip[l.idx] {
+		c0 := time.Now()
+		resps[l.idx], errs[l.idx] = l.peers[l.idx].Call(msgType, payloads[l.idx])
+		self = time.Since(c0)
+	}
+	for i, pc := range pending {
+		if pc != nil {
+			resps[i], errs[i] = pc.Wait()
+		}
 	}
 	wg.Wait()
 	if rt != nil {

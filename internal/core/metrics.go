@@ -30,11 +30,17 @@ type pipeMetrics struct {
 	commitRetries *telemetry.Counter
 
 	fallbacks *telemetry.Counter // batches whose combined check failed, each answered by one reveal
+
+	// waitDepth and waitBudget count shardLoop passes that held a queued
+	// full batch back, by the limit that held it.
+	waitDepth  *telemetry.Counter
+	waitBudget *telemetry.Counter
 }
 
 // newPipeMetrics registers the pipeline's metric families in reg.
 func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 	outcome := func(v string) telemetry.Label { return telemetry.Label{Key: "outcome", Value: v} }
+	limit := func(v string) telemetry.Label { return telemetry.Label{Key: "limit", Value: v} }
 	return &pipeMetrics{
 		queueWait: reg.Duration("prio_pipeline_queue_wait_seconds",
 			"time a submission spends in the pipeline queue before a shard picks it up"),
@@ -66,6 +72,10 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			"commit (MsgFinish) re-sends, each to the servers whose previous attempt failed"),
 		fallbacks: reg.Counter("prio_verify_batch_fallback_total",
 			"batches whose combined RLC check failed, triggering one per-submission reveal"),
+		waitDepth: reg.Counter("prio_pipeline_dispatch_waits_total",
+			"shard scheduler passes that held a queued full batch back, by the limit that held it", limit("depth")),
+		waitBudget: reg.Counter("prio_pipeline_dispatch_waits_total",
+			"shard scheduler passes that held a queued full batch back, by the limit that held it", limit("budget")),
 	}
 }
 

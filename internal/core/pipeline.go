@@ -31,9 +31,9 @@ import (
 // latency; under heavy load batches fill to MaxBatch, amortizing the
 // per-round broadcasts — and a shard keeps several full batches in
 // verification when the rounds, not the CPUs, are the bottleneck, as far as
-// the share bytes its batches pin on each server stay within a budget (see
-// shardLoop). A batch gives up its place in the shard's depth at its
-// decision and commits (MsgFinish) on its own goroutine while the next
+// the bytes all shards' batches pin stay within one budget (see shardLoop).
+// A batch gives up its place in the shard's depth at its decision and
+// commits (MsgFinish) on its own goroutine while the next
 // batches verify; its completions run once every server has applied the
 // commit. Over TCP, transport.StreamPeer carries every in-flight batch's
 // rounds on each server connection at once.
@@ -44,14 +44,15 @@ type Pipeline[Fd field.Field[E], E any] struct {
 	backlog    chan struct{} // a token when a submit leaves ≥ MaxBatch queued; wakes a shard with room
 	stopping   chan struct{} // closed by Close: retry backoffs abort immediately
 	maxDepth   int           // tests' clamp on a shard's batches in verification; 0 is none
-	shareBytes int           // share bytes one submission pins on each server (Protocol.shareBytes)
+	fullCharge int64         // what a full batch pins (Protocol.batchCharge(MaxBatch))
+	budget     int64         // bytes all shards' out batches may pin between them
 
 	wg         sync.WaitGroup
 	shards     []ShardStats
 	refused    uint64       // submissions refused unqueued by TrySubmitFunc (queue full)
 	inflight   atomic.Int64 // batches in verification, all shards
 	committing atomic.Int64 // decided batches whose commit is under way, all shards
-	pinned     atomic.Int64 // share bytes per server that out batches pin, all shards
+	pinned     atomic.Int64 // bytes the out batches of all shards are charged
 	m          *pipeMetrics
 
 	// closeMu makes Submit's send atomic with respect to Close: senders
@@ -217,16 +218,18 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	shareBytes := leader.pro.shareBytes()
-	// The deepest a shard can go with full batches: depthCeiling, and the
-	// share budget of rule (ii) (shardLoop).
-	depth := max(1, min(depthCeiling, shareBudget/(cfg.MaxBatch*shareBytes)))
+	fullCharge := int64(leader.pro.batchCharge(cfg.MaxBatch))
+	budget := int64(cfg.Shards) * max(shardBudget, 2*fullCharge)
+	// The deepest one shard can go with full batches: as many as the whole
+	// budget holds, should the other shards be idle.
+	depth := int(max(1, budget/fullCharge))
 	p := &Pipeline[Fd, E]{
 		cfg:        cfg,
 		queue:      make(chan pipeJob, cfg.QueueDepth),
 		backlog:    make(chan struct{}, 1),
 		stopping:   make(chan struct{}),
-		shareBytes: shareBytes,
+		fullCharge: fullCharge,
+		budget:     budget,
 		shards:     make([]ShardStats, cfg.Shards),
 		m:          newPipeMetrics(reg),
 	}
@@ -243,9 +246,12 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	reg.GaugeFunc("prio_pipeline_committing_batches",
 		"decided batches whose commit (MsgFinish) is under way, summed over shards",
 		func() float64 { return float64(p.committing.Load()) })
-	reg.GaugeFunc("prio_pipeline_share_bytes",
-		"share bytes per server pinned by batches verifying or committing, summed over shards",
+	reg.GaugeFunc("prio_pipeline_pinned_bytes",
+		"bytes charged to batches verifying or committing, all shards (Protocol.batchCharge)",
 		func() float64 { return float64(p.pinned.Load()) })
+	reg.GaugeFunc("prio_pipeline_pin_budget_bytes",
+		"the budget prio_pipeline_pinned_bytes stays within",
+		func() float64 { return float64(p.budget) })
 	if sys := leader.pro.snipSys(); sys != nil {
 		reg.CounterFunc("prio_snip_evcache_hits_total",
 			"challenge-keyed evaluator cache hits",
@@ -376,23 +382,16 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 	p.mu.Unlock()
 }
 
-// shareBudget bounds the share bytes one shard's out batches, verifying or
-// committing, pin on each server, each submission charged its share's
-// pooled size class (Protocol.shareBytes). It is what a fixed ceiling of
-// four verifying batches admitted for bits1024 at MaxBatch 16 (4 × 16 ×
-// 64 KiB), so no scheme's worst case grows, while a sum8 shard (8 KiB a
-// batch) is left to the governor (overlapDepth) and depthCeiling.
-const shareBudget = 4 << 20
-
-// depthCeiling is the most batches a shard keeps in verification, however
-// idle the governor finds the CPUs. Every batch out holds its shares, its
-// round frames, its goroutines and the servers' verifier state until its
-// commit lands, and the share budget counts only the shares: a sum8 batch
-// charges 8 KiB of its budget's 4 MiB. So without a ceiling a shard's
-// memory follows the governor, and once the X25519 ladder ran eight lanes
-// wide the WAN benchmark's governor read 40 to 110, for 1.7× the
-// submissions/s of 8 deep at 1.4× the peak RSS (docs/PIPELINE.md).
-const depthCeiling = 8
+// shardBudget is each shard's part of the pipeline's one byte budget. It is
+// what four bits1024 batches of 16 on three servers are charged (about 3.8
+// MB each, Protocol.batchCharge), the most the share-slab budget before it
+// let a bits1024 shard keep out, verifying or committing. NewPipeline never
+// sizes the budget below one verifying and one committing full batch per
+// shard, whatever the scheme. A sum8 batch of 16 on five servers is charged
+// about 115 KB, so the budget admits well over a hundred of them per shard:
+// on a long link with idle CPUs (the WAN workload) the governor
+// (overlapDepth), not the budget, sets the depth.
+const shardBudget = 16 << 20
 
 // shardLoop is one shard's scheduler. With no batch out it blocks for a job
 // and drains whatever else is queued up to MaxBatch: the adaptive batching
@@ -405,16 +404,20 @@ const depthCeiling = 8
 //     forms exactly the batches a serial loop would;
 //   - (ii) the shard has fewer batches in verification than its session's
 //     overlapDepth, so depth is spent only where the rounds wait on the
-//     wire while the CPUs have room, and the share bytes its out batches
-//     pin on each server, plus a full batch's, stay within shareBudget.
-//     depthCap (depthCeiling, or fewer where the budget admits fewer full
-//     batches) already holds the verifying batches inside the budget; the
-//     byte check is what bounds the committing ones.
+//     wire while the CPUs have room, and a full batch's charge
+//     (Protocol.batchCharge) still fits the pipeline's budget beside what
+//     every shard's out batches, verifying or committing, are charged.
+//
+// A pass that finds a full batch queued but holds it back counts in
+// prio_pipeline_dispatch_waits_total under the limit that held it.
 //
 // A batch leaves the verifying count at its decision: its commit needs no
-// slot. It stays out, and its shares stay charged to the budget, until its
+// slot. It stays out, and stays charged to the budget, until its
 // completions have run, so a shard whose batches are all committing still
-// waits for a full batch rather than forming a partial one early.
+// waits for a full batch rather than forming a partial one early. A shard
+// with nothing out dispatches whether or not the budget has room, so every
+// shard always makes progress and the pinned bytes pass the budget by at
+// most one batch a shard.
 //
 // Otherwise the loop waits for a batch to be decided or finish, or for a
 // submit to leave a full batch queued. A shard returns once the queue is
@@ -425,27 +428,26 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 	sess := p.sessions[i]
 	// Each batch reports on events twice, in order: its size at its
 	// decision, then its size negated once its completions have run. The
-	// buffer holds both reports of the deepest verification the rules admit;
-	// a send beyond it (commits outnumbering that depth) waits for the loop,
-	// which reads events whenever a batch is out.
+	// buffer holds both reports of as many full batches as the budget
+	// admits; a send beyond it waits for the loop, which reads events
+	// whenever a batch is out.
 	events := make(chan int, 2*sess.depthCap)
-	batchBytes := p.cfg.MaxBatch * p.shareBytes
-	// Out batches, those in verification, and the share bytes the out
-	// batches pin.
-	batches, verifying, pinned := 0, 0, 0
-	launch := func(jobs []pipeJob) {
-		n, charge := len(jobs), len(jobs)*p.shareBytes
+	// Out batches, and those in verification.
+	batches, verifying := 0, 0
+	// launch dispatches jobs, whose charge the caller has already added to
+	// p.pinned as reserved.
+	launch := func(jobs []pipeJob, reserved int64) {
+		n, charge := len(jobs), int64(sess.pro.batchCharge(len(jobs)))
 		batches++
 		verifying++
-		pinned += charge
+		p.pinned.Add(charge - reserved)
 		p.inflight.Add(1)
-		p.pinned.Add(int64(charge))
 		go func() {
 			p.runBatch(i, jobs, func() {
 				p.inflight.Add(-1)
 				events <- n
 			})
-			p.pinned.Add(-int64(charge))
+			p.pinned.Add(-charge)
 			events <- -n
 		}()
 	}
@@ -455,21 +457,30 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 			if !ok {
 				return
 			}
-			launch(p.fill(append(make([]pipeJob, 0, p.cfg.MaxBatch), job)))
+			launch(p.fill(append(make([]pipeJob, 0, p.cfg.MaxBatch), job)), 0)
 			continue
 		}
 		depth := sess.overlapDepth()
 		if p.maxDepth > 0 {
 			depth = min(depth, p.maxDepth)
 		}
-		room := verifying < depth && pinned+batchBytes <= shareBudget
-		if room && len(p.queue) >= p.cfg.MaxBatch {
-			// An idle shard may race this drain for part of the batch; what
-			// is left still goes out now.
-			if jobs := p.fill(make([]pipeJob, 0, p.cfg.MaxBatch)); len(jobs) > 0 {
-				launch(jobs)
-				p.signalBacklog()
-				continue
+		room := verifying < depth
+		if len(p.queue) >= p.cfg.MaxBatch {
+			switch {
+			case !room:
+				p.m.waitDepth.Inc()
+			case !p.reserve(p.fullCharge):
+				p.m.waitBudget.Inc()
+				room = false
+			default:
+				// An idle shard may race this drain for part of the batch;
+				// what is left still goes out now.
+				if jobs := p.fill(make([]pipeJob, 0, p.cfg.MaxBatch)); len(jobs) > 0 {
+					launch(jobs, p.fullCharge)
+					p.signalBacklog()
+					continue
+				}
+				p.pinned.Add(-p.fullCharge)
 			}
 		}
 		var backlog chan struct{}
@@ -482,9 +493,22 @@ func (p *Pipeline[Fd, E]) shardLoop(i int) {
 				verifying--
 			} else {
 				batches--
-				pinned += n * p.shareBytes
 			}
 		case <-backlog:
+		}
+	}
+}
+
+// reserve adds charge to the pinned bytes if they stay within the budget,
+// and reports whether it did.
+func (p *Pipeline[Fd, E]) reserve(charge int64) bool {
+	for {
+		v := p.pinned.Load()
+		if v+charge > p.budget {
+			return false
+		}
+		if p.pinned.CompareAndSwap(v, v+charge) {
+			return true
 		}
 	}
 }

@@ -58,7 +58,11 @@ type slowPeer struct {
 
 func (p *slowPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 	if p.probe.inflight != nil {
-		v, c := p.probe.inflight.Load(), p.probe.committing.Load()
+		// Committing first: a batch leaves inflight before it enters
+		// committing, so in this order one moving between the two loads is
+		// missed rather than counted twice.
+		c := p.probe.committing.Load()
+		v := p.probe.inflight.Load()
 		raise(&p.probe.peak, v)
 		raise(&p.probe.peakCommit, c)
 		raise(&p.probe.peakOut, v+c)
@@ -757,30 +761,33 @@ func TestSchedulerCommitRetry(t *testing.T) {
 	}
 }
 
-// seedDepth stores v as every session's running average of roundClock.load,
-// as if earlier batches had measured it, so a test checks the admission
+// seedDepth makes every session's governor read v, as if earlier batches had
+// measured it, so a test checks the admission
 // rules at that governor reading rather than at whatever the host's timing
 // would warm it to.
 func seedDepth(pl *Pipeline[field.F64, uint64], v float64) {
 	for _, sess := range pl.sessions {
+		// Averages of v seconds of wall time per second of the leader's own
+		// work, all idle: real batches, whose rounds take milliseconds,
+		// barely move them.
+		sess.gov.wall, sess.gov.self, sess.gov.idle = v, 1, 1
 		sess.overlap.Store(math.Float64bits(v))
 	}
 }
 
 // TestSchedulerDepthBeyondFour: on a sum8 shard whose governor reads deep,
 // as on a 2 ms link with idle CPUs, a backlog keeps more than four batches
-// in verification — a sum8 batch pins 4 KiB of shares, far inside the
-// budget — and no more than depthCeiling, whatever ChallengeEvery is: a
-// rotation no longer waits on verifying batches, so it bounds nothing.
+// in verification — a sum8 batch is charged a sliver of the budget — and no
+// more than the budget holds, whatever ChallengeEvery is: a rotation no
+// longer waits on verifying batches, so it bounds nothing.
 func TestSchedulerDepthBeyondFour(t *testing.T) {
 	const n, maxBatch, challengeEvery = 512, 8, 16 * 8
 	rig := newSlowRig(t, 2*time.Millisecond, challengeEvery)
 	subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...)
 	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, 0)
 	defer pl.Close()
-	ceiling := min(depthCeiling, shareBudget/(maxBatch*rig.leader.pro.shareBytes()))
-	if got := pl.sessions[0].depthCap; got != ceiling {
-		t.Fatalf("depth ceiling %d, want %d", got, ceiling)
+	if got, want := pl.sessions[0].depthCap, int(pl.budget/pl.fullCharge); got != want {
+		t.Fatalf("depth cap %d, want the %d full batches the budget holds", got, want)
 	}
 	seedDepth(pl, 64)
 	res := submitAll(t, pl, subs)
@@ -791,8 +798,60 @@ func TestSchedulerDepthBeyondFour(t *testing.T) {
 	if peak <= 4 {
 		t.Errorf("peak verifying %d: the backlog never went deeper than four batches", peak)
 	}
-	if peak > int64(ceiling) {
-		t.Errorf("peak verifying %d, the ceiling is %d", peak, ceiling)
+	if peak > int64(pl.sessions[0].depthCap) {
+		t.Errorf("peak verifying %d, the budget holds %d", peak, pl.sessions[0].depthCap)
+	}
+}
+
+// TestSchedulerDepthBeyondEight: a sum8 shard behind sleeping peers, its
+// governor reading deep as it does with idle CPUs, keeps more than eight
+// batches in verification — no fixed ceiling holds it — while the bytes
+// its batches are charged stay within the pipeline's budget and are all
+// returned once it drains.
+func TestSchedulerDepthBeyondEight(t *testing.T) {
+	const n, maxBatch = 1024, 8
+	rig := newSlowRig(t, 2*time.Millisecond, 0)
+	subs := honestSubs(t, rig.client, rig.scheme, make([]uint64, n)...)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: n}, 0)
+	defer pl.Close()
+	seedDepth(pl, 64)
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	checkAccepted(t, pl, res, n)
+	peak, peakPinned := rig.probe.peak.Load(), rig.probe.peakPinned.Load()
+	t.Logf("peak verifying %d, peak pinned %d B of a %d B budget", peak, peakPinned, pl.budget)
+	if peak <= 8 {
+		t.Errorf("peak verifying %d: the shard never went deeper than eight batches", peak)
+	}
+	if peakPinned > pl.budget {
+		t.Errorf("%d B pinned, budget %d B", peakPinned, pl.budget)
+	}
+	if pl.pinned.Load() != 0 {
+		t.Errorf("%d B still pinned after the drain", pl.pinned.Load())
+	}
+}
+
+// TestSchedulerBits1024CommitOverlap: a bits1024 shard on saturated CPUs
+// (governor at 1) keeps one batch verifying while the one before it
+// commits behind a slow MsgFinish: the budget admits one verifying and one
+// committing full batch per shard.
+func TestSchedulerBits1024CommitOverlap(t *testing.T) {
+	const batches, maxBatch = 6, 16
+	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), time.Millisecond, 0)
+	rig.probe.finishDelay = 30 * time.Millisecond
+	subs := sameSubs(t, rig, batches*maxBatch)
+	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 0)
+	defer pl.Close()
+	if pl.budget < 2*int64(pl.cfg.Shards)*pl.fullCharge {
+		t.Fatalf("budget %d B holds fewer than two %d B batches per shard", pl.budget, pl.fullCharge)
+	}
+	res := submitAll(t, pl, subs)
+	pl.Drain()
+	checkAccepted(t, pl, res, uint64(len(subs)))
+	t.Logf("peak verifying %d, committing %d, both %d; dispatch waits: depth %d, budget %d",
+		rig.probe.peak.Load(), rig.probe.peakCommit.Load(), rig.probe.peakOut.Load(), pl.m.waitDepth.Value(), pl.m.waitBudget.Value())
+	if rig.probe.peakCommit.Load() < 1 || rig.probe.peakOut.Load() < 2 {
+		t.Errorf("peak committing %d, out %d: no batch verified while another committed", rig.probe.peakCommit.Load(), rig.probe.peakOut.Load())
 	}
 }
 
@@ -834,11 +893,12 @@ func TestEvCacheManyShards(t *testing.T) {
 	}
 }
 
-// TestSchedulerShareBudget: bits1024 shares sit in the 64 KiB slab class,
-// so at MaxBatch 16 the budget admits four batches. Behind a link that
-// holds every commit for 300 ms, decided batches would pile up in their
-// commits; the budget counts them, so verifying plus committing never
-// exceeds four and the pinned bytes never exceed the budget.
+// TestSchedulerShareBudget: a bits1024 batch of 16 is charged about 3 MB,
+// so one shard's budget holds a handful. Behind a link that holds every
+// commit for 300 ms, decided batches would pile up in their commits; the
+// budget counts them, so verifying plus committing never exceeds what it
+// holds, the charged bytes never exceed it, and the passes it held a full
+// batch back are counted under limit="budget".
 func TestSchedulerShareBudget(t *testing.T) {
 	const batches, maxBatch = 10, 16
 	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), time.Millisecond, 0)
@@ -849,26 +909,31 @@ func TestSchedulerShareBudget(t *testing.T) {
 	subs := sameSubs(t, rig, batches*maxBatch)
 	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 0)
 	defer pl.Close()
+	seedDepth(pl, 64)
 	res := submitAll(t, pl, subs)
 	pl.Drain()
 	checkAccepted(t, pl, res, uint64(len(subs)))
 	peakOut, peakPinned := rig.probe.peakOut.Load(), rig.probe.peakPinned.Load()
-	t.Logf("peak verifying %d, committing %d, both %d; peak pinned %d B", rig.probe.peak.Load(), rig.probe.peakCommit.Load(), peakOut, peakPinned)
-	if limit := int64(shareBudget / (maxBatch * 64 << 10)); peakOut > limit {
-		t.Errorf("%d batches verifying or committing, the share budget admits %d", peakOut, limit)
+	t.Logf("peak verifying %d, committing %d, both %d; peak pinned %d B of %d B; budget waits %d",
+		rig.probe.peak.Load(), rig.probe.peakCommit.Load(), peakOut, peakPinned, pl.budget, pl.m.waitBudget.Value())
+	if limit := pl.budget / pl.fullCharge; peakOut > limit {
+		t.Errorf("%d batches verifying or committing, the budget admits %d", peakOut, limit)
 	}
-	if peakPinned > shareBudget {
-		t.Errorf("%d share bytes pinned, budget %d", peakPinned, shareBudget)
+	if peakPinned > pl.budget {
+		t.Errorf("%d B pinned, budget %d B", peakPinned, pl.budget)
+	}
+	if pl.m.waitBudget.Value() == 0 {
+		t.Error("no dispatch wait was counted under the budget")
 	}
 	if pl.pinned.Load() != 0 {
-		t.Errorf("%d share bytes still pinned after the drain", pl.pinned.Load())
+		t.Errorf("%d B still pinned after the drain", pl.pinned.Load())
 	}
 }
 
 // TestSchedulerBudgetAfterWarmup: a bits1024 shard whose governor reads
 // deep, as after a warm-up on idle CPUs, takes a backlog of full batches at
 // once behind a 20 ms link. It dispatches more than one batch, but its
-// verifying and committing batches never pass the share budget.
+// verifying and committing batches never pass the budget.
 func TestSchedulerBudgetAfterWarmup(t *testing.T) {
 	const batches, maxBatch = 8, 16
 	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), 20*time.Millisecond, 0)
@@ -884,10 +949,10 @@ func TestSchedulerBudgetAfterWarmup(t *testing.T) {
 	if peak <= 1 {
 		t.Errorf("peak verifying %d: the backlog never overlapped batches", peak)
 	}
-	if peakPinned > shareBudget {
-		t.Errorf("%d share bytes pinned, budget %d", peakPinned, shareBudget)
+	if peakPinned > pl.budget {
+		t.Errorf("%d B pinned, budget %d B", peakPinned, pl.budget)
 	}
-	if limit := int64(shareBudget / (maxBatch * 64 << 10)); peakOut > limit {
-		t.Errorf("%d batches verifying or committing, the share budget admits %d", peakOut, limit)
+	if limit := pl.budget / pl.fullCharge; peakOut > limit {
+		t.Errorf("%d batches verifying or committing, the budget admits %d", peakOut, limit)
 	}
 }

@@ -316,7 +316,7 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	// cooperative sessions' inputs) are never copied.
 	agrs := p.agree(bundles, s.priv)
 	snipInputs := make([][]E, 0, count)
-	snipProofs := make([]*snip.Proof[E], 0, count)
+	proofFlats := make([][]E, 0, count)
 	mpcOpens := make([]*mpc.Open[E], 0, count)
 	for j, bundle := range bundles {
 		flat := p.getFlat()
@@ -341,19 +341,11 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 		case ModeNoRobust:
 			// Accumulate unconditionally; no verification exists.
 		case ModeSNIP:
-			pf, err := p.ValidSys.UnflattenProof(proofFlat)
-			if err != nil {
-				return nil, err
-			}
 			snipInputs = append(snipInputs, x)
-			snipProofs = append(snipProofs, pf)
+			proofFlats = append(proofFlats, proofFlat)
 		case ModeMPC:
-			pf, err := p.TripleSys.UnflattenProof(proofFlat)
-			if err != nil {
-				return nil, err
-			}
 			snipInputs = append(snipInputs, triples)
-			snipProofs = append(snipProofs, pf)
+			proofFlats = append(proofFlats, proofFlat)
 			sess, err := mpc.NewSession(f, p.Cfg.Scheme.Circuit(), p.Cfg.Servers, x, triples, constServer)
 			if err != nil {
 				return nil, err
@@ -371,11 +363,16 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	// are inherently per-submission, so the reply carries one pair each.
 	w := &wbuf{}
 	if sys := p.snipSys(); sys != nil {
+		w.b = make([]byte, 0, count*2*sys.Reps*f.ElemSize())
 		// The batch ID's top half is its leader session, the stream its
 		// seeds rotate along.
 		bs.ev = sys.CachedEvaluator(batchID>>32, seed)
 		if p.Cfg.Mode == ModeMPC {
 			bs.validRho = p.validRho(seed)
+		}
+		snipProofs, err := sys.UnflattenProofs(proofFlats)
+		if err != nil {
+			return nil, err
 		}
 		st, r1s, err := bs.ev.Batch().Round1(snipInputs, snipProofs, constServer)
 		if err != nil {
@@ -434,8 +431,9 @@ func (s *Server[Fd, E]) handleBatchProbe(payload []byte) ([]byte, error) {
 	}
 	defer bs.mu.Unlock()
 	bv := bs.ev.Batch()
-	w := &wbuf{}
+	w := &wbuf{b: make([]byte, 0, (sys.Reps+1)*f.ElemSize())}
 	if kind == probeReveal {
+		w.b = make([]byte, 0, bs.count*(sys.Reps+1)*f.ElemSize())
 		if !r.done() {
 			return nil, errTruncated
 		}

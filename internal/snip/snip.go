@@ -254,11 +254,34 @@ func (sys *System[Fd, E]) flatten(pf *Proof[E]) []E {
 	return flat
 }
 
+// UnflattenProofs is UnflattenProof over a batch of flat proofs: the proofs
+// and their triples share two allocations instead of taking two each.
+func (sys *System[Fd, E]) UnflattenProofs(flats [][]E) ([]*Proof[E], error) {
+	pfs := make([]Proof[E], len(flats))
+	triples := make([]Triple[E], len(flats)*sys.Reps)
+	out := make([]*Proof[E], len(flats))
+	for i, flat := range flats {
+		if len(flat) != sys.ProofLen() {
+			return nil, ErrDimensions
+		}
+		out[i] = &pfs[i]
+		sys.unflattenInto(out[i], triples[i*sys.Reps:(i+1)*sys.Reps:(i+1)*sys.Reps], flat)
+	}
+	return out, nil
+}
+
 // unflatten is the inverse of flatten; the vector fields alias flat.
 func (sys *System[Fd, E]) unflatten(flat []E) *Proof[E] {
 	pf := &Proof[E]{}
+	sys.unflattenInto(pf, make([]Triple[E], sys.Reps), flat)
+	return pf
+}
+
+// unflattenInto is unflatten into pf, its Triples backed by triples
+// (sys.Reps long).
+func (sys *System[Fd, E]) unflattenInto(pf *Proof[E], triples []Triple[E], flat []E) {
 	if sys.M == 0 {
-		return pf
+		return
 	}
 	pf.F0, pf.G0 = flat[0], flat[1]
 	idx := 2
@@ -268,12 +291,11 @@ func (sys *System[Fd, E]) unflatten(flat []E) *Proof[E] {
 	idx += sys.Reps - 1
 	pf.H = flat[idx : idx+2*sys.N : idx+2*sys.N]
 	idx += 2 * sys.N
-	pf.Triples = make([]Triple[E], sys.Reps)
+	pf.Triples = triples
 	for j := range pf.Triples {
 		pf.Triples[j] = Triple[E]{A: flat[idx], B: flat[idx+1], C: flat[idx+2]}
 		idx += 3
 	}
-	return pf
 }
 
 // checkDims validates that a received proof share has the shape this system

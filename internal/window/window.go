@@ -3,6 +3,7 @@ package window
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 	"time"
 
@@ -50,9 +51,9 @@ type Record struct {
 	ID          uint64    `json:"id"`
 	Start       time.Time `json:"start"`
 	End         time.Time `json:"end"`
-	Count       uint64    `json:"count"`  // server 0's accepted count
-	Counts      []uint64  `json:"counts"` // per-server accepted counts
-	Agg         []string  `json:"aggregate"`
+	Count       uint64    `json:"count"`     // server 0's accepted count
+	Counts      []uint64  `json:"counts"`    // per-server accepted counts
+	Agg         []string  `json:"aggregate"` // decimal; signed when Noised (renderVec)
 	Noised      bool      `json:"noised"`
 	Eps         float64   `json:"epsilon"` // min per-server ε spent on this window
 	Consistent  bool      `json:"consistent"`
@@ -435,7 +436,7 @@ func (s *Service[Fd, E]) publishOne(wid uint64) (Record, error) {
 		End:         EndOf(wid, s.cfg.Width),
 		Count:       wp.Counts[0],
 		Counts:      wp.Counts,
-		Agg:         renderVec(s.cfg.Field, wp.Agg),
+		Agg:         renderVec(s.cfg.Field, wp.Agg, wp.Noised),
 		Noised:      wp.Noised,
 		Consistent:  wp.Consistent(),
 		Republished: wp.Resealed,
@@ -479,11 +480,23 @@ func (s *Service[Fd, E]) Checkpoint() {
 }
 
 // renderVec formats field elements as decimal strings for JSON (exact for
-// any field width, unlike float64).
-func renderVec[Fd field.Field[E], E any](f Fd, v []E) []string {
+// any field width, unlike float64). A noised window's components are
+// rendered signed, an element above p/2 as its difference from p: the DP
+// noise is symmetric around zero, so an empty window's −3 would otherwise
+// read as p − 3. An un-noised window renders the field elements as they are.
+func renderVec[Fd field.Field[E], E any](f Fd, v []E, signed bool) []string {
+	var p, half *big.Int
+	if signed {
+		p = f.Modulus()
+		half = new(big.Int).Rsh(p, 1)
+	}
 	out := make([]string, len(v))
 	for i, e := range v {
-		out[i] = f.ToBig(e).String()
+		b := f.ToBig(e)
+		if signed && b.Cmp(half) > 0 {
+			b.Sub(b, p)
+		}
+		out[i] = b.String()
 	}
 	return out
 }

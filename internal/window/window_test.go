@@ -3,10 +3,13 @@ package window
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	mathrand "math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -710,3 +713,55 @@ func TestLoopServesBoundaryOnCheckpointWake(t *testing.T) {
 		t.Fatalf("second record %+v, want empty window %d", r, w+1)
 	}
 }
+
+// TestNoisedWindowsRenderSigned: an empty noised window's aggregate is the
+// sum of every server's discrete-Laplace noise, which is negative about half
+// the time. Over 10³ seeded windows of three servers at ε = 0.5, Δ = 1,
+// every rendered component is a small signed integer: |v| stays within the
+// union tail bound s·(Δ/ε)·ln(2s·N/δ) at δ = 10⁻⁹, and some are negative.
+// An un-noised window still renders the field element itself.
+func TestNoisedWindowsRenderSigned(t *testing.T) {
+	const windows, servers, k = 1000, 3, 2
+	f := field.NewF64()
+	p := dp.Params{Epsilon: 0.5, Sensitivity: 1}
+	rnd := newSeededReader(1)
+	bound := float64(servers) * p.Sensitivity / p.Epsilon * math.Log(2*servers*windows*k/1e-9)
+	negative := 0
+	for w := 0; w < windows; w++ {
+		agg := make([]uint64, k)
+		for s := 0; s < servers; s++ {
+			noise, err := dp.NoiseVector(f, rnd, k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			field.AddVec(f, agg, noise)
+		}
+		for _, r := range renderVec(f, agg, true) {
+			v, err := strconv.ParseInt(r, 10, 64)
+			if err != nil {
+				t.Fatalf("window %d rendered %q, not a signed integer", w, r)
+			}
+			if math.Abs(float64(v)) > bound {
+				t.Fatalf("window %d rendered %d, beyond the tail bound %.0f", w, v, bound)
+			}
+			if v < 0 {
+				negative++
+			}
+		}
+	}
+	if negative == 0 {
+		t.Error("no noised component rendered negative")
+	}
+	if got := renderVec(f, []uint64{f.FromInt64(-3)}, false)[0]; got != "18446744069414584318" {
+		t.Errorf("un-noised p-3 rendered %s, want the field element", got)
+	}
+}
+
+// seededReader is a deterministic byte source for the noise sampler.
+type seededReader struct{ r *mathrand.Rand }
+
+func newSeededReader(seed int64) *seededReader {
+	return &seededReader{r: mathrand.New(mathrand.NewSource(seed))}
+}
+
+func (s *seededReader) Read(p []byte) (int, error) { return s.r.Read(p) }
