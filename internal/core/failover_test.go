@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,4 +351,57 @@ func TestPipelineRetryExhaustion(t *testing.T) {
 		t.Errorf("stats = %+v, want Failed=1 FailedOver=2 Retried=2", st)
 	}
 	pl.Close()
+}
+
+// TestCallDialsPeersInParallel: a round whose other servers cannot be
+// reached fails after one dial timeout, not one per server: Leader.call
+// calls every other server on a goroutine of its own, so one peer's dial or
+// full write queue never holds back the frames to the others. Both peers
+// accept TCP and then never answer the TLS handshake, so each dial runs to
+// its 2 s bound.
+func TestCallDialsPeersInParallel(t *testing.T) {
+	_, cl, _, _ := newSumDeployment(t, ModeSNIP, 3, false)
+	_, clientTLS, err := transport.SelfSignedTLS("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holes []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			var held []net.Conn
+			defer func() {
+				for _, c := range held {
+					c.Close()
+				}
+			}()
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				held = append(held, c)
+			}
+		}()
+		holes = append(holes, ln.Addr().String())
+	}
+	lead := leaderOn(t, cl, 0, func(j int, p transport.Peer) transport.Peer {
+		if j == 0 {
+			return p
+		}
+		return transport.NewStreamPeer(holes[j-1], clientTLS)
+	})
+	t0 := time.Now()
+	_, errs := lead.call(MsgAggregate, lead.same(nil), nil, nil)
+	elapsed := time.Since(t0)
+	if errs[1] == nil || errs[2] == nil {
+		t.Fatalf("unreachable peers answered: %v", errs)
+	}
+	if elapsed > 3*time.Second {
+		t.Errorf("round with two unreachable peers took %v, want one 2 s dial timeout", elapsed)
+	}
 }

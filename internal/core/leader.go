@@ -240,32 +240,21 @@ func (l *Leader[Fd, E]) broadcast(msgType byte, payloads [][]byte, rt *roundCloc
 	return resps, nil
 }
 
-// starter is a peer that can put a call on the wire and return before its
-// reply arrives (transport.StreamPeer, every networked peer).
-type starter interface {
-	Start(msgType byte, payload []byte) *transport.PendingCall
-}
-
 // call is broadcast without the error summary: it calls every server i
-// whose skip[i] is false (all of them when skip is nil) at once and returns
-// each one's response and error in server order. Calls to starters go on
-// the wire first; then the leader's own server handles its call on this
-// goroutine while those replies travel, and the batch collects them
-// afterwards, so a round parks no goroutine per server. Any other peer gets
-// a goroutine of its own.
+// whose skip[i] is false (all of them when skip is nil) and returns each
+// one's response and error in server order. Every other server's call runs
+// on a goroutine of its own, so one server's dial or full write queue never
+// holds back the others; the leader's own server handles its call on this
+// goroutine meanwhile, which times it (self) without the wait for a free
+// CPU that a goroutine of its own would add.
 func (l *Leader[Fd, E]) call(msgType byte, payloads [][]byte, skip []bool, rt *roundClock) ([][]byte, []error) {
 	s := len(l.peers)
 	resps := make([][]byte, s)
 	errs := make([]error, s)
-	pending := make([]*transport.PendingCall, s)
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	for i, peer := range l.peers {
+	for i := 0; i < s; i++ {
 		if i == l.idx || skip != nil && skip[i] {
-			continue
-		}
-		if st, ok := peer.(starter); ok {
-			pending[i] = st.Start(msgType, payloads[i])
 			continue
 		}
 		wg.Add(1)
@@ -279,11 +268,6 @@ func (l *Leader[Fd, E]) call(msgType byte, payloads [][]byte, skip []bool, rt *r
 		c0 := time.Now()
 		resps[l.idx], errs[l.idx] = l.peers[l.idx].Call(msgType, payloads[l.idx])
 		self = time.Since(c0)
-	}
-	for i, pc := range pending {
-		if pc != nil {
-			resps[i], errs[i] = pc.Wait()
-		}
 	}
 	wg.Wait()
 	if rt != nil {

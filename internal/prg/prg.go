@@ -9,7 +9,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"io"
 )
 
@@ -26,25 +25,14 @@ func NewSeed() (Seed, error) {
 	return s, err
 }
 
-// streamMin is the shortest read that gets a cipher.Stream. A stream copies
-// the key schedule into a second heap object (another 512 B per PRG on Go
-// 1.24) and pays for itself only on long reads, where its eight-block
-// pipeline outruns one Encrypt per block; a short share (sum8's 400 B on a
-// seed server) is cheaper block by block.
-const streamMin = 1 << 10
-
-// PRG is a deterministic stream of pseudo-random bytes: the AES-128-CTR
-// keystream of its seed under a zero IV, the 128-bit counter big-endian. It
-// implements io.Reader and never returns an error from Read. Short reads
-// encrypt counter blocks one at a time; the first long read switches to
-// crypto/cipher's CTR stream for the rest of the keystream.
+// PRG is a deterministic stream of pseudo-random bytes. It implements
+// io.Reader and never returns an error from Read.
 type PRG struct {
-	block  cipher.Block
-	stream cipher.Stream // nil until the first read of streamMin bytes
-	next   uint64        // counter of the next block the block path encrypts
-	buf    [aes.BlockSize]byte
-	left   []byte // keystream of the last block the block path split, not yet read
+	stream cipher.Stream
 }
+
+// zeroIV is the fixed counter-mode IV: a seed keys exactly one stream.
+var zeroIV [aes.BlockSize]byte
 
 // New constructs a PRG from seed.
 func New(seed Seed) *PRG {
@@ -53,44 +41,14 @@ func New(seed Seed) *PRG {
 		// aes.NewCipher only fails on invalid key sizes; SeedSize is valid.
 		panic("prg: " + err.Error())
 	}
-	return &PRG{block: block}
+	return &PRG{stream: cipher.NewCTR(block, zeroIV[:])}
 }
 
 // Read fills p with pseudo-random bytes. It always returns len(p), nil.
 func (g *PRG) Read(p []byte) (int, error) {
-	n := len(p)
-	if g.stream != nil {
-		clear(p)
-		g.stream.XORKeyStream(p, p)
-		return n, nil
+	for i := range p {
+		p[i] = 0
 	}
-	k := copy(p, g.left)
-	g.left, p = g.left[k:], p[k:]
-	if len(p) >= streamMin {
-		// g.left is empty, so g.buf is free to hold the IV: the stream
-		// starts at the next whole block.
-		binary.BigEndian.PutUint64(g.buf[:8], 0)
-		binary.BigEndian.PutUint64(g.buf[8:], g.next)
-		g.stream = cipher.NewCTR(g.block, g.buf[:])
-		clear(p)
-		g.stream.XORKeyStream(p, p)
-		return n, nil
-	}
-	for ; len(p) >= aes.BlockSize; p = p[aes.BlockSize:] {
-		g.counter(p[:aes.BlockSize])
-	}
-	if len(p) > 0 {
-		g.counter(g.buf[:])
-		k := copy(p, g.buf[:])
-		g.left = g.buf[k:]
-	}
-	return n, nil
-}
-
-// counter writes the keystream block of the next counter into b.
-func (g *PRG) counter(b []byte) {
-	binary.BigEndian.PutUint64(b[:8], 0)
-	binary.BigEndian.PutUint64(b[8:], g.next)
-	g.next++
-	g.block.Encrypt(b, b)
+	g.stream.XORKeyStream(p, p)
+	return len(p), nil
 }

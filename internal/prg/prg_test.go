@@ -2,8 +2,6 @@ package prg
 
 import (
 	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
 	"testing"
 )
 
@@ -76,51 +74,5 @@ func TestNewSeedUnique(t *testing.T) {
 	}
 	if a == b {
 		t.Error("two fresh seeds are equal")
-	}
-}
-
-// TestMatchesAESCTR: whatever the sequence of read lengths, short reads on
-// the block path and long ones on the stream, a PRG yields exactly the
-// AES-128-CTR keystream of its seed under a zero IV.
-func TestMatchesAESCTR(t *testing.T) {
-	seed := Seed{9, 8, 7, 6, 5, 4, 3, 2, 1}
-	for _, lens := range [][]int{
-		{5000},
-		{400},
-		{1, 15, 16, 17, 33, 1024, 7, 3000},
-		{streamMin - 1, 1, streamMin},
-		{3, streamMin, 5},
-		{16, 16, 16, streamMin + 3, 16},
-	} {
-		total := 0
-		for _, n := range lens {
-			total += n
-		}
-		block, err := aes.NewCipher(seed[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, total)
-		cipher.NewCTR(block, make([]byte, aes.BlockSize)).XORKeyStream(want, want)
-		g := New(seed)
-		var got []byte
-		for _, n := range lens {
-			buf := bytes.Repeat([]byte{0x5A}, n)
-			g.Read(buf)
-			got = append(got, buf...)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("reads of %v diverge from AES-CTR", lens)
-		}
-	}
-}
-
-// TestShortExpansionAllocs: a PRG read only in short pieces costs its key
-// schedule and itself, no CTR stream.
-func TestShortExpansionAllocs(t *testing.T) {
-	seed := Seed{1}
-	buf := make([]byte, 400)
-	if n := testing.AllocsPerRun(100, func() { New(seed).Read(buf) }); n > 2 {
-		t.Errorf("%.0f allocations for a 400-byte expansion, want at most 2", n)
 	}
 }

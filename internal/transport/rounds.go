@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,18 +138,11 @@ func (r *ReplyFrame) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// PendingCall is one call on the wire, waiting for its correlated reply.
-type PendingCall struct {
+// roundsCall is one caller waiting for its correlated reply.
+type roundsCall struct {
 	done chan struct{}
 	resp []byte
 	err  error
-}
-
-// Wait blocks until the call's reply, or the failure of its connection,
-// arrives and returns it as Call would.
-func (c *PendingCall) Wait() ([]byte, error) {
-	<-c.done
-	return c.resp, c.err
 }
 
 // outFrame is one queued rounds frame: the 9-byte correlation header plus
@@ -170,7 +162,7 @@ type roundsConn struct {
 	writeq  chan outFrame // call frames awaiting the writer goroutine
 	dead    chan struct{}
 	once    sync.Once
-	waiters map[uint64]*PendingCall // guarded by the owning peer's mu
+	waiters map[uint64]*roundsCall // guarded by the owning peer's mu
 }
 
 // StreamPeer is the networked Peer: its calls ride the rounds subprotocol on
@@ -223,7 +215,7 @@ func (p *StreamPeer) dialLocked(timeout time.Duration) (*roundsConn, error) {
 		fc:      fc,
 		writeq:  make(chan outFrame, 512),
 		dead:    make(chan struct{}),
-		waiters: make(map[uint64]*PendingCall),
+		waiters: make(map[uint64]*roundsCall),
 	}
 	go p.readLoop(rc)
 	go p.writeLoop(rc)
@@ -250,16 +242,44 @@ func (p *StreamPeer) Call(msgType byte, payload []byte) ([]byte, error) {
 // CallTimeout may return while the writer still holds payload, so payload
 // must not live in a pooled buffer.
 func (p *StreamPeer) CallTimeout(msgType byte, payload []byte, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		return p.Start(msgType, payload).Wait()
+	var expired <-chan time.Time
+	dialTO := dialTimeout
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+		if timeout < dialTO {
+			dialTO = timeout
+		}
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	expired := t.C
-	rc, call, f, err := p.register(msgType, payload, min(timeout, dialTimeout))
-	if err != nil {
-		return nil, err
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, ErrClosed
 	}
+	rc := p.conn
+	if rc == nil {
+		nc, err := p.dialLocked(dialTO)
+		if err != nil {
+			p.mu.Unlock()
+			return nil, err
+		}
+		rc = nc
+		p.conn = rc
+	}
+	p.corr++
+	corr := p.corr
+	call := &roundsCall{done: make(chan struct{})}
+	rc.waiters[corr] = call
+	p.mu.Unlock()
+
+	var f outFrame
+	binary.LittleEndian.PutUint64(f.hdr[:8], corr)
+	f.hdr[8] = msgType
+	f.body = payload
+	streamCalls.Inc()
+	atomic.AddInt64(&streamInflight, 1)
+	defer atomic.AddInt64(&streamInflight, -1)
 	// fail resolves every waiter registered on rc, this call included, so
 	// done is the one exit: with the reply, a transport error, or the
 	// timeout. A reply that beats the timer simply wins.
@@ -276,61 +296,6 @@ func (p *StreamPeer) CallTimeout(msgType byte, payload []byte, timeout time.Dura
 			expired = nil
 		}
 	}
-}
-
-// Start puts a call on the wire and returns before its reply arrives, so a
-// caller fanning one round out to several servers collects the replies
-// without parking a goroutine per server. It registers the call and queues
-// its frame for the writer — waiting only while the write queue is full —
-// and the payload stays the caller's until Wait returns, as for Call.
-func (p *StreamPeer) Start(msgType byte, payload []byte) *PendingCall {
-	rc, call, f, err := p.register(msgType, payload, dialTimeout)
-	if err != nil {
-		call = &PendingCall{done: make(chan struct{}), err: err}
-		close(call.done)
-		return call
-	}
-	select {
-	case rc.writeq <- f:
-		p.stats.add(true, 5+9+len(payload))
-	case <-call.done: // the connection failed first
-	}
-	return call
-}
-
-// register dials if no connection is live, within dialTO, and enters a call
-// in the connection's waiter table. It returns the call's frame, ready for
-// the writer, and counts the call in flight until its reply or its
-// connection's failure resolves it.
-func (p *StreamPeer) register(msgType byte, payload []byte, dialTO time.Duration) (*roundsConn, *PendingCall, outFrame, error) {
-	var f outFrame
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, nil, f, ErrClosed
-	}
-	rc := p.conn
-	if rc == nil {
-		nc, err := p.dialLocked(dialTO)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, nil, f, err
-		}
-		rc = nc
-		p.conn = rc
-	}
-	p.corr++
-	corr := p.corr
-	call := &PendingCall{done: make(chan struct{})}
-	rc.waiters[corr] = call
-	p.mu.Unlock()
-
-	binary.LittleEndian.PutUint64(f.hdr[:8], corr)
-	f.hdr[8] = msgType
-	f.body = payload
-	streamCalls.Inc()
-	atomic.AddInt64(&streamInflight, 1)
-	return rc, call, f, nil
 }
 
 // readLoop owns the connection's read side, resolving waiters as replies
@@ -356,7 +321,6 @@ func (p *StreamPeer) readLoop(rc *roundsConn) {
 			if call == nil {
 				continue // reply for a caller already failed out
 			}
-			atomic.AddInt64(&streamInflight, -1)
 			p.stats.add(false, frameLen(payload))
 			if rf.OK {
 				// rf.Body aliases payload, which is fresh per frame and
@@ -425,9 +389,8 @@ func (p *StreamPeer) fail(rc *roundsConn, err error) {
 		p.conn = nil
 	}
 	waiters := rc.waiters
-	rc.waiters = make(map[uint64]*PendingCall)
+	rc.waiters = make(map[uint64]*roundsCall)
 	p.mu.Unlock()
-	atomic.AddInt64(&streamInflight, -int64(len(waiters)))
 	for _, call := range waiters {
 		call.err = err
 		close(call.done)
@@ -450,16 +413,10 @@ func (p *StreamPeer) Close() error {
 }
 
 // roundsDispatcher is the server side: a StreamHandler that decodes call
-// frames, hands each to a handler goroutine (concurrent calls proceed
-// concurrently — the whole point), and queues correlated replies for a
-// writer goroutine that drains bursts into the buffered writer and flushes
-// once per burst, not once per reply.
-//
-// Up to GOMAXPROCS handler goroutines stay with the stream, each taking the
-// next call when it finishes one; a call that finds them all busy gets a
-// goroutine of its own that exits after it. Round1's unsealing and ladder
-// work grows a handler's stack to several times its starting size, which a
-// fresh goroutine per call paid again on every call.
+// frames, dispatches each to the request/response Handler on its own
+// goroutine (concurrent calls proceed concurrently — the whole point), and
+// queues correlated replies for a writer goroutine that drains bursts into
+// the buffered writer and flushes once per burst, not once per reply.
 func roundsDispatcher(h Handler) StreamHandler {
 	return func(open []byte, fc *FrameConn) {
 		writeq := make(chan outFrame, 512)
@@ -475,30 +432,12 @@ func roundsDispatcher(h Handler) StreamHandler {
 				}
 			}
 		}()
-		handle := func(cf CallFrame) {
-			resp, herr := h(cf.Type, cf.Body)
-			var f outFrame
-			binary.LittleEndian.PutUint64(f.hdr[:8], cf.Corr)
-			if herr != nil {
-				f.body = []byte(herr.Error())
-			} else {
-				f.hdr[8] = 1
-				f.body = resp
-			}
-			select {
-			case writeq <- f:
-			case <-werr: // writer is gone; the stream is tearing down
-			}
-		}
-		calls := make(chan CallFrame) // to an idle stream handler
 		var wg sync.WaitGroup
 		defer func() {
-			close(calls)  // stream handlers exit
 			wg.Wait()     // all handlers finished: no more writeq senders
 			close(writeq) // writer drains the tail, flushes, exits
 			<-wdone
 		}()
-		workers, maxWorkers := 0, runtime.GOMAXPROCS(0)
 		for {
 			msgType, payload, err := fc.ReadFrame()
 			if err != nil {
@@ -513,27 +452,23 @@ func roundsDispatcher(h Handler) StreamHandler {
 				fc.WriteFrame(MsgError, []byte(err.Error()))
 				return
 			}
-			select {
-			case calls <- cf:
-				continue
-			default:
-			}
 			wg.Add(1)
-			if workers < maxWorkers {
-				workers++
-				go func() {
-					defer wg.Done()
-					handle(cf)
-					for cf := range calls {
-						handle(cf)
-					}
-				}()
-				continue
-			}
-			go func() {
+			go func(cf CallFrame) {
 				defer wg.Done()
-				handle(cf)
-			}()
+				resp, herr := h(cf.Type, cf.Body)
+				var f outFrame
+				binary.LittleEndian.PutUint64(f.hdr[:8], cf.Corr)
+				if herr != nil {
+					f.body = []byte(herr.Error())
+				} else {
+					f.hdr[8] = 1
+					f.body = resp
+				}
+				select {
+				case writeq <- f:
+				case <-werr: // writer is gone; the stream is tearing down
+				}
+			}(cf)
 		}
 	}
 }

@@ -8,9 +8,9 @@
 #   - BenchmarkStreamedRounds/Streamed: at most ${STREAMED_ALLOC_CEILING}
 #     allocs/op end-to-end (one submission through a 4-shard pipeline over
 #     latency-injected TCP, after a warm-up submission). At this gate's
-#     -benchtime=1x the figure is about 308 allocs/op (307-309 over repeated
-#     runs on Go 1.24, 2 vCPU; 345-355 while the leader parked a goroutine
-#     per server per round): the whole per-batch cost of a batch of one. At
+#     -benchtime=1x the figure is about 328 allocs/op (Go 1.24, 2 vCPU;
+#     345-355 while the leader's own call ran on a goroutine of its own too):
+#     the whole per-batch cost of a batch of one. At
 #     -benchtime=200x batches fill and it falls to about 100. The ceiling
 #     is ~4x the 1x figure, so it only trips on a structural regression,
 #     not benchmark noise.
