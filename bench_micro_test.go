@@ -247,13 +247,18 @@ func BenchmarkServerRound1(b *testing.B) {
 // BenchmarkBuildSubmission is the client axis of Figure 4 / Table 2: one
 // sealed submission end to end — AFE encoding excluded, SNIP proof, seed
 // agreement, share splitting and sealing included — for the four shapes of
-// the benchmark's client_encode_mix workload, at three and five servers.
+// the benchmark's client_encode_mix workload, at three and five servers,
+// and for bits1024 at three servers, verify_bits1024_s3's client.
 func BenchmarkBuildSubmission(b *testing.B) {
-	shapes := []struct{ name, spec string }{
-		{"sum8", "sum8"},
-		{"bits434", "bits434"},
-		{"linreg10x14", "linreg10x14"},
-		{"countmin10-10", "countmin10/10"},
+	shapes := []struct {
+		name, spec string
+		servers    []int
+	}{
+		{"sum8", "sum8", []int{3, 5}},
+		{"bits434", "bits434", []int{3, 5}},
+		{"linreg10x14", "linreg10x14", []int{3, 5}},
+		{"countmin10-10", "countmin10/10", []int{3, 5}},
+		{"bits1024", "bits1024", []int{3}},
 	}
 	for _, shape := range shapes {
 		scheme, err := prio.ParseScheme(shape.spec)
@@ -264,7 +269,7 @@ func BenchmarkBuildSubmission(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, servers := range []int{3, 5} {
+		for _, servers := range shape.servers {
 			b.Run(fmt.Sprintf("%s/s=%d", shape.name, servers), func(b *testing.B) {
 				pro, err := prio.NewProtocol(prio.Config{Scheme: scheme, Servers: servers, Mode: prio.ModePrio, Seal: true})
 				if err != nil {

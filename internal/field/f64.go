@@ -113,16 +113,15 @@ func (F64) Mul(a, b uint64) uint64 {
 }
 
 // reduce128 reduces hi*2^64 + lo modulo the Goldilocks prime using the
-// identities 2^64 ≡ 2^32 - 1 and 2^96 ≡ -1 (mod p).
+// identities 2^64 ≡ 2^32 - 1 and 2^96 ≡ -1 (mod p). It is written tight
+// enough that Mul stays under the compiler's inlining budget, so the F64
+// loops that call Mul on the concrete type (poly's butterflies) inline it.
 func reduce128(hi, lo uint64) uint64 {
-	hihi := hi >> 32
-	hilo := hi & epsF64
-	t0, borrow := bits.Sub64(lo, hihi, 0)
+	t0, borrow := bits.Sub64(lo, hi>>32, 0)
 	if borrow != 0 {
 		t0 -= epsF64
 	}
-	t1 := hilo * epsF64
-	t2, carry := bits.Add64(t0, t1, 0)
+	t2, carry := bits.Add64(t0, (hi&epsF64)*epsF64, 0)
 	if carry != 0 {
 		t2 += epsF64
 	}

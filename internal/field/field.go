@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"slices"
 )
 
 // ErrShortBuffer is returned by ReadElem when the source slice holds fewer
@@ -178,7 +179,17 @@ func SampleVec[Fd Field[E], E any](f Fd, r io.Reader, n int) ([]E, error) {
 }
 
 // AppendVec appends the canonical encodings of all elements of a to dst.
+// Over F64 it grows dst once and encodes in one monomorphic loop — this is
+// how clients write their shares onto the wire.
 func AppendVec[Fd Field[E], E any](f Fd, dst []byte, a []E) []byte {
+	if _, ok := any(f).(F64); ok {
+		n := len(dst)
+		dst = slices.Grow(dst, 8*len(a))[:n+8*len(a)]
+		for i, v := range any(a).([]uint64) {
+			binary.LittleEndian.PutUint64(dst[n+8*i:], v)
+		}
+		return dst
+	}
 	for _, v := range a {
 		dst = f.AppendElem(dst, v)
 	}

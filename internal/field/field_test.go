@@ -302,3 +302,31 @@ func TestNonCanonicalRejected(t *testing.T) {
 		t.Error("F128 accepted non-canonical encoding")
 	}
 }
+
+// TestAppendVecMatchesAppendElem pins AppendVec's bytes — the F64 bulk
+// path and the generic per-element one — to AppendElem's encoding, behind
+// a non-empty prefix it must leave alone, and with and without spare
+// capacity in dst.
+func TestAppendVecMatchesAppendElem(t *testing.T) {
+	t.Run("F64", func(t *testing.T) { checkAppendVec(t, NewF64()) })
+	t.Run("F128", func(t *testing.T) { checkAppendVec(t, NewF128()) })
+}
+
+func checkAppendVec[Fd Field[E], E any](t *testing.T, f Fd) {
+	for _, n := range []int{0, 1, 7, 513} {
+		a, err := SampleVec(f, rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte("prefix")
+		for _, v := range a {
+			want = f.AppendElem(want, v)
+		}
+		for _, spare := range []int{0, 3, len(want)} {
+			dst := append(make([]byte, 0, len("prefix")+spare), "prefix"...)
+			if got := AppendVec(f, dst, a); !bytes.Equal(got, want) {
+				t.Fatalf("n=%d spare=%d: AppendVec differs from AppendElem", n, spare)
+			}
+		}
+	}
+}

@@ -2,8 +2,11 @@
 // (Section 4.2 of the paper):
 //
 //   - radix-2 number-theoretic transforms over the 2^k root-of-unity domains
-//     of an FFT-friendly field, used by the prover to interpolate f and g and
-//     to compute h = f·g in O(M log M);
+//     of an FFT-friendly field, and the coset transform (Coset) the prover
+//     computes h = f·g with in O(M log M): h's even points over the 2N-point
+//     domain are the gate products it already holds, and its odd points are
+//     one N-point transform of each of f and g away. Over F64 the
+//     butterflies run as monomorphic uint64 loops;
 //   - precomputed Lagrange evaluation weights over those domains, which let
 //     the verifiers evaluate a polynomial (or a share of one) at a fixed
 //     random point r with a single O(N) inner product and no interpolation
@@ -13,6 +16,8 @@
 package poly
 
 import (
+	"sync"
+
 	"prio/internal/field"
 )
 
@@ -29,6 +34,9 @@ type Domain[Fd field.Field[E], E any] struct {
 	invN    E   // N^-1 in the field
 	pow     []E // pow[i] = w^i, i < N
 	invPow  []E // invPow[i] = w^-i, i < N
+
+	twistOnce sync.Once
+	twist     []E // twist[k] = N^-1·ω₂ₙ^rev(k), built by the first Coset
 }
 
 // NewDomain builds the size-2^logN NTT domain for field f. It panics if the
@@ -55,26 +63,47 @@ func (d *Domain[Fd, E]) Point(i int) E { return d.pow[i&(d.N-1)] }
 
 // NTT transforms coefficients into evaluations in place:
 // a[j] becomes Σ_i a[i]·w^(ij). len(a) must equal N.
-func (d *Domain[Fd, E]) NTT(a []E) { d.transform(a, d.pow) }
+func (d *Domain[Fd, E]) NTT(a []E) {
+	d.butterflies(a, d.pow, true)
+	bitReverse(a)
+}
 
 // INTT transforms evaluations back into coefficients in place. It is the
 // exact inverse of NTT.
 func (d *Domain[Fd, E]) INTT(a []E) {
-	d.transform(a, d.invPow)
+	d.butterflies(a, d.invPow, true)
+	bitReverse(a)
 	for i := range a {
 		a[i] = d.F.Mul(a[i], d.invN)
 	}
 }
 
-// transform is an iterative decimation-in-time Cooley-Tukey butterfly using
-// the given twiddle table (w^i for forward, w^-i for inverse).
-func (d *Domain[Fd, E]) transform(a []E, tw []E) {
-	if len(a) != d.N {
-		panic("poly: transform length does not match domain size")
+// Coset takes the evaluations of a polynomial P of degree < N over the
+// domain to its evaluations over the coset ω₂ₙ·D in place: a[t] becomes
+// P(ω₂ₙ^(2t+1)), an odd point of the 2N-point domain. It interpolates
+// (inverse DIF: natural order in, bit-reversed out), scales coefficient i
+// by N^-1·ω₂ₙ^i in that order, and evaluates (forward DIT: bit-reversed
+// in, natural out). It panics if the field has no 2N-th root of unity.
+func (d *Domain[Fd, E]) Coset(a []E) {
+	d.twistOnce.Do(func() {
+		w := d.F.RootOfUnity(d.LogN + 1)
+		d.twist = make([]E, d.N)
+		d.twist[0] = d.invN
+		for i := 1; i < d.N; i++ {
+			d.twist[i] = d.F.Mul(d.twist[i-1], w)
+		}
+		bitReverse(d.twist)
+	})
+	d.butterflies(a, d.invPow, true)
+	for i := range a {
+		a[i] = d.F.Mul(a[i], d.twist[i])
 	}
-	f := d.F
-	n := d.N
-	// Bit-reversal permutation.
+	d.butterflies(a, d.pow, false)
+}
+
+// bitReverse permutes a (of power-of-two length) into bit-reversed order.
+func bitReverse[E any](a []E) {
+	n := len(a)
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -85,15 +114,65 @@ func (d *Domain[Fd, E]) transform(a []E, tw []E) {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		half := length >> 1
-		step := n / length
-		for i := 0; i < n; i += length {
-			for j := 0; j < half; j++ {
-				u := a[i+j]
-				v := f.Mul(a[i+j+half], tw[j*step])
-				a[i+j] = f.Add(u, v)
-				a[i+j+half] = f.Sub(u, v)
+}
+
+// butterflies runs the log N radix-2 stages of a transform with twiddle
+// table tw (w^i forward, w^-i inverse): Gentleman-Sande decimation in
+// frequency, natural order in and bit-reversed out, when dif is set, and
+// Cooley-Tukey decimation in time, bit-reversed in and natural out,
+// otherwise. Over F64 it runs as a monomorphic uint64 loop in which
+// F64.Mul/Add/Sub inline; any other field goes through its methods.
+func (d *Domain[Fd, E]) butterflies(a, tw []E, dif bool) {
+	if len(a) != d.N {
+		panic("poly: transform length does not match domain size")
+	}
+	if _, ok := any(d.F).(field.F64); ok {
+		butterfliesF64(any(a).([]uint64), any(tw).([]uint64), dif)
+		return
+	}
+	f, n := d.F, len(a)
+	for s := 1; s < n; s <<= 1 {
+		half, step := s, n/(2*s)
+		if dif {
+			half, step = step, half
+		}
+		for i := 0; i < n; i += 2 * half {
+			x, y := a[i:i+half], a[i+half:i+2*half]
+			if dif {
+				for j := range x {
+					u, v := x[j], y[j]
+					x[j], y[j] = f.Add(u, v), f.Mul(f.Sub(u, v), tw[j*step])
+				}
+				continue
+			}
+			for j := range x {
+				v := f.Mul(y[j], tw[j*step])
+				x[j], y[j] = f.Add(x[j], v), f.Sub(x[j], v)
+			}
+		}
+	}
+}
+
+func butterfliesF64(a, tw []uint64, dif bool) {
+	var f field.F64
+	n := len(a)
+	for s := 1; s < n; s <<= 1 {
+		half, step := s, n/(2*s)
+		if dif {
+			half, step = step, half
+		}
+		for i := 0; i < n; i += 2 * half {
+			x, y := a[i:i+half], a[i+half:i+2*half]
+			if dif {
+				for j := range x {
+					u, v := x[j], y[j]
+					x[j], y[j] = f.Add(u, v), f.Mul(f.Sub(u, v), tw[j*step])
+				}
+				continue
+			}
+			for j := range x {
+				v := f.Mul(y[j], tw[j*step])
+				x[j], y[j] = f.Add(x[j], v), f.Sub(x[j], v)
 			}
 		}
 	}
@@ -214,6 +293,9 @@ func Interpolate[Fd field.Field[E], E any](f Fd, xs, ys []E) []E {
 		deg++
 	}
 	out := make([]E, n)
+	for i := range out {
+		out[i] = f.Zero()
+	}
 	q := make([]E, n)
 	for j := 0; j < n; j++ {
 		// q = master / (x - xs[j]) by synthetic division.

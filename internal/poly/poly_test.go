@@ -2,6 +2,7 @@ package poly
 
 import (
 	"crypto/rand"
+	"sync"
 	"testing"
 
 	"prio/internal/field"
@@ -237,4 +238,81 @@ func TestEvalEmpty(t *testing.T) {
 	if MulNaive(f, nil, []uint64{1}) != nil {
 		t.Error("MulNaive with empty factor should be nil")
 	}
+}
+
+// TestTransformsMatchEval checks the butterfly loops against O(N²)
+// references for N = 2⁰…2¹⁰ over F64 (the monomorphic kernels) and for
+// smaller N over F128 and FP87 (the generic ones): NTT of random
+// coefficients is Eval at every domain point, INTT takes those evaluations
+// back, and Coset of random evaluations is Eval of the Interpolate'd
+// polynomial at ω₂ₙ^(2t+1).
+func TestTransformsMatchEval(t *testing.T) {
+	t.Run("F64", func(t *testing.T) { checkTransformsMatchEval(t, field.NewF64(), 10) })
+	t.Run("F128", func(t *testing.T) { checkTransformsMatchEval(t, field.NewF128(), 6) })
+	t.Run("FP87", func(t *testing.T) { checkTransformsMatchEval(t, field.NewFP87(), 5) })
+}
+
+func checkTransformsMatchEval[Fd field.Field[E], E any](t *testing.T, f Fd, maxLogN int) {
+	for logN := 0; logN <= maxLogN; logN++ {
+		d := NewDomain(f, logN)
+		coeffs, err := field.SampleVec(f, rand.Reader, d.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals := append([]E(nil), coeffs...)
+		d.NTT(evals)
+		for j := range evals {
+			if !f.Equal(evals[j], Eval(f, coeffs, d.Point(j))) {
+				t.Fatalf("N=%d: NTT[%d] != Eval at w^%d", d.N, j, j)
+			}
+		}
+		d.INTT(evals)
+		if !field.EqualVec(f, evals, coeffs) {
+			t.Fatalf("N=%d: INTT(NTT(c)) != c", d.N)
+		}
+
+		ys, err := field.SampleVec(f, rand.Reader, d.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := make([]E, d.N)
+		for j := range xs {
+			xs[j] = d.Point(j)
+		}
+		p := Interpolate(f, xs, ys)
+		if d.twist != nil {
+			t.Fatalf("N=%d: twist table built before the first Coset", d.N)
+		}
+		d.Coset(ys)
+		w := f.RootOfUnity(logN + 1)
+		for j := range ys {
+			if !f.Equal(ys[j], Eval(f, p, field.Pow(f, w, uint64(2*j+1)))) {
+				t.Fatalf("N=%d: Coset[%d] != P(ω₂ₙ^%d)", d.N, j, 2*j+1)
+			}
+		}
+	}
+}
+
+// TestCosetConcurrentFirstUse has several goroutines make the first Coset
+// calls on one domain at once, as concurrent provers sharing a System do:
+// the lazily built twist table must be built once and seen whole by all.
+func TestCosetConcurrentFirstUse(t *testing.T) {
+	f := field.NewF64()
+	ys := randVec(t, 1<<8)
+	want := append([]uint64(nil), ys...)
+	NewDomain(f, 8).Coset(want)
+	d := NewDomain(f, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := append([]uint64(nil), ys...)
+			d.Coset(got)
+			if !field.EqualVec(f, got, want) {
+				t.Error("concurrent first Coset differs from a lone one")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -121,8 +121,10 @@ func (sys *System[Fd, E]) ProofLen() int {
 
 // Prove builds the SNIP proof for input x. The prover evaluates Valid(x),
 // interpolates f and g through the multiplication-gate operands (with
-// uniformly random anchors for zero knowledge), computes h = f·g by NTT, and
-// deals itself Beaver triples (Section 4.2, step 1 and step 3b).
+// uniformly random anchors for zero knowledge), evaluates h = f·g over the
+// 2N-point domain — the gate products at the even points, one N-point coset
+// transform of f and of g for the odd ones — and deals itself Beaver
+// triples (Section 4.2, step 1 and step 3b).
 //
 // Prove does not require Valid(x) to hold: dishonest inputs yield proofs the
 // servers will reject, which the adversarial tests rely on.
@@ -168,22 +170,18 @@ func (sys *System[Fd, E]) Prove(x []E, rnd io.Reader) (*Proof[E], error) {
 		gv[sys.M+1+j] = pf.GPad[j]
 	}
 
-	// Interpolate (INTT), zero-pad to 2N, evaluate (NTT), multiply pointwise.
-	sys.dN.INTT(fv)
-	sys.dN.INTT(gv)
-	f2 := make([]E, 2*sys.N)
-	g2 := make([]E, 2*sys.N)
-	zero := f.Zero()
-	for i := range f2 {
-		f2[i], g2[i] = zero, zero
-	}
-	copy(f2, fv)
-	copy(g2, gv)
-	sys.d2N.NTT(f2)
-	sys.d2N.NTT(g2)
+	// h = f·g over the 2N-point domain, interleaved. Its even points are
+	// the N-domain, where h is fv[t]·gv[t]: the gate outputs and the
+	// anchors' products. Its odd points are the coset ω₂ₙ·D_N, one N-point
+	// transform of each of f and g away.
 	pf.H = make([]E, 2*sys.N)
-	for i := range pf.H {
-		pf.H[i] = f.Mul(f2[i], g2[i])
+	for t := range fv {
+		pf.H[2*t] = f.Mul(fv[t], gv[t])
+	}
+	sys.dN.Coset(fv)
+	sys.dN.Coset(gv)
+	for t := range fv {
+		pf.H[2*t+1] = f.Mul(fv[t], gv[t])
 	}
 
 	pf.Triples = make([]Triple[E], sys.Reps)
