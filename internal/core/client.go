@@ -246,7 +246,7 @@ func (p *Protocol[Fd, E]) decodeAgreed(bundle []byte, agr *sealbox.Agreement, id
 			share.ExpandInto(f, prg.Seed(secret[:prg.SeedSize]), dst)
 			return nil
 		}
-		// An explicit share's plaintext is as large as its box (41 kB at
+		// An explicit share's plaintext is as large as its box (33 kB at
 		// bits1024) and dead once its elements are decoded: open it into a
 		// pooled buffer instead of a fresh slice per submission.
 		buf := transport.GetBuf(len(bundle))
@@ -286,20 +286,22 @@ func (p *Protocol[Fd, E]) maxSubmission() int {
 	return 4 + p.Cfg.Servers*(4+bundle)
 }
 
-// getFlat returns a vector of p.flatLen elements with unspecified contents
-// for one submission's share: over F64 a pooled slab (putFlat recycles it),
-// otherwise a plain allocation.
+// getFlat returns a vector of exactly p.flatLen elements with unspecified
+// contents for one submission's share: over F64 a slab from the protocol's
+// own pool (putFlat recycles it), otherwise a plain allocation.
 func (p *Protocol[Fd, E]) getFlat() []E {
 	if _, ok := any(p.Cfg.Field).(field.F64); ok {
-		return any(field.GetSlabUninit(p.flatLen)).([]E)
+		if v := p.flats.Get(); v != nil {
+			return *v.(*[]E)
+		}
 	}
 	return make([]E, p.flatLen)
 }
 
 // putFlat gives a getFlat vector back. Nothing may reference it afterwards.
-func putFlat[E any](flat []E) {
-	if slab, ok := any(flat).([]uint64); ok {
-		field.PutSlab(slab)
+func (p *Protocol[Fd, E]) putFlat(flat []E) {
+	if _, ok := any(p.Cfg.Field).(field.F64); ok {
+		p.flats.Put(&flat)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
+	"sync"
 
 	"prio/internal/afe"
 	"prio/internal/field"
@@ -80,6 +80,8 @@ type Protocol[Fd field.Field[E], E any] struct {
 	kPrime  int // aggregated prefix
 	m       int // multiplication gates in Valid
 	flatLen int // total elements shared per server
+
+	flats sync.Pool // of *[]E: F64 share slabs of exactly flatLen (getFlat)
 }
 
 // NewProtocol validates the configuration and precomputes the SNIP systems.
@@ -126,18 +128,17 @@ func NewProtocol[Fd field.Field[E], E any](cfg Config[Fd, E]) (*Protocol[Fd, E],
 func (p *Protocol[Fd, E]) FlatLen() int { return p.flatLen }
 
 // shareBytes is what one submission's share holds on each server while its
-// batch verifies and commits: flatLen elements in their pooled slab size
-// class, the power of two getFlat rounds them up to (512 B for sum8, 8 KiB
-// for linreg10x14, 64 KiB for bits1024).
+// batch verifies and commits: flatLen elements in a slab of exactly that
+// length (getFlat), 32,864 B for bits1024.
 func (p *Protocol[Fd, E]) shareBytes() int {
-	return p.Cfg.Field.ElemSize() << bits.Len(uint(p.flatLen-1))
+	return p.flatLen * p.Cfg.Field.ElemSize()
 }
 
 // batchCharge is what a batch of n submissions holds, summed over the
 // leader and every server, from its dispatch until its completions run —
 // the bytes the pipeline's budget charges it (Pipeline, rule ii):
 //
-//   - each server's share of each submission in its pooled slab class
+//   - each server's share of each submission in its pooled slab
 //     (shareBytes), plus the verifier state that indexes it;
 //   - the Round1 request frames, which carry every bundle once, and the
 //     Round1 replies, each server's Beaver openings per submission, which

@@ -383,12 +383,14 @@ func (p *Pipeline[Fd, E]) settle(n int) {
 }
 
 // shardBudget is each shard's part of the pipeline's one byte budget. It is
-// what four bits1024 batches of 16 on three servers are charged (about 3.8
-// MB each, Protocol.batchCharge), the most the share-slab budget before it
-// let a bits1024 shard keep out, verifying or committing. NewPipeline never
-// sizes the budget below one verifying and one committing full batch per
-// shard, whatever the scheme. A sum8 batch of 16 on five servers is charged
-// about 115 KB, so the budget admits well over a hundred of them per shard:
+// what four bits1024 batches of 16 on three servers were charged when their
+// shares sat in 64 KiB slab classes, the most the share-slab budget before
+// it let a bits1024 shard keep out, verifying or committing; such a batch is
+// now charged about 2.1 MB (Protocol.batchCharge), so it holds seven.
+// NewPipeline never sizes the budget below one verifying and one committing
+// full batch per shard, whatever the scheme. A sum8 batch of 16 on five
+// servers is charged about 100 KB, so the budget admits well over a hundred
+// of them per shard:
 // on a long link with idle CPUs (the WAN workload) the governor
 // (overlapDepth), not the budget, sets the depth.
 const shardBudget = 16 << 20

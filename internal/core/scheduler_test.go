@@ -893,7 +893,7 @@ func TestEvCacheManyShards(t *testing.T) {
 	}
 }
 
-// TestSchedulerShareBudget: a bits1024 batch of 16 is charged about 3 MB,
+// TestSchedulerShareBudget: a bits1024 batch of 16 is charged about 2 MB,
 // so one shard's budget holds a handful. Behind a link that holds every
 // commit for 300 ms, decided batches would pile up in their commits; the
 // budget counts them, so verifying plus committing never exceeds what it
@@ -903,8 +903,8 @@ func TestSchedulerShareBudget(t *testing.T) {
 	const batches, maxBatch = 10, 16
 	rig := newSchemeRig(t, afe.NewBitVector(field.NewF64(), 1024), time.Millisecond, 0)
 	rig.probe.finishDelay = 300 * time.Millisecond
-	if got := rig.leader.pro.shareBytes(); got != 64<<10 {
-		t.Fatalf("bits1024 share class %d B, want 64 KiB", got)
+	if got := rig.leader.pro.shareBytes(); got != 4102*8 {
+		t.Fatalf("bits1024 share slab %d B, want 4,102 elements (one repetition) of 8 B", got)
 	}
 	subs := sameSubs(t, rig, batches*maxBatch)
 	pl := rig.pipeline(t, PipelineConfig{Shards: 1, MaxBatch: maxBatch, QueueDepth: len(subs)}, 0)

@@ -70,11 +70,11 @@ type batchState[Fd field.Field[E], E any] struct {
 	validTaus []E // MPC: shares of the Valid assertion combination
 }
 
-// release returns the batch's slabs to the pool and drops every view of
+// release returns the batch's slabs to p's pool and drops every view of
 // them. The caller holds bs.mu, or is the only one who can reach bs.
-func (bs *batchState[Fd, E]) release() {
+func (bs *batchState[Fd, E]) release(p *Protocol[Fd, E]) {
 	for _, flat := range bs.flats {
-		putFlat(flat)
+		p.putFlat(flat)
 	}
 	bs.flats, bs.xShares = nil, nil
 	bs.snipBatch, bs.mpcSess = nil, nil
@@ -217,7 +217,7 @@ func (s *Server[Fd, E]) ReleaseLeader(leader int) int {
 	// one of these batches, and release waits for it.
 	for _, bs := range dropped {
 		bs.mu.Lock()
-		bs.release()
+		bs.release(s.pro)
 		bs.mu.Unlock()
 	}
 	return len(dropped)
@@ -290,7 +290,7 @@ func (s *Server[Fd, E]) handleRound1(payload []byte) ([]byte, error) {
 	stored := false
 	defer func() {
 		if !stored {
-			bs.release() // failed, or no-robust: nobody else has seen bs
+			bs.release(s.pro) // failed, or no-robust: nobody else has seen bs
 		}
 	}()
 	constServer := s.idx == 0
@@ -581,7 +581,7 @@ func (s *Server[Fd, E]) handleFinish(payload []byte) ([]byte, error) {
 	// The batch is out of the table; wait out any round still reading its
 	// slabs and retire them whatever happened.
 	bs.mu.Lock()
-	bs.release()
+	bs.release(s.pro)
 	bs.mu.Unlock()
 	if !valid {
 		return nil, errTruncated

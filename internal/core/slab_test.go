@@ -73,7 +73,7 @@ func TestPipelineIsolatesUndecryptableSubmission(t *testing.T) {
 }
 
 // TestSlabRecyclingUnderOverlappingBatches runs overlapping batches of a
-// shape wide enough to recycle share slabs (bits1024: 5,130 elements a
+// shape wide enough to recycle share slabs (bits1024: 4,108 elements a
 // share) through a 2-shard pipeline and checks the aggregate against the
 // recomputed reference: a slab returned to the pool while anything still
 // read it would corrupt a share, which the SNIP then rejects or the

@@ -127,10 +127,16 @@ func Sum[Fd Field[E], E any](f Fd, a []E) E {
 }
 
 // AddVec adds src into dst element-wise: dst[i] += src[i]. The slices must
-// have equal length. This is the server accumulator update.
+// have equal length. This is the server accumulator update; over F64 it is
+// one monomorphic loop (AddSlice).
 func AddVec[Fd Field[E], E any](f Fd, dst, src []E) {
 	if len(dst) != len(src) {
 		panic("field: AddVec length mismatch")
+	}
+	if _, ok := any(f).(F64); ok {
+		d := any(dst).([]uint64)
+		AddSlice(d, d, any(src).([]uint64))
+		return
 	}
 	for i := range dst {
 		dst[i] = f.Add(dst[i], src[i])

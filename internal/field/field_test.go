@@ -330,3 +330,38 @@ func checkAppendVec[Fd Field[E], E any](t *testing.T, f Fd) {
 		}
 	}
 }
+
+// TestAddVecMatchesAdd pins AddVec — the F64 monomorphic loop and the
+// generic one — to an element-wise f.Add, on random vectors and on p−1
+// against p−1, 1 and 0, where the sum wraps or lands on p−1.
+func TestAddVecMatchesAdd(t *testing.T) {
+	t.Run("F64", func(t *testing.T) { checkAddVec(t, NewF64()) })
+	t.Run("F128", func(t *testing.T) { checkAddVec(t, NewF128()) })
+}
+
+func checkAddVec[Fd Field[E], E any](t *testing.T, f Fd) {
+	pm1 := f.Sub(f.Zero(), f.One())
+	edges := []E{pm1, pm1, pm1, f.Zero(), f.One(), pm1}
+	edges2 := []E{pm1, f.One(), f.Zero(), pm1, pm1, f.Zero()}
+	cases := [][2][]E{{edges, edges2}, {nil, nil}}
+	for _, n := range []int{1, 7, 513} {
+		a, err := SampleVec(f, rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SampleVec(f, rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, [2][]E{a, b})
+	}
+	for _, c := range cases {
+		dst := append([]E(nil), c[0]...)
+		AddVec(f, dst, c[1])
+		for i := range dst {
+			if want := f.Add(c[0][i], c[1][i]); !f.Equal(dst[i], want) {
+				t.Fatalf("n=%d: AddVec[%d] differs from Add", len(dst), i)
+			}
+		}
+	}
+}

@@ -181,12 +181,12 @@ func reduce192(hi2, hi, lo uint64) uint64 {
 	return f.Add(m, reduce128(h, l))
 }
 
-// slabPools recycles []uint64 buffers — batch-verification scratch and the
-// servers' per-submission flat share vectors — by power-of-two capacity
-// class: slabPools[c] holds buffers with capacity ≥ 1<<c, so lane scratch of
-// a few dozen elements and multi-thousand-element share vectors never evict
-// one another and a Get either hits its class or allocates a buffer the
-// class can keep.
+// slabPools recycles []uint64 buffers — batch-verification scratch — by
+// power-of-two capacity class: slabPools[c] holds buffers with capacity
+// ≥ 1<<c, so lane scratch of a few dozen elements and fold slabs of
+// thousands never evict one another and a Get either hits its class or
+// allocates a buffer the class can keep. (Share vectors have a pool of
+// their own length in core.)
 var slabPools [maxSlabClass + 1]sync.Pool // of *[]uint64
 
 // maxSlabClass bounds the pooled sizes at 1<<24 elements (128 MiB); larger

@@ -421,7 +421,7 @@ func Open(priv *PrivateKey, box []byte) ([]byte, error) {
 
 // OpenTo is Open appending the plaintext to dst, which it returns extended;
 // a dst with len(box)-Overhead spare capacity makes the open copy-free,
-// which is how servers unseal a 41 kB explicit share into a pooled buffer.
+// which is how servers unseal a 33 kB explicit share into a pooled buffer.
 // dst must not overlap box. On failure the result is nil and dst's spare
 // capacity holds nothing of the plaintext.
 func OpenTo(priv *PrivateKey, dst, box []byte) ([]byte, error) {

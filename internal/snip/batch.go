@@ -16,12 +16,12 @@ import (
 // submissions checked under one challenge:
 //
 //   - the circuit is walked gate-major over lane slabs, once per batch;
-//   - the expensive h evaluation ⟨w2N, H_i⟩ is deferred out of Round1 and
+//   - the expensive h evaluation ⟨wH, H_i⟩ is deferred out of Round1 and
 //     amortized by a random linear combination: the servers publish a single
-//     σ_comb = Σ_i λ_i·σ_i per repetition, which costs ONE 2N-length inner
-//     product per repetition for the whole batch instead of one per
-//     submission (Σ_i λ_i·⟨w2N, H_i⟩ = ⟨w2N, Σ_i λ_i·H_i⟩, and the fold
-//     Σ λ_i·H_i is a reduction-free multiply-accumulate pass);
+//     σ_comb = Σ_i λ_i·σ_i per repetition, which costs ONE inner product of
+//     length N+M+Reps (len(H)) per repetition for the whole batch instead of
+//     one per submission (Σ_i λ_i·⟨wH, H_i⟩ = ⟨wH, Σ_i λ_i·H_i⟩, and the
+//     fold Σ λ_i·H_i is a reduction-free multiply-accumulate pass);
 //   - over F64 all slab math runs through the monomorphic kernels in
 //     internal/field.
 //
@@ -126,7 +126,7 @@ type BatchState[E any] struct {
 	count   int
 	taus    []E           // per submission: share of Σ ρ_k·assert_k
 	triples [][]Triple[E] // per submission: this server's triple shares
-	h       [][]E         // per submission: share of H (2N evals)
+	h       [][]E         // per submission: share of H (N+M+Reps evals)
 	p       [][]E         // [rep][submission]: Beaver-completed products, set by SetOpened
 	opened  bool
 }
@@ -183,16 +183,16 @@ func (bv *BatchVerifier[Fd, E]) round1Generic(st *BatchState[E], xShares [][]E, 
 	ev := bv.ev
 	sys := ev.sys
 	f := sys.F
-	var fv, gv, hAt []E
+	var fv, gv []E
 	if sys.M > 0 {
 		fv = make([]E, sys.N)
 		gv = make([]E, sys.N)
-		hAt = make([]E, sys.M)
 	}
 	zero := f.Zero()
 	for i, pf := range pfs {
-		for t := 0; t < sys.M; t++ {
-			hAt[t] = pf.H[2*(t+1)]
+		var hAt []E // the gate outputs
+		if sys.M > 0 {
+			hAt = pf.H[1 : sys.M+1]
 		}
 		tr := circuit.EvalShares(f, sys.C, xShares[i], hAt, constServer)
 		tau := f.Zero()
@@ -238,13 +238,13 @@ func (bv *BatchVerifier[Fd, E]) round1Fast(st *BatchState[E], xShares [][]E, pfs
 	w := field.GetSlabUninit(len(c64.Gates) * b)
 	defer field.PutSlab(w)
 	lane := func(g int) []uint64 { return w[g*b : (g+1)*b : (g+1)*b] }
-	// The h shares at the multiplication points go straight into the
-	// multiplication gates' lanes, one submission's H at a time: its reads
-	// run sequentially, and the lanes it writes fit in cache.
+	// The h shares at the multiplication points, H[1:M+1], go straight
+	// into the multiplication gates' lanes, one submission's H at a time:
+	// its reads run sequentially, and the lanes it writes fit in cache.
 	for i, pf := range pfs {
 		h := asU64s(pf.H)
 		for t, g := range c64.MulGates {
-			w[g*b+i] = h[2*(t+1)]
+			w[g*b+i] = h[t+1]
 		}
 	}
 	circuit.EvalSharesBatchF64(c64, w, any(xShares).([][]uint64), constServer)
@@ -381,7 +381,7 @@ func (bv *BatchVerifier[Fd, E]) SetOpened(st *BatchState[E], opened []*Round1[E]
 // Combined produces this server's share of the random-linear-combination
 // check over submissions [lo, hi):
 //
-//	σ_comb[j] = Σ_i λ_{i−lo}·[f(r_j)·r_j·g(r_j)]_i − r_j·⟨w2N_j, Σ_i λ_{i−lo}·H_i⟩
+//	σ_comb[j] = Σ_i λ_{i−lo}·[f(r_j)·r_j·g(r_j)]_i − r_j·⟨wH_j, Σ_i λ_{i−lo}·H_i⟩
 //	τ_comb    = Σ_i λ_{i−lo}·τ_i
 //
 // Summed across servers (Decide), both are zero when every submission in the
@@ -404,18 +404,18 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 		if sys.M == 0 {
 			return out, nil
 		}
-		n2 := 2 * sys.N
-		a0, a1, a2 := field.GetSlab(n2), field.GetSlab(n2), field.GetSlab(n2)
+		n := sys.hLen()
+		a0, a1, a2 := field.GetSlab(n), field.GetSlab(n), field.GetSlab(n)
 		for i := lo; i < hi; i++ {
 			field.MulAcc192(a0, a1, a2, asU64s(st.h[i]), l64[i-lo])
 		}
-		hl := field.GetSlab(n2)
+		hl := field.GetSlab(n)
 		field.Reduce192Slice(hl, a0, a1, a2)
 		var g field.F64
 		out.Sigma = make([]E, sys.Reps)
 		for j := 0; j < sys.Reps; j++ {
 			sp := field.DotSlice(l64, asU64s(st.p[j])[lo:hi])
-			hr := field.DotSlice(asU64s(ev.w2N[j]), hl)
+			hr := field.DotSlice(asU64s(ev.wH[j]), hl)
 			out.Sigma[j] = fromU64[E](g.Sub(sp, g.Mul(asU64(ev.ch.R[j]), hr)))
 		}
 		for _, s := range [][]uint64{a0, a1, a2, hl} {
@@ -431,7 +431,7 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 	if sys.M == 0 {
 		return out, nil
 	}
-	hl := make([]E, 2*sys.N)
+	hl := make([]E, sys.hLen())
 	for t := range hl {
 		hl[t] = f.Zero()
 	}
@@ -447,7 +447,7 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 		for i := lo; i < hi; i++ {
 			sp = f.Add(sp, f.Mul(lambda[i-lo], st.p[j][i]))
 		}
-		hr := field.InnerProduct(f, ev.w2N[j], hl)
+		hr := field.InnerProduct(f, ev.wH[j], hl)
 		out.Sigma[j] = f.Sub(sp, f.Mul(ev.ch.R[j], hr))
 	}
 	return out, nil
@@ -474,9 +474,9 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 	for j := 0; j < sys.Reps; j++ {
 		var hr E
 		if bv.fast {
-			hr = fromU64[E](field.DotSlice(asU64s(ev.w2N[j]), asU64s(st.h[i])))
+			hr = fromU64[E](field.DotSlice(asU64s(ev.wH[j]), asU64s(st.h[i])))
 		} else {
-			hr = field.InnerProduct(f, ev.w2N[j], st.h[i])
+			hr = field.InnerProduct(f, ev.wH[j], st.h[i])
 		}
 		out.Sigma[j] = f.Sub(st.p[j][i], f.Mul(ev.ch.R[j], hr))
 	}

@@ -8,6 +8,7 @@ import (
 	"prio/internal/afe"
 	"prio/internal/circuit"
 	"prio/internal/field"
+	"prio/internal/prg"
 )
 
 // BenchmarkBatchRound1 is one server's batch circuit pass alone —
@@ -74,4 +75,57 @@ func BenchmarkBatchRound1(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBatchCombined is one server's combined check alone —
+// BatchVerifier.Combined over a bits1024 batch of B = 16 under one
+// challenge, two repetitions: the fold Σ λ_i·H_i over len(H) = N+M+Reps
+// lanes and one inner product per repetition. ns/sub is the
+// per-submission cost.
+//
+//	go test -run '^$' -bench BatchCombined -benchmem ./internal/snip/
+func BenchmarkBatchCombined(b *testing.B) {
+	const batch = 16
+	f := field.NewF64()
+	bits := afe.NewBitVector(f, 1024)
+	sys, err := NewSystem(f, bits.Circuit(), Params{Reps: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := sys.NewChallenge(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bv := sys.NewEvaluator(ch).Batch()
+	xs := make([][]uint64, batch)
+	pfs := make([]*Proof[uint64], batch)
+	for i := range xs {
+		v := make([]bool, 1024)
+		for j := range v {
+			v[j] = (i+j)%3 == 0
+		}
+		if xs[i], err = bits.Encode(v); err != nil {
+			b.Fatal(err)
+		}
+		if pfs[i], err = sys.Prove(xs[i], rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st, msgs, err := bv.Round1(xs, pfs, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := bv.SetOpened(st, msgs, 1); err != nil {
+		b.Fatal(err)
+	}
+	lambda := RLCCoeffs(f, prg.Seed{1}, batch)
+	b.Run(fmt.Sprintf("bits1024/B=%d", batch), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bv.Combined(st, lambda, 0, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sub")
+	})
 }

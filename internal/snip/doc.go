@@ -9,11 +9,13 @@
 //     that interpolate the left/right inputs of every multiplication gate
 //     (Section 4.2, "client evaluation of Valid");
 //   - shares of h = f·g in point-value form over a 2N-point root-of-unity
-//     domain, so verifiers never interpolate (Appendix I, optimization 2).
-//     The prover gets its even points as the products fv[t]·gv[t] it
-//     already holds (the gate outputs and the anchors' products) and its
-//     odd points, the coset ω₂ₙ·D_N, from one N-point coset transform of
-//     each of f and g (poly.Domain.Coset): no 2N-point transform runs;
+//     domain, so verifiers never interpolate (Appendix I, optimization 2),
+//     less the N−M−Reps even points where h is zero because f and g are
+//     zero-padded: everyone knows those, so N+M+Reps points are sent. The
+//     prover gets the even points as the products fv[t]·gv[t] it already
+//     holds (the anchors' products and the gate outputs) and the odd
+//     points, the coset ω₂ₙ·D_N, from one N-point coset transform of each
+//     of f and g (poly.Domain.Coset): no 2N-point transform runs;
 //   - shares of one Beaver multiplication triple per soundness repetition
 //     (Appendix C.2).
 //

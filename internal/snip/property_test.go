@@ -177,8 +177,8 @@ func TestShareSumEqualsProof(t *testing.T) {
 	}
 }
 
-// TestHEncodesTrueProducts pins the indexing convention: H[2(t+1)] must be
-// the output of multiplication gate t.
+// TestHEncodesTrueProducts pins the indexing convention: H[t+1] must be the
+// output of multiplication gate t.
 func TestHEncodesTrueProducts(t *testing.T) {
 	f := field.NewF64()
 	b := circuit.NewBuilder(f, 2)
@@ -193,11 +193,11 @@ func TestHEncodesTrueProducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.H[2] != 42 {
-		t.Errorf("H[2] = %d, want 42", pf.H[2])
+	if pf.H[1] != 42 {
+		t.Errorf("H[1] = %d, want 42", pf.H[1])
 	}
-	if pf.H[4] != 252 {
-		t.Errorf("H[4] = %d, want 252", pf.H[4])
+	if pf.H[2] != 252 {
+		t.Errorf("H[2] = %d, want 252", pf.H[2])
 	}
 }
 

@@ -126,7 +126,9 @@ func proveShapes[Fd field.Field[E], E any](t *testing.T, f Fd) []proveShape[E] {
 // zero-padded 2N-point construction under the same entropy stream, for
 // every benchmark shape with a valid input and an invalid one (every
 // element 3, which no bit or range check accepts), over F64 (the
-// monomorphic butterflies) and over F128 and FP87 (the generic ones).
+// monomorphic butterflies) and over F128 and FP87 (the generic ones). The
+// construction's h has all 2N points; Prove's must be it less the even
+// points t ≥ M+Reps, each of which must be zero.
 func TestProveMatchesZeroPadded2N(t *testing.T) {
 	t.Run("F64", func(t *testing.T) { checkProveMatchesZeroPadded2N(t, field.NewF64()) })
 	t.Run("F128", func(t *testing.T) { checkProveMatchesZeroPadded2N(t, field.NewF128()) })
@@ -157,6 +159,15 @@ func checkProveMatchesZeroPadded2N[Fd field.Field[E], E any](t *testing.T, f Fd)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}
+			for tt := sys.M + sys.Reps; tt < sys.N; tt++ {
+				if !f.IsZero(want.H[2*tt]) {
+					t.Fatalf("%s: dropped point h(ω_N^%d) is not zero", name, tt)
+				}
+			}
+			if len(got.H) != sys.N+sys.M+sys.Reps || !field.EqualVec(f, expandH(sys, got.H), want.H) {
+				t.Fatalf("%s: h differs from the zero-padded 2N construction's", name)
+			}
+			want.H = got.H // the rest of the proof must match too
 			if !field.EqualVec(f, sys.FlattenProof(got), sys.FlattenProof(want)) {
 				t.Fatalf("%s: proof differs from the zero-padded 2N construction", name)
 			}

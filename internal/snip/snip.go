@@ -101,30 +101,41 @@ func NewSystem[Fd field.Field[E], E any](f Fd, c *circuit.Circuit[E], p Params) 
 }
 
 // Proof is a SNIP proof — or, since sharing is component-wise, one additive
-// share of a SNIP proof. H is in point-value form over the 2N-point domain;
-// H[2t] is h(ω_N^t), the output of multiplication gate t.
+// share of a SNIP proof. H is h in point-value form over the 2N-point
+// domain, less the points everyone knows are zero: first h(ω_N^t) for
+// t < M+Reps (the anchor's product at t = 0, the output of multiplication
+// gate t−1 at t = 1..M, the pads' products), then the N odd points
+// h(ω₂ₙ^(2t+1)). h(ω_N^t) is zero for every t ≥ M+Reps, where f and g are
+// zero-padded, so it is never sent.
 type Proof[E any] struct {
 	F0, G0     E
 	FPad, GPad []E         // Reps-1 extra random anchors each
-	H          []E         // 2N evaluations of h (empty when M == 0)
+	H          []E         // N+M+Reps evaluations of h (empty when M == 0)
 	Triples    []Triple[E] // one Beaver triple per repetition
 }
 
 // ProofLen returns the number of field elements in a proof (share): the
-// client-to-server cost that grows linearly in M (Table 2, "Proof len").
+// client-to-server cost that grows linearly in M (Table 2, "Proof len"):
+// the anchors and pads, h's N+M+Reps points not known to be zero, and the
+// Beaver triples.
 func (sys *System[Fd, E]) ProofLen() int {
 	if sys.M == 0 {
 		return 0
 	}
-	return 2 + 2*(sys.Reps-1) + 2*sys.N + 3*sys.Reps
+	return 2 + 2*(sys.Reps-1) + sys.hLen() + 3*sys.Reps
 }
+
+// hLen is the length of Proof.H: h's M+Reps even points that may be
+// nonzero, then its N odd points.
+func (sys *System[Fd, E]) hLen() int { return sys.N + sys.M + sys.Reps }
 
 // Prove builds the SNIP proof for input x. The prover evaluates Valid(x),
 // interpolates f and g through the multiplication-gate operands (with
 // uniformly random anchors for zero knowledge), evaluates h = f·g over the
 // 2N-point domain — the gate products at the even points, one N-point coset
-// transform of f and of g for the odd ones — and deals itself Beaver
-// triples (Section 4.2, step 1 and step 3b).
+// transform of f and of g for the odd ones — leaving out the even points
+// where h is zero, and deals itself Beaver triples (Section 4.2, step 1 and
+// step 3b).
 //
 // Prove does not require Valid(x) to hold: dishonest inputs yield proofs the
 // servers will reject, which the adversarial tests rely on.
@@ -170,18 +181,19 @@ func (sys *System[Fd, E]) Prove(x []E, rnd io.Reader) (*Proof[E], error) {
 		gv[sys.M+1+j] = pf.GPad[j]
 	}
 
-	// h = f·g over the 2N-point domain, interleaved. Its even points are
-	// the N-domain, where h is fv[t]·gv[t]: the gate outputs and the
-	// anchors' products. Its odd points are the coset ω₂ₙ·D_N, one N-point
-	// transform of each of f and g away.
-	pf.H = make([]E, 2*sys.N)
-	for t := range fv {
-		pf.H[2*t] = f.Mul(fv[t], gv[t])
+	// h = f·g over the 2N-point domain. Its even points are the N-domain,
+	// where h is fv[t]·gv[t]: the anchors' products and the gate outputs
+	// for t < M+Reps, zero beyond, which is not sent. Its odd points are
+	// the coset ω₂ₙ·D_N, one N-point transform of each of f and g away.
+	ne := sys.M + sys.Reps
+	pf.H = make([]E, sys.hLen())
+	for t := 0; t < ne; t++ {
+		pf.H[t] = f.Mul(fv[t], gv[t])
 	}
 	sys.dN.Coset(fv)
 	sys.dN.Coset(gv)
 	for t := range fv {
-		pf.H[2*t+1] = f.Mul(fv[t], gv[t])
+		pf.H[ne+t] = f.Mul(fv[t], gv[t])
 	}
 
 	pf.Triples = make([]Triple[E], sys.Reps)
@@ -287,8 +299,8 @@ func (sys *System[Fd, E]) unflattenInto(pf *Proof[E], triples []Triple[E], flat 
 	idx += sys.Reps - 1
 	pf.GPad = flat[idx : idx+sys.Reps-1 : idx+sys.Reps-1]
 	idx += sys.Reps - 1
-	pf.H = flat[idx : idx+2*sys.N : idx+2*sys.N]
-	idx += 2 * sys.N
+	pf.H = flat[idx : idx+sys.hLen() : idx+sys.hLen()]
+	idx += sys.hLen()
 	pf.Triples = triples
 	for j := range pf.Triples {
 		pf.Triples[j] = Triple[E]{A: flat[idx], B: flat[idx+1], C: flat[idx+2]}
@@ -306,7 +318,7 @@ func (sys *System[Fd, E]) checkDims(pf *Proof[E]) error {
 		return nil
 	}
 	if len(pf.FPad) != sys.Reps-1 || len(pf.GPad) != sys.Reps-1 ||
-		len(pf.H) != 2*sys.N || len(pf.Triples) != sys.Reps {
+		len(pf.H) != sys.hLen() || len(pf.Triples) != sys.Reps {
 		return ErrDimensions
 	}
 	return nil

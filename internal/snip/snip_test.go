@@ -160,7 +160,7 @@ func TestRejectsTamperedProofs(t *testing.T) {
 		{"G0", func(pf *Proof[uint64]) { pf.G0 = f.Add(pf.G0, 1) }},
 		{"FPad", func(pf *Proof[uint64]) { pf.FPad[0] = f.Add(pf.FPad[0], 1) }},
 		{"H-mul-point", func(pf *Proof[uint64]) { pf.H[2] = f.Add(pf.H[2], 1) }},
-		{"H-odd-point", func(pf *Proof[uint64]) { pf.H[3] = f.Add(pf.H[3], 1) }},
+		{"H-odd-point", func(pf *Proof[uint64]) { pf.H[sys.M+sys.Reps+1] = f.Add(pf.H[sys.M+sys.Reps+1], 1) }},
 		{"H-last", func(pf *Proof[uint64]) { pf.H[len(pf.H)-1] = f.Add(pf.H[len(pf.H)-1], 5) }},
 		{"triple-A", func(pf *Proof[uint64]) { pf.Triples[0].A = f.Add(pf.Triples[0].A, 1) }},
 		{"triple-B", func(pf *Proof[uint64]) { pf.Triples[0].B = f.Add(pf.Triples[0].B, 1) }},
@@ -199,8 +199,8 @@ func TestRejectsForgedMulOutput(t *testing.T) {
 	}
 	// Erase the true product at the multiplication point so the assertion
 	// wire share sums to zero.
-	delta := f.Sub(0, pf.H[2])
-	pf.H[2] = f.Add(pf.H[2], delta)
+	delta := f.Sub(0, pf.H[1])
+	pf.H[1] = f.Add(pf.H[1], delta)
 	accepted := 0
 	for trial := 0; trial < 10; trial++ {
 		if verifyShared(t, f, sys, x, pf, 3) {
@@ -248,12 +248,13 @@ func TestProofLen(t *testing.T) {
 	if got != sys.ProofLen() {
 		t.Errorf("actual proof elements %d != ProofLen %d", got, sys.ProofLen())
 	}
-	// M=4, reps=2 → need 6 points → N=8, proof = 2 + 2 + 16 + 6 = 26.
+	// M=4, reps=2 → need 6 points → N=8, proof = 2 + 2 + (8+4+2) + 6 = 24:
+	// h's 2N = 16 points less the N−M−Reps = 2 even ones known to be zero.
 	if sys.N != 8 {
 		t.Errorf("N = %d, want 8", sys.N)
 	}
-	if sys.ProofLen() != 26 {
-		t.Errorf("ProofLen = %d, want 26", sys.ProofLen())
+	if sys.ProofLen() != 24 {
+		t.Errorf("ProofLen = %d, want 24", sys.ProofLen())
 	}
 }
 

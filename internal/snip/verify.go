@@ -66,21 +66,32 @@ type Evaluator[Fd field.Field[E], E any] struct {
 	sys *System[Fd, E]
 	ch  *Challenge[E]
 	wN  [][]E // per rep: weights evaluating a share of f or g at r_j
-	w2N [][]E // per rep: weights evaluating a share of h at r_j
+	wH  [][]E // per rep: weights evaluating a share of Proof.H's h at r_j
 
 	batchOnce sync.Once
 	batch     *BatchVerifier[Fd, E] // lazily built by Batch()
 }
 
-// NewEvaluator precomputes the evaluation weights for ch.
+// NewEvaluator precomputes the evaluation weights for ch. The h weights
+// are the 2N-point domain's, in Proof.H's order, less those of the even
+// points where h is zero: ⟨wH, H⟩ is h(r) with those zeros put back.
 func (sys *System[Fd, E]) NewEvaluator(ch *Challenge[E]) *Evaluator[Fd, E] {
 	ev := &Evaluator[Fd, E]{sys: sys, ch: ch}
 	if sys.M > 0 {
+		ne := sys.M + sys.Reps
 		ev.wN = make([][]E, sys.Reps)
-		ev.w2N = make([][]E, sys.Reps)
+		ev.wH = make([][]E, sys.Reps)
 		for j, r := range ch.R {
 			ev.wN[j] = sys.dN.EvalWeights(r)
-			ev.w2N[j] = sys.d2N.EvalWeights(r)
+			w2N := sys.d2N.EvalWeights(r)
+			wH := make([]E, sys.hLen())
+			for t := 0; t < ne; t++ {
+				wH[t] = w2N[2*t]
+			}
+			for t := 0; t < sys.N; t++ {
+				wH[ne+t] = w2N[2*t+1]
+			}
+			ev.wH[j] = wH
 		}
 	}
 	return ev
@@ -123,16 +134,13 @@ func (ev *Evaluator[Fd, E]) Round1(xShare []E, pf *Proof[E], constServer bool) (
 		return nil, nil, err
 	}
 
+	// Multiplication gate t (0-based) lives at domain point ω_N^{t+1};
+	// position 0 is the random anchor. Proof.H opens with h on the N-point
+	// domain, so the gate outputs are H[1:M+1].
 	var hAtMul []E
 	if sys.M > 0 {
-		hAtMul = make([]E, sys.M)
-		for t := 0; t < sys.M; t++ {
-			hAtMul[t] = pf.H[2*(t+1)] // ω_{2N}^{2(t+1)} = ω_N^{t+1}... see below
-		}
+		hAtMul = pf.H[1 : sys.M+1]
 	}
-	// Note on indexing: multiplication gate t (0-based) lives at domain
-	// point ω_N^{t+1}; position 0 is the random anchor. The even-indexed
-	// entries of the 2N-point table are exactly the N-point table.
 	st := circuit.EvalShares(f, sys.C, xShare, hAtMul, constServer)
 
 	state := &State[E]{}
@@ -169,7 +177,7 @@ func (ev *Evaluator[Fd, E]) Round1(xShare []E, pf *Proof[E], constServer bool) (
 	for j := 0; j < sys.Reps; j++ {
 		fr := field.InnerProduct(f, ev.wN[j], fv)
 		gr := field.InnerProduct(f, ev.wN[j], gv)
-		state.hr[j] = field.InnerProduct(f, ev.w2N[j], pf.H)
+		state.hr[j] = field.InnerProduct(f, ev.wH[j], pf.H)
 		msg.D[j] = f.Sub(fr, pf.Triples[j].A)
 		msg.E[j] = f.Sub(f.Mul(ev.ch.R[j], gr), pf.Triples[j].B)
 	}
