@@ -4,8 +4,10 @@
 // default. The headline metric is ns/verification (amortized per
 // submission); allocs/op at equal batch size compares the two modes' memory
 // traffic. See docs/VERIFY.md for why the batch path wins: shared Lagrange
-// weights, one gate-major circuit walk, and one 2N-point inner product per
-// repetition for the whole batch instead of one per submission.
+// weights, Round1 as inner products with rows precomputed per challenge
+// instead of a circuit walk per submission, and one inner product over h's
+// N+M+Reps points per repetition for the whole batch instead of one per
+// submission.
 package prio_test
 
 import (

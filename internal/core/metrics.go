@@ -47,7 +47,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 		batchDur: reg.Duration("prio_verify_batch_seconds",
 			"wall time of one batch verification attempt (Round1 through the decision; the commit is prio_verify_finish_seconds)"),
 		round1: reg.Duration("prio_verify_round1_seconds",
-			"MsgRound1 broadcast round-trip (bundle relay + local circuit pass)"),
+			"MsgRound1 broadcast round-trip (bundle relay + local Round1 pass)"),
 		round2: reg.Duration("prio_verify_round2_seconds",
 			"SNIP round-2 phase: combined probe plus any reveal"),
 		finish: reg.Duration("prio_verify_finish_seconds",

@@ -105,10 +105,15 @@ func PowBig[Fd Field[E], E any](f Fd, a E, e *big.Int) E {
 
 // InnerProduct returns the dot product of a and b, which must have equal
 // length. It is the workhorse of SNIP verification (polynomial evaluation by
-// precomputed Lagrange weights).
+// precomputed Lagrange weights, and every Round1 output as a row of
+// coefficients on a server's shares); over F64 it is DotSlice, with one
+// deferred reduction.
 func InnerProduct[Fd Field[E], E any](f Fd, a, b []E) E {
 	if len(a) != len(b) {
 		panic("field: InnerProduct length mismatch")
+	}
+	if _, ok := any(f).(F64); ok {
+		return any(DotSlice(any(a).([]uint64), any(b).([]uint64))).(E)
 	}
 	acc := f.Zero()
 	for i := range a {

@@ -365,3 +365,42 @@ func checkAddVec[Fd Field[E], E any](t *testing.T, f Fd) {
 		}
 	}
 }
+
+// TestInnerProductMatchesGeneric checks InnerProduct, which over F64 is
+// DotSlice with one deferred reduction, against the scalar loop of Mul and
+// Add: random vectors and all-(p−1) vectors, whose products are the largest
+// the 192-bit accumulator sums, at lengths 0, 1 and odd.
+func TestInnerProductMatchesGeneric(t *testing.T) {
+	t.Run("F64", func(t *testing.T) { checkInnerProduct(t, NewF64()) })
+	t.Run("F128", func(t *testing.T) { checkInnerProduct(t, NewF128()) })
+}
+
+func checkInnerProduct[Fd Field[E], E any](t *testing.T, f Fd) {
+	pm1 := f.Sub(f.Zero(), f.One())
+	for _, n := range []int{0, 1, 7, 513, 4097} {
+		a, err := SampleVec(f, rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := SampleVec(f, rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := make([]E, n)
+		for i := range edge {
+			edge[i] = pm1
+		}
+		for _, c := range []struct {
+			name string
+			a, b []E
+		}{{"random", a, b}, {"p-1", edge, edge}, {"p-1·random", edge, b}} {
+			want := f.Zero()
+			for i := range c.a {
+				want = f.Add(want, f.Mul(c.a[i], c.b[i]))
+			}
+			if got := InnerProduct(f, c.a, c.b); !f.Equal(got, want) {
+				t.Fatalf("%s n=%d: InnerProduct differs from the scalar loop", c.name, n)
+			}
+		}
+	}
+}

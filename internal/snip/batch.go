@@ -15,15 +15,22 @@ import (
 // generics dispatch. The batch path removes all three for same-shape
 // submissions checked under one challenge:
 //
-//   - the circuit is walked gate-major over lane slabs, once per batch;
+//   - no circuit is walked per submission: a server's Round1 outputs are
+//     linear in its shares (affine gates act share-wise, multiplication
+//     gates' outputs are the proof's H[1:M+1]), so τ, f(r_j) and r_j·g(r_j)
+//     are each one precomputed row of coefficients on (xShare, H[1:M+1]),
+//     plus the anchor and pads and a public constant on the constant
+//     server. The 1+2·Reps rows are built once per challenge by one reverse
+//     pass over the circuit, and Round1 costs their inner products with each
+//     submission's shares;
 //   - the expensive h evaluation ⟨wH, H_i⟩ is deferred out of Round1 and
 //     amortized by a random linear combination: the servers publish a single
 //     σ_comb = Σ_i λ_i·σ_i per repetition, which costs ONE inner product of
 //     length N+M+Reps (len(H)) per repetition for the whole batch instead of
 //     one per submission (Σ_i λ_i·⟨wH, H_i⟩ = ⟨wH, Σ_i λ_i·H_i⟩, and the
 //     fold Σ λ_i·H_i is a reduction-free multiply-accumulate pass);
-//   - over F64 all slab math runs through the monomorphic kernels in
-//     internal/field.
+//   - over F64 the inner products and the fold run on the monomorphic
+//     kernels in internal/field.
 //
 // Soundness: with λ drawn after the submissions are fixed and never reused
 // across batches, a batch containing an invalid submission passes one
@@ -52,8 +59,9 @@ type evEntry[Fd field.Field[E], E any] struct {
 // CachedEvaluator returns the Evaluator for the challenge that seed expands
 // to — NewChallenge reading prg.New(seed) — memoized by the seed itself. A
 // hit costs one map lookup, so a server can look the challenge up on every
-// Round1; a miss builds the O(N·Reps) Lagrange weights once, shared by every
-// server in the process and by concurrent lookups of the same seed.
+// Round1; a miss builds the O(N·Reps) Lagrange weights once (and the first
+// Batch call its Round1 rows), shared by every server in the process and by
+// concurrent lookups of the same seed.
 //
 // stream names the sequence the caller's seeds rotate along (in core, a
 // leader session), and the cache keeps each stream's two most recently
@@ -99,29 +107,167 @@ func (sys *System[Fd, E]) CachedEvaluator(stream uint64, seed prg.Seed) *Evaluat
 	return e.ev
 }
 
-// BatchVerifier checks many same-shape submissions under one challenge in a
-// single polynomial pass. It is derived from (and shares the precomputed
-// weights of) an Evaluator; like the Evaluator it is immutable and safe for
-// concurrent use — all per-batch state lives in the BatchState.
+// BatchVerifier checks many same-shape submissions under one challenge. It
+// is derived from (and shares the precomputed weights of) an Evaluator; like
+// the Evaluator it is immutable and safe for concurrent use — all per-batch
+// state lives in the BatchState.
 type BatchVerifier[Fd field.Field[E], E any] struct {
 	ev   *Evaluator[Fd, E]
-	fast bool // F64: elements are canonical uint64, slab kernels engaged
+	fast bool // F64: elements are canonical uint64, Combined's fold runs on slab kernels
+
+	// Every Round1 output as a row of coefficients on a server's shares:
+	// rows[0] is τ's, rows[1+j] is f(r_j)'s and rows[1+Reps+j] is
+	// r_j·g(r_j)'s (only τ's when M == 0).
+	rows []row[Fd, E]
 }
 
-// Batch returns the batch verifier for this evaluator, constructing it on
-// first use.
+// row is one Round1 output as a fixed linear functional of one server's
+// shares: ⟨x, xShare[xLo:]⟩ + ⟨h, H[1+hLo:]⟩, plus k on the constant
+// server, plus pads[0]·F0 + ⟨pads[1:], FPad⟩ (G0 and GPad for a g row; τ's
+// row has no pads). x and h are trimmed to the span of their nonzero
+// coefficients.
+type row[Fd field.Field[E], E any] struct {
+	xLo, hLo int
+	x, h     []E
+	k        E
+	pads     []E
+}
+
+// at is the row's value on one server's shares: x its input share, h its
+// H[1:M+1], a0 and pads its anchor and pads for this row's polynomial.
+func (rw *row[Fd, E]) at(f Fd, x, h []E, a0 E, pads []E, constServer bool) E {
+	v := f.Add(field.InnerProduct(f, rw.x, x[rw.xLo:rw.xLo+len(rw.x)]),
+		field.InnerProduct(f, rw.h, h[rw.hLo:rw.hLo+len(rw.h)]))
+	if constServer {
+		v = f.Add(v, rw.k)
+	}
+	if len(rw.pads) > 0 {
+		v = f.Add(v, f.Add(f.Mul(rw.pads[0], a0), field.InnerProduct(f, rw.pads[1:], pads)))
+	}
+	return v
+}
+
+// Batch returns the batch verifier for this evaluator, constructing it —
+// its rows included — on first use.
 func (ev *Evaluator[Fd, E]) Batch() *BatchVerifier[Fd, E] {
 	ev.batchOnce.Do(func() {
-		ev.batch = &BatchVerifier[Fd, E]{ev: ev}
-		if _, ok := any(ev.sys.F).(field.F64); ok {
-			ev.batch.fast = true
-		}
+		_, fast := any(ev.sys.F).(field.F64)
+		ev.batch = &BatchVerifier[Fd, E]{ev: ev, fast: fast, rows: ev.rows()}
 	})
 	return ev.batch
 }
 
+// rows builds the Round1 rows in one reverse pass over the circuit. Affine
+// gates act share-wise and every multiplication gate's output is the proof's
+// H[1+t], so each wire is a fixed linear function of (xShare, H[1:M+1]) and
+// of the public constants. Seeded with ρ_k on assertion k (τ), with
+// wN_j[t+1] on multiplication gate t's A operand (f(r_j)) and r_j·wN_j[t+1]
+// on its B operand (r_j·g(r_j)), each gate passes its coefficients back to
+// its operands, an input into the x coefficients, a multiplication into the
+// h coefficients and a constant into k.
+func (ev *Evaluator[Fd, E]) rows() []row[Fd, E] {
+	sys := ev.sys
+	f := sys.F
+	c := sys.C
+	nr := 1
+	if sys.M > 0 {
+		nr += 2 * sys.Reps
+	}
+	zeros := func(n int) []E {
+		v := make([]E, n)
+		if n > 0 {
+			v[0] = f.Zero()
+			for i := 1; i < n; i *= 2 {
+				copy(v[i:], v[:i])
+			}
+		}
+		return v
+	}
+	// Wire w's coefficient in row r is coef[w·nr+r]; likewise xc for the
+	// inputs and hc for the multiplication gates' outputs.
+	coef, xc, hc, kc := zeros(len(c.Gates)*nr), zeros(c.NumInputs*nr), zeros(sys.M*nr), zeros(nr)
+	add := func(v []E, i int, d E) { v[i] = f.Add(v[i], d) }
+	for k, a := range c.Asserts {
+		add(coef, a*nr, ev.ch.Rho[k])
+	}
+	for t, m := range c.MulGates {
+		g := c.Gates[m]
+		for j, r := range ev.ch.R {
+			add(coef, g.A*nr+1+j, ev.wN[j][t+1])
+			add(coef, g.B*nr+1+sys.Reps+j, f.Mul(r, ev.wN[j][t+1]))
+		}
+	}
+	mul := sys.M
+	for i := len(c.Gates) - 1; i >= 0; i-- {
+		g := c.Gates[i]
+		if g.Op == circuit.OpMul {
+			mul--
+		}
+		for r, v := range coef[i*nr : (i+1)*nr] {
+			if f.IsZero(v) {
+				continue
+			}
+			switch g.Op {
+			case circuit.OpInput:
+				add(xc, g.A*nr+r, v)
+			case circuit.OpConst:
+				add(kc, r, f.Mul(v, g.K))
+			case circuit.OpAdd:
+				add(coef, g.A*nr+r, v)
+				add(coef, g.B*nr+r, v)
+			case circuit.OpSub:
+				add(coef, g.A*nr+r, v)
+				add(coef, g.B*nr+r, f.Neg(v))
+			case circuit.OpMul:
+				hc[mul*nr+r] = v
+			case circuit.OpMulConst:
+				add(coef, g.A*nr+r, f.Mul(v, g.K))
+			}
+		}
+	}
+	rows := make([]row[Fd, E], nr)
+	for r := range rows {
+		rw := &rows[r]
+		rw.xLo, rw.x = trimmed(f, xc, r, nr)
+		rw.hLo, rw.h = trimmed(f, hc, r, nr)
+		rw.k = kc[r]
+		if r == 0 {
+			continue
+		}
+		j, scale := r-1, f.One()
+		if j >= sys.Reps {
+			j -= sys.Reps
+			scale = ev.ch.R[j]
+		}
+		rw.pads = make([]E, sys.Reps)
+		rw.pads[0] = f.Mul(scale, ev.wN[j][0])
+		for k := 1; k < sys.Reps; k++ {
+			rw.pads[k] = f.Mul(scale, ev.wN[j][sys.M+k])
+		}
+	}
+	return rows
+}
+
+// trimmed returns row r of the interleaved coefficients v (nr rows) cut to
+// the span of its nonzero entries, and the span's offset.
+func trimmed[Fd field.Field[E], E any](f Fd, v []E, r, nr int) (int, []E) {
+	n := len(v) / nr
+	lo, hi := 0, n
+	for lo < hi && f.IsZero(v[lo*nr+r]) {
+		lo++
+	}
+	for hi > lo && f.IsZero(v[(hi-1)*nr+r]) {
+		hi--
+	}
+	out := make([]E, hi-lo)
+	for i := range out {
+		out[i] = v[(lo+i)*nr+r]
+	}
+	return lo, out
+}
+
 // BatchState carries one server's intermediate values for a whole batch
-// between the verification rounds, in lane-major (slab) layout.
+// between the verification rounds.
 type BatchState[E any] struct {
 	count   int
 	taus    []E           // per submission: share of Σ ρ_k·assert_k
@@ -138,10 +284,13 @@ func (st *BatchState[E]) Count() int { return st.count }
 // input and proof shares, producing the same per-submission D/E messages as
 // Evaluator.Round1 — the Beaver openings are inherently per-submission, so
 // the wire format is unchanged — but deferring the h evaluations to the
-// combined check (or the per-submission reveal). All shapes are validated before any
-// arithmetic; a malformed share yields an error, never a panic.
+// combined check (or the per-submission reveal). Each submission's τ share
+// and D/E messages are its rows' inner products with its shares; no circuit
+// is walked. All shapes are validated before any arithmetic; a malformed
+// share yields an error, never a panic.
 func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServer bool) (*BatchState[E], []*Round1[E], error) {
 	sys := bv.ev.sys
+	f := sys.F
 	if len(xShares) != len(pfs) {
 		return nil, nil, ErrDimensions
 	}
@@ -160,186 +309,40 @@ func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServ
 		triples: make([][]Triple[E], b),
 		h:       make([][]E, b),
 	}
+	// One backing array for all D/E messages and one for the message
+	// structs keep allocations flat in b.
+	reps := sys.Reps
+	msgs := make([]*Round1[E], b)
+	msgBack := make([]Round1[E], b)
+	var deBack []E
+	if sys.M > 0 {
+		deBack = make([]E, 2*reps*b)
+	}
+	var zero E
 	for i, pf := range pfs {
 		st.triples[i] = pf.Triples
 		st.h[i] = pf.H
-	}
-	msgs := make([]*Round1[E], b)
-	if b == 0 {
-		return st, msgs, nil
-	}
-	if bv.fast {
-		bv.round1Fast(st, xShares, pfs, constServer, msgs)
-	} else {
-		bv.round1Generic(st, xShares, pfs, constServer, msgs)
-	}
-	return st, msgs, nil
-}
-
-// round1Generic is the field-agnostic batch pass: per-submission circuit
-// walks sharing scratch buffers, with the hr inner products (the dominant
-// cost) deferred to Combined/Single.
-func (bv *BatchVerifier[Fd, E]) round1Generic(st *BatchState[E], xShares [][]E, pfs []*Proof[E], constServer bool, msgs []*Round1[E]) {
-	ev := bv.ev
-	sys := ev.sys
-	f := sys.F
-	var fv, gv []E
-	if sys.M > 0 {
-		fv = make([]E, sys.N)
-		gv = make([]E, sys.N)
-	}
-	zero := f.Zero()
-	for i, pf := range pfs {
-		var hAt []E // the gate outputs
+		msgs[i] = &msgBack[i]
+		x := xShares[i]
+		var h []E // the gate outputs
 		if sys.M > 0 {
-			hAt = pf.H[1 : sys.M+1]
+			h = pf.H[1 : sys.M+1]
 		}
-		tr := circuit.EvalShares(f, sys.C, xShares[i], hAt, constServer)
-		tau := f.Zero()
-		for k, a := range sys.C.Asserts {
-			tau = f.Add(tau, f.Mul(ev.ch.Rho[k], tr.Wires[a]))
-		}
-		st.taus[i] = tau
-		msg := &Round1[E]{}
-		msgs[i] = msg
+		st.taus[i] = bv.rows[0].at(f, x, h, zero, nil, constServer)
 		if sys.M == 0 {
 			continue
 		}
-		for t := range fv {
-			fv[t], gv[t] = zero, zero
-		}
-		fv[0], gv[0] = pf.F0, pf.G0
-		copy(fv[1:], tr.U)
-		copy(gv[1:], tr.V)
-		for j := 0; j < sys.Reps-1; j++ {
-			fv[sys.M+1+j] = pf.FPad[j]
-			gv[sys.M+1+j] = pf.GPad[j]
-		}
-		msg.D = make([]E, sys.Reps)
-		msg.E = make([]E, sys.Reps)
-		for j := 0; j < sys.Reps; j++ {
-			fr := field.InnerProduct(f, ev.wN[j], fv)
-			gr := field.InnerProduct(f, ev.wN[j], gv)
-			msg.D[j] = f.Sub(fr, pf.Triples[j].A)
-			msg.E[j] = f.Sub(f.Mul(ev.ch.R[j], gr), pf.Triples[j].B)
+		m := &msgBack[i]
+		m.D = deBack[i*2*reps : i*2*reps+reps : i*2*reps+reps]
+		m.E = deBack[i*2*reps+reps : (i+1)*2*reps : (i+1)*2*reps]
+		for j := 0; j < reps; j++ {
+			fr := bv.rows[1+j].at(f, x, h, pf.F0, pf.FPad, constServer)
+			m.D[j] = f.Sub(fr, pf.Triples[j].A)
+			rg := bv.rows[1+reps+j].at(f, x, h, pf.G0, pf.GPad, constServer)
+			m.E[j] = f.Sub(rg, pf.Triples[j].B)
 		}
 	}
-}
-
-// round1Fast is the F64 slab pass: one gate-major circuit walk for the whole
-// batch, then per-repetition multiply-accumulate folds of the Lagrange
-// weights across all lanes with a single deferred reduction each.
-func (bv *BatchVerifier[Fd, E]) round1Fast(st *BatchState[E], xShares [][]E, pfs []*Proof[E], constServer bool, msgs []*Round1[E]) {
-	ev := bv.ev
-	sys := ev.sys
-	b := len(xShares)
-	c64 := any(sys.C).(*circuit.Circuit[uint64])
-	// One wire slab for the whole walk: wire g's lanes are w[g·b : (g+1)·b].
-	w := field.GetSlabUninit(len(c64.Gates) * b)
-	defer field.PutSlab(w)
-	lane := func(g int) []uint64 { return w[g*b : (g+1)*b : (g+1)*b] }
-	// The h shares at the multiplication points, H[1:M+1], go straight
-	// into the multiplication gates' lanes, one submission's H at a time:
-	// its reads run sequentially, and the lanes it writes fit in cache.
-	for i, pf := range pfs {
-		h := asU64s(pf.H)
-		for t, g := range c64.MulGates {
-			w[g*b+i] = h[t+1]
-		}
-	}
-	circuit.EvalSharesBatchF64(c64, w, any(xShares).([][]uint64), constServer)
-	// Multiplication gate t's operands are the lanes of its A and B wires.
-	u := func(t int) []uint64 { return lane(c64.Gates[c64.MulGates[t]].A) }
-	v := func(t int) []uint64 { return lane(c64.Gates[c64.MulGates[t]].B) }
-
-	// τ_i = Σ_k ρ_k·assert_k[i]: one fused multiply-accumulate pass per
-	// assertion wire across all lanes, one reduction per lane at the end.
-	a0, a1, a2 := field.GetSlab(b), field.GetSlab(b), field.GetSlab(b)
-	for k, a := range c64.Asserts {
-		field.MulAcc192(a0, a1, a2, lane(a), asU64(ev.ch.Rho[k]))
-	}
-	field.Reduce192Slice(asU64s(st.taus), a0, a1, a2)
-
-	if sys.M == 0 {
-		for i := range msgs {
-			msgs[i] = &Round1[E]{}
-		}
-		field.PutSlab(a0)
-		field.PutSlab(a1)
-		field.PutSlab(a2)
-		return
-	}
-
-	reps := sys.Reps
-	// Lane gathers of the per-proof scalars: anchors, pads, triple parts.
-	f0s, g0s := field.GetSlab(b), field.GetSlab(b)
-	pads := make([][]uint64, 2*(reps-1)) // f pads then g pads
-	for k := range pads {
-		pads[k] = field.GetSlab(b)
-	}
-	for i, pf := range pfs {
-		f0s[i] = asU64(pf.F0)
-		g0s[i] = asU64(pf.G0)
-		for k := 0; k < reps-1; k++ {
-			pads[k][i] = asU64(pf.FPad[k])
-			pads[reps-1+k][i] = asU64(pf.GPad[k])
-		}
-	}
-	// One backing array for all D/E messages and one for the message structs
-	// keep allocations flat in b.
-	deBack := make([]E, 2*reps*b)
-	msgBack := make([]Round1[E], b)
-	for i := range msgs {
-		msgBack[i].D = deBack[i*2*reps : i*2*reps+reps]
-		msgBack[i].E = deBack[i*2*reps+reps : (i+1)*2*reps]
-		msgs[i] = &msgBack[i]
-	}
-	res := field.GetSlab(b) // reduced f(r)/g(r) lanes
-	ab := field.GetSlab(b)  // triple-share gather
-	for j := 0; j < reps; j++ {
-		wj := asU64s(ev.wN[j])
-		// f(r_j) lanes: weights folded across anchor, U slabs, and pads.
-		zero3(a0, a1, a2)
-		field.MulAcc192(a0, a1, a2, f0s, wj[0])
-		for t := 0; t < sys.M; t++ {
-			field.MulAcc192(a0, a1, a2, u(t), wj[t+1])
-		}
-		for k := 0; k < reps-1; k++ {
-			field.MulAcc192(a0, a1, a2, pads[k], wj[sys.M+1+k])
-		}
-		field.Reduce192Slice(res, a0, a1, a2)
-		for i, pf := range pfs {
-			ab[i] = asU64(pf.Triples[j].A)
-		}
-		field.SubSlice(res, res, ab) // D = f(r) − a
-		for i := range msgs {
-			msgs[i].D[j] = fromU64[E](res[i])
-		}
-		// r_j·g(r_j) lanes.
-		zero3(a0, a1, a2)
-		field.MulAcc192(a0, a1, a2, g0s, wj[0])
-		for t := 0; t < sys.M; t++ {
-			field.MulAcc192(a0, a1, a2, v(t), wj[t+1])
-		}
-		for k := 0; k < reps-1; k++ {
-			field.MulAcc192(a0, a1, a2, pads[reps-1+k], wj[sys.M+1+k])
-		}
-		field.Reduce192Slice(res, a0, a1, a2)
-		field.ScaleSlice(res, res, asU64(ev.ch.R[j]))
-		for i, pf := range pfs {
-			ab[i] = asU64(pf.Triples[j].B)
-		}
-		field.SubSlice(res, res, ab) // E = r·g(r) − b
-		for i := range msgs {
-			msgs[i].E[j] = fromU64[E](res[i])
-		}
-	}
-	for _, s := range [][]uint64{a0, a1, a2, f0s, g0s, res, ab} {
-		field.PutSlab(s)
-	}
-	for _, s := range pads {
-		field.PutSlab(s)
-	}
+	return st, msgs, nil
 }
 
 // SetOpened ingests the per-submission opened Beaver masks — the sum of all
@@ -472,12 +475,7 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 	}
 	out.Sigma = make([]E, sys.Reps)
 	for j := 0; j < sys.Reps; j++ {
-		var hr E
-		if bv.fast {
-			hr = fromU64[E](field.DotSlice(asU64s(ev.wH[j]), asU64s(st.h[i])))
-		} else {
-			hr = field.InnerProduct(f, ev.wH[j], st.h[i])
-		}
+		hr := field.InnerProduct(f, ev.wH[j], st.h[i])
 		out.Sigma[j] = f.Sub(st.p[j][i], f.Mul(ev.ch.R[j], hr))
 	}
 	return out, nil
@@ -517,9 +515,3 @@ func asU64s[E any](v []E) []uint64 { return any(v).([]uint64) }
 func asU64[E any](v E) uint64 { return any(v).(uint64) }
 
 func fromU64[E any](v uint64) E { return any(v).(E) }
-
-func zero3(a, b, c []uint64) {
-	clear(a)
-	clear(b)
-	clear(c)
-}

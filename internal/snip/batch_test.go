@@ -7,6 +7,7 @@ import (
 
 	"prio/internal/circuit"
 	"prio/internal/field"
+	"prio/internal/mpc"
 	"prio/internal/prg"
 	"prio/internal/share"
 )
@@ -119,29 +120,55 @@ func freshSeed(t *testing.T) prg.Seed {
 	return seed
 }
 
-// TestBatchRound1MatchesLegacy checks that the batch pass produces exactly
-// the wire messages and per-submission Round2 values of the legacy
-// per-submission path, over both the F64 slab fast path and the generic
-// path (F128), for both M > 0 and M == 0 circuit shapes.
+// TestBatchRound1MatchesLegacy checks the batch pass, which computes every
+// Round1 output as rows of coefficients on a server's shares, against the
+// per-submission circuit walk (Evaluator.Round1): for every benchmark shape,
+// Prio-MPC's triple circuit, range4 and the M == 0 affine2, over F64, F128
+// and FP87, on a batch of valid and invalid submissions shared across three
+// servers (server 0 folds the constants), every D/E message, τ share,
+// Single and singleton Combined must equal the circuit walk's.
 func TestBatchRound1MatchesLegacy(t *testing.T) {
 	t.Run("F64", func(t *testing.T) { testBatchMatchesLegacy(t, field.NewF64()) })
 	t.Run("F128", func(t *testing.T) { testBatchMatchesLegacy(t, field.NewF128()) })
+	t.Run("FP87", func(t *testing.T) { testBatchMatchesLegacy(t, field.NewFP87()) })
+}
+
+// legacyShape is a circuit with one input it accepts and one it rejects.
+type legacyShape[E any] struct {
+	name           string
+	c              *circuit.Circuit[E]
+	valid, invalid []E
+}
+
+func legacyShapes[Fd field.Field[E], E any](t *testing.T, f Fd) []legacyShape[E] {
+	var shapes []legacyShape[E]
+	for _, sh := range proveShapes(t, f) {
+		bad := make([]E, len(sh.x))
+		for i := range bad {
+			bad[i] = f.FromUint64(3)
+		}
+		shapes = append(shapes, legacyShape[E]{sh.name, sh.c, sh.x, bad})
+	}
+	const m = 8
+	triples, err := mpc.DealTriples(f, m, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badTriples := append([]E(nil), triples...)
+	badTriples[3*m-1] = f.Add(badTriples[3*m-1], f.One())
+	shapes = append(shapes, legacyShape[E]{"triples8", mpc.TripleCircuit(f, m), triples, badTriples})
+	badRange := encode4(f, 11)
+	badRange[0] = f.FromUint64(12)
+	shapes = append(shapes, legacyShape[E]{"range4", range4(f), encode4(f, 11), badRange})
+	v := f.FromUint64(5)
+	shapes = append(shapes, legacyShape[E]{"affine2", affine2(f), []E{v, v}, []E{v, f.Add(v, f.One())}})
+	return shapes
 }
 
 func testBatchMatchesLegacy[Fd field.Field[E], E any](t *testing.T, f Fd) {
-	for _, mk := range []struct {
-		name string
-		c    *circuit.Circuit[E]
-		x    func(i int) []E
-	}{
-		{"range4", range4(f), func(i int) []E { return encode4(f, uint64(i)%16) }},
-		{"affine2", affine2(f), func(i int) []E {
-			v := f.FromUint64(uint64(i))
-			return []E{v, v}
-		}},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			sys, err := NewSystem(f, mk.c, Params{Reps: 2})
+	for _, sh := range legacyShapes(t, f) {
+		t.Run(sh.name, func(t *testing.T) {
+			sys, err := NewSystem(f, sh.c, Params{Reps: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,11 +177,15 @@ func testBatchMatchesLegacy[Fd field.Field[E], E any](t *testing.T, f Fd) {
 				t.Fatal(err)
 			}
 			ev := sys.NewEvaluator(ch)
-			const b, s = 7, 3
+			const b, s = 4, 3
+			// Even submissions are valid, odd ones invalid.
 			xs := make([][]E, b)
 			pfs := make([]*Proof[E], b)
 			for i := range xs {
-				xs[i] = mk.x(i)
+				xs[i] = sh.valid
+				if i%2 == 1 {
+					xs[i] = sh.invalid
+				}
 				if pfs[i], err = sys.Prove(xs[i], rand.Reader); err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +214,6 @@ func testBatchMatchesLegacy[Fd field.Field[E], E any](t *testing.T, f Fd) {
 			legacySt := make([][]*State[E], s) // [server][submission]
 			legacyR1 := make([][]*Round1[E], s)
 			batchSt := make([]*BatchState[E], s)
-			batchR1 := make([][]*Round1[E], s)
 			for k := 0; k < s; k++ {
 				legacySt[k] = make([]*State[E], b)
 				legacyR1[k] = make([]*Round1[E], b)
@@ -198,23 +228,13 @@ func testBatchMatchesLegacy[Fd field.Field[E], E any](t *testing.T, f Fd) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batchSt[k], batchR1[k] = st, msgs
-			}
-			eq := func(a, b []E) bool {
-				if len(a) != len(b) {
-					return false
-				}
-				for i := range a {
-					if !f.Equal(a[i], b[i]) {
-						return false
-					}
-				}
-				return true
-			}
-			for k := 0; k < s; k++ {
+				batchSt[k] = st
 				for i := 0; i < b; i++ {
-					if !eq(batchR1[k][i].D, legacyR1[k][i].D) || !eq(batchR1[k][i].E, legacyR1[k][i].E) {
-						t.Fatalf("server %d submission %d: batch Round1 differs from legacy", k, i)
+					if !field.EqualVec(f, msgs[i].D, legacyR1[k][i].D) || !field.EqualVec(f, msgs[i].E, legacyR1[k][i].E) {
+						t.Fatalf("server %d submission %d: batch Round1 differs from the circuit walk", k, i)
+					}
+					if !f.Equal(st.taus[i], legacySt[k][i].tau) {
+						t.Fatalf("server %d submission %d: batch τ share differs from the circuit walk", k, i)
 					}
 				}
 			}
@@ -227,19 +247,35 @@ func testBatchMatchesLegacy[Fd field.Field[E], E any](t *testing.T, f Fd) {
 				}
 				opened[i] = SumRound1(f, per)
 			}
+			lambda := RLCCoeffs(f, freshSeed(t), 1)
 			for k := 0; k < s; k++ {
 				if err := bv.SetOpened(batchSt[k], opened, s); err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < b; i++ {
-					want := ev.Round2(legacySt[k][i], opened[i], s)
+			}
+			for i := 0; i < b; i++ {
+				want := make([]*Round2[E], s)
+				for k := 0; k < s; k++ {
+					want[k] = ev.Round2(legacySt[k][i], opened[i], s)
 					got, err := bv.Single(batchSt[k], i)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !eq(got.Sigma, want.Sigma) || !f.Equal(got.Tau, want.Tau) {
-						t.Fatalf("server %d submission %d: Single differs from legacy Round2", k, i)
+					if !field.EqualVec(f, got.Sigma, want[k].Sigma) || !f.Equal(got.Tau, want[k].Tau) {
+						t.Fatalf("server %d submission %d: Single differs from the circuit walk's Round2", k, i)
 					}
+					comb, err := bv.Combined(batchSt[k], lambda, i, i+1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scaled := append([]E(nil), want[k].Sigma...)
+					field.ScaleVec(f, scaled, lambda[0])
+					if !field.EqualVec(f, comb.Sigma, scaled) || !f.Equal(comb.Tau, f.Mul(lambda[0], want[k].Tau)) {
+						t.Fatalf("server %d submission %d: singleton Combined is not λ times the circuit walk's Round2", k, i)
+					}
+				}
+				if ev.Decide(want) != (i%2 == 0) {
+					t.Fatalf("submission %d: the circuit walk's verdict is %v", i, ev.Decide(want))
 				}
 			}
 		})

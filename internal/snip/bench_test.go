@@ -11,23 +11,21 @@ import (
 	"prio/internal/prg"
 )
 
-// BenchmarkBatchRound1 is one server's batch circuit pass alone —
-// BatchVerifier.Round1 over B submissions under one challenge, two
-// repetitions — on the two shapes the repository benchmark verifies:
-// linreg10x14 (a 980-gate circuit) and bits1024 (1,024 multiplication
-// gates). ns/sub is the per-submission cost;
-// allocs/op and B/op are the pass's own allocations, wire slab included.
-//
-//	go test -run '^$' -bench BatchRound1 -benchmem ./internal/snip/
-func BenchmarkBatchRound1(b *testing.B) {
+// benchShape is a circuit the repository benchmark verifies, with an
+// encoder of its i-th valid input.
+type benchShape struct {
+	name   string
+	c      *circuit.Circuit[uint64]
+	encode func(i int) ([]uint64, error)
+}
+
+// benchShapes are linreg10x14 (a 980-gate circuit) and bits1024 (1,024
+// multiplication gates).
+func benchShapes() []benchShape {
 	f := field.NewF64()
 	linreg := afe.NewLinRegUniform(f, 10, 14)
 	bits := afe.NewBitVector(f, 1024)
-	shapes := []struct {
-		name   string
-		c      *circuit.Circuit[uint64]
-		encode func(i int) ([]uint64, error)
-	}{
+	return []benchShape{
 		{"linreg10x14", linreg.Circuit(), func(i int) ([]uint64, error) {
 			x := make([]uint64, 10)
 			for j := range x {
@@ -43,7 +41,19 @@ func BenchmarkBatchRound1(b *testing.B) {
 			return bits.Encode(v)
 		}},
 	}
-	for _, shape := range shapes {
+}
+
+// BenchmarkBatchRound1 is one server's batch Round1 alone —
+// BatchVerifier.Round1 over B submissions under one challenge, two
+// repetitions — on the two shapes the repository benchmark verifies: per
+// submission, 1+2·Reps inner products of its shares with the challenge's
+// precomputed rows. ns/sub is the per-submission cost; allocs/op and B/op
+// are the pass's own allocations.
+//
+//	go test -run '^$' -bench BatchRound1 -benchmem ./internal/snip/
+func BenchmarkBatchRound1(b *testing.B) {
+	f := field.NewF64()
+	for _, shape := range benchShapes() {
 		sys, err := NewSystem(f, shape.c, Params{Reps: 2})
 		if err != nil {
 			b.Fatal(err)
@@ -74,6 +84,32 @@ func BenchmarkBatchRound1(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sub")
 			})
 		}
+	}
+}
+
+// BenchmarkNewEvaluator is the cost of one challenge on the two shapes the
+// repository benchmark verifies, two repetitions: the Lagrange weights and
+// the batch verifier's Round1 rows, built once per challenge by whichever
+// CachedEvaluator lookup misses.
+//
+//	go test -run '^$' -bench NewEvaluator -benchmem ./internal/snip/
+func BenchmarkNewEvaluator(b *testing.B) {
+	f := field.NewF64()
+	for _, shape := range benchShapes() {
+		sys, err := NewSystem(f, shape.c, Params{Reps: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ch, err := sys.NewChallenge(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys.NewEvaluator(ch).Batch()
+			}
+		})
 	}
 }
 

@@ -77,7 +77,7 @@ func refRound1[Fd field.Field[E], E any](sys *System[Fd, E], ch *Challenge[E], r
 
 // TestCompactHDifferential checks both verifiers against the reference
 // verifier of full 2N-point tables (refRound1), for every benchmark shape,
-// over F64 (the batch slab kernels), F128 and FP87, on a batch of a valid
+// over F64 (the monomorphic kernels), F128 and FP87, on a batch of a valid
 // submission, an invalid input (every element 3) and a valid input whose
 // proof has one odd point of h bumped. Every server's Round1 openings and
 // h(r_j) shares, and every Round2 share from Evaluator.Round2,

@@ -58,10 +58,12 @@ func (sys *System[Fd, E]) NewChallenge(rnd io.Reader) (*Challenge[E], error) {
 }
 
 // Evaluator is the per-challenge verification engine: it owns the
-// precomputed Lagrange evaluation weights for every identity-test point, so
-// verifying a submission costs one circuit walk plus a handful of O(N)
-// inner products (Appendix I, optimization 2). Evaluators are immutable and
-// safe for concurrent use.
+// precomputed Lagrange evaluation weights for every identity-test point
+// (Appendix I, optimization 2) and, through Batch, the Round1 rows those
+// weights and the circuit fold into. Its own Round1 verifies one
+// submission by a circuit walk plus a handful of O(N) inner products, the
+// reference the batch verifier is tested against. Evaluators are immutable
+// and safe for concurrent use.
 type Evaluator[Fd field.Field[E], E any] struct {
 	sys *System[Fd, E]
 	ch  *Challenge[E]

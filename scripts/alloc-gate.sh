@@ -20,15 +20,16 @@
 #     today, one more on older toolchains); it was one allocation per
 #     ELEMENT before the bulk sampler, which is what this catches.
 #   - BenchmarkServerRound1: at most ${ROUND1_ALLOC_CEILING} allocs/op for
-#     one 16-submission bits1024 batch on all three servers (about 376 today
+#     one 16-submission bits1024 batch on all three servers (about 344 today
 #     on Go 1.24, 2 vCPU; a batch's proofs are unflattened into two
-#     allocations, the HKDF derivations hash stack buffers, and the batch key
-#     agreement keeps its field scratch on the stack at any batch size. 481
-#     while each proof took two allocations, 1,141 while each derivation
-#     built crypto/hmac state, 1,305
-#     while each bundle ran its own crypto/ecdh agreement, 1,353 while seed
-#     servers still opened a box each, 165,726 before shares were decoded
-#     into pooled slabs).
+#     allocations, the HKDF derivations hash stack buffers, the batch key
+#     agreement keeps its field scratch on the stack at any batch size, and
+#     Round1 is inner products with the challenge's precomputed rows, with
+#     no wire slab or lane scratch. 376 while Round1 walked the circuit over
+#     a wire slab, 481 while each proof took two allocations, 1,141 while
+#     each derivation built crypto/hmac state, 1,305 while each bundle ran
+#     its own crypto/ecdh agreement, 1,353 while seed servers still opened a
+#     box each, 165,726 before shares were decoded into pooled slabs).
 #     Pinned ~4x above the current figure.
 #
 # Runs locally (./scripts/alloc-gate.sh) and in the CI bench job.
