@@ -125,3 +125,39 @@ func TestBatchChargeHonest(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineMaxHeld pins what the pipeline tells the ingest edge it can
+// hold, at the deployment prio-server and the benchmark run (MaxBatch 16, two
+// shards, sealed, two SNIP repetitions): the queue's 128 plus the submissions
+// its byte budget lets out in full batches. Only bits1024's is below the
+// 1,024-slot intake queue, so only there does it bound the ingest credits.
+func TestPipelineMaxHeld(t *testing.T) {
+	f := field.NewF64()
+	for _, tc := range []struct {
+		name    string
+		scheme  afe.Scheme[uint64]
+		servers int
+		want    int
+	}{
+		{"sum8/s5", afe.NewSum(f, 8), 5, 5366},
+		{"linreg10x14/s3", afe.NewLinRegUniform(f, 10, 14), 3, 1429},
+		{"bits1024/s3", afe.NewBitVector(f, 1024), 3, 377},
+	} {
+		pro, err := NewProtocol(Config[field.F64, uint64]{Field: f, Scheme: tc.scheme, Servers: tc.servers, Mode: ModeSNIP, SnipReps: 2, Seal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewLocalCluster(pro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := NewPipeline(cl.Leader, PipelineConfig{Shards: 2, MaxBatch: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.MaxHeld(); got != tc.want {
+			t.Errorf("%s: MaxHeld = %d, want %d (queue %d, budget %d B, full batch %d B)", tc.name, got, tc.want, cap(pl.queue), pl.budget, pl.fullCharge)
+		}
+		pl.Close()
+	}
+}

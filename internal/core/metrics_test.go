@@ -107,6 +107,9 @@ func TestPipelineMetricsAddUp(t *testing.T) {
 	if got := hist("prio_pipeline_queue_wait_seconds"); got != honest+cheats {
 		t.Errorf("queue-wait count = %d, want one per submission (%d)", got, honest+cheats)
 	}
+	if got, want := snap["prio_pipeline_max_held"], float64(pl.MaxHeld()); got != want || want <= float64(cap(pl.queue)) {
+		t.Errorf("prio_pipeline_max_held = %v, want MaxHeld's %v, above the queue's %d", got, want, cap(pl.queue))
+	}
 
 }
 

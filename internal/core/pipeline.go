@@ -252,6 +252,9 @@ func NewPipeline[Fd field.Field[E], E any](leader *Leader[Fd, E], cfg PipelineCo
 	reg.GaugeFunc("prio_pipeline_pin_budget_bytes",
 		"the budget prio_pipeline_pinned_bytes stays within",
 		func() float64 { return float64(p.budget) })
+	reg.GaugeFunc("prio_pipeline_max_held",
+		"submissions the pipeline can hold: its queue capacity plus the full batches' worth its byte budget lets out",
+		func() float64 { return float64(p.MaxHeld()) })
 	if sys := leader.pro.snipSys(); sys != nil {
 		reg.CounterFunc("prio_snip_evcache_hits_total",
 			"challenge-keyed evaluator cache hits",
@@ -740,6 +743,17 @@ func (p *Pipeline[Fd, E]) Shards() int { return p.cfg.Shards }
 // explicit share of the scheme, sealed when the deployment seals. Anything
 // longer is malformed, so the ingest edge refuses it at its length prefix.
 func (p *Pipeline[Fd, E]) MaxSubmission() int { return p.sessions[0].pro.maxSubmission() }
+
+// MaxHeld is how many submissions the pipeline can hold at once: its
+// queue's capacity plus as many as its byte budget lets out in full batches,
+// each charged a full batch's share of Protocol.batchCharge. The ingest edge
+// grants no more credits than this between its busy streams, so its intake
+// queue buffers bursts rather than a standing backlog the budget would only
+// hold back.
+func (p *Pipeline[Fd, E]) MaxHeld() int {
+	mb := int64(p.cfg.MaxBatch)
+	return cap(p.queue) + int(p.budget/((p.fullCharge+mb-1)/mb))
+}
 
 // Aggregate quiesces the pipeline and merges the per-shard results into
 // the final aggregate: it pauses intake (Submit blocks for the duration),

@@ -90,6 +90,19 @@ func newIngestMetrics(reg *telemetry.Registry, s *Server) *ingestMetrics {
 	reg.GaugeFunc("prio_ingest_busy_streams",
 		"streams the last dynamic-credit tick saw submitting",
 		func() float64 { return float64(atomic.LoadInt64(&m.busyStreams)) })
+	reg.GaugeFunc("prio_ingest_credit_windows",
+		"per-stream windows granted, summed across open streams: what the streams may have un-acked between them",
+		func() float64 {
+			s.mu.Lock()
+			total := 0
+			for _, st := range s.streams {
+				st.cmu.Lock()
+				total += st.window
+				st.cmu.Unlock()
+			}
+			s.mu.Unlock()
+			return float64(total)
+		})
 	reg.GaugeFunc("prio_ingest_credit_target",
 		"mean per-stream window target across open streams",
 		func() float64 {

@@ -178,6 +178,10 @@ func TestMetricsAddUp(t *testing.T) {
 			t.Errorf("registry %s = %v, want %d", name, got, want)
 		}
 	}
+	// The one open stream keeps its static window.
+	if got := snap["prio_ingest_credit_windows"]; got != float64(8) {
+		t.Errorf("registry prio_ingest_credit_windows = %v, want the open stream's 8", got)
+	}
 
 	// Every decision landed in the decision histogram; every decoded frame
 	// in the frame histogram.

@@ -21,6 +21,12 @@ import (
 // Submission.Marshal bytes. The server then refuses a longer submit frame at
 // its length prefix, before buffering any of it. Without the method, or
 // with a result ≤ 0, submit frames are bounded by transport.MaxFrame alone.
+//
+// A Sink that also has a MaxHeld() int method (heldSink; core.Pipeline has
+// one) reports how many submissions it can hold at once. With dynamic
+// credits the tuner then grants the busy streams no more than that between
+// them (see tune). Without the method, or with a result ≤ 0, only the intake
+// queue's free slots bound the grants.
 type Sink interface {
 	// SubmitFunc enqueues one submission, blocking while the sink is
 	// saturated, and invokes fn with the decision once it is made.
@@ -33,6 +39,11 @@ type Sink interface {
 // sizedSink is a Sink that reports its largest acceptable submission.
 type sizedSink interface {
 	MaxSubmission() int
+}
+
+// heldSink is a Sink that reports how many submissions it can hold.
+type heldSink interface {
+	MaxHeld() int
 }
 
 // Defaults for Config's zero values.
@@ -69,10 +80,10 @@ type Config struct {
 	// (naming the sitting leader) instead of a silently idle stream.
 	Gate func() error
 	// DynamicCredits turns on per-stream window tuning: a background tuner
-	// divides the intake queue's free space among the streams that are
-	// actually submitting, so a few busy streams may grow their windows up
-	// to MaxCredits while idle streams decay to MinCredits and keep the
-	// aggregate exposure bounded. Off, every stream keeps the static
+	// divides the intake queue's free space, or what the sink can hold if
+	// that is less, among the streams that are actually submitting, so a
+	// few busy streams may grow their windows up to MaxCredits while idle
+	// streams decay to MinCredits and keep the aggregate exposure bounded. Off, every stream keeps the static
 	// Credits window for its whole life, as before.
 	DynamicCredits bool
 	// MinCredits floors a tuned window (default 16): even an idle stream
@@ -126,6 +137,7 @@ type Server struct {
 	sink     Sink
 	cfg      Config
 	maxFrame int // submit-frame payload limit: transport.MaxFrame unless the sink is sized
+	maxHeld  int // submissions the sink can hold (heldSink); ≤ 0 when it does not say
 
 	intake chan intakeItem
 	quit   chan struct{}
@@ -156,6 +168,9 @@ func NewServer(sink Sink, cfg Config) *Server {
 		if n := ss.MaxSubmission(); n > 0 {
 			s.maxFrame = 8 + n // the submission ID, then the submission
 		}
+	}
+	if hs, ok := sink.(heldSink); ok {
+		s.maxHeld = hs.MaxHeld()
 	}
 	s.intake = make(chan intakeItem, s.cfg.QueueDepth)
 	reg := s.cfg.Registry
@@ -446,15 +461,19 @@ func (st *stream) route(id uint64, sub *core.Submission, rcv time.Time) {
 	}
 }
 
-// tune is the dynamic-credit loop: every TuneInterval it divides the intake
-// queue's free space among the streams that submitted since the last tick
-// (or still have submissions in flight), clamps the share to
-// [MinCredits, MaxCredits], and decays idle streams to MinCredits. Retunes
-// within 12.5% of the current target are suppressed so a steady load does
-// not generate a msgCredit drizzle. The intent is the asymmetric fairness
-// the intake queue wants: a handful of busy streams may take the whole
-// queue between them, while thousands of idle streams keep only the floor
-// exposure.
+// tune is the dynamic-credit loop: every TuneInterval it divides the lesser
+// of the intake queue's free space and what the sink can hold (maxHeld)
+// among the streams that submitted since the last tick (or still have
+// submissions in flight), clamps the share to [MinCredits, MaxCredits], and
+// decays idle streams to MinCredits. The free space alone is the quantity
+// the grants fill, so a tuner dividing only it swings: windows grow while
+// the queue is empty, fill it, shrink, and grow again as it drains. What the
+// sink can hold does not move, so where it is the lesser the windows settle
+// at it and the intake queue is left for bursts. Retunes within 12.5% of
+// the current target are suppressed so a steady load does not generate a
+// msgCredit drizzle. The intent is the asymmetric fairness the intake queue
+// wants: a handful of busy streams may take the whole queue between them,
+// while thousands of idle streams keep only the floor exposure.
 func (s *Server) tune() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.TuneInterval)
@@ -490,6 +509,9 @@ func (s *Server) tune() {
 		}
 		s.m.setBusyStreams(nbusy)
 		free := s.cfg.QueueDepth - len(s.intake)
+		if s.maxHeld > 0 {
+			free = min(free, s.maxHeld)
+		}
 		share := s.cfg.MinCredits
 		if nbusy > 0 {
 			share = free / nbusy
