@@ -48,9 +48,10 @@ type Server[Fd field.Field[E], E any] struct {
 // combined probe's λ and (Prio-MPC) validRho are derived from it.
 //
 // Slab ownership: flats are the submissions' decoded share vectors — pooled
-// slabs over F64 (Protocol.getFlat) — and everything else here (xShares, the
-// proofs inside snipBatch, the MPC sessions' inputs) is a view into them.
-// The batch owns them from Round1 until release, which runs exactly once:
+// slabs over F64 (Protocol.getFlat) — and xShares and the MPC sessions'
+// inputs are views into them; snipBatch keeps only scalars its Round1 read
+// out of them (τ, h(r_j) and the triple shares). The batch owns the slabs
+// from Round1 until release, which runs exactly once:
 // at MsgFinish, at ReleaseLeader, or when Round1 itself fails. mu orders
 // release after any round handler still reading the views (a call whose
 // leader already gave up on it), so a slab never re-enters the pool under a

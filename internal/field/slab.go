@@ -1,9 +1,6 @@
 package field
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Slab kernels: vectorized Goldilocks (F64) arithmetic over []uint64.
 //
@@ -32,17 +29,6 @@ func AddSlice(dst, a, b []uint64) {
 	}
 }
 
-// SubSlice sets dst[i] = a[i] - b[i] mod p. dst may alias a or b.
-func SubSlice(dst, a, b []uint64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("field: SubSlice length mismatch")
-	}
-	var f F64
-	for i := range dst {
-		dst[i] = f.Sub(a[i], b[i])
-	}
-}
-
 // MulSlice sets dst[i] = a[i] * b[i] mod p. dst may alias a or b.
 func MulSlice(dst, a, b []uint64) {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -51,30 +37,6 @@ func MulSlice(dst, a, b []uint64) {
 	for i := range dst {
 		hi, lo := bits.Mul64(a[i], b[i])
 		dst[i] = reduce128(hi, lo)
-	}
-}
-
-// ScaleSlice sets dst[i] = c * src[i] mod p. dst may alias src.
-func ScaleSlice(dst, src []uint64, c uint64) {
-	if len(dst) != len(src) {
-		panic("field: ScaleSlice length mismatch")
-	}
-	for i := range dst {
-		hi, lo := bits.Mul64(c, src[i])
-		dst[i] = reduce128(hi, lo)
-	}
-}
-
-// ScaleAddSlice sets dst[i] += c * src[i] mod p (the axpy kernel behind
-// random-linear-combination folding). dst may alias src.
-func ScaleAddSlice(dst, src []uint64, c uint64) {
-	if len(dst) != len(src) {
-		panic("field: ScaleAddSlice length mismatch")
-	}
-	var f F64
-	for i := range dst {
-		hi, lo := bits.Mul64(c, src[i])
-		dst[i] = f.Add(dst[i], reduce128(hi, lo))
 	}
 }
 
@@ -117,12 +79,10 @@ func DotSlice(a, b []uint64) uint64 {
 }
 
 // MulAcc192 accumulates c * src[i] into the per-lane 192-bit accumulator
-// (acc2[i]:acc1[i]:acc0[i]) without reduction. It is the slab-major
-// counterpart of DotSlice's inner loop: batch verification keeps one lane per
-// submission and folds the shared Lagrange weight c across all submissions'
-// wire shares in a single pass. Reduce with Reduce192Slice once the whole
-// sum is accumulated. The accumulators tolerate at least 2^63 calls before
-// overflow, far beyond any batch size.
+// (acc2[i]:acc1[i]:acc0[i]) without reduction: the slab-major counterpart of
+// DotSlice's inner loop. No product code calls it; it stays because the
+// repository benchmark times it (field.mulacc192_ns_per_elem). The
+// accumulators tolerate at least 2^63 calls before overflow.
 func MulAcc192(acc0, acc1, acc2, src []uint64, c uint64) {
 	n := len(src)
 	if len(acc0) != n || len(acc1) != n || len(acc2) != n {
@@ -151,18 +111,6 @@ func MulAcc192(acc0, acc1, acc2, src []uint64, c uint64) {
 	}
 }
 
-// Reduce192Slice reduces each lane's 192-bit accumulator into a canonical
-// element: dst[i] = (acc2[i]·2^128 + acc1[i]·2^64 + acc0[i]) mod p.
-func Reduce192Slice(dst, acc0, acc1, acc2 []uint64) {
-	n := len(dst)
-	if len(acc0) != n || len(acc1) != n || len(acc2) != n {
-		panic("field: Reduce192Slice length mismatch")
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = reduce192(acc2[i], acc1[i], acc0[i])
-	}
-}
-
 // r2modF64 is 2^128 mod p. With eps = 2^32 - 1: 2^128 ≡ eps² = 2^64 - 2^33 + 1
 // ≡ (2^32 - 1) - 2^33 + 1 = -2^32 ≡ p - 2^32 (mod p).
 const r2modF64 uint64 = ModulusF64 - (1 << 32)
@@ -179,59 +127,4 @@ func reduce192(hi2, hi, lo uint64) uint64 {
 	}
 	h, l := bits.Mul64(hi2, r2modF64)
 	return f.Add(m, reduce128(h, l))
-}
-
-// slabPools recycles []uint64 buffers — batch-verification scratch — by
-// power-of-two capacity class: slabPools[c] holds buffers with capacity
-// ≥ 1<<c, so lane scratch of a few dozen elements and fold slabs of
-// thousands never evict one another and a Get either hits its class or
-// allocates a buffer the class can keep. (Share vectors have a pool of
-// their own length in core.)
-var slabPools [maxSlabClass + 1]sync.Pool // of *[]uint64
-
-// maxSlabClass bounds the pooled sizes at 1<<24 elements (128 MiB); larger
-// requests are plain allocations left to the GC.
-const maxSlabClass = 24
-
-// GetSlabUninit returns a []uint64 of length n with UNSPECIFIED contents,
-// reusing pooled scratch without a clearing pass. Use it only for buffers
-// every element of which is written before it is read; accumulator slabs
-// must use GetSlab. The slab is private to the caller until PutSlab returns
-// it; callers must not retain references past PutSlab — results computed
-// into a slab are copied out before the slab goes back, or the slab is
-// simply never returned.
-func GetSlabUninit(n int) []uint64 {
-	c := 0
-	if n > 1 {
-		c = bits.Len(uint(n - 1))
-	}
-	if c > maxSlabClass {
-		return make([]uint64, n)
-	}
-	if v := slabPools[c].Get(); v != nil {
-		return (*(v.(*[]uint64)))[:n]
-	}
-	return make([]uint64, n, 1<<uint(c))
-}
-
-// GetSlab is GetSlabUninit with the slab zeroed.
-func GetSlab(n int) []uint64 {
-	s := GetSlabUninit(n)
-	clear(s)
-	return s
-}
-
-// PutSlab returns a slab obtained from GetSlab or GetSlabUninit to the pool.
-func PutSlab(s []uint64) {
-	if cap(s) == 0 {
-		return
-	}
-	// File by the floor class so every pooled entry meets its class's
-	// capacity guarantee whatever capacity the slab came with.
-	c := bits.Len(uint(cap(s))) - 1
-	if c > maxSlabClass {
-		return
-	}
-	s = s[:0]
-	slabPools[c].Put(&s)
 }

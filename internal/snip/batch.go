@@ -9,11 +9,10 @@ import (
 	"prio/internal/prg"
 )
 
-// Batch SNIP verification. The per-submission protocol (verify.go) spends
-// its cycles on (a) the circuit walk, (b) the Lagrange inner products that
-// evaluate f, g and h shares at the challenge point, and (c) per-element
-// generics dispatch. The batch path removes all three for same-shape
-// submissions checked under one challenge:
+// Batch SNIP verification. A server answers a fixed set of linear queries
+// on each submission's shares (x, π) — τ, and per repetition f(r_j),
+// r_j·g(r_j) and h(r_j) — and the batch path answers all of them in Round1
+// for same-shape submissions checked under one challenge:
 //
 //   - no circuit is walked per submission: a server's Round1 outputs are
 //     linear in its shares (affine gates act share-wise, multiplication
@@ -23,14 +22,13 @@ import (
 //     server. The 1+2·Reps rows are built once per challenge by one reverse
 //     pass over the circuit, and Round1 costs their inner products with each
 //     submission's shares;
-//   - the expensive h evaluation ⟨wH, H_i⟩ is deferred out of Round1 and
-//     amortized by a random linear combination: the servers publish a single
-//     σ_comb = Σ_i λ_i·σ_i per repetition, which costs ONE inner product of
-//     length N+M+Reps (len(H)) per repetition for the whole batch instead of
-//     one per submission (Σ_i λ_i·⟨wH, H_i⟩ = ⟨wH, Σ_i λ_i·H_i⟩, and the
-//     fold Σ λ_i·H_i is a reduction-free multiply-accumulate pass);
-//   - over F64 the inner products and the fold run on the monomorphic
-//     kernels in internal/field.
+//   - h(r_j) is ⟨wH_j, H⟩, the same inner product Evaluator.Round1 takes,
+//     run beside the rows while H is still in cache;
+//   - after Round1 a submission is a few scalars per repetition (its τ,
+//     h(r_j) and triple shares and, once the masks are opened, its
+//     products), so the servers' one combined pair per batch,
+//     σ_comb[j] = Σ_i λ_i·σ_i[j] and τ_comb = Σ_i λ_i·τ_i, is scalar
+//     arithmetic on one path for every field.
 //
 // Soundness: with λ drawn after the submissions are fixed and never reused
 // across batches, a batch containing an invalid submission passes one
@@ -112,8 +110,7 @@ func (sys *System[Fd, E]) CachedEvaluator(stream uint64, seed prg.Seed) *Evaluat
 // the Evaluator it is immutable and safe for concurrent use — all per-batch
 // state lives in the BatchState.
 type BatchVerifier[Fd field.Field[E], E any] struct {
-	ev   *Evaluator[Fd, E]
-	fast bool // F64: elements are canonical uint64, Combined's fold runs on slab kernels
+	ev *Evaluator[Fd, E]
 
 	// Every Round1 output as a row of coefficients on a server's shares:
 	// rows[0] is τ's, rows[1+j] is f(r_j)'s and rows[1+Reps+j] is
@@ -151,8 +148,7 @@ func (rw *row[Fd, E]) at(f Fd, x, h []E, a0 E, pads []E, constServer bool) E {
 // its rows included — on first use.
 func (ev *Evaluator[Fd, E]) Batch() *BatchVerifier[Fd, E] {
 	ev.batchOnce.Do(func() {
-		_, fast := any(ev.sys.F).(field.F64)
-		ev.batch = &BatchVerifier[Fd, E]{ev: ev, fast: fast, rows: ev.rows()}
+		ev.batch = &BatchVerifier[Fd, E]{ev: ev, rows: ev.rows()}
 	})
 	return ev.batch
 }
@@ -272,7 +268,7 @@ type BatchState[E any] struct {
 	count   int
 	taus    []E           // per submission: share of Σ ρ_k·assert_k
 	triples [][]Triple[E] // per submission: this server's triple shares
-	h       [][]E         // per submission: share of H (N+M+Reps evals)
+	hr      [][]E         // [rep][submission]: shares of h(r_j)
 	p       [][]E         // [rep][submission]: Beaver-completed products, set by SetOpened
 	opened  bool
 }
@@ -283,11 +279,10 @@ func (st *BatchState[E]) Count() int { return st.count }
 // Round1 runs this server's local verification pass over a whole batch of
 // input and proof shares, producing the same per-submission D/E messages as
 // Evaluator.Round1 — the Beaver openings are inherently per-submission, so
-// the wire format is unchanged — but deferring the h evaluations to the
-// combined check (or the per-submission reveal). Each submission's τ share
-// and D/E messages are its rows' inner products with its shares; no circuit
-// is walked. All shapes are validated before any arithmetic; a malformed
-// share yields an error, never a panic.
+// the wire format is unchanged. Each submission's τ share and D/E messages
+// are its rows' inner products with its shares, and its h(r_j) shares its
+// H's with wH_j; no circuit is walked. All shapes are validated before any
+// arithmetic; a malformed share yields an error, never a panic.
 func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServer bool) (*BatchState[E], []*Round1[E], error) {
 	sys := bv.ev.sys
 	f := sys.F
@@ -307,21 +302,24 @@ func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServ
 		count:   b,
 		taus:    make([]E, b),
 		triples: make([][]Triple[E], b),
-		h:       make([][]E, b),
 	}
-	// One backing array for all D/E messages and one for the message
-	// structs keep allocations flat in b.
+	// One backing array for all D/E messages, one for the h(r_j) shares and
+	// one for the message structs keep allocations flat in b.
 	reps := sys.Reps
 	msgs := make([]*Round1[E], b)
 	msgBack := make([]Round1[E], b)
 	var deBack []E
 	if sys.M > 0 {
 		deBack = make([]E, 2*reps*b)
+		hrBack := make([]E, reps*b)
+		st.hr = make([][]E, reps)
+		for j := range st.hr {
+			st.hr[j] = hrBack[j*b : (j+1)*b : (j+1)*b]
+		}
 	}
 	var zero E
 	for i, pf := range pfs {
 		st.triples[i] = pf.Triples
-		st.h[i] = pf.H
 		msgs[i] = &msgBack[i]
 		x := xShares[i]
 		var h []E // the gate outputs
@@ -340,6 +338,7 @@ func (bv *BatchVerifier[Fd, E]) Round1(xShares [][]E, pfs []*Proof[E], constServ
 			m.D[j] = f.Sub(fr, pf.Triples[j].A)
 			rg := bv.rows[1+reps+j].at(f, x, h, pf.G0, pf.GPad, constServer)
 			m.E[j] = f.Sub(rg, pf.Triples[j].B)
+			st.hr[j][i] = field.InnerProduct(f, bv.ev.wH[j], pf.H)
 		}
 	}
 	return st, msgs, nil
@@ -384,7 +383,7 @@ func (bv *BatchVerifier[Fd, E]) SetOpened(st *BatchState[E], opened []*Round1[E]
 // Combined produces this server's share of the random-linear-combination
 // check over submissions [lo, hi):
 //
-//	σ_comb[j] = Σ_i λ_{i−lo}·[f(r_j)·r_j·g(r_j)]_i − r_j·⟨wH_j, Σ_i λ_{i−lo}·H_i⟩
+//	σ_comb[j] = Σ_i λ_{i−lo}·[f(r_j)·r_j·g(r_j)]_i − r_j·Σ_i λ_{i−lo}·[h(r_j)]_i
 //	τ_comb    = Σ_i λ_{i−lo}·τ_i
 //
 // Summed across servers (Decide), both are zero when every submission in the
@@ -400,57 +399,14 @@ func (bv *BatchVerifier[Fd, E]) Combined(st *BatchState[E], lambda []E, lo, hi i
 	if !st.opened || lo < 0 || hi > st.count || lo >= hi || len(lambda) != hi-lo {
 		return nil, ErrBatchState
 	}
-	out := &Round2[E]{}
-	if bv.fast {
-		l64 := asU64s(lambda)
-		out.Tau = fromU64[E](field.DotSlice(l64, asU64s(st.taus)[lo:hi]))
-		if sys.M == 0 {
-			return out, nil
-		}
-		n := sys.hLen()
-		a0, a1, a2 := field.GetSlab(n), field.GetSlab(n), field.GetSlab(n)
-		for i := lo; i < hi; i++ {
-			field.MulAcc192(a0, a1, a2, asU64s(st.h[i]), l64[i-lo])
-		}
-		hl := field.GetSlab(n)
-		field.Reduce192Slice(hl, a0, a1, a2)
-		var g field.F64
-		out.Sigma = make([]E, sys.Reps)
-		for j := 0; j < sys.Reps; j++ {
-			sp := field.DotSlice(l64, asU64s(st.p[j])[lo:hi])
-			hr := field.DotSlice(asU64s(ev.wH[j]), hl)
-			out.Sigma[j] = fromU64[E](g.Sub(sp, g.Mul(asU64(ev.ch.R[j]), hr)))
-		}
-		for _, s := range [][]uint64{a0, a1, a2, hl} {
-			field.PutSlab(s)
-		}
-		return out, nil
-	}
-	tau := f.Zero()
-	for i := lo; i < hi; i++ {
-		tau = f.Add(tau, f.Mul(lambda[i-lo], st.taus[i]))
-	}
-	out.Tau = tau
+	out := &Round2[E]{Tau: field.InnerProduct(f, lambda, st.taus[lo:hi])}
 	if sys.M == 0 {
 		return out, nil
 	}
-	hl := make([]E, sys.hLen())
-	for t := range hl {
-		hl[t] = f.Zero()
-	}
-	for i := lo; i < hi; i++ {
-		li := lambda[i-lo]
-		for t, hv := range st.h[i] {
-			hl[t] = f.Add(hl[t], f.Mul(li, hv))
-		}
-	}
 	out.Sigma = make([]E, sys.Reps)
 	for j := 0; j < sys.Reps; j++ {
-		sp := f.Zero()
-		for i := lo; i < hi; i++ {
-			sp = f.Add(sp, f.Mul(lambda[i-lo], st.p[j][i]))
-		}
-		hr := field.InnerProduct(f, ev.wH[j], hl)
+		sp := field.InnerProduct(f, lambda, st.p[j][lo:hi])
+		hr := field.InnerProduct(f, lambda, st.hr[j][lo:hi])
 		out.Sigma[j] = f.Sub(sp, f.Mul(ev.ch.R[j], hr))
 	}
 	return out, nil
@@ -475,8 +431,7 @@ func (bv *BatchVerifier[Fd, E]) Single(st *BatchState[E], i int) (*Round2[E], er
 	}
 	out.Sigma = make([]E, sys.Reps)
 	for j := 0; j < sys.Reps; j++ {
-		hr := field.InnerProduct(f, ev.wH[j], st.h[i])
-		out.Sigma[j] = f.Sub(st.p[j][i], f.Mul(ev.ch.R[j], hr))
+		out.Sigma[j] = f.Sub(st.p[j][i], f.Mul(ev.ch.R[j], st.hr[j][i]))
 	}
 	return out, nil
 }
@@ -507,11 +462,3 @@ func RLCCoeffs[Fd field.Field[E], E any](f Fd, seed prg.Seed, n int) []E {
 	}
 	return out
 }
-
-// asU64s reinterprets a []E as []uint64. Valid only on the F64 fast path
-// (Batch() sets fast only when the field's element type is uint64).
-func asU64s[E any](v []E) []uint64 { return any(v).([]uint64) }
-
-func asU64[E any](v E) uint64 { return any(v).(uint64) }
-
-func fromU64[E any](v uint64) E { return any(v).(E) }

@@ -47,7 +47,7 @@ func benchShapes() []benchShape {
 // BatchVerifier.Round1 over B submissions under one challenge, two
 // repetitions — on the two shapes the repository benchmark verifies: per
 // submission, 1+2·Reps inner products of its shares with the challenge's
-// precomputed rows. ns/sub is the per-submission cost; allocs/op and B/op
+// precomputed rows and one of its H with wH_j per repetition. ns/sub is the per-submission cost; allocs/op and B/op
 // are the pass's own allocations.
 //
 //	go test -run '^$' -bench BatchRound1 -benchmem ./internal/snip/
@@ -115,9 +115,10 @@ func BenchmarkNewEvaluator(b *testing.B) {
 
 // BenchmarkBatchCombined is one server's combined check alone —
 // BatchVerifier.Combined over a bits1024 batch of B = 16 under one
-// challenge, two repetitions: the fold Σ λ_i·H_i over len(H) = N+M+Reps
-// lanes and one inner product per repetition. ns/sub is the
-// per-submission cost.
+// challenge, two repetitions: τ's inner product with λ and, per
+// repetition, the products' and the h(r_j) shares', each of length B (the
+// h(r_j) shares themselves are Round1's). ns/sub is the per-submission
+// cost.
 //
 //	go test -run '^$' -bench BatchCombined -benchmem ./internal/snip/
 func BenchmarkBatchCombined(b *testing.B) {

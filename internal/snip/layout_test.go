@@ -1,6 +1,8 @@
 package snip
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -82,7 +84,10 @@ func refRound1[Fd field.Field[E], E any](sys *System[Fd, E], ch *Challenge[E], r
 // proof has one odd point of h bumped. Every server's Round1 openings and
 // h(r_j) shares, and every Round2 share from Evaluator.Round2,
 // BatchVerifier.Single and a singleton Combined, must equal the
-// reference's, and every verdict must be the reference's.
+// reference's, every server's whole-batch Combined must be Σ_i λ_i times
+// the reference's Round2 shares, and every verdict must be the reference's.
+// The whole run is seeded, so one SHA-256 over every server's batch D/E,
+// Single and Combined output pins those bytes (compactHDigests).
 func TestCompactHDifferential(t *testing.T) {
 	t.Run("F64", func(t *testing.T) { checkCompactHDifferential(t, field.NewF64()) })
 	t.Run("F128", func(t *testing.T) { checkCompactHDifferential(t, field.NewF128()) })
@@ -185,6 +190,18 @@ func checkCompactHDifferential[Fd field.Field[E], E any](t *testing.T, f Fd) {
 				t.Fatal(err)
 			}
 		}
+		// digest hashes the batch verifier's outputs in a fixed order: per
+		// submission every server's Single then singleton Combined, then per
+		// server its D/E messages and its whole-batch Combined.
+		digest := sha256.New()
+		var buf []byte
+		put := func(v ...E) {
+			buf = buf[:0]
+			for _, e := range v {
+				buf = f.AppendElem(buf, e)
+			}
+			digest.Write(buf)
+		}
 		lambda := RLCCoeffs(f, prg.Seed{0x1A, byte(si)}, 1)
 		for i := range xs {
 			name := fmt.Sprintf("%s/%s", sh.name, names[i])
@@ -196,6 +213,10 @@ func checkCompactHDifferential[Fd field.Field[E], E any](t *testing.T, f Fd) {
 				if combs[k], err = bv.Combined(bst[k], lambda, i, i+1); err != nil {
 					t.Fatal(err)
 				}
+				put(singles[k].Tau)
+				put(singles[k].Sigma...)
+				put(combs[k].Tau)
+				put(combs[k].Sigma...)
 				want := ref[i][k]
 				if !field.EqualVec(f, singles[k].Sigma, want.Sigma) || !f.Equal(singles[k].Tau, want.Tau) {
 					t.Fatalf("%s: server %d's Single differs from the reference Round2", name, k)
@@ -217,9 +238,59 @@ func checkCompactHDifferential[Fd field.Field[E], E any](t *testing.T, f Fd) {
 			if whole[k], err = bv.Combined(bst[k], lambda, 0, len(xs)); err != nil {
 				t.Fatal(err)
 			}
+			tau := f.Zero()
+			for i := range xs {
+				tau = f.Add(tau, f.Mul(lambda[i], ref[i][k].Tau))
+			}
+			if !f.Equal(whole[k].Tau, tau) || len(whole[k].Sigma) != sys.Reps {
+				t.Fatalf("%s: server %d's whole-batch Combined τ is not Σ λ_i·τ_i", sh.name, k)
+			}
+			for j := 0; j < sys.Reps; j++ {
+				sigma := f.Zero()
+				for i := range xs {
+					sigma = f.Add(sigma, f.Mul(lambda[i], ref[i][k].Sigma[j]))
+				}
+				if !f.Equal(whole[k].Sigma[j], sigma) {
+					t.Fatalf("%s: server %d's whole-batch Combined σ[%d] is not Σ λ_i·σ_i", sh.name, k, j)
+				}
+			}
 		}
 		if ev.Decide(whole) {
 			t.Fatalf("%s: combined check accepted a batch with two bad submissions", sh.name)
 		}
+		for k := 0; k < s; k++ {
+			for i := range xs {
+				put(r1[k][i].D...)
+				put(r1[k][i].E...)
+			}
+			put(whole[k].Tau)
+			put(whole[k].Sigma...)
+		}
+		key := f.Name() + "/" + sh.name
+		if got := hex.EncodeToString(digest.Sum(nil)); got != compactHDigests[key] {
+			t.Errorf("%s: output digest %s, want %s", key, got, compactHDigests[key])
+		}
 	}
+}
+
+// compactHDigests are TestCompactHDifferential's output digests, keyed by
+// field and shape. They were captured while Combined still folded
+// Σ λ_i·H_i itself, so they pin that moving h(r_j) into Round1 changed no
+// output byte.
+var compactHDigests = map[string]string{
+	"F64/sum8":           "2143e975f91557d210a1c8b69ecf289acc77a73ca8ed491791d9e6b638864c57",
+	"F64/bits434":        "82bad1edf2544b6e7f597ebdd408c78fa129d3a585548b44e5d26b53ce011bf5",
+	"F64/bits1024":       "61f3fc0947f80dd853e8bd6dc0a345fa5e078a34487b8b25036007cf0febb83c",
+	"F64/linreg10x14":    "cc0d091b10dcdf78397629c8283398a0fd9c7d54b2adf31ed4360efd3465c1a6",
+	"F64/countmin10/10":  "ba05da604029243d1e71211c4f26fc454707ac5f8ef68514675e8cd7b8f9d69b",
+	"F128/sum8":          "e0fc5c6bceea3f2f73eb7f4b3663cb19333cb26a57e80dc2aab54b5f844cba71",
+	"F128/bits434":       "57d9cae41c8b14bb8358b079bbe576c7f924747fafab56f00d51cb18afdf0831",
+	"F128/bits1024":      "0bd66e814b3e622d5f90caddc253f567784cf854bcdb3a2e7ea7a6aa4678e31d",
+	"F128/linreg10x14":   "b22c001f76ae5523dfd3f9e3afc05a34f61bebcf5b89e6542b9d4a350a7abd5e",
+	"F128/countmin10/10": "0ab4ea58e34bd45d345ccee5f35f2cc6d4dcf52da4841d45b7562f8c313e7174",
+	"FP87/sum8":          "3a85f62bc616a5136f2e497bf371458ec2065ba44e8ab78945c506936d47f4ad",
+	"FP87/bits434":       "4fad980e5b1b17dadb60f822dd669988b1727f621112c9639e42287d89a177be",
+	"FP87/bits1024":      "458c1b3d1708eff70acf8bf3730c9a58dded6d08dfdbd0bdadfdc1012027c6e3",
+	"FP87/linreg10x14":   "6297d01771226507ff31b1c36588a3329eea9b08342364484e9ac106284f0a80",
+	"FP87/countmin10/10": "badf7dc86f49436c0974737b0d1b530b46a0ddf64f8103921a0dc194378886f6",
 }

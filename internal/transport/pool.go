@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Scratch-buffer arena for the hot marshalling paths, modeled on the field
-// package's slab pool but storing *Buf instead of boxed slice headers so a
-// full Get/Free round trip is allocation-free. Verification-round requests
+// Scratch-buffer arena for the hot marshalling paths, size-classed by power
+// of two and storing *Buf instead of boxed slice headers so a full Get/Free
+// round trip is allocation-free. Verification-round requests
 // (internal/core's leader) and streamed-frame scratch space draw from here;
 // a frame built in a pooled Buf is written straight into the connection's
 // bufio writer by WriteFrameParts, so the only copies on the wire path are
